@@ -12,10 +12,7 @@
 //!   one figure and diff it against a full-sweep baseline.
 
 use crate::record::{peak_rss_kb, BenchRecord, StageTimings};
-use delorean::{
-    index_stream, serialize, FileSource, Machine, Mode, ParallelReplayOptions, Recording,
-    ReplayCursor,
-};
+use delorean::{index_stream, serialize, Machine, Mode, Recording, ReplayCursor};
 use delorean_analyze::{deps_from_bytes, DepsOptions};
 use delorean_baselines::{run_baseline, FdrRecorder, RtrRecorder, StrataRecorder};
 use delorean_chunk::{run as chunk_run, ArbiterConfig, BulkScHooks, EngineConfig, RunStats};
@@ -50,11 +47,6 @@ pub enum Figure {
     /// Replay-parallelism characterization: available speedup and
     /// signature-aliasing noise from the chunk dependence DAG.
     Deps,
-    /// Measured chunk-parallel replay: wall-clock and speculation
-    /// behaviour of the parallel replay executor vs worker count
-    /// (`--jobs` 1..16). Wall-clock metrics are host-dependent; the
-    /// speculation counters and digests are deterministic.
-    Rscale,
     /// Checkpoint-seek characterization: wall-clock latency to reach
     /// an interior commit, cold (slot-0 roll-forward, the only option
     /// without a `.dlrnx` sidecar) vs warm (seek to the nearest
@@ -66,7 +58,7 @@ pub enum Figure {
 
 impl Figure {
     /// All figures, in sweep order.
-    pub const ALL: [Figure; 13] = [
+    pub const ALL: [Figure; 12] = [
         Figure::Fig06,
         Figure::Fig07,
         Figure::Fig08,
@@ -78,7 +70,6 @@ impl Figure {
         Figure::Tab06,
         Figure::Scale,
         Figure::Deps,
-        Figure::Rscale,
         Figure::Seek,
     ];
 
@@ -96,7 +87,6 @@ impl Figure {
             Figure::Tab06 => "tab06",
             Figure::Scale => "scale",
             Figure::Deps => "deps",
-            Figure::Rscale => "rscale",
             Figure::Seek => "seek",
         }
     }
@@ -147,12 +137,6 @@ pub enum JobKind {
     Rtr,
     /// Strata baseline recorder.
     Strata,
-    /// Record OrderOnly, then time a chunk-parallel replay of the
-    /// serialized stream with the given worker count.
-    ParallelReplay {
-        /// Worker threads for the parallel replay executor.
-        jobs: u32,
-    },
     /// Record OrderOnly, build a `.dlrnx` checkpoint index, then time
     /// `state_at` to the commit at `at_pct`% of the log. Cold points
     /// degenerate the index to its slot-0 entry (a full roll-forward);
@@ -187,7 +171,6 @@ impl JobKind {
             JobKind::Fdr => "fdr".into(),
             JobKind::Rtr => "rtr".into(),
             JobKind::Strata => "strata".into(),
-            JobKind::ParallelReplay { jobs } => format!("preplay-j{jobs}"),
             JobKind::Seek { warm, at_pct } => {
                 format!("seek-{}@{at_pct}", if warm { "warm" } else { "cold" })
             }
@@ -301,11 +284,8 @@ fn figure_budget(figure: Figure, full: bool, budget_div: u64) -> u64 {
         // The dependence pass replays every recording it makes, so the
         // budget is kept small to bound the sweep's wall time.
         Figure::Deps => 4_000,
-        // Every point replays its recording once per worker count, so
-        // the budget is bounded like the deps figure's.
-        Figure::Rscale => 4_000,
         // Every point indexes and partially replays its recording, so
-        // the budget stays at the deps/rscale scale.
+        // the budget stays at the deps scale.
         Figure::Seek => 4_000,
     };
     let scaled = if full { base * 5 } else { base };
@@ -461,17 +441,6 @@ pub fn enumerate_jobs(
                 for w in &catalog {
                     for procs in [4, 8, 16] {
                         jobs.push(job(w, JobKind::Record(Mode::OrderOnly), procs, 500, 0));
-                    }
-                }
-            }
-            Figure::Rscale => {
-                // The replay-scaling curve: the same four corner
-                // workloads as fig12, one point per worker count. The
-                // job seed excludes the kind, so every worker count
-                // replays the identical recording.
-                for w in FIG12_APPS {
-                    for n in [1, 2, 4, 8, 16] {
-                        jobs.push(job(w, JobKind::ParallelReplay { jobs: n }, 8, 2_000, 0));
                     }
                 }
             }
@@ -677,56 +646,6 @@ pub fn run_job(spec: &JobSpec) -> BenchRecord {
             record
                 .extra
                 .push(("strat_pi_ratio".into(), strat as f64 / plain as f64));
-        }
-        JobKind::ParallelReplay { jobs } => {
-            let machine = build_machine(spec, Mode::OrderOnly);
-            let t = Instant::now();
-            let rec = machine.record(w, seed);
-            record.timings.record_ms = ms(t);
-            absorb_stats(&mut record, &rec.stats);
-            measure_logs(&mut record, &rec);
-            // Replay the serialized stream through the chunk-parallel
-            // executor and time the whole pass. The digest, verdict and
-            // speculation counters are deterministic for a given spec;
-            // only `timings.replay_ms` (volatile) varies by host.
-            let bytes = serialize::to_bytes(&rec);
-            let opts = ParallelReplayOptions::with_jobs(jobs);
-            let t = Instant::now();
-            let outcome = FileSource::open(&bytes[..])
-                .map_err(|e| e.to_string())
-                .and_then(|src| {
-                    machine
-                        .replay_parallel_with(src, &opts)
-                        .map_err(|e| e.to_string())
-                });
-            record.timings.replay_ms = ms(t);
-            record.replays = 1;
-            match outcome {
-                Ok((report, spec_stats)) => {
-                    record.replay_cycles = report.stats.cycles;
-                    record.replay_deterministic = report.deterministic;
-                    record.extra.push(("replay_jobs".into(), f64::from(jobs)));
-                    record
-                        .extra
-                        .push(("spec_rounds".into(), spec_stats.rounds as f64));
-                    record
-                        .extra
-                        .push(("spec_chunks".into(), spec_stats.speculated_chunks as f64));
-                    record
-                        .extra
-                        .push(("spec_retires".into(), spec_stats.speculative_retires as f64));
-                    record
-                        .extra
-                        .push(("serial_retires".into(), spec_stats.serial_retires as f64));
-                    record
-                        .extra
-                        .push(("spec_conflicts".into(), spec_stats.conflicts as f64));
-                }
-                // A fresh recording that fails to replay is itself the
-                // regression: surface it through the gated
-                // `replay_deterministic` field.
-                Err(_) => record.replay_deterministic = false,
-            }
         }
         JobKind::Seek { warm, at_pct } => {
             let machine = build_machine(spec, Mode::OrderOnly);
@@ -1044,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_jobs_verify_determinism() {
+    fn record_replay_job_verifies_determinism() {
         let spec = JobSpec {
             figure: Figure::Fig11,
             workload: "lu".into(),

@@ -315,21 +315,8 @@ pub trait GrantPolicy {
 /// while re-executing (forced chunk sizes, interrupts, I/O values, DMA
 /// payloads). Recording-side drivers keep every default.
 ///
-/// # The slot-retirement ordering invariant
-///
-/// Every consumer of a feed — the timing engine, the serial inspector,
-/// and the chunk-parallel replay executor alike — commits to the same
-/// contract: **log values are consumed in recorded commit-slot order**.
-/// Keyed queries (`forced_chunk_size`, `pending_interrupt`, and the
-/// `(core, index, seq)`-addressed `io_load`) may be asked *ahead* of
-/// the cursor — speculative executors prefetch them — and must answer
-/// identically until the underlying entry is consumed by the commit
-/// that retires its slot; the positional streams (`dma_data`, and I/O
-/// value consumption itself) advance only at retirement. This is what
-/// lets the parallel executor re-execute chunks out of order while
-/// retiring them strictly in slot order: any answer observed during
-/// speculation is revalidated at retirement, and a feed that honors
-/// this contract can never tell speculative replay from serial replay.
+/// Every consumer of a feed — the timing engine and the software
+/// inspector alike — consumes log values in recorded commit-slot order.
 pub trait ReplayFeed {
     /// Same contract as [`ExecutionHooks::forced_chunk_size`].
     fn forced_chunk_size(&mut self, core: CoreId, index: u64) -> Option<u32> {

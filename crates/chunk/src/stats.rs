@@ -105,8 +105,7 @@ impl StateDigest {
     /// shapes can never collide by concatenation. Two digests are equal
     /// iff their fingerprints are (modulo hash collisions), which makes
     /// this the one-line value CI jobs and scripts compare across
-    /// replays — e.g. `delorean-rr replay --jobs N` prints it for the
-    /// parallel-replay smoke test's digest comparison.
+    /// replays — e.g. `delorean-rr replay --from N` prints it.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -1,4 +1,5 @@
-//! Minimal flag parsing: `--flag value` pairs and positionals.
+//! Minimal flag parsing: `--flag value` pairs and positionals, checked
+//! against the flags the subcommand accepts.
 
 /// Parsed command-line arguments (after the subcommand).
 #[derive(Debug, Default)]
@@ -10,17 +11,29 @@ pub struct Args {
 }
 
 impl Args {
-    /// Splits `argv` into positionals and `--flag value` pairs; flags
-    /// listed in `switches` are boolean — they consume no value and
-    /// are queried with [`Args::has`].
-    pub fn parse_with_switches(argv: &[String], switches: &[&str]) -> Result<Self, String> {
+    /// Splits the arguments of subcommand `command` into positionals,
+    /// switches and `--flag value` pairs. `switches` (boolean, queried
+    /// with [`Args::has`]) and `valued` (taking a value) list the flags
+    /// `command` accepts, separated by spaces. Any other flag is an
+    /// error naming the flag and the subcommand, so a misspelt or
+    /// retired flag never runs silently with defaults.
+    pub fn parse(
+        argv: &[String],
+        command: &str,
+        switches: &str,
+        valued: &str,
+    ) -> Result<Self, String> {
+        let lists = |list: &str, flag: &str| list.split_whitespace().any(|f| f == flag);
         let mut args = Args::default();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
             if a.starts_with('-') && a.len() > 1 {
-                if switches.contains(&a.as_str()) {
+                if lists(switches, a) {
                     args.switches.push(a.clone());
                     continue;
+                }
+                if !lists(valued, a) {
+                    return Err(format!("unknown flag {a} for `{command}`"));
                 }
                 let value = it
                     .next()
@@ -73,14 +86,14 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &[&str]) -> Args {
-        Args::parse_with_switches(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>(), &[])
-            .unwrap()
+    fn parse(s: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = s.iter().map(|x| x.to_string()).collect();
+        Args::parse(&argv, "test", "--json", "--seed --watch --skip")
     }
 
     #[test]
     fn positionals_and_flags_mix() {
-        let a = parse(&["file.dlrn", "--seed", "9", "--watch", "1", "--watch", "2"]);
+        let a = parse(&["file.dlrn", "--seed", "9", "--watch", "1", "--watch", "2"]).unwrap();
         assert_eq!(a.positional, vec!["file.dlrn"]);
         assert_eq!(a.num("--seed").unwrap(), Some(9));
         assert_eq!(a.get_all("--watch"), vec!["1", "2"]);
@@ -89,11 +102,7 @@ mod tests {
 
     #[test]
     fn switches_take_no_value() {
-        let argv: Vec<String> = ["run.dlrn", "--json", "--skip", "static"]
-            .iter()
-            .map(|x| x.to_string())
-            .collect();
-        let a = Args::parse_with_switches(&argv, &["--json"]).unwrap();
+        let a = parse(&["run.dlrn", "--json", "--skip", "static"]).unwrap();
         assert!(a.has("--json"));
         assert!(!a.has("--quiet"));
         assert_eq!(a.positional, vec!["run.dlrn"]);
@@ -102,13 +111,20 @@ mod tests {
 
     #[test]
     fn dangling_flag_is_an_error() {
-        let argv = vec!["--seed".to_string()];
-        assert!(Args::parse_with_switches(&argv, &[]).is_err());
+        assert!(parse(&["--seed"]).is_err());
     }
 
     #[test]
     fn bad_number_is_an_error() {
-        let a = parse(&["--seed", "zebra"]);
+        let a = parse(&["--seed", "zebra"]).unwrap();
         assert!(a.num("--seed").is_err());
+    }
+
+    #[test]
+    fn unknown_flag_names_the_flag_and_the_command() {
+        let err = parse(&["run.dlrn", "--sed", "5"]).unwrap_err();
+        assert_eq!(err, "unknown flag --sed for `test`");
+        // A switch of another command is still unknown here.
+        assert!(parse(&["--verbose"]).is_err());
     }
 }

@@ -7,7 +7,6 @@
 //! delorean info run.dlrn
 //! delorean replay run.dlrn --seed 99
 //! delorean replay run.dlrn --stratified 1
-//! delorean replay run.dlrn --jobs 8 --cert run.cert
 //! delorean inspect run.dlrn --watch 0x30001 --limit 40
 //! ```
 
@@ -46,8 +45,7 @@ usage:
                   [--arbiter global|sharded:K] [--trace PATH]
   delorean info <file>
   delorean replay <file> [--seed N] [--stratified MAX]
-  delorean replay <file> --jobs N [--cert PATH]
-  delorean replay <file> --from N [--to M] [--index PATH] [--jobs N]
+  delorean replay <file> --from N [--to M] [--index PATH]
   delorean checkpoint <file> [--every K] [-o PATH]
   delorean checkpoint <file> --check PATH
   delorean inspect <file> [--watch ADDR]... [--limit N] [--json]
@@ -63,30 +61,61 @@ usage:
   delorean crashtest [--seed N] [--workload NAME]... [--procs N]
                      [--budget N] [--chunk N]";
 
+/// A subcommand's entry point.
+type Handler = fn(&Args) -> Result<ExitCode, String>;
+
+/// Every subcommand: its name, the flags its `cmd_*` reads as listed in
+/// `USAGE` — boolean switches, then flags that take a value — and its
+/// entry point. Switches are per-command: `analyze --json` is a toggle,
+/// `bench --json PATH` takes the output path as a value.
+const COMMANDS: &[(&str, &str, &str, Handler)] = &[
+    ("list", "", "", |_| cmd_list().map(|()| ExitCode::SUCCESS)),
+    (
+        "record",
+        "",
+        "-o --out --mode --procs --budget --chunk --seed --timing-seed --arbiter --trace",
+        |a| cmd_record(a).map(|()| ExitCode::SUCCESS),
+    ),
+    ("info", "", "", |a| cmd_info(a).map(|()| ExitCode::SUCCESS)),
+    (
+        "replay",
+        "",
+        "--seed --stratified --from --to --index",
+        |a| cmd_replay(a).map(|()| ExitCode::SUCCESS),
+    ),
+    ("checkpoint", "", "--every -o --out --check", cmd_checkpoint),
+    ("inspect", "--json", "--watch --limit --at --index", |a| {
+        cmd_inspect(a).map(|()| ExitCode::SUCCESS)
+    }),
+    (
+        "analyze",
+        "--json --deps",
+        "--skip --max-examples --cert --check-cert --check-index --trace",
+        cmd_analyze,
+    ),
+    (
+        "bench",
+        "--full --verbose",
+        "--figure --json --jobs --baseline --tolerance --seed --budget-div",
+        cmd_bench,
+    ),
+    (
+        "crashtest",
+        "",
+        "--seed --workload --procs --budget --chunk",
+        cmd_crashtest,
+    ),
+];
+
 fn run(argv: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = argv.first() else {
         return Err("missing command".to_string());
     };
-    // Boolean switches are per-command: `analyze --json` is a toggle,
-    // `bench --json PATH` takes the output path as a value.
-    let switches: &[&str] = match cmd.as_str() {
-        "bench" => &["--full", "--verbose"],
-        "analyze" => &["--json", "--deps"],
-        _ => &["--json"],
+    let Some((name, switches, valued, handler)) = COMMANDS.iter().find(|(name, ..)| name == cmd)
+    else {
+        return Err(format!("unknown command {cmd}"));
     };
-    let args = Args::parse_with_switches(&argv[1..], switches)?;
-    match cmd.as_str() {
-        "list" => cmd_list().map(|()| ExitCode::SUCCESS),
-        "record" => cmd_record(&args).map(|()| ExitCode::SUCCESS),
-        "info" => cmd_info(&args).map(|()| ExitCode::SUCCESS),
-        "replay" => cmd_replay(&args).map(|()| ExitCode::SUCCESS),
-        "checkpoint" => cmd_checkpoint(&args),
-        "inspect" => cmd_inspect(&args).map(|()| ExitCode::SUCCESS),
-        "analyze" => cmd_analyze(&args),
-        "bench" => cmd_bench(&args),
-        "crashtest" => cmd_crashtest(&args),
-        other => Err(format!("unknown command {other}")),
-    }
+    handler(&Args::parse(&argv[1..], name, switches, valued)?)
 }
 
 fn cmd_list() -> Result<(), String> {
@@ -134,17 +163,12 @@ fn machine_for(recording: &Recording) -> Machine {
 }
 
 fn machine_from_meta(meta: &StreamMeta) -> Machine {
-    machine_from_meta_with_jobs(meta, 1)
-}
-
-fn machine_from_meta_with_jobs(meta: &StreamMeta, jobs: u32) -> Machine {
     Machine::builder()
         .mode(meta.mode)
         .procs(meta.n_procs)
         .chunk_size(meta.chunk_size)
         .budget(meta.budget)
         .devices(meta.devices)
-        .replay_jobs(jobs)
         .build()
 }
 
@@ -284,9 +308,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     if args.get("--from").is_some() || args.get("--to").is_some() {
         return cmd_replay_window(args);
     }
-    if let Some(jobs) = args.num("--jobs")? {
-        return cmd_replay_parallel(args, jobs as u32);
-    }
     let seed = args.num("--seed")?.unwrap_or(0x5a5a);
     let report = if let Some(max) = args.num("--stratified")? {
         // Stratification needs the chunk footprints resident, so this
@@ -312,69 +333,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     println!(
         "replayed {} commits in {} cycles",
         report.stats.total_commits, report.stats.cycles
-    );
-    if report.deterministic {
-        println!("deterministic: yes — execution reproduced bit-exactly");
-        Ok(())
-    } else {
-        Err(format!(
-            "replay diverged: {}",
-            report.divergence.unwrap_or_default()
-        ))
-    }
-}
-
-/// `replay --jobs N [--cert PATH]`: the chunk-parallel executor.
-/// Retirement stays in recorded slot order, so the digest fingerprint
-/// printed here is byte-identical at every job count — CI smoke tests
-/// compare that line across `--jobs` values.
-fn cmd_replay_parallel(args: &Args, jobs: u32) -> Result<(), String> {
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".to_string());
-    }
-    if args.num("--stratified")?.is_some() {
-        return Err("--stratified and --jobs are mutually exclusive".to_string());
-    }
-    let path = recording_path(args)?;
-    let mut opts = delorean::ParallelReplayOptions::with_jobs(jobs);
-    if let Some(cpath) = args.get("--cert") {
-        let cert = std::fs::read_to_string(&cpath).map_err(|e| format!("reading {cpath}: {e}"))?;
-        // Bind the certificate to this stream: a cert generated from a
-        // different recording fails the fingerprint check here rather
-        // than silently mis-hinting the executor.
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let hints = delorean_analyze::certificate_hints(&cert, Some(&bytes))
-            .map_err(|e| format!("certificate {cpath}: {e}"))?;
-        println!(
-            "certificate {cpath}: dependence hints for {} slots",
-            hints.len()
-        );
-        opts.hints = Some(hints);
-    }
-    let source = open_source(path)?;
-    let meta = source
-        .meta()
-        .ok_or("stream carries no recording metadata")?;
-    let machine = machine_from_meta(meta);
-    let (report, spec) = machine
-        .replay_parallel_with(source, &opts)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "replayed {} commits in {} cycles ({jobs} jobs)",
-        report.stats.total_commits, report.stats.cycles
-    );
-    println!(
-        "speculation: {} rounds, {} chunks speculated, {} retired speculatively, {} in order, {} conflicts, {} hint skips",
-        spec.rounds,
-        spec.speculated_chunks,
-        spec.speculative_retires,
-        spec.serial_retires,
-        spec.conflicts,
-        spec.hint_skips
-    );
-    println!(
-        "digest fingerprint {:#018x}",
-        report.stats.digest.fingerprint()
     );
     if report.deterministic {
         println!("deterministic: yes — execution reproduced bit-exactly");
@@ -451,16 +409,12 @@ fn cmd_checkpoint(args: &Args) -> Result<ExitCode, String> {
 
 /// `replay --from N [--to M]`: seeks to the nearest checkpoint at or
 /// before N via the `.dlrnx` sidecar, rolls forward, and replays only
-/// the window — through the serial engine, or the chunk-parallel
-/// executor when `--jobs` is given.
+/// the window — to the end on the engine, or to commit M on the
+/// software inspector.
 fn cmd_replay_window(args: &Args) -> Result<(), String> {
     let path = recording_path(args)?.clone();
     let from = args.num("--from")?.unwrap_or(0);
     let to = args.num("--to")?;
-    let jobs = args.num("--jobs")?.unwrap_or(1) as u32;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".to_string());
-    }
     if args.num("--stratified")?.is_some() {
         return Err("--stratified and --from/--to are mutually exclusive".to_string());
     }
@@ -468,7 +422,7 @@ fn cmd_replay_window(args: &Args) -> Result<(), String> {
         .meta()
         .ok_or("stream carries no recording metadata")?
         .clone();
-    let machine = machine_from_meta_with_jobs(&meta, jobs);
+    let machine = machine_from_meta(&meta);
     let mut cursor = open_cursor(args, &path)?;
     let report = machine
         .replay_window(&mut cursor, from, to)
@@ -478,13 +432,8 @@ fn cmd_replay_window(args: &Args) -> Result<(), String> {
         None => format!("{from}..end"),
     };
     println!(
-        "replayed window {span}: {} commit(s){}",
-        report.stats.total_commits,
-        if jobs > 1 {
-            format!(" ({jobs} jobs)")
-        } else {
-            String::new()
-        }
+        "replayed window {span}: {} commit(s)",
+        report.stats.total_commits
     );
     println!(
         "digest fingerprint {:#018x}",
@@ -598,12 +547,9 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         }
         printed += 1;
     }
-    let report = {
-        // A second streaming pass verifies the digest against the trailer.
-        let mut check =
-            ReplayInspector::from_source(open_source(&path)?).map_err(|e| e.to_string())?;
-        check.run_to_end().map_err(|e| e.to_string())?
-    };
+    // The stepped inspector is at the end of the log: this only checks
+    // its final state against the trailer digest.
+    let report = inspector.run_to_end().map_err(|e| e.to_string())?;
     if json {
         println!(
             "{{\"event\":\"inspect_end\",\"commits\":{},\"matches_recording\":{}}}",
@@ -982,4 +928,136 @@ fn parse_addr(s: &str) -> Result<u64, String> {
         s.parse()
     };
     parsed.map_err(|_| format!("bad address {s}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::{Path, PathBuf};
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn retired_and_misspelt_flags_fail_before_any_file_is_opened() {
+        // `x.dlrn` does not exist: reaching the file would report
+        // "reading x.dlrn" instead of the flag.
+        for (line, flag) in [
+            ("replay x.dlrn --jobs 2", "--jobs"),
+            ("replay x.dlrn --jobs 8 --cert c", "--jobs"),
+            ("replay x.dlrn --sed 5", "--sed"),
+            ("inspect x.dlrn --limt 3", "--limt"),
+        ] {
+            let cmd = line.split_whitespace().next().unwrap();
+            assert_eq!(
+                run(&argv(line)).unwrap_err(),
+                format!("unknown flag {flag} for `{cmd}`"),
+                "{line}"
+            );
+        }
+        assert_eq!(
+            run(&argv("frobnicate x.dlrn")).unwrap_err(),
+            "unknown command frobnicate"
+        );
+    }
+
+    /// Markdown and workflow files under `dir`, skipping build output.
+    fn docs_under(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy();
+            if path.is_dir() {
+                if !matches!(name.as_ref(), "target" | ".git" | ".bench_build") {
+                    docs_under(&path, out);
+                }
+            } else if name.ends_with(".md") || name.ends_with(".yml") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// The shell lines of a document — every line of a workflow, the
+    /// fenced code blocks of Markdown — with `\` continuations joined.
+    fn shell_lines(text: &str, markdown: bool) -> Vec<String> {
+        let mut lines = Vec::new();
+        let mut in_fence = !markdown;
+        let mut pending = String::new();
+        for line in text.lines() {
+            if markdown && line.trim_start().starts_with("```") {
+                in_fence = !in_fence;
+                continue;
+            }
+            if !in_fence {
+                continue;
+            }
+            match line.trim_end().strip_suffix('\\') {
+                Some(head) => pending.push_str(head),
+                None => {
+                    pending.push_str(line);
+                    lines.push(std::mem::take(&mut pending));
+                }
+            }
+        }
+        lines
+    }
+
+    /// The `delorean-rr` invocations on one shell line, as argument
+    /// vectors starting at the subcommand.
+    fn invocations(line: &str) -> Vec<Vec<String>> {
+        let mut found = Vec::new();
+        let mut current: Option<Vec<String>> = None;
+        for word in line.split_whitespace() {
+            let program = word.trim_start_matches("$(");
+            if program == "$B" || program == "delorean-rr" || program.ends_with("/delorean-rr") {
+                found.extend(current.replace(Vec::new()));
+                continue;
+            }
+            let Some(cmd) = current.as_mut() else {
+                continue;
+            };
+            if word.starts_with(['|', '>', '&', '#', ';']) || word.starts_with("2>") {
+                found.extend(current.take());
+                continue;
+            }
+            let arg = word.trim_end_matches([';', ')']);
+            cmd.push(arg.trim_matches(['"', '\'']).to_string());
+            if arg.len() != word.len() {
+                found.extend(current.take());
+            }
+        }
+        found.extend(current);
+        found.retain(|cmd| !cmd.is_empty());
+        found
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut docs = Vec::new();
+        docs_under(&root, &mut docs);
+        let mut checked = 0;
+        for doc in docs {
+            let text = std::fs::read_to_string(&doc).unwrap();
+            let markdown = doc.extension().is_some_and(|e| e == "md");
+            let doc = doc.strip_prefix(&root).unwrap_or(&doc);
+            for line in shell_lines(&text, markdown) {
+                for cmd in invocations(&line) {
+                    let Some((name, switches, valued, _)) =
+                        COMMANDS.iter().find(|(n, ..)| *n == cmd[0])
+                    else {
+                        panic!("{}: unknown command in `{}`", doc.display(), line.trim());
+                    };
+                    if let Err(e) = Args::parse(&cmd[1..], name, switches, valued) {
+                        panic!("{}: `{}`: {e}", doc.display(), line.trim());
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(
+            checked >= 40,
+            "only {checked} documented command lines found"
+        );
+    }
 }

@@ -1,21 +1,17 @@
-//! The one software chunk-execution loop.
+//! The software chunk-execution loop.
 //!
-//! Both value-level replayers — the serial [`ReplayInspector`]
-//! (crate::inspect) and the chunk-parallel executor
-//! ([`crate::parallel`]) — must chunk the instruction stream *exactly*
-//! like the recording engine did, or their digests diverge from the
-//! trailer for structural rather than semantic reasons. This module
-//! holds that loop once, so the two replayers cannot drift apart:
-//! a chunk runs until it reaches its target size (the CS-forced size
-//! when the log carries one, the standard size otherwise), the
-//! processor's budget, a halt, or an uncached instruction — which
-//! either ends the chunk *before* executing (when the chunk already
-//! holds instructions) or commits solo.
+//! The value-level [`ReplayInspector`](crate::inspect::ReplayInspector)
+//! must chunk the instruction stream *exactly* like the recording
+//! engine did, or its digests diverge from the trailer for structural
+//! rather than semantic reasons. A chunk runs until it reaches its
+//! target size (the CS-forced size when the log carries one, the
+//! standard size otherwise), the processor's budget, a halt, or an
+//! uncached instruction — which either ends the chunk *before*
+//! executing (when the chunk already holds instructions) or commits
+//! solo.
 //!
-//! Interrupt delivery and the I/O-miss policy intentionally stay
-//! outside: the inspector treats log gaps as hard errors while the
-//! replay executor latches them as divergences, and that difference is
-//! each caller's contract, not the chunking rule's.
+//! Interrupt delivery and the I/O-miss policy stay with the caller,
+//! which treats log gaps as hard errors.
 
 use delorean_chunk::TruncationReason;
 use delorean_isa::{DataMemory, IoBus, Program, StepKind, Vm};

@@ -53,7 +53,6 @@ pub mod inspect;
 pub mod log;
 mod machine;
 mod mode;
-pub mod parallel;
 mod recorder;
 pub mod recover;
 mod replayer;
@@ -70,7 +69,6 @@ pub use checkpoint::{
 pub use error::ReplayError;
 pub use machine::{Machine, MachineBuilder, Recording, ReplayReport};
 pub use mode::Mode;
-pub use parallel::{DependenceHints, ParallelReplayOptions, SpeculationStats};
 pub use recorder::{LogSet, Recorder};
 pub use recover::{RecoveringSource, Salvage, SalvageReport};
 pub use replayer::Replayer;

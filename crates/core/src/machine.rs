@@ -199,7 +199,6 @@ pub struct Machine {
     simultaneous_chunks: Option<u32>,
     substrate_faults: Option<SubstrateFaultConfig>,
     arbiter: ArbiterConfig,
-    replay_jobs: u32,
 }
 
 impl Machine {
@@ -232,12 +231,6 @@ impl Machine {
     /// The commit-arbitration backend recordings run under.
     pub fn arbiter(&self) -> ArbiterConfig {
         self.arbiter
-    }
-
-    /// Worker threads the machine's replay entry points use for
-    /// chunk-parallel replay (1 = fully in-order).
-    pub fn replay_jobs(&self) -> u32 {
-        self.replay_jobs
     }
 
     fn device_config(&self, workload: &WorkloadSpec) -> DeviceConfig {
@@ -438,56 +431,7 @@ impl Machine {
         source: S,
         timing_seed: u64,
     ) -> Result<ReplayReport, ReplayError> {
-        if self.replay_jobs > 1 {
-            // The chunk-parallel executor replays values, not timing,
-            // so the timing seed has nothing to perturb; results are
-            // byte-identical to the executor's own in-order path.
-            let opts = crate::parallel::ParallelReplayOptions::with_jobs(self.replay_jobs);
-            return self
-                .session()
-                .replay_parallel(source, &opts)
-                .map(|(report, _)| report);
-        }
         self.session().replay_from(source, timing_seed)
-    }
-
-    /// Replays from a log source with the chunk-parallel executor,
-    /// using [`replay_jobs`](MachineBuilder::replay_jobs) workers.
-    ///
-    /// Chunks from different processors are speculatively re-executed
-    /// concurrently against read/write signatures, but retired strictly
-    /// in the recorded slot order — so the report's digest, verdict and
-    /// any [`ReplayError`] are byte-identical to in-order replay at
-    /// every job count. The second return value says what the
-    /// speculation machinery did.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplayError`] when the source carries no metadata, the
-    /// machine shape or mode does not match, or the stream turns out to
-    /// be corrupt or truncated mid-replay.
-    pub fn replay_parallel<S: LogSource>(
-        &self,
-        source: S,
-    ) -> Result<(ReplayReport, crate::parallel::SpeculationStats), ReplayError> {
-        let opts = crate::parallel::ParallelReplayOptions::with_jobs(self.replay_jobs);
-        self.replay_parallel_with(source, &opts)
-    }
-
-    /// [`replay_parallel`](Machine::replay_parallel) with explicit
-    /// [`ParallelReplayOptions`](crate::ParallelReplayOptions) — job
-    /// count, speculation depth and optional certificate-derived
-    /// dependence hints.
-    ///
-    /// # Errors
-    ///
-    /// As [`replay_parallel`](Machine::replay_parallel).
-    pub fn replay_parallel_with<S: LogSource>(
-        &self,
-        source: S,
-        opts: &crate::parallel::ParallelReplayOptions,
-    ) -> Result<(ReplayReport, crate::parallel::SpeculationStats), ReplayError> {
-        self.session().replay_parallel(source, opts)
     }
 
     /// The replay-side timing seed the machine's replay entry points
@@ -500,9 +444,8 @@ impl Machine {
     /// [`ReplayCursor`]: the nearest checkpoint at or before `from` is
     /// restored, the stream is rolled forward to `from`, and replay
     /// resumes mid-stream. With `to = None` the window runs to the end
-    /// of the recording (on the engine, chunk-parallel when the
-    /// machine's `replay_jobs > 1`) and the report is byte-identical —
-    /// digest, verdict, divergence and errors — to a full replay from
+    /// of the recording on the engine and the report is byte-identical
+    /// — digest, verdict, divergence and errors — to a full replay from
     /// slot 0. With `to = Some(m)` the window stops exactly at commit
     /// `m` on the software inspector and the report's digest is the
     /// state digest at that commit.
@@ -518,8 +461,7 @@ impl Machine {
         from: u64,
         to: Option<u64>,
     ) -> Result<ReplayReport, ReplayError> {
-        self.session()
-            .replay_window(cursor, from, to, self.replay_jobs)
+        self.session().replay_window(cursor, from, to)
     }
 
     /// The full architectural state at commit `gcc`, reached through
@@ -729,7 +671,6 @@ pub struct MachineBuilder {
     simultaneous_chunks: Option<u32>,
     substrate_faults: Option<SubstrateFaultConfig>,
     arbiter: ArbiterConfig,
-    replay_jobs: u32,
 }
 
 impl Default for MachineBuilder {
@@ -745,7 +686,6 @@ impl Default for MachineBuilder {
             simultaneous_chunks: None,
             substrate_faults: None,
             arbiter: ArbiterConfig::Global,
-            replay_jobs: 1,
         }
     }
 }
@@ -828,21 +768,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets the worker-thread count the machine's replay entry points
-    /// use for chunk-parallel replay (default 1 = fully in-order).
-    /// With more than one job, `replay`/`replay_from` route through the
-    /// chunk-parallel executor, whose digests, verdicts and errors are
-    /// byte-identical to in-order replay — only wall-clock changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn replay_jobs(&mut self, n: u32) -> &mut Self {
-        assert!(n >= 1, "replay jobs must be at least 1");
-        self.replay_jobs = n;
-        self
-    }
-
     /// Injects deterministic substrate-level faults while recording
     /// (squash storms, forced non-deterministic truncations, device
     /// bursts). Replay is unaffected: the recorded logs carry every
@@ -868,7 +793,6 @@ impl MachineBuilder {
             simultaneous_chunks: self.simultaneous_chunks,
             substrate_faults: self.substrate_faults,
             arbiter: self.arbiter,
-            replay_jobs: self.replay_jobs,
         }
     }
 }

@@ -327,23 +327,7 @@ impl<'m, 's> Session<'m, 's> {
         timing_seed: u64,
     ) -> Result<ReplayReport, ReplayError> {
         let m = self.machine;
-        let Some(meta) = source.meta().cloned() else {
-            return Err(ReplayError::Source {
-                detail: "log source carries no recording metadata".to_string(),
-            });
-        };
-        if meta.n_procs != m.procs() {
-            return Err(ReplayError::MachineMismatch {
-                recorded: meta.n_procs,
-                replaying: m.procs(),
-            });
-        }
-        if meta.mode != m.mode() {
-            return Err(ReplayError::ModeMismatch {
-                recorded: meta.mode,
-                replaying: m.mode(),
-            });
-        }
+        let meta = checked_meta(m, &source)?;
         let cfg = m.replay_config_for(&meta.workload, meta.chunk_size, meta.devices, timing_seed);
         // The stream decoder bounds n_procs and budget before `meta`
         // exists, and this machine's shape was checked against it.
@@ -364,59 +348,11 @@ impl<'m, 's> Session<'m, 's> {
         Ok(verified_report(&trailer.stats.digest, stats, divergence))
     }
 
-    /// Replays from a log source with the chunk-parallel executor —
-    /// see [`Machine::replay_parallel`] for the contract. The stacked
-    /// stages observe one [`SubstrateEvent::Commit`] per retired commit
-    /// in recorded slot order (with the slot number standing in for the
-    /// cycle timestamp, since this executor replays values, not
-    /// timing), regardless of how many worker threads re-executed the
-    /// chunks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplayError`] when the source carries no metadata, the
-    /// machine shape or mode does not match, or the stream turns out to
-    /// be corrupt or truncated mid-replay — byte-identical to what the
-    /// in-order path (`opts.jobs == 1`) returns for the same stream.
-    pub fn replay_parallel<S: LogSource>(
-        mut self,
-        source: S,
-        opts: &crate::parallel::ParallelReplayOptions,
-    ) -> Result<(ReplayReport, crate::parallel::SpeculationStats), ReplayError> {
-        let m = self.machine;
-        let Some(meta) = source.meta().cloned() else {
-            return Err(ReplayError::Source {
-                detail: "log source carries no recording metadata".to_string(),
-            });
-        };
-        if meta.n_procs != m.procs() {
-            return Err(ReplayError::MachineMismatch {
-                recorded: meta.n_procs,
-                replaying: m.procs(),
-            });
-        }
-        if meta.mode != m.mode() {
-            return Err(ReplayError::ModeMismatch {
-                recorded: meta.mode,
-                replaying: m.mode(),
-            });
-        }
-        for stage in &mut self.stages {
-            stage.on_begin(&meta);
-        }
-        let executor = crate::parallel::Executor::new(&meta, source, opts);
-        let (reference, stats, divergence, spec) = executor.run(&mut self.stages)?;
-        for stage in &mut self.stages {
-            stage.on_end(&stats);
-        }
-        Ok((verified_report(&reference, stats, divergence), spec))
-    }
-
     /// Replays a window of a recording through a seekable
     /// [`ReplayCursor`] — see [`Machine::replay_window`] for the
-    /// contract. `jobs > 1` selects the chunk-parallel executor for
-    /// run-to-end windows; bounded windows (`to = Some(_)`) replay on
-    /// the software inspector, which can stop at an exact commit.
+    /// contract. Run-to-end windows replay on the engine; bounded
+    /// windows (`to = Some(_)`) replay on the software inspector, which
+    /// can stop at an exact commit.
     ///
     /// # Errors
     ///
@@ -429,7 +365,6 @@ impl<'m, 's> Session<'m, 's> {
         cursor: &mut ReplayCursor<R>,
         from: u64,
         to: Option<u64>,
-        jobs: u32,
     ) -> Result<ReplayReport, ReplayError> {
         let m = self.machine;
         let total = cursor.index().total_commits;
@@ -471,32 +406,12 @@ impl<'m, 's> Session<'m, 's> {
             src.rebase_window(&snap);
         }
         match to {
-            None if jobs > 1 => {
-                let opts = crate::parallel::ParallelReplayOptions::with_jobs(jobs);
-                self.replay_parallel(&mut *src, &opts).map(|(r, _)| r)
-            }
             None => {
                 let seed = m.replay_seed();
                 self.replay_from(&mut *src, seed)
             }
             Some(t) => {
-                let Some(meta) = src.meta().cloned() else {
-                    return Err(ReplayError::Source {
-                        detail: "log source carries no recording metadata".to_string(),
-                    });
-                };
-                if meta.n_procs != m.procs() {
-                    return Err(ReplayError::MachineMismatch {
-                        recorded: meta.n_procs,
-                        replaying: m.procs(),
-                    });
-                }
-                if meta.mode != m.mode() {
-                    return Err(ReplayError::ModeMismatch {
-                        recorded: meta.mode,
-                        replaying: m.mode(),
-                    });
-                }
+                let meta = checked_meta(m, &*src)?;
                 for stage in &mut self.stages {
                     stage.on_begin(&meta);
                 }
@@ -666,6 +581,29 @@ fn roll_forward<R: Read + Seek>(
         rr_cursor: ins.rr_phase(),
         state: ins.capture(),
     }))
+}
+
+/// The source's recording metadata, checked against the shape and mode
+/// of the machine about to replay it.
+fn checked_meta<S: LogSource>(m: &Machine, source: &S) -> Result<StreamMeta, ReplayError> {
+    let Some(meta) = source.meta().cloned() else {
+        return Err(ReplayError::Source {
+            detail: "log source carries no recording metadata".to_string(),
+        });
+    };
+    if meta.n_procs != m.procs() {
+        return Err(ReplayError::MachineMismatch {
+            recorded: meta.n_procs,
+            replaying: m.procs(),
+        });
+    }
+    if meta.mode != m.mode() {
+        return Err(ReplayError::ModeMismatch {
+            recorded: meta.mode,
+            replaying: m.mode(),
+        });
+    }
+    Ok(meta)
 }
 
 /// The one digest-verification body every replay path funnels through:

@@ -18,12 +18,11 @@ use delorean_isa::workload;
 use proptest::prelude::*;
 use std::io::Cursor;
 
-fn machine(mode: Mode, procs: u32, jobs: u32) -> Machine {
+fn machine(mode: Mode, procs: u32) -> Machine {
     Machine::builder()
         .mode(mode)
         .procs(procs)
         .budget(6_000)
-        .replay_jobs(jobs)
         .build()
 }
 
@@ -33,8 +32,8 @@ proptest! {
     /// The tentpole contract: for random catalog programs, checkpoint
     /// intervals K and start commits N, `replay_window(N, end)` via
     /// snapshot restore equals full serial replay — digest fingerprint,
-    /// verdict and divergence — for the engine replayer (jobs = 1), the
-    /// chunk-parallel executor (jobs = 4) and the software inspector.
+    /// verdict and divergence — for the engine replayer and the software
+    /// inspector.
     #[test]
     fn window_replay_is_byte_identical_to_full_replay(
         app_sel in 0usize..6,
@@ -46,7 +45,7 @@ proptest! {
         let mode = [Mode::OrderSize, Mode::OrderOnly, Mode::PicoLog][mode_sel as usize];
         let apps = ["fft", "lu", "radix", "barnes", "ocean", "sjbb2k"];
         let app = workload::by_name(apps[app_sel]).unwrap();
-        let m = machine(mode, 4, 1);
+        let m = machine(mode, 4);
         let rec = m.record(app, seed);
         let bytes = serialize::to_bytes(&rec);
         let full = m.replay_from(FileSource::open(&bytes[..]).unwrap()).unwrap();
@@ -55,19 +54,12 @@ proptest! {
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let from = (total as f64 * start_frac) as u64;
 
-        // Serial engine window.
+        // Engine window.
         let mut cursor = ReplayCursor::open(Cursor::new(bytes.clone()), index.clone()).unwrap();
         let win = m.replay_window(&mut cursor, from, None).unwrap();
         prop_assert_eq!(win.stats.digest.fingerprint(), full.stats.digest.fingerprint());
         prop_assert_eq!(win.deterministic, full.deterministic);
         prop_assert_eq!(&win.divergence, &full.divergence);
-
-        // Chunk-parallel executor window (4 jobs).
-        let mp = machine(mode, 4, 4);
-        let win4 = mp.replay_window(&mut cursor, from, None).unwrap();
-        prop_assert_eq!(win4.stats.digest.fingerprint(), full.stats.digest.fingerprint());
-        prop_assert_eq!(win4.deterministic, full.deterministic);
-        prop_assert_eq!(&win4.divergence, &full.divergence);
 
         // Software inspector window, run to the recording's end.
         let ins = m.replay_window(&mut cursor, from, Some(total)).unwrap();
@@ -85,7 +77,7 @@ proptest! {
         at_frac in 0.0..1.0f64,
     ) {
         let mode = [Mode::OrderSize, Mode::OrderOnly, Mode::PicoLog][mode_sel as usize];
-        let m = machine(mode, 4, 1);
+        let m = machine(mode, 4);
         let rec = m.record(workload::by_name("fft").unwrap(), seed);
         let bytes = serialize::to_bytes(&rec);
         let index = index_stream(&bytes, k).unwrap();
@@ -106,7 +98,7 @@ proptest! {
         flip in 0usize..10_000,
         bit in 0u8..8,
     ) {
-        let m = machine(Mode::OrderOnly, 2, 1);
+        let m = machine(Mode::OrderOnly, 2);
         let rec = m.record(workload::by_name("lu").unwrap(), seed);
         let bytes = serialize::to_bytes(&rec);
         let mut encoded = index_stream(&bytes, 32).unwrap().to_bytes();
@@ -142,7 +134,7 @@ proptest! {
 /// commit-by-commit, not just by final digest.
 #[test]
 fn window_commit_stream_matches_truncated_full_stream() {
-    let m = machine(Mode::PicoLog, 4, 1);
+    let m = machine(Mode::PicoLog, 4);
     let rec = m.record(workload::by_name("radix").unwrap(), 23);
     let bytes = serialize::to_bytes(&rec);
     let index = index_stream(&bytes, 40).unwrap();

@@ -1,12 +1,16 @@
 //! End-to-end tests for the streaming record/replay pipeline: the
 //! `FileSink`/`FileSource` path must be byte- and digest-identical to
-//! the in-memory `Recording` path, and its peak buffering must be
-//! bounded by the flush granularity, not the run length.
+//! the in-memory `Recording` path, its peak buffering must be bounded
+//! by the flush granularity, not the run length, and damaged streams
+//! must fail as values on the engine exactly when the software
+//! inspector rejects them.
 
 // Test code may panic freely.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use delorean::{serialize, FileSink, FileSource, Machine, Mode};
+use delorean::inspect::ReplayInspector;
+use delorean::recover::{salvage, RecoveringSource};
+use delorean::{serialize, FileSink, FileSource, LogSource, Machine, Mode};
 use delorean_isa::workload;
 use proptest::prelude::*;
 
@@ -18,6 +22,48 @@ fn machine(mode: Mode, procs: u32, budget: u64) -> Machine {
         .procs(procs)
         .budget(budget)
         .build()
+}
+
+/// A small fft recording in `mode`, streamed with frequent flushes so
+/// damage lands in many different segments.
+fn small_fft_bytes(mode: Mode, seed: u64) -> Vec<u8> {
+    let m = Machine::builder()
+        .mode(mode)
+        .procs(2)
+        .budget(2_000)
+        .chunk_size(200)
+        .build();
+    let mut sink = FileSink::with_flush_every(Vec::new(), 4);
+    m.record_to(
+        workload::by_name("fft").expect("catalog workload"),
+        seed,
+        &mut sink,
+    );
+    sink.into_inner().expect("writing to a Vec cannot fail")
+}
+
+/// Replays `engine` on the timing engine — on a machine shaped by the
+/// stream's own header, as `delorean-rr replay` does — and `inspector`
+/// (the same bytes) on the software inspector. Returns whether each
+/// accepted the log: a deterministic replay, and a final state that
+/// matches the recording. Errors are values; a panic fails the test.
+fn verdicts<S: LogSource>(engine: S, inspector: S) -> (bool, bool) {
+    let meta = engine
+        .meta()
+        .expect("opened sources carry metadata")
+        .clone();
+    let m = Machine::builder()
+        .mode(meta.mode)
+        .procs(meta.n_procs)
+        .chunk_size(meta.chunk_size)
+        .budget(meta.budget)
+        .devices(meta.devices)
+        .build();
+    let replayed = m.replay_from(engine).is_ok_and(|r| r.deterministic);
+    let inspected = ReplayInspector::from_source(inspector)
+        .and_then(|mut i| i.run_to_end())
+        .is_ok_and(|r| r.matches_recording);
+    (replayed, inspected)
 }
 
 /// Records `workload` twice — once into an in-memory `Recording`, once
@@ -121,6 +167,17 @@ fn file_source_buffers_a_bounded_window() {
     );
 }
 
+/// Control for the damaged-stream properties below: an undamaged
+/// stream passes both replayers in every mode.
+#[test]
+fn pristine_small_streams_pass_both_replayers() {
+    for mode in MODES {
+        let bytes = small_fft_bytes(mode, 7);
+        let open = || FileSource::open(&bytes[..]).expect("open stream");
+        assert_eq!(verdicts(open(), open()), (true, true), "{mode}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -147,5 +204,62 @@ proptest! {
         prop_assert!(mem_report.deterministic);
         prop_assert!(stream_report.deterministic);
         prop_assert_eq!(stream_report.stats.digest, mem_report.stats.digest);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Bit-flipped, truncated and garbage-burst streams replay on the
+    /// engine without panicking, and the engine calls the replay
+    /// deterministic exactly when the inspector says the log matches
+    /// the recording.
+    #[test]
+    fn damaged_streams_replay_as_values_and_agree_with_the_inspector(
+        seed in 0u64..200,
+        mode_sel in 0u8..3,
+        kind in 0u8..3,
+        a in 0u64..1_000_000,
+        b in 1u64..256,
+    ) {
+        let mut damaged = small_fft_bytes(MODES[mode_sel as usize], seed);
+        let len = damaged.len() as u64;
+        match kind {
+            0 => damaged[(a % len) as usize] ^= 1 << (b % 8),
+            1 => damaged.truncate((a % len) as usize),
+            _ => {
+                let off = (a % len) as usize;
+                let end = (off + b as usize).min(damaged.len());
+                for (i, byte) in damaged[off..end].iter_mut().enumerate() {
+                    *byte = (a ^ b).wrapping_mul(i as u64 + 1) as u8;
+                }
+            }
+        }
+        // Streams the decoder rejects outright never reach a replayer.
+        // (No early `return`: it would end the whole case loop.)
+        if let Ok(engine) = FileSource::open(&damaged[..]) {
+            let inspector = FileSource::open(&damaged[..]).expect("decoded once, decodes again");
+            let (replayed, inspected) = verdicts(engine, inspector);
+            prop_assert_eq!(replayed, inspected, "kind {} at {}", kind, a % len);
+        }
+    }
+
+    /// Salvaged prefixes of truncated streams, replayed through
+    /// `RecoveringSource`, obey the same agreement.
+    #[test]
+    fn salvaged_streams_replay_as_values_and_agree_with_the_inspector(
+        seed in 0u64..200,
+        mode_sel in 0u8..3,
+        cut in 0.1f64..1.0,
+    ) {
+        let mut damaged = small_fft_bytes(MODES[mode_sel as usize], seed);
+        damaged.truncate((damaged.len() as f64 * cut) as usize);
+        let prefix = salvage(&damaged).ok().and_then(|s| {
+            Some((RecoveringSource::prefix(&s)?, RecoveringSource::prefix(&s)?))
+        });
+        if let Some((engine, inspector)) = prefix {
+            let (replayed, inspected) = verdicts(engine, inspector);
+            prop_assert_eq!(replayed, inspected);
+        }
     }
 }
