@@ -36,10 +36,11 @@
 //! The certificate is an analysis artifact: it measures how much
 //! replay parallelism a recording holds, and no replayer consumes it.
 
-use crate::report::{diagnostics_json, json_escape, Diagnostic};
+use crate::report::{diagnostics_json, Diagnostic};
 use delorean::inspect::{CommitEvent, InspectError, ReplayInspector};
+use delorean::json::{self, Json};
 use delorean::recover::RecoveringSource;
-use delorean::{FileSource, LogSource};
+use delorean::{FileSource, Fnv, LogSource};
 use delorean_chunk::{ChunkFootprint, Committer};
 use delorean_mem::{bit_indices, SIG_BITS};
 use std::collections::HashMap;
@@ -71,16 +72,7 @@ impl Default for DepsOptions {
 /// FNV-1a fingerprint of a byte image: `(hash, length)`. Binds a
 /// certificate to the exact `.dlrn` stream it was derived from.
 pub fn fingerprint(bytes: &[u8]) -> (u64, u64) {
-    (fnv1a(bytes), bytes.len() as u64)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    (Fnv::of(bytes), bytes.len() as u64)
 }
 
 /// One node of the dependence DAG: a committed chunk or DMA transfer.
@@ -197,7 +189,7 @@ impl DepsReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", json_escape(r)));
+            out.push_str(&format!("\"{}\"", json::escape(r)));
         }
         out.push_str("],\"parallelism\":[");
         for (i, (cores, speedup)) in self.parallelism.iter().enumerate() {
@@ -233,17 +225,17 @@ impl DepsReport {
         ));
         out.push_str(&format!(
             ",\"workload\":\"{}\",\"mode\":\"{}\",\"procs\":{},\"arbiter\":\"{}\"",
-            json_escape(&self.workload),
-            json_escape(&self.mode),
+            json::escape(&self.workload),
+            json::escape(&self.mode),
             self.n_procs,
-            json_escape(&self.arbiter)
+            json::escape(&self.arbiter)
         ));
         out.push_str(&format!(",\"partial\":{},\"lost_ranges\":[", self.partial));
         for (i, r) in self.lost_ranges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", json_escape(r)));
+            out.push_str(&format!("\"{}\"", json::escape(r)));
         }
         out.push_str("],\"nodes\":[");
         for (i, n) in self.nodes.iter().enumerate() {
@@ -253,7 +245,7 @@ impl DepsReport {
             out.push_str(&format!(
                 "[{},\"{}\",{},{}]",
                 n.slot,
-                json_escape(&n.who),
+                json::escape(&n.who),
                 n.chunk,
                 n.weight
             ));
@@ -285,7 +277,7 @@ impl DepsReport {
             out.push_str(&format!("[{cores},{}]", fmt6(*speedup)));
         }
         out.push(']');
-        let checksum = fnv1a(out.as_bytes());
+        let checksum = Fnv::of(out.as_bytes());
         out.push_str(&format!(",\"checksum\":\"{checksum:#018x}\"}}\n"));
         Some(out)
     }
@@ -890,59 +882,52 @@ pub struct CertSummary {
     pub edge_count: u64,
 }
 
-fn field_u64(text: &str, key: &str) -> Result<u64, String> {
-    let at = text
-        .find(key)
-        .ok_or_else(|| format!("certificate is missing {key}"))?;
-    let rest = &text[at + key.len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits
-        .parse()
-        .map_err(|_| format!("certificate field {key} is not a number"))
-}
-
-fn field_hex(text: &str, key: &str) -> Result<u64, String> {
-    let at = text
-        .find(key)
-        .ok_or_else(|| format!("certificate is missing {key}"))?;
-    let rest = &text[at + key.len()..];
-    let hex: String = rest.chars().take_while(char::is_ascii_hexdigit).collect();
-    u64::from_str_radix(&hex, 16).map_err(|_| format!("certificate field {key} is not hex"))
-}
-
 /// Validates a certificate document: schema version, self-checksum
 /// and — when the source `.dlrn` bytes are provided — the fingerprint
 /// binding.
 ///
 /// # Errors
 ///
-/// Returns a description of the first violated invariant: unknown
-/// schema or kind, a checksum mismatch (the document was modified), or
-/// a fingerprint that does not bind to the given stream.
+/// Returns a description of the first violated invariant: text that
+/// is not JSON, unknown schema or kind, a missing or mistyped field, a
+/// checksum mismatch (the document was modified), or a fingerprint that
+/// does not bind to the given stream.
 pub fn validate_certificate(text: &str, source: Option<&[u8]>) -> Result<CertSummary, String> {
     let text = text.trim_end();
-    if !text.contains(&format!("\"kind\":\"{CERT_KIND}\"")) {
+    let doc = Json::parse(text).map_err(|e| format!("certificate is not JSON: {e}"))?;
+    if doc.get("kind").and_then(Json::as_str) != Some(CERT_KIND) {
         return Err("not a DeLorean dependence certificate".to_string());
     }
-    let schema_version = field_u64(text, "\"schema_version\":")?;
+    let uint = |obj: Option<&Json>, key: &str| {
+        obj.and_then(|o| o.get(key))
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("certificate field {key} is missing or not a number"))
+    };
+    let hex = |obj: Option<&Json>, key: &str| {
+        obj.and_then(|o| o.get(key))
+            .and_then(Json::as_str)
+            .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())
+            .ok_or_else(|| format!("certificate field {key} is missing or not hex"))
+    };
+    let schema_version = uint(Some(&doc), "schema_version")?;
     if schema_version != CERT_SCHEMA_VERSION {
         return Err(format!(
             "unsupported certificate schema version {schema_version} (expected {CERT_SCHEMA_VERSION})"
         ));
     }
-    let marker = ",\"checksum\":\"0x";
+    // The checksum is the last field and covers every byte before it.
     let at = text
-        .rfind(marker)
+        .rfind(",\"checksum\":")
         .ok_or_else(|| "certificate carries no checksum".to_string())?;
-    let declared = field_hex(&text[at..], "\"checksum\":\"0x")?;
-    let actual = fnv1a(&text.as_bytes()[..at]);
+    let declared = hex(Some(&doc), "checksum")?;
+    let actual = Fnv::of(&text.as_bytes()[..at]);
     if declared != actual {
         return Err(format!(
             "checksum mismatch: certificate declares {declared:#018x} but its payload hashes to {actual:#018x} — the document was modified"
         ));
     }
-    let fingerprint_hash = field_hex(text, "\"fingerprint\":\"0x")?;
-    let source_bytes = field_u64(text, "\"bytes\":")?;
+    let fingerprint_hash = hex(doc.get("source"), "fingerprint")?;
+    let source_bytes = uint(doc.get("source"), "bytes")?;
     if let Some(bytes) = source {
         let (h, len) = fingerprint(bytes);
         if h != fingerprint_hash || len != source_bytes {
@@ -955,9 +940,9 @@ pub fn validate_certificate(text: &str, source: Option<&[u8]>) -> Result<CertSum
         schema_version,
         fingerprint: fingerprint_hash,
         source_bytes,
-        partial: text.contains("\"partial\":true"),
-        node_count: field_u64(text, "\"node_count\":")?,
-        edge_count: field_u64(text, "\"edge_count\":")?,
+        partial: doc.get("partial").and_then(Json::as_bool) == Some(true),
+        node_count: uint(doc.get("stats"), "node_count")?,
+        edge_count: uint(doc.get("stats"), "edge_count")?,
     })
 }
 

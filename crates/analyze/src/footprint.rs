@@ -25,7 +25,8 @@
 //! Accesses to the lock words themselves and to the barrier words are
 //! synchronization, not data, and are excluded from race candidates.
 
-use crate::report::{diagnostics_json, json_escape, Diagnostic};
+use crate::report::{diagnostics_json, Diagnostic};
+use delorean::json;
 use delorean_isa::inst::{AluOp, Inst, Reg};
 use delorean_isa::layout::{AddressMap, BARRIER_WORDS, DMA_WORDS, LOCK_COUNT, LOCK_STRIDE};
 use delorean_isa::workload::WorkloadSpec;
@@ -564,7 +565,7 @@ fn site_json(s: &AccessSite) -> String {
         s.tid,
         s.pc,
         access_label(s),
-        json_escape(&s.region.label()),
+        json::escape(&s.region.label()),
         s.addr
     )
 }

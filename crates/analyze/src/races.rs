@@ -26,6 +26,7 @@
 
 use crate::report::{diagnostics_json, Diagnostic};
 use delorean::inspect::{CommitEvent, InspectError, ReplayInspector};
+use delorean::json;
 use delorean::{LogSource, Mode};
 use delorean_chunk::Committer;
 use delorean_mem::Signature;
@@ -153,7 +154,7 @@ impl RaceReport {
             self.conflicts,
             self.races_total,
             self.screened,
-            crate::report::json_escape(&self.ordered_by)
+            json::escape(&self.ordered_by)
         ));
         for (i, r) in self.examples.iter().enumerate() {
             if i > 0 {
@@ -163,10 +164,10 @@ impl RaceReport {
                 "{{\"kind\":\"{}\",\"line\":{},\"earlier\":{{\"who\":\"{}\",\"gcc\":{},\"chunk\":{}}},\"later\":{{\"who\":\"{}\",\"gcc\":{},\"chunk\":{}}}}}",
                 r.kind.label(),
                 r.line,
-                crate::report::json_escape(&r.earlier.who),
+                json::escape(&r.earlier.who),
                 r.earlier.gcc,
                 r.earlier.chunk,
-                crate::report::json_escape(&r.later.who),
+                json::escape(&r.later.who),
                 r.later.gcc,
                 r.later.chunk
             ));

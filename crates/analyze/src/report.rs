@@ -7,6 +7,7 @@
 //! human rendering ([`core::fmt::Display`]) and a hand-rolled JSON
 //! encoding (the build environment is offline, so no serde).
 
+use delorean::json;
 use delorean::StreamPosition;
 
 /// How bad a finding is.
@@ -92,29 +93,12 @@ impl core::fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 pub(crate) fn diagnostic_json(d: &Diagnostic, out: &mut String) {
     out.push_str(&format!(
         "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\"",
         d.severity.label(),
-        json_escape(d.code),
-        json_escape(&d.message)
+        json::escape(d.code),
+        json::escape(&d.message)
     ));
     if let Some(p) = &d.position {
         out.push_str(&format!(
@@ -196,8 +180,8 @@ impl AnalysisReport {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"workload\":\"{}\",\"mode\":\"{}\",\"procs\":{}",
-            json_escape(&self.workload),
-            json_escape(&self.mode),
+            json::escape(&self.workload),
+            json::escape(&self.mode),
             self.n_procs
         ));
         if let Some(p) = &self.static_pass {
@@ -264,12 +248,6 @@ mod tests {
     fn severity_orders_info_warning_error() {
         assert!(Severity::Info < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
-    }
-
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   one figure and diff it against a full-sweep baseline.
 
 use crate::record::{peak_rss_kb, BenchRecord, StageTimings};
-use delorean::{index_stream, serialize, Machine, Mode, Recording, ReplayCursor};
+use delorean::{index_stream, serialize, Fnv, Machine, Mode, Recording, ReplayCursor};
 use delorean_analyze::{deps_from_bytes, DepsOptions};
 use delorean_baselines::{run_baseline, FdrRecorder, RtrRecorder, StrataRecorder};
 use delorean_chunk::{run as chunk_run, ArbiterConfig, BulkScHooks, EngineConfig, RunStats};
@@ -248,11 +248,7 @@ impl JobSpec {
     ///   ratios then compare like with like instead of carrying
     ///   cross-program noise.
     pub fn seed(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{}/{}/p{}", self.figure, self.workload, self.procs).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = Fnv::of(format!("{}/{}/p{}", self.figure, self.workload, self.procs).as_bytes());
         splitmix64(h ^ self.base_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 }

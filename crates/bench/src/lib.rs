@@ -6,7 +6,7 @@
 //!   figure/table point of the paper's evaluation as independent jobs
 //!   ([`jobs`]), executes them across a work-stealing pool of scoped
 //!   worker threads ([`pool`]), and serializes one [`record::BenchRecord`]
-//!   per point into `BENCH_results.json` ([`json`]). The `delorean bench`
+//!   per point into `BENCH_results.json` ([`delorean::json`]). The `delorean bench`
 //!   CLI subcommand and CI's regression gate ([`runner::diff_against`])
 //!   sit on top of it. Results are byte-identical at any `--jobs` value.
 //! * **The classic bench targets** (`cargo bench -p delorean-bench`) —
@@ -20,7 +20,6 @@
 
 pub mod error;
 pub mod jobs;
-pub mod json;
 pub mod pool;
 pub mod record;
 pub mod runner;
@@ -28,7 +27,6 @@ pub mod targets;
 
 pub use error::BenchError;
 pub use jobs::{enumerate_jobs, run_job, Figure, JobKind, JobSpec};
-pub use json::Json;
 pub use pool::{run_jobs, JobPanic};
 pub use record::{BenchRecord, StageTimings, SCHEMA_VERSION};
 pub use runner::{

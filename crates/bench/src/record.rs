@@ -17,7 +17,7 @@
 //!
 //! [`records`]: BenchRecord
 
-use crate::json::Json;
+use delorean::json::Json;
 
 /// Version of the `BENCH_results.json` schema. Bump on any
 /// field addition, removal or rename.

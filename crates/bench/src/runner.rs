@@ -7,10 +7,10 @@
 
 use crate::error::BenchError;
 use crate::jobs::{enumerate_jobs, run_job, Figure, JobSpec};
-use crate::json::Json;
 use crate::pool::run_jobs;
 use crate::record::{BenchRecord, SCHEMA_VERSION};
 use crate::targets::paper_value;
+use delorean::json::Json;
 use delorean_isa::workload;
 use std::time::Instant;
 

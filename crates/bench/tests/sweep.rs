@@ -7,8 +7,9 @@
 //!   field values;
 //! * failure paths are typed errors, never partial output.
 
+use delorean::json::Json;
 use delorean_bench::{
-    diff_against, parse_document, run_sweep, BenchError, BenchRecord, Figure, Json, StageTimings,
+    diff_against, parse_document, run_sweep, BenchError, BenchRecord, Figure, StageTimings,
     SweepConfig, SCHEMA_VERSION,
 };
 use proptest::prelude::*;

@@ -13,10 +13,9 @@
 
 use crate::inspect::ReplayInspector;
 use crate::mode::Mode;
-use crate::session::HookStage;
-use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource, StreamMeta};
-use crate::wire::{fnv_hasher, mode_from, mode_tag, Reader, Writer};
-use delorean_chunk::{StartState, SubstrateEvent};
+use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource};
+use crate::wire::{frame, frame_checksum, mode_from, mode_tag, Fnv, Reader, Writer};
+use delorean_chunk::StartState;
 use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::WorkloadSpec;
 use delorean_mem::Memory;
@@ -60,15 +59,12 @@ impl SystemCheckpoint {
 
     /// Content-derived identifier.
     pub fn id(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-        for b in self.workload_name.bytes() {
-            fold(u64::from(b));
-        }
-        fold(u64::from(self.n_procs));
-        fold(self.app_seed);
-        fold(self.initial_mem_hash);
-        h
+        let mut h = Fnv::default();
+        h.update(self.workload_name.as_bytes());
+        h.word(u64::from(self.n_procs));
+        h.word(self.app_seed);
+        h.word(self.initial_mem_hash);
+        h.value()
     }
 
     /// Whether a replaying machine can restore this checkpoint.
@@ -114,18 +110,17 @@ impl IntervalCheckpoint {
     /// Content-derived identifier (covers the memory image and the
     /// per-processor chunk counts).
     pub fn id(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-        fold(self.gcc);
-        fold(self.app_seed);
-        fold(u64::from(self.n_procs));
+        let mut h = Fnv::default();
+        h.word(self.gcc);
+        h.word(self.app_seed);
+        h.word(u64::from(self.n_procs));
         for &w in &self.state.memory {
-            fold(w);
+            h.word(w);
         }
-        for c in &self.state.chunks_done {
-            fold(*c);
+        for &c in &self.state.chunks_done {
+            h.word(c);
         }
-        h
+        h.value()
     }
 }
 
@@ -255,9 +250,7 @@ impl CheckpointIndex {
                 self.source_len
             )));
         }
-        let mut f = fnv_hasher();
-        f.update(source);
-        if f.value() != self.source_fnv {
+        if Fnv::of(source) != self.source_fnv {
             return Err(CheckpointError::SourceMismatch(
                 "stream fingerprint differs".to_string(),
             ));
@@ -286,20 +279,10 @@ impl CheckpointIndex {
                 ew.u64(c);
             }
             encode_start_state(&mut ew, &e.state);
-            let mut ef = fnv_hasher();
-            ef.update(&ew.buf);
-            body.u64(ef.value());
+            body.u64(Fnv::of(&ew.buf));
             body.bytes(&ew.buf);
         }
-        let mut out = Writer::new();
-        out.u32(MAGIC_X);
-        out.u16(VERSION_X);
-        let mut f = fnv_hasher();
-        f.update(&(body.buf.len() as u64).to_le_bytes());
-        f.update(&body.buf);
-        out.u64(f.value());
-        out.bytes(&body.buf);
-        out.buf
+        frame(MAGIC_X, VERSION_X, &body.buf)
     }
 
     /// Parses and integrity-checks a `.dlrnx` index.
@@ -334,10 +317,7 @@ impl CheckpointIndex {
                 "trailing bytes after index body".to_string(),
             ));
         }
-        let mut f = fnv_hasher();
-        f.update(&(body.len() as u64).to_le_bytes());
-        f.update(body);
-        if f.value() != checksum {
+        if frame_checksum(body) != checksum {
             return Err(CheckpointError::BadChecksum);
         }
         let mut b = Reader::new(body);
@@ -356,9 +336,7 @@ impl CheckpointIndex {
             let eb = b
                 .bytes("entry body")
                 .map_err(|_| CheckpointError::Truncated("entry body"))?;
-            let mut ef = fnv_hasher();
-            ef.update(eb);
-            if ef.value() != entry_fnv {
+            if Fnv::of(eb) != entry_fnv {
                 return Err(CheckpointError::BadChecksum);
             }
             let mut er = Reader::new(eb);
@@ -466,86 +444,15 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
             state: snap.state,
         });
     }
-    let mut f = fnv_hasher();
-    f.update(bytes);
     Ok(CheckpointIndex {
         source_len: bytes.len() as u64,
-        source_fnv: f.value(),
+        source_fnv: Fnv::of(bytes),
         mode,
         n_procs,
         interval_k,
         total_commits: trailer.stats.total_commits,
         entries,
     })
-}
-
-/// A [`HookStage`] that plans periodic checkpoints during a record (or
-/// indexing replay) run: it observes the commit stream and, once the
-/// recorded bytes exist, builds the `.dlrnx` index for them with
-/// [`CheckpointStage::build_index`].
-///
-/// State capture itself happens in the indexing replay — the stage is
-/// an observer and cannot pause the engine mid-run.
-#[derive(Debug, Clone)]
-pub struct CheckpointStage {
-    every: u64,
-    commits: u64,
-    flushes: u64,
-}
-
-impl CheckpointStage {
-    /// A stage that checkpoints every `every` commits.
-    pub fn new(every: u64) -> Self {
-        Self {
-            every: every.max(1),
-            commits: 0,
-            flushes: 0,
-        }
-    }
-
-    /// Commits observed so far.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Segment flushes observed so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Checkpoints an index over the observed run would contain
-    /// (commit 0 plus every multiple of the interval).
-    pub fn planned_checkpoints(&self) -> u64 {
-        1 + self.commits / self.every
-    }
-
-    /// Builds the `.dlrnx` index for the finished recording `bytes`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`index_stream`] failures.
-    pub fn build_index(&self, bytes: &[u8]) -> Result<CheckpointIndex, CheckpointError> {
-        index_stream(bytes, self.every)
-    }
-}
-
-impl HookStage for CheckpointStage {
-    fn name(&self) -> &'static str {
-        "checkpoint"
-    }
-
-    fn on_begin(&mut self, _meta: &StreamMeta) {
-        self.commits = 0;
-        self.flushes = 0;
-    }
-
-    fn on_event(&mut self, _time: u64, ev: &SubstrateEvent) {
-        match ev {
-            SubstrateEvent::Commit { .. } => self.commits += 1,
-            SubstrateEvent::SegmentFlush { .. } => self.flushes += 1,
-            _ => {}
-        }
-    }
 }
 
 /// A seekable position in a `.dlrn` stream, backed by a
@@ -580,7 +487,7 @@ impl<R: Read + Seek> ReplayCursor<R> {
         reader
             .seek(SeekFrom::Start(0))
             .map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let mut f = fnv_hasher();
+        let mut f = Fnv::default();
         let mut len = 0u64;
         let mut buf = [0u8; 8192];
         loop {

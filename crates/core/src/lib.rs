@@ -50,6 +50,7 @@ pub mod checkpoint;
 mod chunkrun;
 mod error;
 pub mod inspect;
+pub mod json;
 pub mod log;
 mod machine;
 mod mode;
@@ -63,13 +64,13 @@ pub mod stream;
 mod wire;
 
 pub use checkpoint::{
-    index_stream, CheckpointEntry, CheckpointError, CheckpointIndex, CheckpointStage,
-    IntervalCheckpoint, ReplayCursor, Snapshot, SystemCheckpoint,
+    index_stream, CheckpointEntry, CheckpointError, CheckpointIndex, IntervalCheckpoint,
+    ReplayCursor, Snapshot, SystemCheckpoint,
 };
 pub use error::ReplayError;
 pub use machine::{Machine, MachineBuilder, Recording, ReplayReport};
 pub use mode::Mode;
-pub use recorder::{LogSet, Recorder};
+pub use recorder::LogSet;
 pub use recover::{RecoveringSource, Salvage, SalvageReport};
 pub use replayer::Replayer;
 pub use session::{HookStage, NoopStage, Session};
@@ -77,6 +78,7 @@ pub use stream::{
     EventSegment, FileSink, FileSource, LogSink, LogSource, MemorySink, MemorySource,
     PositionedDecodeError, SegmentMark, SegmentWalker, SinkError, StreamPosition, WalkedSegment,
 };
+pub use wire::Fnv;
 
 // Re-export the substrate types users need at the API boundary.
 pub use delorean_chunk::{

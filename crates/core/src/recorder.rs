@@ -1,12 +1,7 @@
-//! The DeLorean recorder: `ExecutionHooks` that capture an execution's
-//! logs at chunk-commit granularity.
+//! The logs of one recording, as a [`StreamRecorder`](crate::stream::StreamRecorder)
+//! accumulates them into a [`MemorySink`](crate::MemorySink).
 
 use crate::log::{CsLog, DmaLog, InterruptLog, IoLog, PiLog};
-use crate::mode::Mode;
-use crate::stream::{CommitBridge, LogSink, MemorySink};
-use delorean_chunk::{
-    ArbiterContext, CommitRecord, Committer, EventObserver, ExecutionHooks, GrantPolicy, ReplayFeed,
-};
 
 /// Every log produced by one recording.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,86 +24,25 @@ pub struct LogSet {
     pub dma: DmaLog,
 }
 
-/// Recording-side hooks for one DeLorean execution mode, accumulating
-/// the logs in memory.
-///
-/// * Order&Size / OrderOnly grant commits in arrival order and log
-///   processor IDs in the PI log; Order&Size additionally logs every
-///   chunk size, OrderOnly only non-deterministic truncations.
-/// * PicoLog grants round-robin and logs no PI entries at all; DMA
-///   commits record their global commit slot.
-///
-/// Internally this is the streaming pipeline with a
-/// [`MemorySink`](crate::MemorySink) attached: the mode policy lives in
-/// one place whether commits are buffered or streamed to disk.
-///
-/// # Examples
-///
-/// ```
-/// use delorean::{Mode, Recorder};
-/// let rec = Recorder::new(Mode::OrderOnly, 8, 2000);
-/// let logs = rec.into_logs();
-/// assert!(logs.pi.is_empty());
-/// ```
-#[derive(Debug)]
-pub struct Recorder {
-    bridge: CommitBridge,
-    sink: MemorySink,
-}
-
-impl Recorder {
-    /// Creates a recorder for an `n_procs` machine in `mode` with the
-    /// given standard (or maximum) chunk size.
-    pub fn new(mode: Mode, n_procs: u32, chunk_size: u32) -> Self {
-        Self {
-            bridge: CommitBridge::new(mode, n_procs),
-            sink: MemorySink::with_shape(mode, n_procs, chunk_size),
-        }
-    }
-
-    /// The mode being recorded.
-    pub fn mode(&self) -> Mode {
-        self.bridge.mode()
-    }
-
-    /// Finishes recording and hands over the logs.
-    pub fn into_logs(self) -> LogSet {
-        self.sink.into_logs()
-    }
-}
-
-impl GrantPolicy for Recorder {
-    fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
-        self.bridge.next_grant(ctx)
-    }
-}
-
-impl ReplayFeed for Recorder {}
-
-impl EventObserver for Recorder {
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        let event = self.bridge.convert(rec);
-        self.sink.on_event(&event);
-    }
-}
-
-impl ExecutionHooks for Recorder {
-    fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
-        GrantPolicy::next_grant(self, ctx)
-    }
-
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        EventObserver::on_commit(self, rec);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     // Test code may panic freely.
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use delorean_chunk::TruncationReason;
+    use crate::mode::Mode;
+    use crate::stream::{MemorySink, StreamRecorder};
+    use delorean_chunk::{CommitRecord, Committer, EventObserver, TruncationReason};
+
+    /// The logs a recorder in `mode` keeps for `commits`.
+    fn logs_of(mode: Mode, n_procs: u32, commits: &[CommitRecord]) -> LogSet {
+        let mut sink = MemorySink::with_shape(mode, n_procs, 1000);
+        let mut r = StreamRecorder::new(mode, n_procs, &mut sink);
+        for c in commits {
+            EventObserver::on_commit(&mut r, c);
+        }
+        sink.into_logs()
+    }
 
     fn commit(p: u32, index: u64, size: u32, reason: TruncationReason) -> CommitRecord {
         CommitRecord {
@@ -128,12 +62,16 @@ mod tests {
 
     #[test]
     fn order_only_logs_only_nondeterministic_sizes() {
-        let mut r = Recorder::new(Mode::OrderOnly, 2, 1000);
-        EventObserver::on_commit(&mut r, &commit(0, 1, 1000, TruncationReason::StandardSize));
-        EventObserver::on_commit(&mut r, &commit(0, 2, 412, TruncationReason::Overflow));
-        EventObserver::on_commit(&mut r, &commit(1, 1, 300, TruncationReason::Uncached));
-        EventObserver::on_commit(&mut r, &commit(1, 2, 99, TruncationReason::Collision));
-        let logs = r.into_logs();
+        let logs = logs_of(
+            Mode::OrderOnly,
+            2,
+            &[
+                commit(0, 1, 1000, TruncationReason::StandardSize),
+                commit(0, 2, 412, TruncationReason::Overflow),
+                commit(1, 1, 300, TruncationReason::Uncached),
+                commit(1, 2, 99, TruncationReason::Collision),
+            ],
+        );
         assert_eq!(logs.pi.len(), 4);
         assert_eq!(logs.cs[0].len(), 1);
         assert_eq!(logs.cs[0].forced_size(2), Some(412));
@@ -143,18 +81,20 @@ mod tests {
 
     #[test]
     fn order_size_logs_every_size() {
-        let mut r = Recorder::new(Mode::OrderSize, 1, 1000);
-        EventObserver::on_commit(&mut r, &commit(0, 1, 1000, TruncationReason::StandardSize));
-        EventObserver::on_commit(&mut r, &commit(0, 2, 17, TruncationReason::StandardSize));
-        let logs = r.into_logs();
+        let logs = logs_of(
+            Mode::OrderSize,
+            1,
+            &[
+                commit(0, 1, 1000, TruncationReason::StandardSize),
+                commit(0, 2, 17, TruncationReason::StandardSize),
+            ],
+        );
         assert_eq!(logs.cs[0].len(), 2);
         assert_eq!(logs.cs[0].forced_size(2), Some(17));
     }
 
     #[test]
     fn picolog_has_no_pi_but_records_dma_slots() {
-        let mut r = Recorder::new(Mode::PicoLog, 2, 1000);
-        EventObserver::on_commit(&mut r, &commit(0, 1, 1000, TruncationReason::StandardSize));
         let dma = CommitRecord {
             shard: None,
             committer: Committer::Dma,
@@ -168,8 +108,11 @@ mod tests {
             access_lines: vec![1],
             write_lines: vec![1],
         };
-        EventObserver::on_commit(&mut r, &dma);
-        let logs = r.into_logs();
+        let logs = logs_of(
+            Mode::PicoLog,
+            2,
+            &[commit(0, 1, 1000, TruncationReason::StandardSize), dma],
+        );
         assert!(logs.pi.is_empty());
         assert_eq!(logs.dma.slot(0), Some(1));
         assert_eq!(logs.dma.transfer(0), Some(&[(5u64, 5u64)][..]));
@@ -177,12 +120,10 @@ mod tests {
 
     #[test]
     fn interrupt_and_io_feed_input_logs() {
-        let mut r = Recorder::new(Mode::OrderOnly, 1, 1000);
         let mut rec = commit(0, 3, 1000, TruncationReason::StandardSize);
         rec.interrupt = Some((2, 0xfeed));
         rec.io_values = vec![(1, 42)];
-        EventObserver::on_commit(&mut r, &rec);
-        let logs = r.into_logs();
+        let logs = logs_of(Mode::OrderOnly, 1, &[rec]);
         assert_eq!(logs.interrupts[0].at_chunk(3), Some((2, 0xfeed)));
         assert_eq!(logs.io[0].value(3, 0), Some(42));
     }

@@ -34,18 +34,13 @@ use crate::checkpoint::{CheckpointIndex, IntervalCheckpoint};
 use crate::mode::Mode;
 use crate::serialize::DecodeError;
 use crate::stream::{
-    decode_event, decode_meta, decode_trailer, IoQueue, LogEvent, LogSource, StreamMeta,
+    decode_events, decode_trailer, LogEvent, LogSource, ReplayQueues, SegmentDecoder, StreamMeta,
     StreamTrailer,
 };
-use crate::wire::{fnv_hasher, Reader, MAGIC, SEG_EVENTS, SEG_TRAILER, VERSION};
+use crate::wire::{segment_checksum, SEGMENT_HEAD, SEG_EVENTS, SEG_TRAILER};
 use delorean_chunk::Committer;
+use delorean_compress::lz77;
 use delorean_isa::{Addr, Word};
-use std::collections::VecDeque;
-
-/// Size of the `kind u8 | body_len u64 | checksum u64` segment frame.
-const FRAME_HEAD: usize = 17;
-/// Size of the `magic u32 | version u16 | checksum u64` file head.
-const FILE_HEAD: usize = 14;
 
 // ---------------------------------------------------------------------------
 // Frame scanning
@@ -84,7 +79,7 @@ struct Frame {
 
 /// Checks whether `bytes[pos..]` starts a checksum-valid segment frame.
 fn parse_frame(bytes: &[u8], pos: usize) -> Option<Frame> {
-    if pos + FRAME_HEAD > bytes.len() {
+    if pos + SEGMENT_HEAD > bytes.len() {
         return None;
     }
     let kind = bytes[pos];
@@ -94,74 +89,24 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Option<Frame> {
     let mut len8 = [0u8; 8];
     len8.copy_from_slice(&bytes[pos + 1..pos + 9]);
     let body_len = u64::from_le_bytes(len8);
-    let remaining = (bytes.len() - pos - FRAME_HEAD) as u64;
+    let remaining = (bytes.len() - pos - SEGMENT_HEAD) as u64;
     if body_len > remaining {
         return None;
     }
     let body_len = body_len as usize;
     let mut sum8 = [0u8; 8];
-    sum8.copy_from_slice(&bytes[pos + 9..pos + 17]);
+    sum8.copy_from_slice(&bytes[pos + 9..pos + SEGMENT_HEAD]);
     let declared = u64::from_le_bytes(sum8);
-    let body_start = pos + FRAME_HEAD;
-    let mut f = fnv_hasher();
-    f.update(&[kind]);
-    f.update(&len8);
-    f.update(&bytes[body_start..body_start + body_len]);
-    if f.value() != declared {
+    let body_start = pos + SEGMENT_HEAD;
+    if segment_checksum(kind, &bytes[body_start..body_start + body_len]) != declared {
         return None;
     }
     Some(Frame {
         kind,
         body_start,
         body_len,
-        total: FRAME_HEAD + body_len,
+        total: SEGMENT_HEAD + body_len,
     })
-}
-
-/// Validates the file head and metadata, returning the decoded metadata
-/// and the offset of the first segment.
-fn parse_header(bytes: &[u8]) -> Result<(StreamMeta, usize), DecodeError> {
-    if bytes.is_empty() {
-        return Err(DecodeError::Empty);
-    }
-    if bytes.len() < 4 {
-        return Err(DecodeError::Truncated("file magic"));
-    }
-    let mut m4 = [0u8; 4];
-    m4.copy_from_slice(&bytes[0..4]);
-    if u32::from_le_bytes(m4) != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    if bytes.len() < FILE_HEAD + 8 {
-        return Err(DecodeError::Truncated("file header"));
-    }
-    let mut v2 = [0u8; 2];
-    v2.copy_from_slice(&bytes[4..6]);
-    let version = u16::from_le_bytes(v2);
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let mut sum8 = [0u8; 8];
-    sum8.copy_from_slice(&bytes[6..14]);
-    let checksum = u64::from_le_bytes(sum8);
-    let mut len8 = [0u8; 8];
-    len8.copy_from_slice(&bytes[14..22]);
-    let meta_len = u64::from_le_bytes(len8);
-    let meta_start = FILE_HEAD + 8;
-    if meta_len > (bytes.len() - meta_start) as u64 {
-        return Err(DecodeError::Truncated("metadata"));
-    }
-    let meta_end = meta_start + meta_len as usize;
-    let meta_bytes = &bytes[meta_start..meta_end];
-    let mut f = fnv_hasher();
-    f.update(&len8);
-    f.update(meta_bytes);
-    if f.value() != checksum {
-        // The metadata is the one structure salvage cannot live
-        // without: mode and processor count shape every event decode.
-        return Err(DecodeError::BadChecksum);
-    }
-    Ok((decode_meta(meta_bytes)?, meta_end))
 }
 
 /// Maps the frame structure of a structurally valid stream.
@@ -172,7 +117,7 @@ fn parse_header(bytes: &[u8]) -> Result<(StreamMeta, usize), DecodeError> {
 /// fails its checksum — this helper is for aiming faults at *valid*
 /// streams; use [`salvage`] for damaged ones.
 pub fn layout(bytes: &[u8]) -> Result<StreamLayout, DecodeError> {
-    let (_, header_end) = parse_header(bytes)?;
+    let header_end = SegmentDecoder::open(bytes)?.first_offset as usize;
     let mut segments = Vec::new();
     let mut pos = header_end;
     while pos < bytes.len() {
@@ -399,56 +344,6 @@ impl Salvage {
     }
 }
 
-/// Decodes `count` events from a raw (decompressed) block.
-fn decode_all_events(
-    raw: &[u8],
-    mode: Mode,
-    n_procs: u32,
-    counters: &mut [u64],
-    count: u32,
-) -> Result<Vec<LogEvent>, DecodeError> {
-    let mut r = Reader::new(raw);
-    let mut events = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        events.push(decode_event(&mut r, mode, n_procs, counters)?);
-    }
-    if !r.done() {
-        return Err(DecodeError::Truncated("event block trailing bytes"));
-    }
-    Ok(events)
-}
-
-/// Parsed header of an events-segment body plus its decompressed
-/// payload.
-struct EventsBody {
-    watermark: u64,
-    marks: Vec<u64>,
-    count: u32,
-    raw: Vec<u8>,
-}
-
-/// Splits an events-segment body into declared watermarks and the
-/// decompressed event block. Relies on the window barrier: every
-/// segment decodes with a fresh decoder.
-fn parse_events_body(body: &[u8], n_procs: u32) -> Result<EventsBody, DecodeError> {
-    let mut r = Reader::new(body);
-    let watermark = r.u64("segment commit watermark")?;
-    let mut marks = Vec::with_capacity(n_procs as usize);
-    for _ in 0..n_procs {
-        marks.push(r.u64("segment chunk watermark")?);
-    }
-    let count = r.u32("segment event count")?;
-    let raw = delorean_compress::lz77::Decoder::new()
-        .decode_block(&body[r.pos..])
-        .map_err(|_| DecodeError::Truncated("event block"))?;
-    Ok(EventsBody {
-        watermark,
-        marks,
-        count,
-        raw,
-    })
-}
-
 /// Scans a possibly damaged `.dlrn` byte stream and reconstructs every
 /// decodable region of commits.
 ///
@@ -460,9 +355,9 @@ fn parse_events_body(body: &[u8], n_procs: u32) -> Result<EventsBody, DecodeErro
 /// nothing can be salvaged. All damage past the header is reported
 /// through the returned [`SalvageReport`] instead.
 pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
-    let (meta, header_end) = parse_header(bytes)?;
+    let dec = SegmentDecoder::open(bytes)?;
+    let (meta, header_end) = (dec.meta, dec.first_offset as usize);
     let n = meta.n_procs as usize;
-    let mode = meta.mode;
 
     struct RegionBuilder {
         first: u64,
@@ -536,75 +431,75 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
             }
             continue;
         }
-        let eb = match parse_events_body(body, meta.n_procs) {
-            Ok(eb) => eb,
-            Err(_) => {
-                // The frame checksum passed but the body is not a
-                // well-formed events segment: quarantine it without
-                // giving up the counter anchor (the next segment's
-                // watermarks will confirm or re-anchor).
-                close_region(&mut cur, &mut regions);
-                sync = None;
-                quarantined.push(QuarantinedRange {
-                    byte_start: span.0,
-                    byte_end: span.1,
-                    reason: "event segment body undecodable",
-                });
-                continue;
-            }
+        // In sync, decode with the carried counters; after a gap, from
+        // zero, which yields per-processor event counts instead.
+        let (mut counters, mut end) = match &sync {
+            Some((gcc, counters)) => (counters.clone(), *gcc),
+            None => (vec![0u64; n], 0),
         };
+        // Segments decode with a fresh LZ77 decoder: the window barrier.
+        let Ok(seg) = decode_events(
+            body,
+            &meta,
+            &mut lz77::Decoder::new(),
+            &mut counters,
+            &mut end,
+        ) else {
+            // The frame checksum passed but the body is not a
+            // well-formed events segment: quarantine it and drop the
+            // counter anchor (the next segment's watermarks re-anchor).
+            close_region(&mut cur, &mut regions);
+            sync = None;
+            quarantined.push(QuarantinedRange {
+                byte_start: span.0,
+                byte_end: span.1,
+                reason: "event segment body undecodable",
+            });
+            continue;
+        };
+        let (watermark, marks) = (seg.commit_watermark, seg.chunk_watermarks);
         match sync.take() {
-            Some((gcc, counters)) => {
-                // In sync: decode with carried counters and check the
-                // declared watermarks. A duplicated (replayed-frame)
-                // segment declares a watermark at or behind our count.
-                if eb.watermark <= gcc {
+            Some((gcc, start_counters)) => {
+                // In sync: check the declared watermarks. A duplicated
+                // (replayed-frame) segment declares a watermark at or
+                // behind our count.
+                if watermark <= gcc {
                     quarantined.push(QuarantinedRange {
                         byte_start: span.0,
                         byte_end: span.1,
                         reason: "stale segment: commit watermark does not advance",
                     });
-                    sync = Some((gcc, counters));
-                    continue;
-                }
-                let mut next = counters.clone();
-                match decode_all_events(&eb.raw, mode, meta.n_procs, &mut next, eb.count) {
-                    Ok(events) if gcc + u64::from(eb.count) == eb.watermark && next == eb.marks => {
-                        let rb = cur.get_or_insert_with(|| RegionBuilder {
-                            first: gcc + 1,
-                            start_counters: counters.clone(),
-                            events: Vec::new(),
-                        });
-                        rb.events.extend(events);
-                        sync = Some((eb.watermark, eb.marks));
-                    }
-                    _ => {
-                        // Internally inconsistent: drop the segment and
-                        // the anchor; the next segment re-anchors.
-                        close_region(&mut cur, &mut regions);
-                        quarantined.push(QuarantinedRange {
-                            byte_start: span.0,
-                            byte_end: span.1,
-                            reason: "event segment inconsistent with declared watermarks",
-                        });
-                    }
+                    sync = Some((gcc, start_counters));
+                } else if end == watermark && counters == marks {
+                    let rb = cur.get_or_insert_with(|| RegionBuilder {
+                        first: gcc + 1,
+                        start_counters,
+                        events: Vec::new(),
+                    });
+                    rb.events.extend(seg.events);
+                    sync = Some((watermark, marks));
+                } else {
+                    // Internally inconsistent: drop the segment and
+                    // the anchor; the next segment re-anchors.
+                    close_region(&mut cur, &mut regions);
+                    quarantined.push(QuarantinedRange {
+                        byte_start: span.0,
+                        byte_end: span.1,
+                        reason: "event segment inconsistent with declared watermarks",
+                    });
                 }
             }
             None => {
                 // Post-gap: reconstruct absolute counters from the
-                // declared watermarks. First pass with zero counters
-                // yields per-processor event counts; subtracting them
-                // from the declared end-of-segment watermarks gives the
-                // counters *before* the segment.
-                let mut zero = vec![0u64; n];
-                let decoded = decode_all_events(&eb.raw, mode, meta.n_procs, &mut zero, eb.count);
-                let anchorable = decoded.is_ok()
-                    && eb.watermark >= u64::from(eb.count)
-                    && eb.marks.len() == n
-                    && eb.marks.iter().zip(&zero).all(|(m, z)| m >= z)
+                // declared watermarks. Subtracting the per-processor
+                // event counts from the end-of-segment watermarks gives
+                // the counters *before* the segment.
+                let count = end;
+                let anchorable = watermark >= count
+                    && marks.iter().zip(&counters).all(|(m, z)| m >= z)
                     && regions
                         .last()
-                        .is_none_or(|r| eb.watermark - u64::from(eb.count) >= r.range.last);
+                        .is_none_or(|r| watermark - count >= r.range.last);
                 if !anchorable {
                     quarantined.push(QuarantinedRange {
                         byte_start: span.0,
@@ -614,24 +509,19 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
                     continue;
                 }
                 let start_counters: Vec<u64> =
-                    eb.marks.iter().zip(&zero).map(|(m, z)| m - z).collect();
-                let mut counters = start_counters.clone();
-                match decode_all_events(&eb.raw, mode, meta.n_procs, &mut counters, eb.count) {
-                    Ok(events) => {
-                        let first = eb.watermark - u64::from(eb.count) + 1;
-                        cur = Some(RegionBuilder {
-                            first,
-                            start_counters,
-                            events,
-                        });
-                        sync = Some((eb.watermark, eb.marks));
+                    marks.iter().zip(&counters).map(|(m, z)| m - z).collect();
+                let mut events = seg.events;
+                for ev in &mut events {
+                    if let Committer::Proc(p) = ev.committer {
+                        ev.chunk_index += start_counters[p as usize];
                     }
-                    Err(_) => quarantined.push(QuarantinedRange {
-                        byte_start: span.0,
-                        byte_end: span.1,
-                        reason: "post-gap segment undecodable with reconstructed counters",
-                    }),
                 }
+                cur = Some(RegionBuilder {
+                    first: watermark - count + 1,
+                    start_counters,
+                    events,
+                });
+                sync = Some((watermark, marks));
             }
         }
     }
@@ -695,13 +585,7 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
 #[derive(Debug)]
 pub struct RecoveringSource {
     meta: StreamMeta,
-    pi: VecDeque<Committer>,
-    cs: Vec<VecDeque<(u64, u32)>>,
-    irq: Vec<VecDeque<(u64, u16, Word)>>,
-    io: Vec<IoQueue>,
-    dma: VecDeque<Vec<(Addr, Word)>>,
-    dma_slots: VecDeque<u64>,
-    committed: Vec<u64>,
+    queues: ReplayQueues,
     trailer: Option<StreamTrailer>,
     commits: u64,
     phase: Option<u32>,
@@ -709,57 +593,17 @@ pub struct RecoveringSource {
 
 impl RecoveringSource {
     fn over(meta: StreamMeta, region: &RecoveredRegion, trailer: Option<StreamTrailer>) -> Self {
-        let n = meta.n_procs as usize;
-        let mode = meta.mode;
-        let has_pi = mode.has_pi_log();
-        let picolog = mode == Mode::PicoLog;
-        let mut pi = VecDeque::new();
-        let mut cs = vec![VecDeque::new(); n];
-        let mut irq = vec![VecDeque::new(); n];
-        let mut io: Vec<IoQueue> = vec![VecDeque::new(); n];
-        let mut dma = VecDeque::new();
-        let mut dma_slots = VecDeque::new();
-        let mut local = 0u64;
-        for ev in &region.events {
-            if has_pi {
-                pi.push_back(ev.committer);
-            }
-            match ev.committer {
-                Committer::Proc(p) => {
-                    let pi_ = p as usize;
-                    if let Some(size) = ev.cs_size {
-                        cs[pi_].push_back((ev.chunk_index, size));
-                    }
-                    if let Some((vector, payload)) = ev.interrupt {
-                        irq[pi_].push_back((ev.chunk_index, vector, payload));
-                    }
-                    if !ev.io_values.is_empty() {
-                        io[pi_].push_back((ev.chunk_index, ev.io_values.clone()));
-                    }
-                }
-                Committer::Dma => {
-                    if picolog {
-                        // Slots are relative to the replay's start, as
-                        // in an interval recording.
-                        dma_slots.push_back(local);
-                    }
-                    dma.push_back(ev.dma_data.clone());
-                }
-            }
-            local += 1;
+        let mut queues = ReplayQueues::new(meta.mode, region.start_counters.clone());
+        // Slots are relative to the replay's start, as in an interval
+        // recording.
+        for (slot, ev) in (0u64..).zip(&region.events) {
+            queues.push(ev.clone(), slot);
         }
-        let committed = region.start_counters.clone();
         Self {
             meta,
-            pi,
-            cs,
-            irq,
-            io,
-            dma,
-            dma_slots,
-            committed,
+            queues,
             trailer,
-            commits: local,
+            commits: region.events.len() as u64,
             phase: None,
         }
     }
@@ -888,65 +732,31 @@ impl LogSource for RecoveringSource {
     }
 
     fn pi_peek(&mut self) -> Option<Committer> {
-        self.pi.front().copied()
+        self.queues.pi_peek()
     }
 
     fn forced_size(&mut self, core: u32, index: u64) -> Option<u32> {
-        self.cs[core as usize]
-            .iter()
-            .find(|&&(i, _)| i == index)
-            .map(|&(_, s)| s)
+        self.queues.forced_size(core, index)
     }
 
     fn interrupt_at(&mut self, core: u32, index: u64) -> Option<(u16, Word)> {
-        self.irq[core as usize]
-            .iter()
-            .find(|&&(i, _, _)| i == index)
-            .map(|&(_, v, p)| (v, p))
+        self.queues.interrupt_at(core, index)
     }
 
     fn io_value(&mut self, core: u32, index: u64, seq: u32) -> Option<Word> {
-        self.io[core as usize]
-            .iter()
-            .find(|(i, _)| *i == index)
-            .and_then(|(_, values)| values.get(seq as usize))
-            .map(|&(_, v)| v)
+        self.queues.io_value(core, index, seq)
     }
 
     fn dma_slot_matches(&mut self, gcc: u64) -> bool {
-        self.dma_slots.front() == Some(&gcc)
+        self.queues.dma_slot_matches(gcc)
     }
 
     fn dma_next(&mut self) -> Option<Vec<(Addr, Word)>> {
-        self.dma.front().cloned()
+        self.queues.dma_next()
     }
 
     fn note_commit(&mut self, committer: Committer) {
-        if self.meta.mode.has_pi_log() {
-            self.pi.pop_front();
-        }
-        match committer {
-            Committer::Proc(p) => {
-                let pi = p as usize;
-                self.committed[pi] += 1;
-                let limit = self.committed[pi];
-                while self.cs[pi].front().is_some_and(|&(i, _)| i <= limit) {
-                    self.cs[pi].pop_front();
-                }
-                while self.irq[pi].front().is_some_and(|&(i, _, _)| i <= limit) {
-                    self.irq[pi].pop_front();
-                }
-                while self.io[pi].front().is_some_and(|(i, _)| *i <= limit) {
-                    self.io[pi].pop_front();
-                }
-            }
-            Committer::Dma => {
-                self.dma.pop_front();
-                if self.meta.mode == Mode::PicoLog {
-                    self.dma_slots.pop_front();
-                }
-            }
-        }
+        self.queues.note_commit(committer);
     }
 
     fn finish(&mut self) -> Result<StreamTrailer, String> {
@@ -1182,7 +992,7 @@ mod tests {
         // Flip a byte inside the second event segment's body.
         let seg = lay.segments[1];
         let mut damaged = bytes.clone();
-        damaged[seg.start + FRAME_HEAD + 2] ^= 0xff;
+        damaged[seg.start + SEGMENT_HEAD + 2] ^= 0xff;
         let s = salvage(&damaged).unwrap();
         assert_eq!(
             s.report.recovered,
@@ -1244,6 +1054,16 @@ mod tests {
     #[test]
     fn header_corruption_is_a_typed_failure() {
         let mut bytes = small_stream();
+        // Salvage reads the header with `FileSource`'s decoder, so every
+        // cut inside it fails the same way in both.
+        for cut in 0..layout(&bytes).unwrap().header_end {
+            let expected = crate::FileSource::open(&bytes[..cut]).unwrap_err();
+            assert_eq!(salvage(&bytes[..cut]).unwrap_err(), expected, "cut {cut}");
+        }
+        assert_eq!(
+            salvage(&bytes[..18]).unwrap_err(),
+            DecodeError::Truncated("metadata length")
+        );
         bytes[16] ^= 0x01; // inside meta length / metadata checksum region
         assert!(salvage(&bytes).is_err());
         assert!(matches!(salvage(&[]).unwrap_err(), DecodeError::Empty));
@@ -1254,7 +1074,7 @@ mod tests {
         let bytes = small_stream();
         let mut damaged = bytes.clone();
         let lay = layout(&bytes).unwrap();
-        damaged[lay.segments[0].start + FRAME_HEAD + 1] ^= 0x10;
+        damaged[lay.segments[0].start + SEGMENT_HEAD + 1] ^= 0x10;
         let a = salvage(&damaged).unwrap().report.to_json();
         let b = salvage(&damaged).unwrap().report.to_json();
         assert_eq!(a, b);

@@ -271,11 +271,12 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::recorder::Recorder;
+    use crate::stream::{MemorySink, StreamRecorder};
     use delorean_chunk::TruncationReason;
 
     fn logs_with_pi(entries: &[Committer]) -> LogSet {
-        let mut r = Recorder::new(Mode::OrderOnly, 2, 1000);
+        let mut sink = MemorySink::with_shape(Mode::OrderOnly, 2, 1000);
+        let mut r = StreamRecorder::new(Mode::OrderOnly, 2, &mut sink);
         for (i, &c) in entries.iter().enumerate() {
             EventObserver::on_commit(
                 &mut r,
@@ -298,7 +299,7 @@ mod tests {
                 },
             );
         }
-        r.into_logs()
+        sink.into_logs()
     }
 
     #[test]

@@ -39,7 +39,8 @@ use crate::mode::Mode;
 use crate::recorder::LogSet;
 use crate::serialize::DecodeError;
 use crate::wire::{
-    fnv_hasher, mode_from, mode_tag, Reader, Writer, MAGIC, SEG_EVENTS, SEG_TRAILER, VERSION,
+    frame, frame_checksum, mode_from, mode_tag, segment_checksum, Reader, Writer, FILE_HEAD, MAGIC,
+    SEGMENT_HEAD, SEG_EVENTS, SEG_TRAILER, VERSION,
 };
 use delorean_chunk::{
     policy, ArbiterConfig, ArbiterContext, CommitRecord, Committer, DeviceConfig, EventObserver,
@@ -258,7 +259,7 @@ pub trait LogSink {
 }
 
 /// Mode-dependent commit policy and [`CommitRecord`] → [`LogEvent`]
-/// conversion, shared by the in-memory recorder and the streaming one.
+/// conversion behind [`StreamRecorder`].
 #[derive(Debug)]
 pub(crate) struct CommitBridge {
     mode: Mode,
@@ -273,10 +274,6 @@ impl CommitBridge {
             n_procs,
             rr_cursor: 0,
         }
-    }
-
-    pub(crate) fn mode(&self) -> Mode {
-        self.mode
     }
 
     pub(crate) fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
@@ -326,8 +323,14 @@ impl CommitBridge {
 }
 
 /// Recording-side [`ExecutionHooks`] that forward every commit straight
-/// into a [`LogSink`] — the streaming counterpart of
-/// [`Recorder`](crate::Recorder).
+/// into a [`LogSink`]: a [`MemorySink`] accumulates the classic
+/// [`LogSet`], a [`FileSink`] streams `.dlrn` bytes.
+///
+/// * Order&Size / OrderOnly grant commits in arrival order and log
+///   processor IDs in the PI log; Order&Size additionally logs every
+///   chunk size, OrderOnly only non-deterministic truncations.
+/// * PicoLog grants round-robin and logs no PI entries at all; DMA
+///   commits record their global commit slot.
 #[derive(Debug)]
 pub struct StreamRecorder<'a, S: LogSink> {
     bridge: CommitBridge,
@@ -1059,11 +1062,7 @@ impl<W: io::Write> FileSink<W> {
         let mut head = Writer::new();
         head.u8(kind);
         head.u64(body.len() as u64);
-        let mut f = fnv_hasher();
-        f.update(&[kind]);
-        f.update(&(body.len() as u64).to_le_bytes());
-        f.update(body);
-        head.u64(f.value());
+        head.u64(segment_checksum(kind, body));
         self.emit(&head.buf);
         self.emit(body);
     }
@@ -1118,17 +1117,7 @@ impl<W: io::Write> LogSink for FileSink<W> {
         self.commits = 0;
         self.chunks_done = meta.start_chunks();
         self.events_pending = 0;
-        let meta_bytes = encode_meta(meta);
-        let mut w = Writer::new();
-        w.u32(MAGIC);
-        w.u16(VERSION);
-        let mut f = fnv_hasher();
-        f.update(&(meta_bytes.len() as u64).to_le_bytes());
-        f.update(&meta_bytes);
-        w.u64(f.value());
-        w.u64(meta_bytes.len() as u64);
-        w.buf.extend_from_slice(&meta_bytes);
-        self.emit(&w.buf);
+        self.emit(&frame(MAGIC, VERSION, &encode_meta(meta)));
     }
 
     fn on_event(&mut self, event: &LogEvent) {
@@ -1516,7 +1505,157 @@ impl LogSource for MemorySource<'_> {
 
 /// Per-core queue of not-yet-consumed I/O log entries: chunk index plus
 /// that chunk's `(port, value)` loads.
-pub(crate) type IoQueue = VecDeque<(u64, Vec<(u16, Word)>)>;
+type IoQueue = VecDeque<(u64, Vec<(u16, Word)>)>;
+
+/// The log entries a replay has been handed but not yet consumed,
+/// queued per core and evicted as commits are noted. [`FileSource`]
+/// fills them segment by segment as it decodes; a salvaged
+/// [`RecoveringSource`](crate::RecoveringSource) fills them once from
+/// its region. Both answer their [`LogSource`] queries from here.
+#[derive(Debug)]
+pub(crate) struct ReplayQueues {
+    mode: Mode,
+    pi: VecDeque<Committer>,
+    cs: Vec<VecDeque<(u64, u32)>>,
+    irq: Vec<VecDeque<(u64, u16, Word)>>,
+    io: Vec<IoQueue>,
+    dma: VecDeque<Vec<(Addr, Word)>>,
+    /// PicoLog DMA commit slots, relative to the replay window's start.
+    dma_slots: VecDeque<u64>,
+    /// Per-processor committed-chunk counters.
+    committed: Vec<u64>,
+}
+
+impl ReplayQueues {
+    /// Empty queues for a `mode` replay whose processors have already
+    /// committed `committed` chunks.
+    pub(crate) fn new(mode: Mode, committed: Vec<u64>) -> Self {
+        let n = committed.len();
+        Self {
+            mode,
+            pi: VecDeque::new(),
+            cs: vec![VecDeque::new(); n],
+            irq: vec![VecDeque::new(); n],
+            io: vec![VecDeque::new(); n],
+            dma: VecDeque::new(),
+            dma_slots: VecDeque::new(),
+            committed,
+        }
+    }
+
+    /// Queues one decoded event. `slot` is its commit slot relative to
+    /// the window start, recorded for PicoLog DMA commits only.
+    pub(crate) fn push(&mut self, ev: LogEvent, slot: u64) {
+        if self.mode.has_pi_log() {
+            self.pi.push_back(ev.committer);
+        }
+        match ev.committer {
+            Committer::Proc(p) => {
+                let pi = p as usize;
+                if let Some(size) = ev.cs_size {
+                    self.cs[pi].push_back((ev.chunk_index, size));
+                }
+                if let Some((vector, payload)) = ev.interrupt {
+                    self.irq[pi].push_back((ev.chunk_index, vector, payload));
+                }
+                if !ev.io_values.is_empty() {
+                    self.io[pi].push_back((ev.chunk_index, ev.io_values));
+                }
+            }
+            Committer::Dma => {
+                if self.mode == Mode::PicoLog {
+                    self.dma_slots.push_back(slot);
+                }
+                self.dma.push_back(ev.dma_data);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.pi.clear();
+        for q in &mut self.cs {
+            q.clear();
+        }
+        for q in &mut self.irq {
+            q.clear();
+        }
+        for q in &mut self.io {
+            q.clear();
+        }
+        self.dma.clear();
+        self.dma_slots.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.pi.len()
+            + self.dma.len()
+            + self.cs.iter().map(VecDeque::len).sum::<usize>()
+            + self.irq.iter().map(VecDeque::len).sum::<usize>()
+            + self.io.iter().map(VecDeque::len).sum::<usize>()
+    }
+
+    pub(crate) fn pi_peek(&self) -> Option<Committer> {
+        self.pi.front().copied()
+    }
+
+    pub(crate) fn forced_size(&self, core: u32, index: u64) -> Option<u32> {
+        self.cs[core as usize]
+            .iter()
+            .find(|&&(i, _)| i == index)
+            .map(|&(_, s)| s)
+    }
+
+    pub(crate) fn interrupt_at(&self, core: u32, index: u64) -> Option<(u16, Word)> {
+        self.irq[core as usize]
+            .iter()
+            .find(|&&(i, _, _)| i == index)
+            .map(|&(_, v, p)| (v, p))
+    }
+
+    pub(crate) fn io_value(&self, core: u32, index: u64, seq: u32) -> Option<Word> {
+        self.io[core as usize]
+            .iter()
+            .find(|(i, _)| *i == index)
+            .and_then(|(_, values)| values.get(seq as usize))
+            .map(|&(_, v)| v)
+    }
+
+    pub(crate) fn dma_slot_matches(&self, gcc: u64) -> bool {
+        self.dma_slots.front() == Some(&gcc)
+    }
+
+    pub(crate) fn dma_next(&self) -> Option<Vec<(Addr, Word)>> {
+        self.dma.front().cloned()
+    }
+
+    pub(crate) fn note_commit(&mut self, committer: Committer) {
+        if self.mode.has_pi_log() {
+            self.pi.pop_front();
+        }
+        match committer {
+            Committer::Proc(p) => {
+                let pi = p as usize;
+                self.committed[pi] += 1;
+                let limit = self.committed[pi];
+                while self.cs[pi].front().is_some_and(|&(i, _)| i <= limit) {
+                    self.cs[pi].pop_front();
+                }
+                while self.irq[pi].front().is_some_and(|&(i, _, _)| i <= limit) {
+                    self.irq[pi].pop_front();
+                }
+                while self.io[pi].front().is_some_and(|(i, _)| *i <= limit) {
+                    self.io[pi].pop_front();
+                }
+            }
+            Committer::Dma => {
+                self.dma.pop_front();
+                if self.mode == Mode::PicoLog {
+                    self.dma_slots.pop_front();
+                }
+            }
+        }
+    }
+}
 
 /// The decoded payload of one event segment, including the watermarks
 /// the segment header declares (used by lint passes to cross-check
@@ -1594,9 +1733,9 @@ fn read_body<R: Read>(r: &mut R, len: u64, what: &'static str) -> Result<Vec<u8>
 }
 
 /// Incremental decoder for the v2 `.dlrn` segment stream.
-struct SegmentDecoder<R: Read> {
+pub(crate) struct SegmentDecoder<R: Read> {
     reader: R,
-    meta: StreamMeta,
+    pub(crate) meta: StreamMeta,
     counters: Vec<u64>,
     gcc: u64,
     lz: delorean_compress::lz77::Decoder,
@@ -1617,7 +1756,7 @@ struct SegmentDecoder<R: Read> {
     marks: Vec<SegmentMark>,
     /// Byte offset of the first segment frame (end of the header) —
     /// the rewind target, known even before any segment is visited.
-    first_offset: u64,
+    pub(crate) first_offset: u64,
 }
 
 /// Decodes a little-endian integer from the first `N` bytes of `b`.
@@ -1629,7 +1768,8 @@ fn le_bytes<const N: usize>(b: &[u8]) -> [u8; N] {
 }
 
 impl<R: Read> SegmentDecoder<R> {
-    fn open(reader: R) -> Result<Self, DecodeError> {
+    /// Reads and checks the stream header and metadata.
+    pub(crate) fn open(reader: R) -> Result<Self, DecodeError> {
         Self::open_with(reader, None)
     }
 
@@ -1637,7 +1777,7 @@ impl<R: Read> SegmentDecoder<R> {
         mut reader: R,
         seek: Option<fn(&mut R, u64) -> io::Result<u64>>,
     ) -> Result<Self, DecodeError> {
-        let mut head = [0u8; 14];
+        let mut head = [0u8; FILE_HEAD];
         let got = read_up_to(&mut reader, &mut head)?;
         if got == 0 {
             return Err(DecodeError::Empty);
@@ -1661,10 +1801,7 @@ impl<R: Read> SegmentDecoder<R> {
         read_exact_or(&mut reader, &mut len_bytes, "metadata length")?;
         let meta_len = u64::from_le_bytes(len_bytes);
         let meta_bytes = read_body(&mut reader, meta_len, "metadata")?;
-        let mut f = fnv_hasher();
-        f.update(&len_bytes);
-        f.update(&meta_bytes);
-        if f.value() != checksum {
+        if frame_checksum(&meta_bytes) != checksum {
             return Err(DecodeError::BadChecksum);
         }
         let meta = decode_meta(&meta_bytes)?;
@@ -1677,13 +1814,13 @@ impl<R: Read> SegmentDecoder<R> {
             lz: delorean_compress::lz77::Decoder::new(),
             seen_trailer: false,
             done: false,
-            byte_offset: 14 + 8 + meta_len,
+            byte_offset: FILE_HEAD as u64 + 8 + meta_len,
             segments: 0,
             seek,
             verified: HashSet::new(),
             verifications: 0,
             marks: Vec::new(),
-            first_offset: 14 + 8 + meta_len,
+            first_offset: FILE_HEAD as u64 + 8 + meta_len,
         })
     }
 
@@ -1757,19 +1894,15 @@ impl<R: Read> SegmentDecoder<R> {
         if self.seen_trailer {
             return Err(DecodeError::Truncated("data after trailer segment"));
         }
-        let mut head = [0u8; 16];
+        let mut head = [0u8; SEGMENT_HEAD - 1];
         read_exact_or(&mut self.reader, &mut head, "segment header")?;
-        self.byte_offset += 16;
+        self.byte_offset += head.len() as u64;
         let body_len = u64::from_le_bytes(le_bytes(&head[0..8]));
         let checksum = u64::from_le_bytes(le_bytes(&head[8..16]));
         let body = read_body(&mut self.reader, body_len, "segment body")?;
         self.byte_offset += body.len() as u64;
         if !self.verified.contains(&seg_start) {
-            let mut f = fnv_hasher();
-            f.update(&kind);
-            f.update(&body_len.to_le_bytes());
-            f.update(&body);
-            if f.value() != checksum {
+            if segment_checksum(kind[0], &body) != checksum {
                 return Err(DecodeError::BadChecksum);
             }
             self.verifications += 1;
@@ -1789,7 +1922,16 @@ impl<R: Read> SegmentDecoder<R> {
                     Ok(_) => {}
                     Err(at) => self.marks.insert(at, mark),
                 }
-                let seg = self.decode_events(&body)?;
+                let seg = decode_events(
+                    &body,
+                    &self.meta,
+                    &mut self.lz,
+                    &mut self.counters,
+                    &mut self.gcc,
+                )?;
+                if self.gcc != seg.commit_watermark || self.counters != seg.chunk_watermarks {
+                    return Err(DecodeError::Truncated("segment watermark"));
+                }
                 self.segments += 1;
                 Ok(Segment::Events(seg))
             }
@@ -1800,42 +1942,45 @@ impl<R: Read> SegmentDecoder<R> {
             _ => Err(DecodeError::Truncated("segment kind")),
         }
     }
+}
 
-    fn decode_events(&mut self, body: &[u8]) -> Result<EventSegment, DecodeError> {
-        let mut r = Reader::new(body);
-        let commits_end = r.u64("segment commit watermark")?;
-        let mut marks = Vec::with_capacity(self.meta.n_procs as usize);
-        for _ in 0..self.meta.n_procs {
-            marks.push(r.u64("segment chunk watermark")?);
-        }
-        let count = r.u32("segment event count")?;
-        let raw = self
-            .lz
-            .decode_block(&body[r.pos..])
-            .map_err(|_| DecodeError::Truncated("event block"))?;
-        let mut er = Reader::new(&raw);
-        let mut events = Vec::new();
-        for _ in 0..count {
-            events.push(decode_event(
-                &mut er,
-                self.meta.mode,
-                self.meta.n_procs,
-                &mut self.counters,
-            )?);
-            self.gcc += 1;
-        }
-        if !er.done() {
-            return Err(DecodeError::Truncated("event block trailing bytes"));
-        }
-        if self.gcc != commits_end || self.counters != marks {
-            return Err(DecodeError::Truncated("segment watermark"));
-        }
-        Ok(EventSegment {
-            events,
-            commit_watermark: commits_end,
-            chunk_watermarks: marks,
-        })
+/// Decodes one events-segment body: the declared commit and chunk
+/// watermarks, then the events of its LZ77 block, decompressed through
+/// `lz`. `counters` (per-processor chunk counters) and `gcc` advance past
+/// every event decoded; checking them against the declared watermarks
+/// is the caller's job. [`FileSource`] passes the one decoder it keeps
+/// for the whole stream, salvage a fresh one per segment.
+pub(crate) fn decode_events(
+    body: &[u8],
+    meta: &StreamMeta,
+    lz: &mut delorean_compress::lz77::Decoder,
+    counters: &mut [u64],
+    gcc: &mut u64,
+) -> Result<EventSegment, DecodeError> {
+    let mut r = Reader::new(body);
+    let commits_end = r.u64("segment commit watermark")?;
+    let mut marks = Vec::with_capacity(meta.n_procs as usize);
+    for _ in 0..meta.n_procs {
+        marks.push(r.u64("segment chunk watermark")?);
     }
+    let count = r.u32("segment event count")?;
+    let raw = lz
+        .decode_block(&body[r.pos..])
+        .map_err(|_| DecodeError::Truncated("event block"))?;
+    let mut er = Reader::new(&raw);
+    let mut events = Vec::new();
+    for _ in 0..count {
+        events.push(decode_event(&mut er, meta.mode, meta.n_procs, counters)?);
+        *gcc += 1;
+    }
+    if !er.done() {
+        return Err(DecodeError::Truncated("event block trailing bytes"));
+    }
+    Ok(EventSegment {
+        events,
+        commit_watermark: commits_end,
+        chunk_watermarks: marks,
+    })
 }
 
 /// A validated item yielded by [`SegmentWalker`].
@@ -1931,13 +2076,7 @@ pub(crate) fn read_recording(bytes: &[u8]) -> Result<Recording, DecodeError> {
 /// memory (consumed entries are evicted as commits are noted).
 pub struct FileSource<R: Read> {
     dec: SegmentDecoder<R>,
-    pi: VecDeque<Committer>,
-    cs: Vec<VecDeque<(u64, u32)>>,
-    irq: Vec<VecDeque<(u64, u16, Word)>>,
-    io: Vec<IoQueue>,
-    dma: VecDeque<Vec<(Addr, Word)>>,
-    dma_slots: VecDeque<u64>,
-    committed: Vec<u64>,
+    queues: ReplayQueues,
     chunks_seen: Vec<u64>,
     commits_seen: u64,
     /// Commit count the current replay window's slot numbering starts
@@ -1983,19 +2122,11 @@ impl<R: Read> FileSource<R> {
     }
 
     fn from_decoder(dec: SegmentDecoder<R>) -> Result<Self, DecodeError> {
-        let n = dec.meta.n_procs as usize;
-        let committed = dec.meta.start_chunks();
-        let chunks_seen = committed.clone();
+        let chunks_seen = dec.meta.start_chunks();
         let dec_interval = dec.meta.interval.clone();
         Ok(Self {
+            queues: ReplayQueues::new(dec.meta.mode, chunks_seen.clone()),
             dec,
-            pi: VecDeque::new(),
-            cs: vec![VecDeque::new(); n],
-            irq: vec![VecDeque::new(); n],
-            io: vec![VecDeque::new(); n],
-            dma: VecDeque::new(),
-            dma_slots: VecDeque::new(),
-            committed,
             chunks_seen,
             commits_seen: 0,
             slot_base: 0,
@@ -2021,21 +2152,6 @@ impl<R: Read> FileSource<R> {
         &self.dec.marks
     }
 
-    fn clear_queues(&mut self) {
-        self.pi.clear();
-        for q in &mut self.cs {
-            q.clear();
-        }
-        for q in &mut self.irq {
-            q.clear();
-        }
-        for q in &mut self.io {
-            q.clear();
-        }
-        self.dma.clear();
-        self.dma_slots.clear();
-    }
-
     /// Repositions this source at a checkpoint: the decoder seeks to
     /// the segment containing the checkpoint commit, the restore state
     /// is installed as the stream's interval start, and events before
@@ -2055,10 +2171,10 @@ impl<R: Read> FileSource<R> {
             entry.seg_start_gcc,
             &entry.seg_start_chunks,
         )?;
-        self.clear_queues();
+        self.queues.clear();
         self.commits_seen = entry.seg_start_gcc;
         self.chunks_seen = entry.seg_start_chunks.clone();
-        self.committed = entry.state.chunks_done.clone();
+        self.queues.committed = entry.state.chunks_done.clone();
         self.skip_until = entry.gcc;
         self.slot_base = entry.gcc;
         self.trailer = None;
@@ -2075,11 +2191,11 @@ impl<R: Read> FileSource<R> {
     /// to the new window start.
     pub(crate) fn rebase_window(&mut self, snap: &crate::checkpoint::Snapshot) {
         let delta = snap.gcc.saturating_sub(self.slot_base);
-        for s in &mut self.dma_slots {
+        for s in &mut self.queues.dma_slots {
             *s = s.saturating_sub(delta);
         }
         self.slot_base = snap.gcc;
-        self.committed = snap.state.chunks_done.clone();
+        self.queues.committed = snap.state.chunks_done.clone();
         self.dec.meta.interval = Some(snap.state.clone());
         self.phase = Some(snap.rr_cursor);
     }
@@ -2087,11 +2203,7 @@ impl<R: Read> FileSource<R> {
     /// Number of log entries currently buffered (a measure of the
     /// decoder's working set).
     pub fn buffered_entries(&self) -> usize {
-        self.pi.len()
-            + self.dma.len()
-            + self.cs.iter().map(VecDeque::len).sum::<usize>()
-            + self.irq.iter().map(VecDeque::len).sum::<usize>()
-            + self.io.iter().map(VecDeque::len).sum::<usize>()
+        self.queues.len()
     }
 
     fn pump(&mut self) {
@@ -2100,42 +2212,16 @@ impl<R: Read> FileSource<R> {
         }
         match self.dec.next() {
             Ok(Segment::Events(seg)) => {
-                let picolog = self.dec.meta.mode == Mode::PicoLog;
-                let has_pi = self.dec.meta.mode.has_pi_log();
                 for ev in seg.events {
+                    if let Committer::Proc(p) = ev.committer {
+                        self.chunks_seen[p as usize] = ev.chunk_index;
+                    }
                     // Events before the window start are decoded for
                     // their counter side effects only — the replayer
                     // resumes from a snapshot past them.
-                    let skip = self.commits_seen < self.skip_until;
-                    if has_pi && !skip {
-                        self.pi.push_back(ev.committer);
-                    }
-                    match ev.committer {
-                        Committer::Proc(p) => {
-                            let pi = p as usize;
-                            self.chunks_seen[pi] = ev.chunk_index;
-                            if !skip {
-                                if let Some(size) = ev.cs_size {
-                                    self.cs[pi].push_back((ev.chunk_index, size));
-                                }
-                                if let Some((vector, payload)) = ev.interrupt {
-                                    self.irq[pi].push_back((ev.chunk_index, vector, payload));
-                                }
-                                if !ev.io_values.is_empty() {
-                                    self.io[pi].push_back((ev.chunk_index, ev.io_values));
-                                }
-                            }
-                        }
-                        Committer::Dma => {
-                            if !skip {
-                                if picolog {
-                                    self.dma_slots.push_back(
-                                        self.commits_seen.saturating_sub(self.slot_base),
-                                    );
-                                }
-                                self.dma.push_back(ev.dma_data);
-                            }
-                        }
+                    if self.commits_seen >= self.skip_until {
+                        let slot = self.commits_seen.saturating_sub(self.slot_base);
+                        self.queues.push(ev, slot);
                     }
                     self.commits_seen += 1;
                 }
@@ -2170,80 +2256,46 @@ impl<R: Read> LogSource for FileSource<R> {
     }
 
     fn pi_peek(&mut self) -> Option<Committer> {
-        while !self.eof && self.pi.is_empty() {
+        while !self.eof && self.queues.pi.is_empty() {
             self.pump();
         }
-        self.pi.front().copied()
+        self.queues.pi_peek()
     }
 
     fn forced_size(&mut self, core: u32, index: u64) -> Option<u32> {
         self.pump_until_chunk(core, index);
-        self.cs[core as usize]
-            .iter()
-            .find(|&&(i, _)| i == index)
-            .map(|&(_, s)| s)
+        self.queues.forced_size(core, index)
     }
 
     fn interrupt_at(&mut self, core: u32, index: u64) -> Option<(u16, Word)> {
         self.pump_until_chunk(core, index);
-        self.irq[core as usize]
-            .iter()
-            .find(|&&(i, _, _)| i == index)
-            .map(|&(_, v, p)| (v, p))
+        self.queues.interrupt_at(core, index)
     }
 
     fn io_value(&mut self, core: u32, index: u64, seq: u32) -> Option<Word> {
         self.pump_until_chunk(core, index);
-        self.io[core as usize]
-            .iter()
-            .find(|(i, _)| *i == index)
-            .and_then(|(_, values)| values.get(seq as usize))
-            .map(|&(_, v)| v)
+        self.queues.io_value(core, index, seq)
     }
 
     fn dma_slot_matches(&mut self, gcc: u64) -> bool {
         while !self.eof
-            && self.dma_slots.is_empty()
+            && self.queues.dma_slots.is_empty()
             && self.commits_seen.saturating_sub(self.slot_base) <= gcc
         {
             self.pump();
         }
-        self.dma_slots.front() == Some(&gcc)
+        self.queues.dma_slot_matches(gcc)
     }
 
     fn dma_next(&mut self) -> Option<Vec<(Addr, Word)>> {
-        while !self.eof && self.dma.is_empty() {
+        while !self.eof && self.queues.dma.is_empty() {
             self.pump();
         }
-        self.dma.front().cloned()
+        self.queues.dma_next()
     }
 
     fn note_commit(&mut self, committer: Committer) {
-        if self.dec.meta.mode.has_pi_log() {
-            self.pi.pop_front();
-        }
-        match committer {
-            Committer::Proc(p) => {
-                let pi = p as usize;
-                self.committed[pi] += 1;
-                let limit = self.committed[pi];
-                while self.cs[pi].front().is_some_and(|&(i, _)| i <= limit) {
-                    self.cs[pi].pop_front();
-                }
-                while self.irq[pi].front().is_some_and(|&(i, _, _)| i <= limit) {
-                    self.irq[pi].pop_front();
-                }
-                while self.io[pi].front().is_some_and(|(i, _)| *i <= limit) {
-                    self.io[pi].pop_front();
-                }
-            }
-            Committer::Dma => {
-                self.dma.pop_front();
-                if self.dec.meta.mode == Mode::PicoLog {
-                    self.dma_slots.pop_front();
-                }
-            }
-        }
+        self.queues.note_commit(committer);
     }
 
     fn finish(&mut self) -> Result<StreamTrailer, String> {
@@ -2285,10 +2337,10 @@ impl<R: Read> LogSource for FileSource<R> {
         self.dec
             .seek_to(mark.byte_offset, mark.start_gcc, &mark.start_chunks)
             .map_err(|e| e.to_string())?;
-        self.clear_queues();
+        self.queues.clear();
         self.commits_seen = mark.start_gcc;
         self.chunks_seen = mark.start_chunks.clone();
-        self.committed = mark.start_chunks;
+        self.queues.committed = mark.start_chunks;
         self.skip_until = mark.start_gcc;
         self.slot_base = mark.start_gcc;
         self.phase = None;
@@ -2679,30 +2731,20 @@ mod tests {
         sink.on_event(&bridge.convert(&proc_record(0, 2)));
         let bytes = sink.abandon().unwrap();
 
-        // Walk the raw frames to find the second event segment.
-        let meta_len = u64::from_le_bytes(le_bytes(&bytes[14..22])) as usize;
-        let mut pos = 14 + 8 + meta_len;
-        let mut bodies = Vec::new();
-        while pos < bytes.len() {
-            let body_len = u64::from_le_bytes(le_bytes(&bytes[pos + 1..pos + 9])) as usize;
-            bodies.push(&bytes[pos + 17..pos + 17 + body_len]);
-            pos += 17 + body_len;
-        }
-        assert_eq!(bodies.len(), 2);
-        let body = bodies[1];
-        let mut r = Reader::new(body);
-        r.u64("watermark").unwrap();
-        r.u64("chunks 0").unwrap();
-        r.u64("chunks 1").unwrap();
-        let count = r.u32("count").unwrap();
-        assert_eq!(count, 1);
-        let raw = delorean_compress::lz77::Decoder::new()
-            .decode_block(&body[r.pos..])
-            .expect("second segment must decode with empty history");
+        let frames = crate::recover::layout(&bytes).unwrap().segments;
+        assert_eq!(frames.len(), 2);
+        let body = &bytes[frames[1].start + SEGMENT_HEAD..frames[1].end];
         let mut counters = vec![1u64, 0];
-        let mut er = Reader::new(&raw);
-        let ev = decode_event(&mut er, Mode::OrderOnly, 2, &mut counters).unwrap();
-        assert_eq!(ev.committer, Committer::Proc(0));
-        assert_eq!(ev.chunk_index, 2);
+        let seg = decode_events(
+            body,
+            &test_meta(Mode::OrderOnly, 2),
+            &mut delorean_compress::lz77::Decoder::new(),
+            &mut counters,
+            &mut 1,
+        )
+        .expect("second segment must decode with empty history");
+        assert_eq!(seg.events.len(), 1);
+        assert_eq!(seg.events[0].committer, Committer::Proc(0));
+        assert_eq!(seg.events[0].chunk_index, 2);
     }
 }

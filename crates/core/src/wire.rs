@@ -1,6 +1,8 @@
 //! Low-level binary encoding helpers shared by the streaming log
-//! format ([`crate::stream`]) and its whole-recording façade
-//! ([`crate::serialize`]).
+//! format ([`crate::stream`]), its whole-recording façade
+//! ([`crate::serialize`]), salvage ([`crate::recover`]) and the
+//! `.dlrnx` checkpoint index ([`crate::checkpoint`]): the reader and
+//! writer, the FNV-1a hasher, and the frame and segment checksums.
 
 use crate::mode::Mode;
 use crate::serialize::DecodeError;
@@ -103,37 +105,80 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a over a byte slice — the format's corruption check.
-#[cfg(test)]
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Incremental FNV-1a, for checksumming a segment's header fields and
-/// body without concatenating them first.
-pub(crate) struct Fnv(pub(crate) u64);
+/// Incremental 64-bit FNV-1a: the checksum of every `.dlrn` and
+/// `.dlrnx` frame, the fingerprint that binds sidecars and certificates
+/// to their source stream, and the fold behind checkpoint ids.
+#[derive(Debug)]
+pub struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
+    /// FNV-1a of `bytes`, in one call.
+    pub fn of(bytes: &[u8]) -> u64 {
+        let mut f = Self::default();
+        f.update(bytes);
+        f.value()
     }
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
+
+    /// Folds in `bytes`, one byte per step.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.word(u64::from(b));
         }
     }
-    pub(crate) fn value(&self) -> u64 {
+
+    /// Folds in a whole 64-bit word in one step, as checkpoint ids do.
+    #[inline]
+    pub fn word(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// The hash of everything folded in so far.
+    pub fn value(&self) -> u64 {
         self.0
     }
 }
 
-/// A fresh incremental FNV-1a hasher.
-pub(crate) fn fnv_hasher() -> Fnv {
-    Fnv::new()
+/// A hasher at the FNV-1a offset basis.
+impl Default for Fnv {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+/// Size of the `magic u32 | version u16 | checksum u64` head that starts
+/// every `.dlrn` and `.dlrnx` frame.
+pub(crate) const FILE_HEAD: usize = 14;
+/// Size of the `kind u8 | body_len u64 | checksum u64` segment head.
+pub(crate) const SEGMENT_HEAD: usize = 17;
+
+/// Checksum of a frame body: `fnv(len ‖ body)`.
+pub(crate) fn frame_checksum(body: &[u8]) -> u64 {
+    let mut f = Fnv::default();
+    f.update(&(body.len() as u64).to_le_bytes());
+    f.update(body);
+    f.value()
+}
+
+/// Encodes `frame := magic u32 | version u16 | fnv(len ‖ body) u64 |
+/// len u64 | body`, the layout of the `.dlrn` header and of a whole
+/// `.dlrnx` file.
+pub(crate) fn frame(magic: u32, version: u16, body: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(magic);
+    w.u16(version);
+    w.u64(frame_checksum(body));
+    w.bytes(body);
+    w.buf
+}
+
+/// Checksum of a `.dlrn` segment: `fnv(kind ‖ body_len ‖ body)`.
+pub(crate) fn segment_checksum(kind: u8, body: &[u8]) -> u64 {
+    let mut f = Fnv::default();
+    f.update(&[kind]);
+    f.update(&(body.len() as u64).to_le_bytes());
+    f.update(body);
+    f.value()
 }
 
 pub(crate) fn mode_tag(m: Mode) -> u8 {
@@ -162,11 +207,15 @@ mod tests {
 
     #[test]
     fn incremental_fnv_matches_oneshot() {
+        // FNV-1a 64 reference values.
+        assert_eq!(Fnv::of(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv::of(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv::of(b"foobar"), 0x8594_4171_f739_67e8);
         let data = b"delorean streaming segments";
-        let mut inc = Fnv::new();
+        let mut inc = Fnv::default();
         inc.update(&data[..7]);
         inc.update(&data[7..]);
-        assert_eq!(inc.0, fnv(data));
+        assert_eq!(inc.value(), Fnv::of(data));
     }
 
     #[test]

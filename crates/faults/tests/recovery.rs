@@ -174,68 +174,67 @@ proptest! {
             *byte = noise.wrapping_mul(i as u64 + 1) as u8;
         }
 
-        let Ok(s) = salvage(&damaged) else {
-            // Header destroyed: a typed error, nothing to resume.
-            return;
-        };
-
-        // Loss accounting is independent of checkpoints: recovered and
-        // lost ranges must partition [1, total] exactly.
-        if let Some(total_s) = s.report.total_commits {
-            prop_assert_eq!(total_s, total);
-            let mut seen = vec![false; total_s as usize];
-            let lost_spans = s
-                .report
-                .lost
-                .iter()
-                .map(|l| (l.first, l.last.unwrap_or(total_s)));
-            let spans = s.report.recovered.iter().map(|r| (r.first, r.last));
-            for (first, last) in spans.chain(lost_spans) {
-                for g in first..=last {
-                    prop_assert!(
-                        !seen[(g - 1) as usize],
-                        "commit {g} counted twice across recovered + lost"
-                    );
-                    seen[(g - 1) as usize] = true;
+        // A destroyed header is a typed error with nothing to resume.
+        // (No early `return`: it would end the whole case loop.)
+        if let Ok(s) = salvage(&damaged) {
+            // Loss accounting is independent of checkpoints: recovered and
+            // lost ranges must partition [1, total] exactly.
+            if let Some(total_s) = s.report.total_commits {
+                prop_assert_eq!(total_s, total);
+                let mut seen = vec![false; total_s as usize];
+                let lost_spans = s
+                    .report
+                    .lost
+                    .iter()
+                    .map(|l| (l.first, l.last.unwrap_or(total_s)));
+                let spans = s.report.recovered.iter().map(|r| (r.first, r.last));
+                for (first, last) in spans.chain(lost_spans) {
+                    for g in first..=last {
+                        prop_assert!(
+                            !seen[(g - 1) as usize],
+                            "commit {g} counted twice across recovered + lost"
+                        );
+                        seen[(g - 1) as usize] = true;
+                    }
                 }
+                prop_assert!(
+                    seen.iter().all(|&m| m),
+                    "some commit is neither recovered nor reported lost"
+                );
             }
-            prop_assert!(
-                seen.iter().all(|&m| m),
-                "some commit is neither recovered nor reported lost"
-            );
-        }
 
-        for (i, r) in s.regions.iter().enumerate() {
-            // The lost range each resume bridges is reported exactly.
-            if i > 0 {
-                let prev_last = s.regions[i - 1].range.last;
-                if r.range.first > prev_last + 1 {
-                    let g = s.gap_before(i).unwrap();
-                    prop_assert_eq!(g.first, prev_last + 1);
-                    prop_assert_eq!(g.last, Some(r.range.first - 1));
+            for (i, r) in s.regions.iter().enumerate() {
+                // The lost range each resume bridges is reported exactly.
+                if i > 0 {
+                    let prev_last = s.regions[i - 1].range.last;
+                    if r.range.first > prev_last + 1 {
+                        let g = s.gap_before(i).unwrap();
+                        prop_assert_eq!(g.first, prev_last + 1);
+                        prop_assert_eq!(g.last, Some(r.range.first - 1));
+                    }
                 }
-            }
-            let boundary = r.range.first - 1;
-            match RecoveringSource::resume_from_index(&s, i, &index) {
-                Ok(src) => {
-                    let n = src.commits();
-                    prop_assert_eq!(n, r.range.last - r.range.first + 1);
-                    let insp = ReplayInspector::from_source(src).unwrap();
-                    let reached = step_exactly(insp, n);
-                    prop_assert!(
-                        reached == state_at(&recording, r.range.last),
-                        "checkpoint-resumed region {i} ({}) diverged from ground truth",
-                        r.range
-                    );
-                }
-                Err(msg) => {
-                    // A refusal is legitimate only when no checkpoint
-                    // survives exactly at the region boundary.
-                    prop_assert!(
-                        index.entries.iter().all(|e| e.gcc != boundary),
-                        "resume refused although a checkpoint survives at \
-                         commit {boundary}: {msg}"
-                    );
+                let boundary = r.range.first - 1;
+                match RecoveringSource::resume_from_index(&s, i, &index) {
+                    Ok(src) => {
+                        let n = src.commits();
+                        prop_assert_eq!(n, r.range.last - r.range.first + 1);
+                        let insp = ReplayInspector::from_source(src).unwrap();
+                        let reached = step_exactly(insp, n);
+                        prop_assert!(
+                            reached == state_at(&recording, r.range.last),
+                            "checkpoint-resumed region {i} ({}) diverged from ground truth",
+                            r.range
+                        );
+                    }
+                    Err(msg) => {
+                        // A refusal is legitimate only when no checkpoint
+                        // survives exactly at the region boundary.
+                        prop_assert!(
+                            index.entries.iter().all(|e| e.gcc != boundary),
+                            "resume refused although a checkpoint survives at \
+                             commit {boundary}: {msg}"
+                        );
+                    }
                 }
             }
         }

@@ -35,10 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use delorean::json::{self, Json};
 use delorean::stream::StreamMeta;
 use delorean::{HookStage, Mode, SubstrateEvent};
 use delorean_chunk::{Committer, RunStats, TruncationReason};
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 
 // ---------------------------------------------------------------------------
@@ -78,22 +78,6 @@ fn committer_tag(c: Committer) -> String {
         Committer::Proc(p) => format!("p{p}"),
         Committer::Dma => "dma".to_string(),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -175,7 +159,7 @@ impl<W: Write> HookStage for JsonlTracer<W> {
             meta.n_procs,
             meta.chunk_size,
             meta.budget,
-            json_escape(meta.workload.name),
+            json::escape(meta.workload.name),
             meta.app_seed,
             meta.initial_mem_hash,
             meta.interval.is_some(),
@@ -222,7 +206,7 @@ pub fn event_line(time: u64, mode: &str, ev: &SubstrateEvent) -> String {
             dma_words,
         } => format!(
             "{{\"event\":\"commit\",\"t\":{time},\"mode\":\"{}\",\"committer\":\"{}\",\"chunk\":{chunk_index},\"size\":{size},\"truncation\":\"{}\",\"slot\":{global_slot},\"interrupt\":{interrupt},\"io_loads\":{io_loads},\"dma_words\":{dma_words}}}",
-            json_escape(mode),
+            json::escape(mode),
             committer_tag(committer),
             truncation_tag(truncation),
         ),
@@ -243,240 +227,6 @@ pub fn event_line(time: u64, mode: &str, ev: &SubstrateEvent) -> String {
             "{{\"event\":\"segment_flush\",\"t\":{time},\"segments\":{segments},\"bytes\":{bytes},\"commits\":{commits}}}"
         ),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value model + parser (offline environment: no serde)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value, as produced by the trace validator's reader.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (kept as f64; trace numbers are small integers).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, key-ordered.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as u64, if this is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_lit("true").map(|()| Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false").map(|()| Json::Bool(false)),
-            Some(b'n') => self.eat_lit("null").map(|()| Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Strings arrive as valid UTF-8; copy the next char.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-}
-
-/// Parses one JSON value from `s`, requiring it to consume the whole
-/// input.
-///
-/// # Errors
-///
-/// Returns a description of the first syntax error.
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser::new(s);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at {}", p.pos));
-    }
-    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -532,17 +282,17 @@ fn err(line: u64, detail: impl Into<String>) -> TraceError {
     }
 }
 
-fn get_u64(obj: &BTreeMap<String, Json>, key: &str, line: u64) -> Result<u64, TraceError> {
+fn get_u64(obj: &Json, key: &str, line: u64) -> Result<u64, TraceError> {
     obj.get(key)
-        .and_then(Json::as_u64)
+        .and_then(Json::as_num)
+        // Not `Json::as_u64`, which stops at 2^53: seeds and budgets
+        // span the whole u64 range.
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
         .ok_or_else(|| err(line, format!("missing or non-integer field \"{key}\"")))
 }
 
-fn get_str<'j>(
-    obj: &'j BTreeMap<String, Json>,
-    key: &str,
-    line: u64,
-) -> Result<&'j str, TraceError> {
+fn get_str<'j>(obj: &'j Json, key: &str, line: u64) -> Result<&'j str, TraceError> {
     obj.get(key)
         .and_then(Json::as_str)
         .ok_or_else(|| err(line, format!("missing or non-string field \"{key}\"")))
@@ -575,9 +325,10 @@ pub fn validate<R: io::Read>(input: R) -> Result<TraceSummary, TraceError> {
         if raw.trim().is_empty() {
             return Err(err(lineno, "blank line in trace"));
         }
-        let Json::Obj(obj) = parse_json(&raw).map_err(|e| err(lineno, e))? else {
+        let obj = Json::parse(&raw).map_err(|e| err(lineno, e))?;
+        if obj.as_obj().is_none() {
             return Err(err(lineno, "line is not a JSON object"));
-        };
+        }
         if end.is_some() {
             return Err(err(lineno, "content after the \"end\" line"));
         }
@@ -800,19 +551,5 @@ mod tests {
         let e = validate(&b"{\"event\":\"begin\",\"mode\":\"order_only\",\"workload\":\"fft\",\"procs\":2,\"chunk_size\":2000,\"budget\":1,\"app_seed\":0}\nnot json\n"[..])
             .unwrap_err();
         assert_eq!(e.line, 2);
-    }
-
-    #[test]
-    fn json_parser_round_trips_escapes() {
-        let v = parse_json("{\"a\":\"x\\n\\\"y\\\"\",\"b\":[1,2.5,true,null]}").unwrap();
-        let Json::Obj(o) = v else {
-            panic!("not an object")
-        };
-        assert_eq!(o.get("a").and_then(Json::as_str), Some("x\n\"y\""));
-        let Some(Json::Arr(items)) = o.get("b") else {
-            panic!("b not an array")
-        };
-        assert_eq!(items.len(), 4);
-        assert_eq!(items[0].as_u64(), Some(1));
     }
 }

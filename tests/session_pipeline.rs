@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use delorean::{
-    serialize, FileSink, FileSource, HookStage, Machine, Mode, NoopStage, ReplayError,
+    serialize, FileSink, FileSource, Fnv, HookStage, Machine, Mode, NoopStage, ReplayError,
     SubstrateEvent,
 };
 use delorean_isa::workload;
@@ -27,17 +27,6 @@ fn machine(mode: Mode) -> Machine {
         .build()
 }
 
-/// FNV-1a, the same checksum family the wire format uses; good enough
-/// to pin a byte stream in a golden file.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Stable fingerprint of a `StateDigest`: folds every field through
 /// FNV so the golden file stays one value per line.
 fn digest_fingerprint(d: &delorean::StateDigest) -> u64 {
@@ -49,7 +38,7 @@ fn digest_fingerprint(d: &delorean::StateDigest) -> u64 {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
     }
-    fnv64(&bytes)
+    Fnv::of(&bytes)
 }
 
 fn mode_tag(mode: Mode) -> &'static str {
@@ -73,7 +62,7 @@ fn current_line(workload: &str, mode: Mode) -> String {
         "{workload} {} {:016x} {:016x} {}",
         mode_tag(mode),
         digest_fingerprint(&recording.stats.digest),
-        fnv64(&bytes),
+        Fnv::of(&bytes),
         bytes.len()
     )
 }
@@ -173,7 +162,7 @@ fn line_with_stages(workload: &str, mode: Mode, stack: &[u8]) -> String {
         "{workload} {} {:016x} {:016x} {}",
         mode_tag(mode),
         digest_fingerprint(&recording.stats.digest),
-        fnv64(&bytes),
+        Fnv::of(&bytes),
         bytes.len()
     )
 }
