@@ -17,10 +17,7 @@
 //! 3. **Log lint** ([`lint`]) — structural invariant checks over raw
 //!    `.dlrn` streams (framing, checksums, CS-size sanity, footprint
 //!    shape, DMA payload ranges, watermark and trailer consistency)
-//!    as typed [`Diagnostic`]s with severities, never panics. Also
-//!    validates `.dlrnx` checkpoint-index sidecars — schema, frame
-//!    checksums, and the fingerprint binding to their source stream
-//!    ([`validate_checkpoint_index`]).
+//!    as typed [`Diagnostic`]s with severities, never panics.
 //! 4. **Dependence analysis** ([`deps`]) — the full chunk dependence
 //!    DAG over a recording, built twice (exact line-granular
 //!    footprints vs. the hardware's aliasing-prone 2-Kbit signatures),
@@ -51,8 +48,6 @@ pub use deps::{
 pub use footprint::{
     analyze_workload, find_static_races, AbsVal, AccessSite, FootprintReport, StaticOptions,
 };
-pub use lint::{
-    lint_bytes, lint_strata, lint_stream, validate_checkpoint_index, IndexSummary, LintReport,
-};
+pub use lint::{lint_bytes, lint_strata, lint_stream, LintReport};
 pub use races::{detect_races, ChunkRace, Detector, RaceOptions, RaceReport};
 pub use report::{AnalysisReport, Diagnostic, Severity};

@@ -470,44 +470,6 @@ pub fn lint_bytes(bytes: &[u8]) -> LintReport {
     report
 }
 
-/// Summary of a validated `.dlrnx` checkpoint index.
-#[derive(Debug, Clone)]
-pub struct IndexSummary {
-    /// Checkpoint entries in the index.
-    pub entries: usize,
-    /// Commit interval the index was built with.
-    pub interval_k: u64,
-    /// Total commits in the indexed recording.
-    pub total_commits: u64,
-    /// Source stream length the index is bound to, in bytes.
-    pub source_bytes: u64,
-    /// FNV-1a fingerprint of the bound source stream.
-    pub fingerprint: u64,
-}
-
-/// Validates an encoded `.dlrnx` checkpoint index against its source
-/// `.dlrn` byte image: decodes the sidecar (magic, schema version,
-/// frame checksums, entry ordering) and binds it to the source by
-/// length and full-stream fingerprint.
-///
-/// # Errors
-///
-/// Returns the first violation rendered as a string — a tampered or
-/// source-mismatched index never degrades to a usable value, exactly
-/// like [`validate_certificate`](crate::validate_certificate) for the
-/// dependence certificate.
-pub fn validate_checkpoint_index(encoded: &[u8], source: &[u8]) -> Result<IndexSummary, String> {
-    let index = delorean::CheckpointIndex::from_bytes(encoded).map_err(|e| e.to_string())?;
-    index.validate_against(source).map_err(|e| e.to_string())?;
-    Ok(IndexSummary {
-        entries: index.entries.len(),
-        interval_k: index.interval_k,
-        total_commits: index.total_commits,
-        source_bytes: index.source_len,
-        fingerprint: index.source_fnv,
-    })
-}
-
 /// Lints a stratified PI log against the expected per-column chunk
 /// totals (processors first, DMA last — the shape
 /// [`Stratifier`](delorean::stratify::Stratifier) produces).
@@ -575,40 +537,6 @@ mod tests {
     use super::*;
     use crate::report::Severity;
     use delorean::stratify::Stratifier;
-
-    #[test]
-    fn checkpoint_index_validates_and_rejects_tampering() {
-        let machine = delorean::Machine::builder()
-            .mode(delorean::Mode::OrderOnly)
-            .procs(2)
-            .budget(1_000)
-            .chunk_size(100)
-            .build();
-        let w = delorean_isa::workload::by_name("fft").unwrap();
-        let mut sink = delorean::FileSink::with_flush_every(Vec::new(), 4);
-        machine.record_to(w, 7, &mut sink);
-        let bytes = sink.into_inner().unwrap();
-        let index = delorean::index_stream(&bytes, 8).unwrap();
-        let encoded = index.to_bytes();
-
-        let s = validate_checkpoint_index(&encoded, &bytes).unwrap();
-        assert_eq!(s.interval_k, 8);
-        assert_eq!(s.total_commits, index.total_commits);
-        assert_eq!(s.entries, index.entries.len());
-        assert_eq!(s.source_bytes, bytes.len() as u64);
-
-        // Any bit flip in the sidecar is a validation failure.
-        let mut tampered = encoded.clone();
-        let mid = tampered.len() / 2;
-        tampered[mid] ^= 0x10;
-        assert!(validate_checkpoint_index(&tampered, &bytes).is_err());
-
-        // A different source stream fails the fingerprint binding.
-        let mut other = bytes.clone();
-        let last = other.len() - 1;
-        other[last] ^= 0x01;
-        assert!(validate_checkpoint_index(&encoded, &other).is_err());
-    }
 
     #[test]
     fn garbage_header_is_flagged_not_panicked() {

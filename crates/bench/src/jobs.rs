@@ -12,7 +12,7 @@
 //!   one figure and diff it against a full-sweep baseline.
 
 use crate::record::{peak_rss_kb, BenchRecord, StageTimings};
-use delorean::{index_stream, serialize, Fnv, Machine, Mode, Recording, ReplayCursor};
+use delorean::{serialize, Fnv, Machine, Mode, Recording};
 use delorean_analyze::{deps_from_bytes, DepsOptions};
 use delorean_baselines::{run_baseline, FdrRecorder, RtrRecorder, StrataRecorder};
 use delorean_chunk::{run as chunk_run, ArbiterConfig, BulkScHooks, EngineConfig, RunStats};
@@ -47,18 +47,11 @@ pub enum Figure {
     /// Replay-parallelism characterization: available speedup and
     /// signature-aliasing noise from the chunk dependence DAG.
     Deps,
-    /// Checkpoint-seek characterization: wall-clock latency to reach
-    /// an interior commit, cold (slot-0 roll-forward, the only option
-    /// without a `.dlrnx` sidecar) vs warm (seek to the nearest
-    /// checkpoint and roll forward). Latencies are host-dependent; the
-    /// reached checkpoint ids are deterministic and cross-checked
-    /// against a slot-0 ground-truth replay.
-    Seek,
 }
 
 impl Figure {
     /// All figures, in sweep order.
-    pub const ALL: [Figure; 12] = [
+    pub const ALL: [Figure; 11] = [
         Figure::Fig06,
         Figure::Fig07,
         Figure::Fig08,
@@ -70,7 +63,6 @@ impl Figure {
         Figure::Tab06,
         Figure::Scale,
         Figure::Deps,
-        Figure::Seek,
     ];
 
     /// The id used in job identities, JSON and `--figure` arguments.
@@ -87,7 +79,6 @@ impl Figure {
             Figure::Tab06 => "tab06",
             Figure::Scale => "scale",
             Figure::Deps => "deps",
-            Figure::Seek => "seek",
         }
     }
 
@@ -137,16 +128,6 @@ pub enum JobKind {
     Rtr,
     /// Strata baseline recorder.
     Strata,
-    /// Record OrderOnly, build a `.dlrnx` checkpoint index, then time
-    /// `state_at` to the commit at `at_pct`% of the log. Cold points
-    /// degenerate the index to its slot-0 entry (a full roll-forward);
-    /// warm points seek through real interior checkpoints.
-    Seek {
-        /// Whether interior checkpoints are available for the seek.
-        warm: bool,
-        /// Seek target as a percentage of the recording's commits.
-        at_pct: u32,
-    },
 }
 
 impl JobKind {
@@ -171,9 +152,6 @@ impl JobKind {
             JobKind::Fdr => "fdr".into(),
             JobKind::Rtr => "rtr".into(),
             JobKind::Strata => "strata".into(),
-            JobKind::Seek { warm, at_pct } => {
-                format!("seek-{}@{at_pct}", if warm { "warm" } else { "cold" })
-            }
         }
     }
 }
@@ -280,9 +258,6 @@ fn figure_budget(figure: Figure, full: bool, budget_div: u64) -> u64 {
         // The dependence pass replays every recording it makes, so the
         // budget is kept small to bound the sweep's wall time.
         Figure::Deps => 4_000,
-        // Every point indexes and partially replays its recording, so
-        // the budget stays at the deps scale.
-        Figure::Seek => 4_000,
     };
     let scaled = if full { base * 5 } else { base };
     // Deliberately no clamp: an over-aggressive divisor yields a zero
@@ -437,19 +412,6 @@ pub fn enumerate_jobs(
                 for w in &catalog {
                     for procs in [4, 8, 16] {
                         jobs.push(job(w, JobKind::Record(Mode::OrderOnly), procs, 500, 0));
-                    }
-                }
-            }
-            Figure::Seek => {
-                // Cold and warm share the spec-derived seed, so each
-                // pair seeks into the identical recording; small chunks
-                // give the interval index enough commits to matter at
-                // the reduced budget.
-                for w in ["fft", "lu"] {
-                    for at_pct in [25, 50, 90] {
-                        for warm in [false, true] {
-                            jobs.push(job(w, JobKind::Seek { warm, at_pct }, 8, 500, 0));
-                        }
                     }
                 }
             }
@@ -642,60 +604,6 @@ pub fn run_job(spec: &JobSpec) -> BenchRecord {
             record
                 .extra
                 .push(("strat_pi_ratio".into(), strat as f64 / plain as f64));
-        }
-        JobKind::Seek { warm, at_pct } => {
-            let machine = build_machine(spec, Mode::OrderOnly);
-            let t = Instant::now();
-            let rec = machine.record(w, seed);
-            record.timings.record_ms = ms(t);
-            absorb_stats(&mut record, &rec.stats);
-            measure_logs(&mut record, &rec);
-            let bytes = serialize::to_bytes(&rec);
-            let total = rec.stats.total_commits;
-            let target = (total * u64::from(at_pct) / 100).max(1);
-            // Cold points get an index whose only entry is slot 0 (the
-            // interval exceeds the log), so `state_at` degenerates to
-            // the full roll-forward a sidecar-less replay would do;
-            // warm points get interior checkpoints every eighth of the
-            // log. Index and cursor construction — including the
-            // fingerprint scan — sit outside the timed region: both
-            // variants pay them identically, so the latency isolates
-            // the roll-forward work the checkpoints save.
-            let interval = if warm { (total / 8).max(1) } else { total + 1 };
-            let seek = index_stream(&bytes, interval)
-                .map_err(|e| e.to_string())
-                .and_then(|index| {
-                    ReplayCursor::open(std::io::Cursor::new(&bytes[..]), index)
-                        .map_err(|e| e.to_string())
-                })
-                .and_then(|mut cursor| {
-                    let checkpoints = cursor.index().entries.len();
-                    let t = Instant::now();
-                    let ck = machine
-                        .state_at(&mut cursor, target)
-                        .map_err(|e| e.to_string())?;
-                    Ok((ms(t), checkpoints, ck))
-                });
-            record.replays = 1;
-            match seek {
-                Ok((latency, checkpoints, ck)) => {
-                    record.timings.replay_ms = latency;
-                    // The reached state must match a slot-0 ground-truth
-                    // replay; a divergence is a regression surfaced
-                    // through the gated `replay_deterministic` field.
-                    record.replay_deterministic = rec
-                        .checkpoint_at(target)
-                        .is_ok_and(|truth| truth.id() == ck.id());
-                    record.extra.push(("seek_gcc".into(), target as f64));
-                    record
-                        .extra
-                        .push(("seek_checkpoints".into(), checkpoints as f64));
-                    record
-                        .extra
-                        .push(("seek_interval_k".into(), interval as f64));
-                }
-                Err(_) => record.replay_deterministic = false,
-            }
         }
         JobKind::Fdr | JobKind::Rtr | JobKind::Strata => {
             let t = Instant::now();

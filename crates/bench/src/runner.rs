@@ -666,39 +666,6 @@ fn summarize(figures: &[Figure], records: &[BenchRecord]) -> Vec<FigureSummary> 
                     ),
                 );
             }
-            Figure::Seek => {
-                // Seek latency to an interior commit, cold (slot-0
-                // roll-forward) vs warm (checkpoint seek). Latencies are
-                // wall-clock (host-dependent, volatile); the speedup
-                // ratio is the figure's headline.
-                let by = |tag: &str, pct: u32| -> Vec<&BenchRecord> {
-                    recs.iter()
-                        .filter(|r| r.mode == format!("seek-{tag}@{pct}"))
-                        .copied()
-                        .collect()
-                };
-                for pct in [25u32, 50, 90] {
-                    let cold = by("cold", pct);
-                    let warm = by("warm", pct);
-                    push(
-                        &format!("cold_seek_ms_gm_at{pct}"),
-                        gm(&cold.iter().map(|r| r.timings.replay_ms).collect::<Vec<_>>()),
-                    );
-                    push(
-                        &format!("warm_seek_ms_gm_at{pct}"),
-                        gm(&warm.iter().map(|r| r.timings.replay_ms).collect::<Vec<_>>()),
-                    );
-                    let speedup: Vec<f64> = warm
-                        .iter()
-                        .filter_map(|r| {
-                            let base = cold.iter().find(|b| b.workload == r.workload)?;
-                            (r.timings.replay_ms > 0.0)
-                                .then(|| base.timings.replay_ms / r.timings.replay_ms)
-                        })
-                        .collect();
-                    push(&format!("warm_seek_speedup_at{pct}"), gm(&speedup));
-                }
-            }
             Figure::Tab06 => {
                 let pl = sp2_recs("picolog", 1_000);
                 for (key, name) in [

@@ -53,7 +53,6 @@ usage:
   delorean analyze <file> [--json] [--skip static|races|lint]... [--max-examples N]
                   [--deps] [--cert PATH]
   delorean analyze <file> --check-cert PATH
-  delorean analyze <file> --check-index PATH
   delorean analyze --trace PATH [--json]
   delorean bench [--figure figNN]... [--json PATH] [--jobs N] [--full]
                  [--baseline PATH] [--tolerance PCT] [--seed N]
@@ -90,7 +89,7 @@ const COMMANDS: &[(&str, &str, &str, Handler)] = &[
     (
         "analyze",
         "--json --deps",
-        "--skip --max-examples --cert --check-cert --check-index --trace",
+        "--skip --max-examples --cert --check-cert --trace",
         cmd_analyze,
     ),
     (
@@ -276,7 +275,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     println!("chunk size  : {}", r.chunk_size);
     println!("budget      : {} instructions/processor", r.budget);
     println!("arbiter     : {}", r.arbiter);
-    println!("checkpoint  : {:#018x}", r.checkpoint.id());
+    println!("checkpoint  : {:#018x}", r.checkpoint_id());
     let s = r.memory_ordering_sizes();
     println!(
         "PI log      : {} entries, {} bits raw / {} compressed",
@@ -375,12 +374,18 @@ fn cmd_checkpoint(args: &Args) -> Result<ExitCode, String> {
     let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
     if let Some(xpath) = args.get("--check") {
         let encoded = std::fs::read(&xpath).map_err(|e| format!("reading {xpath}: {e}"))?;
-        return match delorean_analyze::validate_checkpoint_index(&encoded, &bytes) {
-            Ok(s) => {
+        let index = delorean::CheckpointIndex::from_bytes(&encoded)
+            .and_then(|index| index.validate_against(&bytes).map(|()| index));
+        return match index {
+            Ok(x) => {
                 println!(
                     "checkpoint index OK: {} checkpoint(s) every {} commit(s) over {} commits, \
                      bound to {path} ({} bytes, fingerprint {:#018x})",
-                    s.entries, s.interval_k, s.total_commits, s.source_bytes, s.fingerprint
+                    x.entries.len(),
+                    x.interval_k,
+                    x.total_commits,
+                    x.source_len,
+                    x.source_fnv
                 );
                 Ok(ExitCode::SUCCESS)
             }
@@ -617,27 +622,6 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     let skip = |pass: &str| skip.iter().any(|s| s == pass);
     let max_examples = args.num("--max-examples")?.map(|n| n as usize);
     let deps_requested = args.has("--deps") || args.get("--cert").is_some();
-
-    // `--check-index` is a standalone verb: validate an existing
-    // `.dlrnx` checkpoint index against this stream and exit.
-    if let Some(xpath) = args.get("--check-index") {
-        let encoded = std::fs::read(&xpath).map_err(|e| format!("reading {xpath}: {e}"))?;
-        let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        return match delorean_analyze::validate_checkpoint_index(&encoded, &bytes) {
-            Ok(s) => {
-                println!(
-                    "checkpoint index OK: {} checkpoint(s) every {} commit(s) over {} commits, \
-                     bound to {path} ({} bytes, fingerprint {:#018x})",
-                    s.entries, s.interval_k, s.total_commits, s.source_bytes, s.fingerprint
-                );
-                Ok(ExitCode::SUCCESS)
-            }
-            Err(e) => {
-                println!("checkpoint index INVALID: {e}");
-                Ok(ExitCode::FAILURE)
-            }
-        };
-    }
 
     // `--check-cert` is a standalone verb: validate an existing
     // certificate against this stream and exit.

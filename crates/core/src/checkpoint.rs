@@ -1,77 +1,26 @@
-//! System checkpointing.
+//! System checkpoints and seekable replay.
 //!
 //! The paper assumes an existing checkpointing substrate (ReVive or
 //! SafetyNet) and explicitly does not focus on it: a recorded interval
 //! starts at a system checkpoint, and replay restores that checkpoint
-//! before consuming the logs. In this reproduction every recording
-//! interval starts at the canonical initial state of the run (zeroed
-//! memory, reset register files, program entry points), so a checkpoint
-//! is the *description* of that state: the workload, its seed and the
-//! machine shape. The replayer restores it by reconstructing the same
-//! initial state, and [`SystemCheckpoint::id`] gives a content hash for
-//! integrity checks.
+//! before consuming the logs. A whole-execution recording starts at
+//! the canonical initial state of the run (zeroed memory, reset
+//! register files, program entry points), identified by
+//! [`Recording::checkpoint_id`](crate::Recording::checkpoint_id). A
+//! mid-execution checkpoint is the full architectural state at a
+//! chunk-commit boundary: an [`IntervalCheckpoint`] starts a new
+//! recording interval, and the [`CheckpointEntry`]s of a `.dlrnx`
+//! [`CheckpointIndex`] let a [`ReplayCursor`] seek inside a recording.
 
+use crate::error::ReplayError;
 use crate::inspect::ReplayInspector;
 use crate::mode::Mode;
-use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource};
+use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource, SegmentMark};
 use crate::wire::{frame, frame_checksum, mode_from, mode_tag, Fnv, Reader, Writer};
 use delorean_chunk::StartState;
 use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::WorkloadSpec;
-use delorean_mem::Memory;
 use std::io::{Read, Seek, SeekFrom};
-
-/// The state description a recording interval starts from.
-///
-/// # Examples
-///
-/// ```
-/// use delorean::checkpoint::SystemCheckpoint;
-/// use delorean_isa::workload;
-/// let a = SystemCheckpoint::initial(workload::by_name("fft").unwrap(), 4, 7);
-/// let b = SystemCheckpoint::initial(workload::by_name("fft").unwrap(), 4, 7);
-/// assert_eq!(a.id(), b.id());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemCheckpoint {
-    /// Name of the workload whose programs define the initial PCs.
-    pub workload_name: String,
-    /// Processors in the machine.
-    pub n_procs: u32,
-    /// Program-generation seed.
-    pub app_seed: u64,
-    /// Content hash of the initial memory image.
-    pub initial_mem_hash: u64,
-}
-
-impl SystemCheckpoint {
-    /// Captures the initial state of a run.
-    pub fn initial(workload: &WorkloadSpec, n_procs: u32, app_seed: u64) -> Self {
-        let map = AddressMap::new(n_procs);
-        let mem = Memory::new(map.total_words());
-        Self {
-            workload_name: workload.name.to_string(),
-            n_procs,
-            app_seed,
-            initial_mem_hash: mem.content_hash(),
-        }
-    }
-
-    /// Content-derived identifier.
-    pub fn id(&self) -> u64 {
-        let mut h = Fnv::default();
-        h.update(self.workload_name.as_bytes());
-        h.word(u64::from(self.n_procs));
-        h.word(self.app_seed);
-        h.word(self.initial_mem_hash);
-        h.value()
-    }
-
-    /// Whether a replaying machine can restore this checkpoint.
-    pub fn compatible_with(&self, workload: &WorkloadSpec, n_procs: u32, app_seed: u64) -> bool {
-        self.workload_name == workload.name && self.n_procs == n_procs && self.app_seed == app_seed
-    }
-}
 
 /// A *mid-execution* system checkpoint: the full architectural state at
 /// a Global Commit Count, from which a new recording interval can start
@@ -129,35 +78,22 @@ pub(crate) const MAGIC_X: u32 = 0x444c_5258;
 /// Sidecar index format version.
 pub(crate) const VERSION_X: u16 = 1;
 
-/// Full replay state at a chunk-commit boundary: the architectural
-/// [`StartState`] plus the replay-control state (PicoLog round-robin
-/// phase) a mid-stream window needs to resume deterministically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Snapshot {
-    /// Global commit count the snapshot was taken at (commits done).
-    pub gcc: u64,
-    /// PicoLog round-robin cursor at this point (0 under PI modes).
-    pub rr_cursor: u32,
-    /// Architectural state: memory image, register files, chunk counts.
-    pub state: StartState,
-}
-
-/// One checkpoint in a [`CheckpointIndex`]: a [`Snapshot`] plus the
-/// stream coordinates needed to seek a [`FileSource`] to the segment
-/// containing the first commit after it.
+/// The full replay state at a chunk-commit boundary, and where in the
+/// `.dlrn` stream a replay resumes from it: the one resumable snapshot
+/// type, stored in a [`CheckpointIndex`] and produced by
+/// [`ReplayCursor::seek`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointEntry {
     /// Global commit count of the checkpoint (commits done).
     pub gcc: u64,
-    /// PicoLog round-robin cursor the window resumes at.
+    /// PicoLog round-robin cursor the window resumes at (0 under PI
+    /// modes).
     pub rr_cursor: u32,
-    /// Byte offset of the containing event segment's frame.
-    pub seg_byte_offset: u64,
-    /// Global commit count at the start of that segment.
-    pub seg_start_gcc: u64,
-    /// Per-processor chunk counters at the start of that segment.
-    pub seg_start_chunks: Vec<u64>,
-    /// Architectural state at the checkpoint.
+    /// The last event segment starting at or before the checkpoint:
+    /// a resumed replay decodes from there and skips the commits before
+    /// `gcc`.
+    pub segment: SegmentMark,
+    /// Architectural state: memory image, register files, chunk counts.
     pub state: StartState,
 }
 
@@ -239,23 +175,54 @@ impl CheckpointIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::SourceMismatch`] when the stream's
-    /// length or fingerprint differs from the one the index was built
-    /// over.
+    /// Returns [`CheckpointError::SourceMismatch`] when the stream is
+    /// not the one the index was built over (see [`ReplayCursor::open`]).
     pub fn validate_against(&self, source: &[u8]) -> Result<(), CheckpointError> {
-        if source.len() as u64 != self.source_len {
+        self.bind(std::io::Cursor::new(source)).map(drop)
+    }
+
+    /// Opens `reader` for seeking once it is shown to hold the stream
+    /// this index was built over: the same length and fingerprint (one
+    /// full sequential read, then a rewind), then the same mode and
+    /// processor count in its header.
+    fn bind<R: Read + Seek>(&self, mut reader: R) -> Result<FileSource<R>, CheckpointError> {
+        let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
+        reader.seek(SeekFrom::Start(0)).map_err(io)?;
+        let mut f = Fnv::default();
+        let mut len = 0u64;
+        let mut buf = [0u8; 8192];
+        loop {
+            let n = reader.read(&mut buf).map_err(io)?;
+            if n == 0 {
+                break;
+            }
+            f.update(&buf[..n]);
+            len += n as u64;
+        }
+        if len != self.source_len {
             return Err(CheckpointError::SourceMismatch(format!(
-                "stream is {} bytes, index was built over {}",
-                source.len(),
+                "stream is {len} bytes, index was built over {}",
                 self.source_len
             )));
         }
-        if Fnv::of(source) != self.source_fnv {
+        if f.value() != self.source_fnv {
             return Err(CheckpointError::SourceMismatch(
                 "stream fingerprint differs".to_string(),
             ));
         }
-        Ok(())
+        reader.seek(SeekFrom::Start(0)).map_err(io)?;
+        let source = FileSource::open_seekable(reader)
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        if source.mode() != self.mode || source.n_procs() != self.n_procs {
+            return Err(CheckpointError::SourceMismatch(format!(
+                "stream was recorded in {} mode on {} processors, index describes {} mode on {}",
+                source.mode(),
+                source.n_procs(),
+                self.mode,
+                self.n_procs
+            )));
+        }
+        Ok(source)
     }
 
     /// Serializes the index into the framed, checksummed `.dlrnx`
@@ -273,9 +240,9 @@ impl CheckpointIndex {
             let mut ew = Writer::new();
             ew.u64(e.gcc);
             ew.u32(e.rr_cursor);
-            ew.u64(e.seg_byte_offset);
-            ew.u64(e.seg_start_gcc);
-            for &c in &e.seg_start_chunks {
+            ew.u64(e.segment.byte_offset);
+            ew.u64(e.segment.start_gcc);
+            for &c in &e.segment.start_chunks {
                 ew.u64(c);
             }
             encode_start_state(&mut ew, &e.state);
@@ -290,7 +257,9 @@ impl CheckpointIndex {
     /// # Errors
     ///
     /// Returns a typed [`CheckpointError`] for bad magic, version,
-    /// checksum, truncation, or structural inconsistencies. Tampered
+    /// checksum, truncation, or structural inconsistencies — among them
+    /// a processor count outside `1..=`[`MAX_PROCS`](crate::MAX_PROCS)
+    /// and a memory image of the wrong size for the machine. Tampered
     /// bytes never yield a usable index.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::new(bytes);
@@ -327,6 +296,13 @@ impl CheckpointIndex {
         let mode = mode_from(b.u8("mode").map_err(trunc)?)
             .map_err(|_| CheckpointError::Malformed("unknown mode tag".to_string()))?;
         let n_procs = b.u32("processor count").map_err(trunc)?;
+        if delorean_sim::validate_procs(n_procs).is_err() {
+            return Err(CheckpointError::Malformed(format!(
+                "processor count {n_procs} is outside 1..={}",
+                delorean_sim::MAX_PROCS
+            )));
+        }
+        let words = AddressMap::new(n_procs).total_words();
         let interval_k = b.u64("checkpoint interval").map_err(trunc)?;
         let total_commits = b.u64("total commits").map_err(trunc)?;
         let n_entries = b.u64("entry count").map_err(trunc)?;
@@ -342,11 +318,11 @@ impl CheckpointIndex {
             let mut er = Reader::new(eb);
             let gcc = er.u64("entry commit").map_err(trunc)?;
             let rr_cursor = er.u32("entry phase").map_err(trunc)?;
-            let seg_byte_offset = er.u64("entry segment offset").map_err(trunc)?;
-            let seg_start_gcc = er.u64("entry segment commit").map_err(trunc)?;
-            let mut seg_start_chunks = Vec::with_capacity(n_procs as usize);
+            let byte_offset = er.u64("entry segment offset").map_err(trunc)?;
+            let start_gcc = er.u64("entry segment commit").map_err(trunc)?;
+            let mut start_chunks = Vec::with_capacity(n_procs as usize);
             for _ in 0..n_procs {
-                seg_start_chunks.push(er.u64("entry segment chunks").map_err(trunc)?);
+                start_chunks.push(er.u64("entry segment chunks").map_err(trunc)?);
             }
             let state = decode_start_state(&mut er, n_procs)
                 .map_err(|e| CheckpointError::Malformed(format!("entry state: {e}")))?;
@@ -355,12 +331,21 @@ impl CheckpointIndex {
                     "trailing bytes after entry state".to_string(),
                 ));
             }
+            if state.memory.len() as u64 != words {
+                return Err(CheckpointError::Malformed(format!(
+                    "entry at commit {gcc} holds a {}-word memory image, a {n_procs}-processor \
+                     machine has {words}",
+                    state.memory.len()
+                )));
+            }
             entries.push(CheckpointEntry {
                 gcc,
                 rr_cursor,
-                seg_byte_offset,
-                seg_start_gcc,
-                seg_start_chunks,
+                segment: SegmentMark {
+                    byte_offset,
+                    start_gcc,
+                    start_chunks,
+                },
                 state,
             });
         }
@@ -403,47 +388,35 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
     }
     let mut src = FileSource::open(bytes).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
     let (mode, n_procs) = (src.mode(), src.n_procs());
+    // (commit, PicoLog phase, state) at each checkpoint.
     let mut snaps = Vec::new();
     {
         let mut ins = ReplayInspector::from_source(&mut src)
             .map_err(|e| CheckpointError::Malformed(e.detail))?;
-        snaps.push(Snapshot {
-            gcc: 0,
-            rr_cursor: ins.rr_phase(),
-            state: ins.capture(),
-        });
-        loop {
-            match ins.step() {
-                Ok(Some(ev)) => {
-                    if ev.gcc % interval_k == 0 {
-                        snaps.push(Snapshot {
-                            gcc: ev.gcc,
-                            rr_cursor: ins.rr_phase(),
-                            state: ins.capture(),
-                        });
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => return Err(CheckpointError::Malformed(e.detail)),
+        snaps.push((0, ins.rr_phase(), ins.capture()));
+        while let Some(ev) = ins
+            .step()
+            .map_err(|e| CheckpointError::Malformed(e.detail))?
+        {
+            if ev.gcc % interval_k == 0 {
+                snaps.push((ev.gcc, ins.rr_phase(), ins.capture()));
             }
         }
     }
     let trailer = src.finish().map_err(CheckpointError::Malformed)?;
-    let marks = src.segment_marks();
-    let mut entries = Vec::new();
-    for snap in snaps {
-        let Some(mark) = marks.iter().rev().find(|m| m.start_gcc <= snap.gcc) else {
-            continue;
-        };
-        entries.push(CheckpointEntry {
-            gcc: snap.gcc,
-            rr_cursor: snap.rr_cursor,
-            seg_byte_offset: mark.byte_offset,
-            seg_start_gcc: mark.start_gcc,
-            seg_start_chunks: mark.start_chunks.clone(),
-            state: snap.state,
-        });
-    }
+    // Segments are looked up only once the whole stream is decoded, so
+    // a checkpoint at a segment boundary names the segment starting there.
+    let entries = snaps
+        .into_iter()
+        .filter_map(|(gcc, rr_cursor, state)| {
+            Some(CheckpointEntry {
+                gcc,
+                rr_cursor,
+                segment: src.segment_at(gcc)?.clone(),
+                state,
+            })
+        })
+        .collect();
     Ok(CheckpointIndex {
         source_len: bytes.len() as u64,
         source_fnv: Fnv::of(bytes),
@@ -460,8 +433,8 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
 /// [`FileSource`] so segment checksums verified once are never
 /// re-verified when later windows re-read them.
 pub struct ReplayCursor<R: Read + Seek> {
-    source: FileSource<R>,
-    index: CheckpointIndex,
+    pub(crate) source: FileSource<R>,
+    pub(crate) index: CheckpointIndex,
 }
 
 impl<R: Read + Seek> std::fmt::Debug for ReplayCursor<R> {
@@ -475,47 +448,16 @@ impl<R: Read + Seek> std::fmt::Debug for ReplayCursor<R> {
 
 impl<R: Read + Seek> ReplayCursor<R> {
     /// Opens a cursor over `reader`, verifying the stream against the
-    /// index fingerprint first (one full sequential read, then a
-    /// rewind).
+    /// index first.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::SourceMismatch`] when the stream is
-    /// not the recording the index was built over, and I/O or decode
+    /// not the recording the index was built over — a different length,
+    /// fingerprint, mode or processor count — and I/O or decode
     /// failures as their typed variants.
-    pub fn open(mut reader: R, index: CheckpointIndex) -> Result<Self, CheckpointError> {
-        reader
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let mut f = Fnv::default();
-        let mut len = 0u64;
-        let mut buf = [0u8; 8192];
-        loop {
-            let n = reader
-                .read(&mut buf)
-                .map_err(|e| CheckpointError::Io(e.to_string()))?;
-            if n == 0 {
-                break;
-            }
-            f.update(&buf[..n]);
-            len += n as u64;
-        }
-        if len != index.source_len {
-            return Err(CheckpointError::SourceMismatch(format!(
-                "stream is {len} bytes, index was built over {}",
-                index.source_len
-            )));
-        }
-        if f.value() != index.source_fnv {
-            return Err(CheckpointError::SourceMismatch(
-                "stream fingerprint differs".to_string(),
-            ));
-        }
-        reader
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let source = FileSource::open_seekable(reader)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+    pub fn open(reader: R, index: CheckpointIndex) -> Result<Self, CheckpointError> {
+        let source = index.bind(reader)?;
         Ok(Self { source, index })
     }
 
@@ -524,32 +466,42 @@ impl<R: Read + Seek> ReplayCursor<R> {
         &self.index
     }
 
-    /// Seeks the underlying source to the nearest checkpoint at or
-    /// before `gcc` and returns it along with the commit count the
-    /// window actually starts at (the checkpoint's, not `gcc`).
+    /// The checkpoint at commit `gcc`: restores the nearest indexed
+    /// checkpoint at or before it and rolls the stream forward to `gcc`
+    /// on the software inspector.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Io`] when repositioning fails. With
-    /// no usable checkpoint (an index over an event-free stream) the
-    /// cursor rewinds to the start of the log — the log head is by
-    /// definition a checkpoint at commit 0.
-    pub fn source_at(&mut self, gcc: u64) -> Result<(&mut FileSource<R>, u64), CheckpointError> {
-        let start = match self.index.entries.iter().rev().find(|e| e.gcc <= gcc) {
-            Some(entry) => {
-                self.source
-                    .seek_to_checkpoint(entry)
-                    .map_err(|e| CheckpointError::Io(e.to_string()))?;
-                entry.gcc
-            }
-            None => {
-                self.source
-                    .seek_to_segment(0)
-                    .map_err(CheckpointError::Io)?;
-                0
-            }
+    /// Returns [`ReplayError::Diverged`] when the recording ends before
+    /// `gcc` or its logs are inconsistent, and [`ReplayError::Source`]
+    /// when the index holds no checkpoint at or before `gcc` or the
+    /// stream cannot be repositioned.
+    pub fn seek(&mut self, gcc: u64) -> Result<CheckpointEntry, ReplayError> {
+        let Some(entry) = self.index.nearest_at_or_before(gcc) else {
+            return Err(ReplayError::Source {
+                detail: format!("checkpoint index holds no checkpoint at or before commit {gcc}"),
+            });
         };
-        Ok((&mut self.source, start))
+        self.source
+            .seek_to(entry)
+            .map_err(|e| ReplayError::Source {
+                detail: e.to_string(),
+            })?;
+        let mut ins = ReplayInspector::from_source(&mut self.source)?;
+        while ins.step_to(entry.gcc, gcc)?.is_some() {}
+        let (rr_cursor, state) = (ins.rr_phase(), ins.capture());
+        // A restore that stepped no commit may have decoded no segment.
+        let segment = self
+            .source
+            .segment_at(gcc)
+            .unwrap_or(&entry.segment)
+            .clone();
+        Ok(CheckpointEntry {
+            gcc,
+            rr_cursor,
+            segment,
+            state,
+        })
     }
 }
 
@@ -559,29 +511,23 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+    use crate::{Machine, Mode};
     use delorean_isa::workload;
+    use std::io::Cursor;
 
     #[test]
     fn ids_distinguish_runs() {
-        let fft = workload::by_name("fft").unwrap();
-        let lu = workload::by_name("lu").unwrap();
-        let a = SystemCheckpoint::initial(fft, 4, 7);
-        assert_ne!(a.id(), SystemCheckpoint::initial(lu, 4, 7).id());
-        assert_ne!(a.id(), SystemCheckpoint::initial(fft, 8, 7).id());
-        assert_ne!(a.id(), SystemCheckpoint::initial(fft, 4, 8).id());
+        let id = |app: &str, procs: u32, seed: u64| {
+            let m = Machine::builder().procs(procs).budget(500).build();
+            m.record(workload::by_name(app).unwrap(), seed)
+                .checkpoint_id()
+        };
+        let a = id("fft", 4, 7);
+        assert_eq!(a, id("fft", 4, 7));
+        assert_ne!(a, id("lu", 4, 7));
+        assert_ne!(a, id("fft", 8, 7));
+        assert_ne!(a, id("fft", 4, 8));
     }
-
-    #[test]
-    fn compatibility_checks_shape() {
-        let fft = workload::by_name("fft").unwrap();
-        let ck = SystemCheckpoint::initial(fft, 4, 7);
-        assert!(ck.compatible_with(fft, 4, 7));
-        assert!(!ck.compatible_with(fft, 8, 7));
-        assert!(!ck.compatible_with(workload::by_name("lu").unwrap(), 4, 7));
-    }
-
-    use crate::{Machine, Mode};
-    use std::io::Cursor;
 
     fn machine(mode: Mode, procs: u32) -> Machine {
         Machine::builder()
@@ -710,6 +656,14 @@ mod tests {
             assert_eq!(fast.gcc, slow.gcc);
         }
         assert!(m.state_at(&mut cursor, total + 1).is_err());
+        assert!(matches!(
+            machine(Mode::OrderOnly, 4).state_at(&mut cursor, 1),
+            Err(ReplayError::ModeMismatch { .. })
+        ));
+        assert!(matches!(
+            machine(Mode::PicoLog, 2).state_at(&mut cursor, 1),
+            Err(ReplayError::MachineMismatch { .. })
+        ));
     }
 
     #[test]
@@ -720,13 +674,66 @@ mod tests {
         let total = index.total_commits;
         let mut cursor = ReplayCursor::open(Cursor::new(bytes), index).unwrap();
         m.replay_window(&mut cursor, 0, None).unwrap();
-        let after_first = cursor.source_at(0).unwrap().0.checksums_verified();
+        let after_first = cursor.source.checksums_verified();
         m.replay_window(&mut cursor, total / 2, None).unwrap();
         m.replay_window(&mut cursor, 0, None).unwrap();
-        let after_rereads = cursor.source_at(0).unwrap().0.checksums_verified();
+        let after_rereads = cursor.source.checksums_verified();
         assert_eq!(
             after_first, after_rereads,
             "re-reading seeked windows must not re-verify checksums"
         );
+    }
+
+    // The `.dlrnx` checksums catch accidents, not forgery: the three
+    // indexes below are re-encoded with valid checksums.
+
+    #[test]
+    fn forged_processor_counts_are_malformed() {
+        let bytes = stream_bytes(&machine(Mode::OrderOnly, 3), "lu");
+        let mut index = index_stream(&bytes, 16).unwrap();
+        for n_procs in [u32::MAX, delorean_sim::MAX_PROCS + 1, 0] {
+            index.n_procs = n_procs;
+            assert!(
+                matches!(
+                    CheckpointIndex::from_bytes(&index.to_bytes()),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{n_procs} processors"
+            );
+        }
+    }
+
+    #[test]
+    fn cursor_rejects_an_index_of_another_shape() {
+        let lu3 = stream_bytes(&machine(Mode::OrderOnly, 3), "lu");
+        let lu4 = stream_bytes(&machine(Mode::OrderOnly, 4), "lu");
+        let pico4 = stream_bytes(&machine(Mode::PicoLog, 4), "lu");
+        for (indexed, other) in [(&lu3, &lu4), (&lu4, &pico4)] {
+            let mut index = index_stream(indexed, 16).unwrap();
+            index.source_len = other.len() as u64;
+            index.source_fnv = Fnv::of(other);
+            let index = CheckpointIndex::from_bytes(&index.to_bytes()).unwrap();
+            assert!(matches!(
+                index.validate_against(other),
+                Err(CheckpointError::SourceMismatch(_))
+            ));
+            assert!(matches!(
+                ReplayCursor::open(Cursor::new(other.clone()), index),
+                Err(CheckpointError::SourceMismatch(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn cut_memory_images_are_malformed() {
+        let bytes = stream_bytes(&machine(Mode::OrderOnly, 4), "lu");
+        let mut index = index_stream(&bytes, 16).unwrap();
+        for e in &mut index.entries {
+            e.state.memory.truncate(10);
+        }
+        assert!(matches!(
+            CheckpointIndex::from_bytes(&index.to_bytes()),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 }

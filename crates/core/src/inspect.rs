@@ -38,6 +38,7 @@
 //! assert!(report.matches_recording);
 //! ```
 
+use crate::error::ReplayError;
 use crate::machine::Recording;
 use crate::mode::Mode;
 use crate::stream::{LogSource, MemorySource};
@@ -159,6 +160,14 @@ impl core::fmt::Display for InspectError {
 }
 
 impl std::error::Error for InspectError {}
+
+impl From<InspectError> for ReplayError {
+    fn from(e: InspectError) -> Self {
+        ReplayError::Diverged {
+            detail: e.to_string(),
+        }
+    }
+}
 
 /// Result of replaying a recording to completion in software.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -497,6 +506,30 @@ impl<S: LogSource> ReplayInspector<S> {
                 }
                 Ok(Some(event))
             }
+        }
+    }
+
+    /// Replays the next commit on the way to commit `target`, counting
+    /// from commit `start`, the one this inspector began at. Returns
+    /// `None` once `target` is reached — the one roll-forward behind
+    /// checkpoints, seeks and bounded windows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReplayError::Diverged`] when the recording ends before
+    /// `target` or its logs are inconsistent with the execution.
+    pub fn step_to(&mut self, start: u64, target: u64) -> Result<Option<CommitEvent>, ReplayError> {
+        if start + self.gcc >= target {
+            return Ok(None);
+        }
+        match self.step()? {
+            Some(ev) => Ok(Some(ev)),
+            None => Err(ReplayError::Diverged {
+                detail: format!(
+                    "recording has only {} commits, cannot checkpoint at {target}",
+                    start + self.gcc
+                ),
+            }),
         }
     }
 

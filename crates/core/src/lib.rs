@@ -65,7 +65,7 @@ mod wire;
 
 pub use checkpoint::{
     index_stream, CheckpointEntry, CheckpointError, CheckpointIndex, IntervalCheckpoint,
-    ReplayCursor, Snapshot, SystemCheckpoint,
+    ReplayCursor,
 };
 pub use error::ReplayError;
 pub use machine::{Machine, MachineBuilder, Recording, ReplayReport};

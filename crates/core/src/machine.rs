@@ -1,13 +1,15 @@
 //! The top-level record/replay API.
 
-use crate::checkpoint::{IntervalCheckpoint, ReplayCursor, SystemCheckpoint};
+use crate::checkpoint::{IntervalCheckpoint, ReplayCursor};
 use crate::error::ReplayError;
+use crate::inspect::ReplayInspector;
 use crate::log::MemoryOrderingSizes;
 use crate::mode::Mode;
 use crate::recorder::LogSet;
-use crate::session::Session;
+use crate::session::{checked_meta, Session};
 use crate::stratify::{StratifiedPiLog, Stratifier};
 use crate::stream::{LogSink, LogSource, MemorySink, MemorySource};
+use crate::wire::Fnv;
 use delorean_chunk::{
     ArbiterConfig, Committer, DeviceConfig, EngineConfig, RunStats, StartState, StateDigest,
     SubstrateFaultConfig,
@@ -16,8 +18,9 @@ use delorean_isa::workload::{WorkloadKind, WorkloadSpec};
 use delorean_sim::RunSpec;
 
 /// A complete DeLorean recording: the memory-ordering log (PI + CS),
-/// the input logs, the starting checkpoint and the recorded run's
-/// statistics (whose digest is the determinism reference).
+/// the input logs, what identifies the starting checkpoint and the
+/// recorded run's statistics (whose digest is the determinism
+/// reference).
 #[derive(Debug, Clone)]
 pub struct Recording {
     /// Mode the recording was made in.
@@ -37,8 +40,8 @@ pub struct Recording {
     /// Commit-arbitration topology the recording was made under
     /// (replay always re-serializes through the global arbiter).
     pub arbiter: ArbiterConfig,
-    /// The checkpoint the interval starts from.
-    pub checkpoint: SystemCheckpoint,
+    /// Content hash of the initial memory image.
+    pub initial_mem_hash: u64,
     /// For interval recordings: the mid-execution architectural state
     /// the interval began at (`None` for whole-execution recordings).
     pub interval: Option<StartState>,
@@ -53,6 +56,26 @@ impl Recording {
     /// stream hashes, retired counts and chunk counts.
     pub fn digest(&self) -> &StateDigest {
         &self.stats.digest
+    }
+
+    /// Content-derived identifier of the checkpoint the recording starts
+    /// from: its workload, processor count, program seed and initial
+    /// memory image.
+    ///
+    /// ```
+    /// use delorean::Machine;
+    /// use delorean_isa::workload;
+    /// let m = Machine::builder().procs(2).budget(2_000).build();
+    /// let fft = workload::by_name("fft").unwrap();
+    /// assert_eq!(m.record(fft, 7).checkpoint_id(), m.record(fft, 7).checkpoint_id());
+    /// ```
+    pub fn checkpoint_id(&self) -> u64 {
+        let mut h = Fnv::default();
+        h.update(self.workload.name.as_bytes());
+        h.word(u64::from(self.n_procs));
+        h.word(self.app_seed);
+        h.word(self.initial_mem_hash);
+        h.value()
     }
 
     /// Total instructions retired machine-wide.
@@ -137,25 +160,8 @@ impl Recording {
     /// Returns a [`ReplayError`] if `gcc` exceeds the recording's
     /// commit count or the logs are inconsistent.
     pub fn checkpoint_at(&self, gcc: u64) -> Result<IntervalCheckpoint, ReplayError> {
-        let mut inspector = crate::inspect::ReplayInspector::new(self);
-        while inspector.gcc() < gcc {
-            match inspector.step() {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(ReplayError::Diverged {
-                        detail: format!(
-                            "recording has only {} commits, cannot checkpoint at {gcc}",
-                            inspector.gcc()
-                        ),
-                    })
-                }
-                Err(e) => {
-                    return Err(ReplayError::Diverged {
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
+        let mut inspector = ReplayInspector::new(self);
+        while inspector.step_to(0, gcc)?.is_some() {}
         Ok(IntervalCheckpoint {
             workload: self.workload,
             app_seed: self.app_seed,
@@ -474,63 +480,21 @@ impl Machine {
     /// # Errors
     ///
     /// Returns a [`ReplayError`] if `gcc` exceeds the recording's
-    /// commit count, the machine shape does not match, or the logs are
-    /// inconsistent.
+    /// commit count, the machine shape or mode does not match, or the
+    /// logs are inconsistent.
     pub fn state_at<R: std::io::Read + std::io::Seek>(
         &self,
         cursor: &mut ReplayCursor<R>,
         gcc: u64,
     ) -> Result<IntervalCheckpoint, ReplayError> {
-        let total = cursor.index().total_commits;
-        if gcc > total {
-            return Err(ReplayError::Diverged {
-                detail: format!("recording has only {total} commits, cannot checkpoint at {gcc}"),
-            });
-        }
-        if cursor.index().n_procs != self.n_procs {
-            return Err(ReplayError::MachineMismatch {
-                recorded: cursor.index().n_procs,
-                replaying: self.n_procs,
-            });
-        }
-        let (src, start) = cursor.source_at(gcc).map_err(|e| ReplayError::Source {
-            detail: e.to_string(),
-        })?;
-        let Some(meta) = src.meta().cloned() else {
-            return Err(ReplayError::Source {
-                detail: "log source carries no recording metadata".to_string(),
-            });
-        };
-        let mut inspector =
-            crate::inspect::ReplayInspector::from_source(&mut *src).map_err(|e| {
-                ReplayError::Diverged {
-                    detail: e.to_string(),
-                }
-            })?;
-        while start + inspector.gcc() < gcc {
-            match inspector.step() {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(ReplayError::Diverged {
-                        detail: format!(
-                            "recording has only {} commits, cannot checkpoint at {gcc}",
-                            start + inspector.gcc()
-                        ),
-                    })
-                }
-                Err(e) => {
-                    return Err(ReplayError::Diverged {
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
+        let meta = checked_meta(self, &cursor.source)?;
+        let entry = cursor.seek(gcc)?;
         Ok(IntervalCheckpoint {
             workload: meta.workload,
             app_seed: meta.app_seed,
             n_procs: meta.n_procs,
             gcc,
-            state: inspector.capture(),
+            state: entry.state,
         })
     }
 

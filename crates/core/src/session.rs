@@ -32,18 +32,19 @@
 //! assert_eq!(counter.0, recording.stats.total_commits);
 //! ```
 
-use crate::checkpoint::{IntervalCheckpoint, ReplayCursor, Snapshot, SystemCheckpoint};
+use crate::checkpoint::{IntervalCheckpoint, ReplayCursor};
 use crate::error::ReplayError;
 use crate::inspect::ReplayInspector;
 use crate::machine::{panic_silence, Machine, Recording, ReplayReport};
 use crate::replayer::Replayer;
-use crate::stream::{
-    FileSource, LogSink, LogSource, MemorySink, StreamMeta, StreamRecorder, StreamTrailer,
-};
+use crate::stream::{LogSink, LogSource, MemorySink, StreamMeta, StreamRecorder, StreamTrailer};
 use delorean_chunk::{
     run, run_from, ArbiterContext, CommitRecord, Committer, EventObserver, ExecutionHooks,
-    GrantPolicy, HookStack, RunStats, StateDigest, SubstrateEvent,
+    GrantPolicy, HookStack, RunStats, StartState, StateDigest, SubstrateEvent,
 };
+use delorean_isa::layout::AddressMap;
+use delorean_isa::workload::WorkloadSpec;
+use delorean_mem::Memory;
 use delorean_sim::RunSpec;
 use std::io::{Read, Seek};
 
@@ -195,11 +196,7 @@ impl<'m, 's> Session<'m, 's> {
     // Infallible: `record_to` always drives the sink through begin,
     // events and trailer, after which `into_recording` is `Some`.
     #[allow(clippy::expect_used)]
-    pub fn record(
-        self,
-        workload: &delorean_isa::workload::WorkloadSpec,
-        app_seed: u64,
-    ) -> Recording {
+    pub fn record(self, workload: &WorkloadSpec, app_seed: u64) -> Recording {
         let mut sink = MemorySink::new();
         self.record_to(workload, app_seed, &mut sink);
         sink.into_recording()
@@ -211,30 +208,12 @@ impl<'m, 's> Session<'m, 's> {
     /// stacked stages.
     pub fn record_to<S: LogSink>(
         self,
-        workload: &delorean_isa::workload::WorkloadSpec,
+        workload: &WorkloadSpec,
         app_seed: u64,
         sink: &mut S,
     ) -> RunStats {
-        let m = self.machine;
-        let cfg = m.recording_config(workload);
-        let checkpoint = SystemCheckpoint::initial(workload, m.procs(), app_seed);
-        let meta = StreamMeta {
-            mode: m.mode(),
-            n_procs: m.procs(),
-            chunk_size: m.chunk_size(),
-            budget: m.budget(),
-            workload: *workload,
-            app_seed,
-            devices: cfg.devices,
-            initial_mem_hash: checkpoint.initial_mem_hash,
-            interval: None,
-            arbiter: m.arbiter(),
-        };
-        // The machine builder already validated procs and budget.
-        #[allow(clippy::expect_used)]
-        let spec = RunSpec::new(*workload, m.procs(), app_seed, m.budget())
-            .expect("machine builder validated the shape");
-        self.run_recording(meta, &cfg, &spec, sink)
+        let budget = self.machine.budget();
+        self.run_recording(workload, app_seed, budget, None, sink)
     }
 
     /// Records a new interval starting from a mid-execution checkpoint,
@@ -256,34 +235,15 @@ impl<'m, 's> Session<'m, 's> {
         sink: &mut S,
     ) -> Result<RunStats, ReplayError> {
         assert!(extra_budget > 0, "extra budget must be positive");
-        let m = self.machine;
-        if ck.n_procs != m.procs() {
+        if ck.n_procs != self.machine.procs() {
             return Err(ReplayError::MachineMismatch {
                 recorded: ck.n_procs,
-                replaying: m.procs(),
+                replaying: self.machine.procs(),
             });
         }
         let budget = ck.max_retired() + extra_budget;
-        let cfg = m.recording_config(&ck.workload);
-        let checkpoint = SystemCheckpoint::initial(&ck.workload, m.procs(), ck.app_seed);
-        let meta = StreamMeta {
-            mode: m.mode(),
-            n_procs: m.procs(),
-            chunk_size: m.chunk_size(),
-            budget,
-            workload: ck.workload,
-            app_seed: ck.app_seed,
-            devices: cfg.devices,
-            initial_mem_hash: checkpoint.initial_mem_hash,
-            interval: Some(ck.state.clone()),
-            arbiter: m.arbiter(),
-        };
-        // Budget is `max_retired + extra_budget` with `extra_budget`
-        // asserted positive above; the builder validated procs.
-        #[allow(clippy::expect_used)]
-        let spec = RunSpec::new(ck.workload, m.procs(), ck.app_seed, budget)
-            .expect("machine builder validated the shape");
-        Ok(self.run_recording(meta, &cfg, &spec, sink))
+        let interval = Some(ck.state.clone());
+        Ok(self.run_recording(&ck.workload, ck.app_seed, budget, interval, sink))
     }
 
     /// The one recording run loop: announce the stream, drive the
@@ -291,25 +251,44 @@ impl<'m, 's> Session<'m, 's> {
     /// deliver the trailer and close out the stages.
     fn run_recording<S: LogSink>(
         mut self,
-        meta: StreamMeta,
-        cfg: &delorean_chunk::EngineConfig,
-        spec: &RunSpec,
+        workload: &WorkloadSpec,
+        app_seed: u64,
+        budget: u64,
+        interval: Option<StartState>,
         sink: &mut S,
     ) -> RunStats {
+        let m = self.machine;
+        let cfg = m.recording_config(workload);
+        let meta = StreamMeta {
+            mode: m.mode(),
+            n_procs: m.procs(),
+            chunk_size: m.chunk_size(),
+            budget,
+            workload: *workload,
+            app_seed,
+            devices: cfg.devices,
+            initial_mem_hash: Memory::new(AddressMap::new(m.procs()).total_words()).content_hash(),
+            interval,
+            arbiter: m.arbiter(),
+        };
+        // The machine builder validated procs, and the budget is either
+        // the builder's or an interval's positive extension of it.
+        #[allow(clippy::expect_used)]
+        let spec = RunSpec::new(*workload, m.procs(), app_seed, budget)
+            .expect("machine builder validated the shape");
         sink.begin(&meta);
         for stage in &mut self.stages {
             stage.on_begin(&meta);
         }
-        let interval = meta.interval;
         let mut pipeline = RecordPipeline {
             recorder: StreamRecorder::new(meta.mode, meta.n_procs, sink),
             stages: &mut self.stages,
             segments_seen: 0,
             commits_seen: 0,
         };
-        match &interval {
-            Some(start) => run_from(spec, cfg, &mut pipeline, start),
-            None => run(spec, cfg, &mut pipeline),
+        match &meta.interval {
+            Some(start) => run_from(&spec, &cfg, &mut pipeline, start),
+            None => run(&spec, &cfg, &mut pipeline),
         }
     }
 
@@ -366,100 +345,52 @@ impl<'m, 's> Session<'m, 's> {
         from: u64,
         to: Option<u64>,
     ) -> Result<ReplayReport, ReplayError> {
-        let m = self.machine;
-        let total = cursor.index().total_commits;
-        if from > total {
+        if let Some(t) = to.filter(|&t| t < from) {
             return Err(ReplayError::Diverged {
-                detail: format!(
-                    "recording has only {total} commits, cannot start a window at {from}"
-                ),
+                detail: format!("window end {t} precedes window start {from}"),
             });
         }
-        if let Some(t) = to {
-            if t < from {
-                return Err(ReplayError::Diverged {
-                    detail: format!("window end {t} precedes window start {from}"),
-                });
-            }
-            if t > total {
-                return Err(ReplayError::Diverged {
-                    detail: format!(
-                        "recording has only {total} commits, cannot end a window at {t}"
-                    ),
-                });
+        let start = cursor.seek(from)?;
+        cursor
+            .source
+            .seek_to(&start)
+            .map_err(|e| ReplayError::Source {
+                detail: e.to_string(),
+            })?;
+        let Some(t) = to else {
+            let seed = self.machine.replay_seed();
+            return self.replay_from(&mut cursor.source, seed);
+        };
+        let meta = checked_meta(self.machine, &cursor.source)?;
+        for stage in &mut self.stages {
+            stage.on_begin(&meta);
+        }
+        let mut ins = ReplayInspector::from_source(&mut cursor.source)?;
+        while let Some(ev) = ins.step_to(from, t)? {
+            let sub = ev.to_substrate();
+            for stage in &mut self.stages {
+                stage.on_event(ev.gcc, &sub);
             }
         }
-        // Fetch the cross-check state before mutably borrowing the
-        // cursor's source.
-        let expected_state = to.and_then(|t| {
-            cursor
-                .index()
-                .entries
-                .iter()
-                .find(|e| e.gcc == t)
-                .map(|e| e.state.clone())
-        });
-        let (src, start) = cursor.source_at(from).map_err(|e| ReplayError::Source {
-            detail: e.to_string(),
-        })?;
-        if let Some(snap) = roll_forward(src, start, from)? {
-            src.rebase_window(&snap);
+        let divergence = cursor
+            .index
+            .entries
+            .iter()
+            .find(|e| e.gcc == t && e.state != ins.capture())
+            .map(|_| format!("state at commit {t} differs from the checkpoint index"));
+        let stats = RunStats {
+            total_commits: ins.gcc(),
+            digest: ins.digest(),
+            ..RunStats::default()
+        };
+        for stage in &mut self.stages {
+            stage.on_end(&stats);
         }
-        match to {
-            None => {
-                let seed = m.replay_seed();
-                self.replay_from(&mut *src, seed)
-            }
-            Some(t) => {
-                let meta = checked_meta(m, &*src)?;
-                for stage in &mut self.stages {
-                    stage.on_begin(&meta);
-                }
-                let mut ins = ReplayInspector::from_source(&mut *src)
-                    .map_err(|e| ReplayError::Diverged { detail: e.detail })?;
-                let mut divergence = None;
-                while from + ins.gcc() < t {
-                    match ins.step() {
-                        Ok(Some(ev)) => {
-                            let sub = ev.to_substrate();
-                            for stage in &mut self.stages {
-                                stage.on_event(ev.gcc, &sub);
-                            }
-                        }
-                        Ok(None) => {
-                            divergence = Some(format!(
-                                "stream ended at commit {} inside the window",
-                                from + ins.gcc()
-                            ));
-                            break;
-                        }
-                        Err(e) => return Err(ReplayError::Diverged { detail: e.detail }),
-                    }
-                }
-                if divergence.is_none() {
-                    if let Some(exp) = &expected_state {
-                        if ins.capture() != *exp {
-                            divergence = Some(format!(
-                                "state at commit {t} differs from the checkpoint index"
-                            ));
-                        }
-                    }
-                }
-                let stats = RunStats {
-                    total_commits: ins.gcc(),
-                    digest: ins.digest(),
-                    ..RunStats::default()
-                };
-                for stage in &mut self.stages {
-                    stage.on_end(&stats);
-                }
-                Ok(ReplayReport {
-                    deterministic: divergence.is_none(),
-                    divergence,
-                    stats,
-                })
-            }
-        }
+        Ok(ReplayReport {
+            deterministic: divergence.is_none(),
+            divergence,
+            stats,
+        })
     }
 
     /// Replays `recording` driven by a *stratified* PI log — see
@@ -548,44 +479,12 @@ impl<'m, 's> Session<'m, 's> {
     }
 }
 
-/// Rolls a checkpoint-seeked [`FileSource`] forward from the window
-/// start `start` (the checkpoint's commit count) to `target` with the
-/// software inspector, returning the snapshot to rebase the window on —
-/// or `None` when the window already starts exactly at the checkpoint.
-fn roll_forward<R: Read + Seek>(
-    src: &mut FileSource<R>,
-    start: u64,
-    target: u64,
-) -> Result<Option<Snapshot>, ReplayError> {
-    if target == start {
-        return Ok(None);
-    }
-    let mut ins = ReplayInspector::from_source(&mut *src)
-        .map_err(|e| ReplayError::Diverged { detail: e.detail })?;
-    while start + ins.gcc() < target {
-        match ins.step() {
-            Ok(Some(_)) => {}
-            Ok(None) => {
-                return Err(ReplayError::Diverged {
-                    detail: format!(
-                        "recording has only {} commits, cannot seek to {target}",
-                        start + ins.gcc()
-                    ),
-                })
-            }
-            Err(e) => return Err(ReplayError::Diverged { detail: e.detail }),
-        }
-    }
-    Ok(Some(Snapshot {
-        gcc: target,
-        rr_cursor: ins.rr_phase(),
-        state: ins.capture(),
-    }))
-}
-
 /// The source's recording metadata, checked against the shape and mode
 /// of the machine about to replay it.
-fn checked_meta<S: LogSource>(m: &Machine, source: &S) -> Result<StreamMeta, ReplayError> {
+pub(crate) fn checked_meta<S: LogSource>(
+    m: &Machine,
+    source: &S,
+) -> Result<StreamMeta, ReplayError> {
     let Some(meta) = source.meta().cloned() else {
         return Err(ReplayError::Source {
             detail: "log source carries no recording metadata".to_string(),

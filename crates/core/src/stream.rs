@@ -32,7 +32,6 @@
 //! determinism digest and run statistics. Every byte after the 14-byte
 //! frame header is covered by a checksum.
 
-use crate::checkpoint::SystemCheckpoint;
 use crate::log::{CsEntry, CsLog, DmaLog, InterruptEntry, InterruptLog, IoEntry, IoLog, PiLog};
 use crate::machine::Recording;
 use crate::mode::Mode;
@@ -186,7 +185,7 @@ impl StreamMeta {
             workload: rec.workload,
             app_seed: rec.app_seed,
             devices: rec.devices,
-            initial_mem_hash: rec.checkpoint.initial_mem_hash,
+            initial_mem_hash: rec.initial_mem_hash,
             interval: rec.interval.clone(),
             arbiter: rec.arbiter,
         }
@@ -457,8 +456,6 @@ impl MemorySink {
     pub fn into_recording(self) -> Option<Recording> {
         let meta = self.meta?;
         let trailer = self.trailer?;
-        let mut checkpoint = SystemCheckpoint::initial(&meta.workload, meta.n_procs, meta.app_seed);
-        checkpoint.initial_mem_hash = meta.initial_mem_hash;
         Some(Recording {
             mode: meta.mode,
             n_procs: meta.n_procs,
@@ -467,7 +464,7 @@ impl MemorySink {
             workload: meta.workload,
             app_seed: meta.app_seed,
             devices: meta.devices,
-            checkpoint,
+            initial_mem_hash: meta.initial_mem_hash,
             interval: meta.interval,
             arbiter: meta.arbiter,
             logs: self.logs,
@@ -1336,20 +1333,6 @@ pub trait LogSource {
     fn resume_phase(&self) -> Option<u32> {
         None
     }
-    /// Repositions the source at the start of event segment `ordinal`
-    /// (0-based, in stream order), restoring the decode counters that
-    /// segment started with. Only segments already visited this session
-    /// can be sought; sources without random access refuse.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the source cannot seek or the segment
-    /// was never visited.
-    fn seek_to_segment(&mut self, ordinal: u64) -> Result<(), String> {
-        Err(format!(
-            "this log source does not support seeking (segment {ordinal})"
-        ))
-    }
 }
 
 /// Any `&mut LogSource` is itself a [`LogSource`]: lets a caller lend a
@@ -1396,9 +1379,6 @@ impl<S: LogSource> LogSource for &mut S {
     }
     fn resume_phase(&self) -> Option<u32> {
         (**self).resume_phase()
-    }
-    fn seek_to_segment(&mut self, ordinal: u64) -> Result<(), String> {
-        (**self).seek_to_segment(ordinal)
     }
 }
 
@@ -1678,11 +1658,11 @@ enum Segment {
     End,
 }
 
-/// One entry of a [`FileSource`]'s segment offset index: where an event
-/// segment starts in the byte stream and the decode counters it starts
-/// with. Built incrementally as segments are decoded; a seek to a
-/// marked segment repositions the reader directly, without re-decoding
-/// the prefix.
+/// Where an event segment starts in the byte stream and the decode
+/// counters it starts with. A [`FileSource`] records one for every
+/// segment it decodes, and every
+/// [`CheckpointEntry`](crate::CheckpointEntry) carries one, so a seek
+/// repositions the reader directly, without re-decoding the prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMark {
     /// Byte offset of the segment's kind byte.
@@ -1824,25 +1804,20 @@ impl<R: Read> SegmentDecoder<R> {
         })
     }
 
-    /// Repositions the reader at `byte_offset` (the kind byte of a
-    /// segment frame) and restores the decode counters that segment
-    /// starts with. The LZ77 decoder is reset — sound because the sink
-    /// drops its match window at every segment boundary.
-    fn seek_to(
-        &mut self,
-        byte_offset: u64,
-        start_gcc: u64,
-        start_chunks: &[u64],
-    ) -> Result<(), DecodeError> {
+    /// Repositions the reader at the kind byte of the segment `mark`
+    /// describes and restores the decode counters that segment starts
+    /// with. The LZ77 decoder is reset — sound because the sink drops
+    /// its match window at every segment boundary.
+    fn seek_to(&mut self, mark: &SegmentMark) -> Result<(), DecodeError> {
         let Some(seek) = self.seek else {
             return Err(DecodeError::Io(
                 "log reader does not support seeking".to_string(),
             ));
         };
-        seek(&mut self.reader, byte_offset).map_err(|e| DecodeError::Io(e.to_string()))?;
-        self.byte_offset = byte_offset;
-        self.gcc = start_gcc;
-        self.counters = start_chunks.to_vec();
+        seek(&mut self.reader, mark.byte_offset).map_err(|e| DecodeError::Io(e.to_string()))?;
+        self.byte_offset = mark.byte_offset;
+        self.gcc = mark.start_gcc;
+        self.counters = mark.start_chunks.clone();
         self.lz = delorean_compress::lz77::Decoder::new();
         self.seen_trailer = false;
         self.done = false;
@@ -2079,22 +2054,16 @@ pub struct FileSource<R: Read> {
     queues: ReplayQueues,
     chunks_seen: Vec<u64>,
     commits_seen: u64,
-    /// Commit count the current replay window's slot numbering starts
-    /// at. PicoLog DMA slots are recorded relative to this base so an
-    /// engine restarted mid-stream (whose own commit counter begins at
-    /// zero) still matches them.
-    slot_base: u64,
-    /// Events with absolute commit number below this are decoded for
-    /// their counter side effects but not enqueued — the prefix a
-    /// checkpoint seek replays past without re-executing.
-    skip_until: u64,
+    /// Commit count the current replay window starts at. Events before
+    /// it are decoded for their counter side effects but not enqueued —
+    /// the prefix a checkpoint seek replays past without re-executing —
+    /// and PicoLog DMA slots are recorded relative to it so an engine
+    /// restarted mid-stream (whose own commit counter begins at zero)
+    /// still matches them.
+    window_start: u64,
     /// PicoLog round-robin cursor the current window resumes at, when
     /// the window starts mid-stream. `None` for slot-0 windows.
     phase: Option<u32>,
-    /// The interval start state the stream was opened with, kept so a
-    /// rewind to segment 0 restores the pristine metadata after a
-    /// checkpoint seek overwrote it.
-    base_interval: Option<StartState>,
     trailer: Option<StreamTrailer>,
     eof: bool,
     error: Option<String>,
@@ -2123,16 +2092,13 @@ impl<R: Read> FileSource<R> {
 
     fn from_decoder(dec: SegmentDecoder<R>) -> Result<Self, DecodeError> {
         let chunks_seen = dec.meta.start_chunks();
-        let dec_interval = dec.meta.interval.clone();
         Ok(Self {
             queues: ReplayQueues::new(dec.meta.mode, chunks_seen.clone()),
             dec,
             chunks_seen,
             commits_seen: 0,
-            slot_base: 0,
-            skip_until: 0,
+            window_start: 0,
             phase: None,
-            base_interval: dec_interval,
             trailer: None,
             eof: false,
             error: None,
@@ -2146,58 +2112,40 @@ impl<R: Read> FileSource<R> {
         self.dec.verifications
     }
 
-    /// Byte-offset index of every event segment this source has
-    /// visited, sorted by offset.
-    pub fn segment_marks(&self) -> &[SegmentMark] {
-        &self.dec.marks
+    /// The last event segment this source has visited that starts at
+    /// or before commit `gcc`: where a replay resuming at `gcc` decodes
+    /// from.
+    pub fn segment_at(&self, gcc: u64) -> Option<&SegmentMark> {
+        self.dec.marks.iter().rev().find(|m| m.start_gcc <= gcc)
     }
 
     /// Repositions this source at a checkpoint: the decoder seeks to
-    /// the segment containing the checkpoint commit, the restore state
-    /// is installed as the stream's interval start, and events before
-    /// the checkpoint commit are skipped (their counters still advance
-    /// so watermark validation stays intact).
+    /// the checkpoint's segment, the restore state is installed as the
+    /// stream's interval start, and events before the checkpoint commit
+    /// are skipped (their counters still advance so watermark
+    /// validation stays intact). Commit slots count from the
+    /// checkpoint, where a replay restarted from it begins.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the underlying reader cannot
     /// seek or the repositioning I/O fails.
-    pub fn seek_to_checkpoint(
+    pub fn seek_to(
         &mut self,
         entry: &crate::checkpoint::CheckpointEntry,
     ) -> Result<(), DecodeError> {
-        self.dec.seek_to(
-            entry.seg_byte_offset,
-            entry.seg_start_gcc,
-            &entry.seg_start_chunks,
-        )?;
+        self.dec.seek_to(&entry.segment)?;
         self.queues.clear();
-        self.commits_seen = entry.seg_start_gcc;
-        self.chunks_seen = entry.seg_start_chunks.clone();
+        self.commits_seen = entry.segment.start_gcc;
+        self.chunks_seen = entry.segment.start_chunks.clone();
         self.queues.committed = entry.state.chunks_done.clone();
-        self.skip_until = entry.gcc;
-        self.slot_base = entry.gcc;
+        self.window_start = entry.gcc;
         self.trailer = None;
         self.eof = false;
         self.error = None;
         self.dec.meta.interval = Some(entry.state.clone());
         self.phase = Some(entry.rr_cursor);
         Ok(())
-    }
-
-    /// Rebase the current window onto a later snapshot reached by
-    /// rolling the stream forward (via an inspector) from the last
-    /// checkpoint. Buffered PicoLog DMA slots are renumbered relative
-    /// to the new window start.
-    pub(crate) fn rebase_window(&mut self, snap: &crate::checkpoint::Snapshot) {
-        let delta = snap.gcc.saturating_sub(self.slot_base);
-        for s in &mut self.queues.dma_slots {
-            *s = s.saturating_sub(delta);
-        }
-        self.slot_base = snap.gcc;
-        self.queues.committed = snap.state.chunks_done.clone();
-        self.dec.meta.interval = Some(snap.state.clone());
-        self.phase = Some(snap.rr_cursor);
     }
 
     /// Number of log entries currently buffered (a measure of the
@@ -2216,11 +2164,8 @@ impl<R: Read> FileSource<R> {
                     if let Committer::Proc(p) = ev.committer {
                         self.chunks_seen[p as usize] = ev.chunk_index;
                     }
-                    // Events before the window start are decoded for
-                    // their counter side effects only — the replayer
-                    // resumes from a snapshot past them.
-                    if self.commits_seen >= self.skip_until {
-                        let slot = self.commits_seen.saturating_sub(self.slot_base);
+                    if self.commits_seen >= self.window_start {
+                        let slot = self.commits_seen - self.window_start;
                         self.queues.push(ev, slot);
                     }
                     self.commits_seen += 1;
@@ -2280,7 +2225,7 @@ impl<R: Read> LogSource for FileSource<R> {
     fn dma_slot_matches(&mut self, gcc: u64) -> bool {
         while !self.eof
             && self.queues.dma_slots.is_empty()
-            && self.commits_seen.saturating_sub(self.slot_base) <= gcc
+            && self.commits_seen.saturating_sub(self.window_start) <= gcc
         {
             self.pump();
         }
@@ -2317,48 +2262,12 @@ impl<R: Read> LogSource for FileSource<R> {
     fn resume_phase(&self) -> Option<u32> {
         self.phase
     }
-
-    fn seek_to_segment(&mut self, ordinal: u64) -> Result<(), String> {
-        let mark = if ordinal == 0 {
-            // Segment 0 starts right after the header — seekable even
-            // before any segment has been visited.
-            SegmentMark {
-                byte_offset: self.dec.first_offset,
-                start_gcc: 0,
-                start_chunks: self.dec.meta.start_chunks(),
-            }
-        } else {
-            self.dec
-                .marks
-                .get(ordinal as usize)
-                .cloned()
-                .ok_or_else(|| format!("segment {ordinal} has not been visited by this source"))?
-        };
-        self.dec
-            .seek_to(mark.byte_offset, mark.start_gcc, &mark.start_chunks)
-            .map_err(|e| e.to_string())?;
-        self.queues.clear();
-        self.commits_seen = mark.start_gcc;
-        self.chunks_seen = mark.start_chunks.clone();
-        self.queues.committed = mark.start_chunks;
-        self.skip_until = mark.start_gcc;
-        self.slot_base = mark.start_gcc;
-        self.phase = None;
-        if ordinal == 0 {
-            self.dec.meta.interval = self.base_interval.clone();
-        }
-        self.trailer = None;
-        self.eof = false;
-        self.error = None;
-        Ok(())
-    }
 }
 
 impl<R: Read + Seek> FileSource<R> {
     /// Opens a seek-capable stream: identical to [`FileSource::open`],
     /// but the returned source additionally supports
-    /// [`LogSource::seek_to_segment`] and
-    /// [`FileSource::seek_to_checkpoint`].
+    /// [`FileSource::seek_to`].
     ///
     /// # Errors
     ///

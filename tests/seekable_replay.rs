@@ -129,6 +129,60 @@ proptest! {
     }
 }
 
+/// Windows over a recording with interrupts and DMA transfers, started
+/// at every commit: the PicoLog DMA slots queued before a window start
+/// must be renumbered relative to it, which no catalog recording in the
+/// proptests exercises (their device periods exceed the budget).
+#[test]
+fn device_windows_match_full_replay_at_every_start() {
+    let devices = delorean_chunk::DeviceConfig {
+        irq_period: 6_000,
+        dma_period: 9_000,
+        dma_words: 16,
+    };
+    for mode in [Mode::PicoLog, Mode::OrderOnly, Mode::OrderSize] {
+        let m = Machine::builder()
+            .mode(mode)
+            .procs(4)
+            .budget(12_000)
+            .devices(devices)
+            .build();
+        let rec = m.record(workload::by_name("sjbb2k").unwrap(), 17);
+        assert!(rec.stats.dma_commits > 0, "{mode}: no DMA commit recorded");
+        let bytes = serialize::to_bytes(&rec);
+        let full = m
+            .replay_from(FileSource::open(&bytes[..]).unwrap())
+            .unwrap();
+        assert!(full.deterministic, "{mode}: {:?}", full.divergence);
+        let index = index_stream(&bytes, 7).unwrap();
+        let total = index.total_commits;
+        let mut cursor = ReplayCursor::open(Cursor::new(bytes), index).unwrap();
+        for from in 0..=total {
+            let win = m.replay_window(&mut cursor, from, None).unwrap();
+            assert_eq!(
+                win.stats.digest, full.stats.digest,
+                "{mode}: engine window from {from}"
+            );
+            assert!(
+                win.deterministic,
+                "{mode} from {from}: {:?}",
+                win.divergence
+            );
+            let ins = m.replay_window(&mut cursor, from, Some(total)).unwrap();
+            assert_eq!(
+                ins.stats.digest, full.stats.digest,
+                "{mode}: inspector window from {from}"
+            );
+            let fast = m.state_at(&mut cursor, from).unwrap();
+            assert_eq!(
+                fast,
+                rec.checkpoint_at(from).unwrap(),
+                "{mode}: state at {from}"
+            );
+        }
+    }
+}
+
 /// A window resumed mid-stream feeds the same commit stream to the
 /// inspector as a slot-0 replay truncated to the window — checked
 /// commit-by-commit, not just by final digest.
