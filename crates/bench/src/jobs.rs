@@ -581,14 +581,10 @@ pub fn run_job(spec: &JobSpec) -> BenchRecord {
                 .map(|k| splitmix64(seed ^ (k + 1).wrapping_mul(0x2545_f491_4f6c_dd1d)))
                 .collect();
             let t = Instant::now();
-            let reports = replay_fanout(&machine, &rec, stratify, &seeds);
+            (record.replay_cycles, record.replay_deterministic) =
+                replay_verdict(&machine, &rec, stratify, &seeds);
             record.timings.replay_ms = ms(t);
             record.replays = replays;
-            if !reports.is_empty() {
-                record.replay_cycles =
-                    reports.iter().map(|r| r.stats.cycles).sum::<u64>() / reports.len() as u64;
-                record.replay_deterministic = reports.iter().all(|r| r.deterministic);
-            }
         }
         JobKind::Stratify(capacity) => {
             let machine = build_machine(spec, Mode::OrderOnly);
@@ -682,22 +678,29 @@ fn build_machine(spec: &JobSpec, mode: Mode) -> Machine {
     b.build()
 }
 
-/// Runs the verification replays, stratified when requested. Shape
-/// errors cannot occur (machine and recording come from the same spec),
-/// so failures surface as non-deterministic reports rather than
-/// aborting the job.
-fn replay_fanout(
+/// Runs the verification replays, stratified when requested, and
+/// returns their mean cycle count and whether every one reproduced the
+/// recording. A replay that fails counts as non-deterministic, so the
+/// flag holds only when every replay ran and matched.
+fn replay_verdict(
     machine: &Machine,
     rec: &Recording,
     stratify: Option<u32>,
     seeds: &[u64],
-) -> Vec<delorean::ReplayReport> {
-    match stratify {
-        None => machine.verify_replays(rec, seeds, 1).unwrap_or_default(),
+) -> (u64, bool) {
+    let reports: Result<Vec<delorean::ReplayReport>, _> = match stratify {
+        None => machine.verify_replays(rec, seeds, 1),
         Some(cap) => seeds
             .iter()
-            .filter_map(|&s| machine.replay_stratified(rec, cap, s).ok())
+            .map(|&s| machine.replay_stratified(rec, cap, s))
             .collect(),
+    };
+    match reports {
+        Err(_) => (0, false),
+        Ok(r) => (
+            r.iter().map(|r| r.stats.cycles).sum::<u64>() / (r.len() as u64).max(1),
+            r.iter().all(|r| r.deterministic),
+        ),
     }
 }
 
@@ -751,6 +754,23 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+
+    #[test]
+    fn a_replay_that_errors_is_not_deterministic() {
+        let w = workload::by_name("fft").unwrap();
+        let recorder = Machine::builder().procs(2).budget(2_000).build();
+        let rec = recorder.record(w, 7);
+        assert!(replay_verdict(&recorder, &rec, None, &[1, 2]).1);
+        assert!(replay_verdict(&recorder, &rec, Some(4), &[1, 2]).1);
+        let wrong = Machine::builder().procs(3).budget(2_000).build();
+        for stratify in [None, Some(4)] {
+            assert_eq!(
+                replay_verdict(&wrong, &rec, stratify, &[1, 2]),
+                (0, false),
+                "stratify {stratify:?}: a failed replay counted as deterministic"
+            );
+        }
+    }
 
     #[test]
     fn figure_ids_round_trip() {

@@ -3,9 +3,9 @@
 //! Chunks execute *functionally at their start time* against committed
 //! memory plus the write buffers of older in-flight chunks on the same
 //! core (lazy versioning), and their timing-model duration schedules a
-//! completion event. A commit whose write signature intersects an
-//! in-flight chunk's read-or-write signature squashes that chunk and
-//! everything younger on its core — the standard lazy-conflict
+//! completion event. A commit whose written lines meet an in-flight
+//! chunk's read or written lines squashes that chunk and everything
+//! younger on its core — the standard lazy-conflict
 //! serializability argument then guarantees that the committed
 //! execution equals the serial execution of chunks in arbiter grant
 //! order, which is exactly the property DeLorean's determinism proof
@@ -15,6 +15,7 @@ use crate::arbiter::{ArbiterBackend, GlobalArbiter, ShardedArbiter};
 use crate::components::{machine_components, EngineCtx};
 use crate::config::{ArbiterConfig, EngineConfig};
 use crate::devices::DeviceBank;
+use crate::footprint::intersects_sorted;
 use crate::hooks::{
     ArbiterContext, CommitRecord, Committer, ExecutionHooks, PendingView, SubstrateEvent,
     TruncationReason,
@@ -62,9 +63,9 @@ struct PendingReq {
 struct ActiveCommit {
     committer: Committer,
     token: u64,
-    /// Exact access footprint, for the parallel-commit disjointness
-    /// check.
-    lines: std::collections::HashSet<u64>,
+    /// Exact access footprint, sorted, for the parallel-commit
+    /// disjointness check.
+    lines: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -237,7 +238,7 @@ impl<'h> Engine<'h> {
                     chunks: Vec::new(),
                     chunks_started: done,
                     committed: done,
-                    occupancy: Occupancy::default(),
+                    occupancy: Occupancy::new(cfg.machine.l1.sets),
                     pending_irqs: std::collections::VecDeque::new(),
                     stall_since: None,
                     stall_cycles: 0,
@@ -641,48 +642,47 @@ impl<'h> Engine<'h> {
                             (self.hooks.dma_data(), false)
                         }
                     };
-                    let wlines: std::collections::HashSet<u64> =
-                        data.iter().map(|(a, _)| line_of(*a)).collect();
+                    let mut lines: Vec<u64> = data.iter().map(|(a, _)| line_of(*a)).collect();
+                    lines.sort_unstable();
+                    lines.dedup();
                     if self
                         .committing
                         .iter()
-                        .any(|a| a.lines.iter().any(|l| wlines.contains(l)))
+                        .any(|a| intersects_sorted(&a.lines, &lines))
                     {
-                        // Must wait for the conflicting commit to finish.
-                        if device_generated {
-                            self.dma_pending = Some(data);
-                        } else {
-                            // Replay injection retried on the next poll.
-                            self.dma_pending = Some(data);
-                        }
+                        // Must wait for the conflicting commit to finish
+                        // (a replay injection is retried on the next poll).
+                        self.dma_pending = Some(data);
                         return;
                     }
                     if device_generated {
                         self.pending.retain(|r| r.committer != Committer::Dma);
                     }
-                    self.grant_dma(data, wlines);
+                    self.grant_dma(data, lines);
                 }
                 Committer::Proc(p) => {
                     assert!(
                         ctx.has_pending(grant.committer),
                         "policy granted processor {p} with no eligible request"
                     );
-                    let chunk = &self.cores[p as usize].chunks[0];
-                    let all = chunk.all_lines();
+                    let footprint = self.cores[p as usize].chunks[0].footprint();
                     if self
                         .committing
                         .iter()
-                        .any(|a| a.lines.iter().any(|l| all.contains(l)))
+                        .any(|a| intersects_sorted(&a.lines, &footprint.0))
                     {
                         return; // wait for disjointness
                     }
-                    self.grant_proc(p, all);
+                    self.grant_proc(p, footprint);
                 }
             }
         }
     }
 
-    fn grant_proc(&mut self, p: u32, all_lines: std::collections::HashSet<u64>) {
+    /// Grants processor `p`'s oldest chunk, whose sorted footprint
+    /// (all lines accessed, lines written) is `(access_lines,
+    /// write_lines)`.
+    fn grant_proc(&mut self, p: u32, (access_lines, write_lines): (Vec<u64>, Vec<u64>)) {
         // Sample Table-6 parallel stats before mutating state.
         let ready_procs = self
             .cores
@@ -754,13 +754,6 @@ impl<'h> Engine<'h> {
         }
         self.last_grant_time_global = self.now;
 
-        // Footprints are handed to the hooks in sorted order so a
-        // recording (and any byte stream derived from it) is
-        // reproducible run-to-run despite the hash-set storage.
-        let mut access_lines: Vec<u64> = all_lines.iter().copied().collect();
-        access_lines.sort_unstable();
-        let mut write_lines: Vec<u64> = chunk.wlines.iter().copied().collect();
-        write_lines.sort_unstable();
         let rec = CommitRecord {
             committer: Committer::Proc(p),
             chunk_index: chunk.index,
@@ -774,7 +767,6 @@ impl<'h> Engine<'h> {
             write_lines,
             shard: self.grant_shard.take(),
         };
-        let wlines = chunk.wlines.clone();
         self.hooks.on_commit(&rec);
         self.hooks
             .on_event(self.now, &SubstrateEvent::commit_of(&rec));
@@ -783,18 +775,20 @@ impl<'h> Engine<'h> {
         self.committing.push(ActiveCommit {
             committer: Committer::Proc(p),
             token,
-            lines: all_lines,
+            lines: rec.access_lines,
         });
         self.schedule(self.now + commit_latency, Ev::CommitDone { token });
         let n = self.cores.len() as u32;
         for q in 0..n {
             if q != p {
-                self.conflict_squash(q, &wlines);
+                self.conflict_squash(q, |ch| ch.conflicts_with(&rec.write_lines));
             }
         }
     }
 
-    fn grant_dma(&mut self, data: Vec<(Addr, Word)>, wlines: std::collections::HashSet<u64>) {
+    /// Grants a DMA transfer of `data`, whose sorted, deduplicated lines
+    /// are `lines`.
+    fn grant_dma(&mut self, data: Vec<(Addr, Word)>, lines: Vec<u64>) {
         self.gcc += 1;
         self.dma_commits += 1;
         self.traffic += 8 * data.len() as u64 + 64;
@@ -804,8 +798,6 @@ impl<'h> Engine<'h> {
                 self.memory.store(addr, val);
             }
         }
-        let mut sorted_lines: Vec<u64> = wlines.iter().copied().collect();
-        sorted_lines.sort_unstable();
         let rec = CommitRecord {
             committer: Committer::Dma,
             chunk_index: 0,
@@ -814,8 +806,8 @@ impl<'h> Engine<'h> {
             global_slot: self.gcc,
             interrupt: None,
             io_values: Vec::new(),
-            access_lines: sorted_lines.clone(),
-            write_lines: sorted_lines,
+            access_lines: lines.clone(),
+            write_lines: lines,
             dma_data: data,
             shard: self.grant_shard.take(),
         };
@@ -827,25 +819,31 @@ impl<'h> Engine<'h> {
         self.committing.push(ActiveCommit {
             committer: Committer::Dma,
             token,
-            lines: wlines.clone(),
+            lines: rec.access_lines,
         });
         self.schedule(
             self.now + self.cfg.arbitration_latency,
             Ev::CommitDone { token },
         );
+        // A replayed transfer's lines come from the log: meet them with
+        // each chunk's sorted footprint instead of hashing them.
         let n = self.cores.len() as u32;
         for q in 0..n {
-            self.conflict_squash(q, &wlines);
+            self.conflict_squash(q, |ch| {
+                intersects_sorted(&ch.footprint().0, &rec.write_lines)
+            });
         }
     }
 
     // ----- squash and re-execution ----------------------------------------
 
-    fn conflict_squash(&mut self, q: u32, wlines: &std::collections::HashSet<u64>) {
+    /// Squashes core `q` from its oldest uncommitted chunk that
+    /// `conflicts` with the commit just granted.
+    fn conflict_squash(&mut self, q: u32, conflicts: impl Fn(&Chunk) -> bool) {
         let pos = self.cores[q as usize]
             .chunks
             .iter()
-            .position(|ch| ch.state != ChunkState::Committing && ch.conflicts_with(wlines));
+            .position(|ch| ch.state != ChunkState::Committing && conflicts(ch));
         if let Some(pos) = pos {
             self.squash_from(q, pos);
         }
@@ -1221,16 +1219,13 @@ fn execute_attempt(
                 }
             }
         }
-        let touched = {
+        let info = {
             let mut view = SpecView {
                 committed: memory,
                 older,
                 buffer: &mut chunk.buffer,
                 wlines: &mut chunk.wlines,
                 rlines: &mut chunk.rlines,
-                rsig: &mut chunk.rsig,
-                wsig: &mut chunk.wsig,
-                touched: Vec::new(),
             };
             let mut io = IoAdapter {
                 hooks,
@@ -1244,18 +1239,16 @@ fn execute_attempt(
             };
             let info = vm.step(program, &mut view, &mut io);
             io_seq = io.seq;
-            chunk.size += 1;
-            cost += params.inst_cost(info.is_branch);
-            let uncached = info.kind == StepKind::Uncached;
-            if uncached {
-                cost += params.uncached;
-            }
-            let touched = view.touched;
-            (touched, uncached)
+            info
         };
-        let (lines, uncached) = touched;
-        for (line, write) in lines {
-            let mut class = memsys.access(core_id, line);
+        chunk.size += 1;
+        cost += params.inst_cost(info.is_branch);
+        let uncached = info.kind == StepKind::Uncached;
+        if uncached {
+            cost += params.uncached;
+        }
+        for op in info.mem_ops.into_iter().flatten() {
+            let mut class = memsys.access(core_id, line_of(op.addr));
             if let Some(p) = cfg.perturb {
                 if p.cache_flip_frac > 0.0 && trng.gen_bool(p.cache_flip_frac) {
                     class = match class {
@@ -1265,7 +1258,7 @@ fn execute_attempt(
                     };
                 }
             }
-            cost += params.mem_cost(class, write);
+            cost += params.mem_cost(class, op.write);
         }
         if let Some(line) = occ_line {
             if chunk.wlines.contains(&line) {

@@ -1,15 +1,15 @@
 //! Exact per-chunk footprints and their signature-domain views.
 //!
-//! The engine disambiguates chunks with hash-encoded 2-Kbit
-//! [`Signature`]s (Appendix A): a signature intersection is how the
-//! hardware decides two chunks conflict, and hash aliasing makes that
-//! test conservative — it can report conflicts between chunks whose
-//! exact line sets are disjoint. This module gives inspectors both
-//! views of one committed chunk side by side: the exact sorted
-//! read/write line sets, and the signatures hardware would have built
-//! from them. Diffing conflict answers between the two views is what
-//! quantifies signature-aliasing false positives (the `deps` analysis
-//! pass consumes exactly this interface).
+//! The engine disambiguates chunks on exact line sets. The hardware it
+//! models uses hash-encoded 2-Kbit [`Signature`]s instead (Appendix A):
+//! a signature intersection is how it decides two chunks conflict, and
+//! hash aliasing makes that test conservative — it can report conflicts
+//! between chunks whose exact line sets are disjoint. This module gives
+//! inspectors both views of one committed chunk side by side: the exact
+//! sorted read/write line sets, and the signatures hardware would have
+//! built from them. Diffing conflict answers between the two views is
+//! what quantifies signature-aliasing false positives (the `deps`
+//! analysis pass consumes exactly this interface).
 
 use delorean_mem::Signature;
 
@@ -34,7 +34,7 @@ pub struct ChunkFootprint {
 }
 
 /// Sorted-slice intersection test.
-fn intersects_sorted(a: &[u64], b: &[u64]) -> bool {
+pub(crate) fn intersects_sorted(a: &[u64], b: &[u64]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {

@@ -3,9 +3,10 @@
 //! This crate is the execution substrate DeLorean is built on
 //! (Section 3.1 / Appendix A of the paper): processors continuously
 //! execute *chunks* of consecutive dynamic instructions atomically and
-//! in isolation, chunk read/write sets are hash-encoded into 2-Kbit
-//! signatures, an arbiter orders chunk commits over a generic network,
-//! and conflicting chunks are squashed and re-executed. The paper's
+//! in isolation, an arbiter orders chunk commits over a generic network,
+//! and chunks whose exact read/write line sets meet a commit's writes
+//! are squashed and re-executed (the hardware's 2-Kbit signatures are
+//! modelled by exact sets; see [`ChunkFootprint`]). The paper's
 //! three DeLorean execution modes are built *on top of* this engine (in
 //! the `delorean` crate) through the [`ExecutionHooks`] trait, which
 //! exposes exactly the decision points the modes differ in:
@@ -22,7 +23,7 @@
 //! The engine also models the *timing* the paper measures: per-chunk
 //! durations from the Table-5 cache hierarchy, a 30-cycle commit
 //! arbitration round trip overlapped with execution of subsequent
-//! chunks, up to 4 parallel commits of signature-disjoint chunks, a
+//! chunks, up to 4 parallel commits of footprint-disjoint chunks, a
 //! configurable number of simultaneous chunks per processor, squash and
 //! re-execution cost, cache-overflow and repeated-collision truncation,
 //! processor stall accounting, and the commit-token statistics of

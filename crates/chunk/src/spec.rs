@@ -4,8 +4,42 @@
 use crate::hooks::TruncationReason;
 use delorean_isa::vm::VmState;
 use delorean_isa::{Addr, DataMemory, Word};
-use delorean_mem::{line_of, Memory, Signature};
+use delorean_mem::{line_of, Memory};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The engine's fixed multiply-fold hasher: one 64×64→128-bit multiply
+/// whose halves are folded together, so every key bit reaches the
+/// bucket index.
+///
+/// It keys only addresses that the generated programs compute: word
+/// addresses and the cache lines they fall in. No value decoded from a
+/// `.dlrn`, such as a DMA address, is hashed with it; the engine sorts
+/// those lines instead.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+/// A set of addresses or lines keyed by [`AddrHasher`].
+pub(crate) type AddrSet = HashSet<u64, BuildHasherDefault<AddrHasher>>;
+/// A map from addresses or lines keyed by [`AddrHasher`].
+pub(crate) type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 
 /// Lifecycle of an in-flight chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,17 +62,13 @@ pub(crate) struct Chunk {
     /// VM state at chunk start (squash restore point).
     pub checkpoint: VmState,
     /// Speculative write buffer (word granular).
-    pub buffer: HashMap<Addr, Word>,
+    pub buffer: AddrMap<Word>,
     /// Lines written.
-    pub wlines: HashSet<u64>,
+    pub wlines: AddrSet,
     /// Lines read (exact; conflict detection uses exact sets — the
     /// hardware's Bulk signatures are engineered for a low
     /// false-positive rate, which exact sets model).
-    pub rlines: HashSet<u64>,
-    /// Read signature.
-    pub rsig: Signature,
-    /// Write signature.
-    pub wsig: Signature,
+    pub rlines: AddrSet,
     /// Retired instructions in the current execution attempt.
     pub size: u32,
     /// Why the current attempt ended.
@@ -73,11 +103,9 @@ impl Chunk {
             index,
             target,
             checkpoint,
-            buffer: HashMap::new(),
-            wlines: HashSet::new(),
-            rlines: HashSet::new(),
-            rsig: Signature::new(),
-            wsig: Signature::new(),
+            buffer: AddrMap::default(),
+            wlines: AddrSet::default(),
+            rlines: AddrSet::default(),
             size: 0,
             reason: TruncationReason::StandardSize,
             state: ChunkState::Executing,
@@ -98,8 +126,6 @@ impl Chunk {
         self.buffer.clear();
         self.wlines.clear();
         self.rlines.clear();
-        self.rsig.clear();
-        self.wsig.clear();
         self.size = 0;
         self.reason = TruncationReason::StandardSize;
         self.state = ChunkState::Executing;
@@ -108,36 +134,51 @@ impl Chunk {
         self.replay_split = false;
     }
 
-    /// Whether a committing chunk's written lines conflict with this
-    /// chunk's accesses (exact-set address disambiguation).
-    pub(crate) fn conflicts_with(&self, committed_wlines: &HashSet<u64>) -> bool {
+    /// Whether a processor commit's written lines meet this chunk's
+    /// accesses (exact-set address disambiguation).
+    pub(crate) fn conflicts_with(&self, committed_wlines: &[u64]) -> bool {
         committed_wlines
             .iter()
             .any(|l| self.rlines.contains(l) || self.wlines.contains(l))
     }
 
-    /// All lines this chunk accessed (for the arbiter's
-    /// parallel-commit disjointness check).
-    pub(crate) fn all_lines(&self) -> HashSet<u64> {
-        self.rlines.union(&self.wlines).copied().collect()
+    /// This chunk's footprint as sorted, deduplicated line vectors: all
+    /// lines it accessed, and the lines it wrote. Sorted, a commit's
+    /// log bytes do not depend on the order the sets iterate in.
+    pub(crate) fn footprint(&self) -> (Vec<u64>, Vec<u64>) {
+        let mut write: Vec<u64> = self.wlines.iter().copied().collect();
+        write.sort_unstable();
+        let mut access: Vec<u64> = self.rlines.iter().copied().collect();
+        access.extend_from_slice(&write);
+        access.sort_unstable();
+        access.dedup();
+        (access, write)
     }
 }
 
 /// Per-core speculative dirty-line occupancy, per L1 set. A store that
 /// would push a set past the L1 associativity triggers overflow
 /// truncation (Section 4.2.3).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Occupancy {
     /// line -> number of in-flight chunks with the line dirty.
-    refcount: HashMap<u64, u32>,
-    /// set -> distinct dirty lines.
-    per_set: HashMap<u32, u32>,
+    refcount: AddrMap<u32>,
+    /// Distinct dirty lines, indexed by L1 set.
+    per_set: Vec<u32>,
 }
 
 impl Occupancy {
+    /// An empty tracker over `sets` L1 sets.
+    pub(crate) fn new(sets: u32) -> Self {
+        Self {
+            refcount: AddrMap::default(),
+            per_set: vec![0; sets as usize],
+        }
+    }
+
     /// Distinct speculative dirty lines currently in `set`.
     pub(crate) fn set_count(&self, set: u32) -> u32 {
-        self.per_set.get(&set).copied().unwrap_or(0)
+        self.per_set[set as usize]
     }
 
     /// Whether `line` is already dirty in some in-flight chunk.
@@ -150,7 +191,7 @@ impl Occupancy {
         let r = self.refcount.entry(line).or_insert(0);
         *r += 1;
         if *r == 1 {
-            *self.per_set.entry(set).or_insert(0) += 1;
+            self.per_set[set as usize] += 1;
         }
     }
 
@@ -172,12 +213,7 @@ impl Occupancy {
             *r -= 1;
             if *r == 0 {
                 self.refcount.remove(&line);
-                let set = set_of(line);
-                let c = self.per_set.get_mut(&set).expect("occupancy set underflow");
-                *c -= 1;
-                if *c == 0 {
-                    self.per_set.remove(&set);
-                }
+                self.per_set[set_of(line) as usize] -= 1;
             }
         }
     }
@@ -190,21 +226,14 @@ impl Occupancy {
 pub(crate) struct SpecView<'a> {
     pub committed: &'a Memory,
     pub older: &'a [Chunk],
-    pub buffer: &'a mut HashMap<Addr, Word>,
-    pub wlines: &'a mut HashSet<u64>,
-    pub rlines: &'a mut HashSet<u64>,
-    pub rsig: &'a mut Signature,
-    pub wsig: &'a mut Signature,
-    /// Lines touched this instruction (engine drains for timing).
-    pub touched: Vec<(u64, bool)>,
+    pub buffer: &'a mut AddrMap<Word>,
+    pub wlines: &'a mut AddrSet,
+    pub rlines: &'a mut AddrSet,
 }
 
 impl DataMemory for SpecView<'_> {
     fn load(&mut self, addr: Addr) -> Word {
-        let line = line_of(addr);
-        self.rsig.insert(line);
-        self.rlines.insert(line);
-        self.touched.push((line, false));
+        self.rlines.insert(line_of(addr));
         if let Some(&v) = self.buffer.get(&addr) {
             return v;
         }
@@ -217,10 +246,7 @@ impl DataMemory for SpecView<'_> {
     }
 
     fn store(&mut self, addr: Addr, value: Word) {
-        let line = line_of(addr);
-        self.wsig.insert(line);
-        self.wlines.insert(line);
-        self.touched.push((line, true));
+        self.wlines.insert(line_of(addr));
         self.buffer.insert(addr, value);
     }
 }
@@ -256,9 +282,6 @@ mod tests {
             buffer: &mut cur.buffer,
             wlines: &mut cur.wlines,
             rlines: &mut cur.rlines,
-            rsig: &mut cur.rsig,
-            wsig: &mut cur.wsig,
-            touched: Vec::new(),
         };
         // Youngest older chunk wins.
         assert_eq!(view.load(5), 11);
@@ -269,21 +292,28 @@ mod tests {
         // Own store then read-own.
         view.store(5, 99);
         assert_eq!(view.load(5), 99);
-        assert_eq!(view.touched.len(), 5);
+        // Words 5, 6 and 7 all sit in line 1.
+        assert_eq!(cur.rlines.iter().collect::<Vec<_>>(), [&1]);
+        assert_eq!(cur.wlines.iter().collect::<Vec<_>>(), [&1]);
     }
 
     #[test]
     fn conflict_uses_read_and_write_sets() {
         let mut a = chunk(0);
         a.rlines.insert(3);
-        let w: HashSet<u64> = [3].into_iter().collect();
-        assert!(a.conflicts_with(&w));
+        assert!(a.conflicts_with(&[3]));
         let mut b = chunk(1);
         b.wlines.insert(4);
-        let w2: HashSet<u64> = [4].into_iter().collect();
-        assert!(b.conflicts_with(&w2));
-        assert!(!b.conflicts_with(&w));
-        assert!(b.all_lines().contains(&4));
+        assert!(b.conflicts_with(&[4]));
+        assert!(!b.conflicts_with(&[3]));
+    }
+
+    #[test]
+    fn footprint_is_sorted_and_deduplicated() {
+        let mut c = chunk(0);
+        c.rlines.extend([9, 2, 5]);
+        c.wlines.extend([5, 1]);
+        assert_eq!(c.footprint(), (vec![1, 2, 5, 9], vec![1, 5]));
     }
 
     #[test]
@@ -292,14 +322,12 @@ mod tests {
         c.buffer.insert(1, 2);
         c.wlines.insert(0);
         c.rlines.insert(7);
-        c.rsig.insert(0);
         c.size = 50;
         let inc = c.incarnation;
         c.reset_for_retry(inc + 1);
         assert!(c.buffer.is_empty());
         assert!(c.wlines.is_empty());
         assert!(c.rlines.is_empty());
-        assert!(c.rsig.is_empty());
         assert_eq!(c.size, 0);
         assert_eq!(c.incarnation, inc + 1);
     }
@@ -307,7 +335,7 @@ mod tests {
     #[test]
     fn occupancy_counts_distinct_lines_per_set() {
         let set_of = |line: u64| (line % 4) as u32;
-        let mut occ = Occupancy::default();
+        let mut occ = Occupancy::new(4);
         occ.add(0, set_of(0));
         occ.add(4, set_of(4));
         occ.add(4, set_of(4)); // second chunk, same line

@@ -40,8 +40,12 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `tags[set]` ordered most-recently-used first; `u64::MAX` = empty.
-    tags: Vec<Vec<u64>>,
+    /// `sets × ways` tags, one row of `ways` per set. A set's first
+    /// `fill[set]` ways hold its lines, most-recently-used first; the
+    /// rest are empty, whatever they contain.
+    tags: Vec<u64>,
+    /// Valid ways per set.
+    fill: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -57,7 +61,8 @@ impl Cache {
         assert!(cfg.ways > 0, "ways must be positive");
         Self {
             cfg,
-            tags: vec![Vec::with_capacity(cfg.ways as usize); cfg.sets as usize],
+            tags: vec![0; cfg.sets as usize * cfg.ways as usize],
+            fill: vec![0; cfg.sets as usize],
             hits: 0,
             misses: 0,
         }
@@ -77,16 +82,20 @@ impl Cache {
     /// eviction.
     pub fn access(&mut self, line: u64) -> bool {
         let set = self.set_of(line) as usize;
-        let ways = self.tags[set].len();
-        if let Some(pos) = self.tags[set].iter().position(|&t| t == line) {
-            self.tags[set][..=pos].rotate_right(1);
+        let ways = self.cfg.ways as usize;
+        let fill = &mut self.fill[set];
+        let row = &mut self.tags[set * ways..][..ways];
+        if let Some(pos) = row[..*fill as usize].iter().position(|&t| t == line) {
+            row[..=pos].rotate_right(1);
             self.hits += 1;
             true
         } else {
-            if ways == self.cfg.ways as usize {
-                self.tags[set].pop();
-            }
-            self.tags[set].insert(0, line);
+            // Shift the row down one way, dropping the LRU line when
+            // the set is full, and put `line` in front.
+            let last = (*fill as usize).min(ways - 1);
+            *fill = (*fill + 1).min(self.cfg.ways);
+            row[..=last].rotate_right(1);
+            row[0] = line;
             self.misses += 1;
             false
         }
@@ -106,15 +115,96 @@ impl Cache {
     /// Empties the cache (used when restoring system checkpoints; the
     /// paper notes caches are *not* part of architectural state).
     pub fn flush(&mut self) {
-        for set in &mut self.tags {
-            set.clear();
-        }
+        self.fill.fill(0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference LRU model: one vector per set, most-recently-used
+    /// first, that grows to `ways` lines and then drops its last.
+    struct Reference {
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Reference {
+        fn new(cfg: CacheConfig) -> Self {
+            Self {
+                ways: cfg.ways as usize,
+                sets: vec![Vec::new(); cfg.sets as usize],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(line % n) as usize];
+            if let Some(pos) = set.iter().position(|&t| t == line) {
+                set[..=pos].rotate_right(1);
+                self.hits += 1;
+                true
+            } else {
+                if set.len() == self.ways {
+                    set.pop();
+                }
+                set.insert(0, line);
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn flush(&mut self) {
+            for set in &mut self.sets {
+                set.clear();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The flat cache answers every access as the reference model
+        /// does, through evictions and flushes, for lines anywhere in
+        /// `u64` (`u64::MAX` and the zero its empty ways start as
+        /// included) and for 1–8 sets of 1–4 ways.
+        #[test]
+        fn flat_cache_matches_reference_lru(
+            set_bits in 0u32..4,
+            ways in 1u32..=4,
+            pool in proptest::collection::vec(
+                prop_oneof![
+                    any::<u64>(),
+                    Just(u64::MAX),
+                    Just(0u64),
+                    0u64..64,
+                    u64::MAX - 64..=u64::MAX,
+                ],
+                1..24,
+            ),
+            ops in proptest::collection::vec((0usize..64, 0u32..24), 1..400),
+        ) {
+            let cfg = CacheConfig { sets: 1 << set_bits, ways };
+            let mut cache = Cache::new(cfg);
+            let mut model = Reference::new(cfg);
+            for (pick, roll) in ops {
+                if roll == 0 {
+                    cache.flush();
+                    model.flush();
+                } else {
+                    let line = pool[pick % pool.len()];
+                    prop_assert_eq!(cache.access(line), model.access(line), "line {:#x}", line);
+                }
+            }
+            prop_assert_eq!(cache.stats(), (model.hits, model.misses));
+        }
+    }
 
     fn tiny() -> Cache {
         Cache::new(CacheConfig { sets: 4, ways: 2 })

@@ -7,9 +7,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use delorean::{
-    serialize, FileSink, FileSource, Fnv, HookStage, Machine, Mode, NoopStage, ReplayError,
-    SubstrateEvent,
+    serialize, ArbiterConfig, FileSink, FileSource, Fnv, HookStage, Machine, Mode, NoopStage,
+    ReplayError, RunStats, SubstrateEvent,
 };
+use delorean_chunk::DeviceConfig;
 use delorean_isa::workload;
 use proptest::prelude::*;
 
@@ -52,19 +53,25 @@ fn mode_tag(mode: Mode) -> &'static str {
 /// One golden line per (workload, mode): digest fingerprint, stream
 /// byte hash, stream length.
 fn current_line(workload: &str, mode: Mode) -> String {
-    let m = machine(mode);
+    recorded_line(&machine(mode), workload, SEED).0
+}
+
+/// The golden-format line for one recording of `workload` on `m`, and
+/// the recording's statistics.
+fn recorded_line(m: &Machine, workload: &str, seed: u64) -> (String, RunStats) {
     let w = workload::by_name(workload).expect("catalog workload");
-    let recording = m.record(w, SEED);
+    let recording = m.record(w, seed);
     let mut sink = FileSink::new(Vec::new());
-    m.record_to(w, SEED, &mut sink);
+    m.record_to(w, seed, &mut sink);
     let bytes = sink.into_inner().expect("writing to a Vec cannot fail");
-    format!(
+    let line = format!(
         "{workload} {} {:016x} {:016x} {}",
-        mode_tag(mode),
+        mode_tag(m.mode()),
         digest_fingerprint(&recording.stats.digest),
         Fnv::of(&bytes),
         bytes.len()
-    )
+    );
+    (line, recording.stats)
 }
 
 /// Acceptance: the refactor onto the `Session` pipeline left every
@@ -92,6 +99,50 @@ fn golden_catalog_digests_and_bytes_are_stable() {
         GOLDEN, fresh,
         "recording output drifted from the pre-refactor golden baseline"
     );
+}
+
+/// Lines for recordings the golden catalog never makes: at its budget
+/// no workload records a DMA transfer, and it runs only the global
+/// arbiter on four processors. The first three are `sjbb2k` with DMA in
+/// every mode, the last a 16-processor `radix` on a 4-shard arbiter.
+const PINNED: [&str; 4] = [
+    "sjbb2k ordersize c25e3a0aff471238 13568010142194e4 30148",
+    "sjbb2k orderonly 534d9d430a0b0d77 8d6d8f2573948e51 28929",
+    "sjbb2k picolog 6b43810ca579d676 31af7156ee880b27 2668",
+    "radix orderonly ef6af8f6d09cea71 48365ad63b6ab73f 35377",
+];
+
+/// The engine's DMA commit path and its sharded grant and squash paths
+/// leave every digest and `.dlrn` byte as pinned.
+#[test]
+fn dma_and_sharded_recordings_are_pinned() {
+    let devices = DeviceConfig {
+        irq_period: 6_000,
+        dma_period: 9_000,
+        dma_words: 16,
+    };
+    let mut fresh = Vec::new();
+    for mode in MODES {
+        let m = Machine::builder()
+            .mode(mode)
+            .procs(4)
+            .budget(12_000)
+            .devices(devices)
+            .build();
+        let (line, stats) = recorded_line(&m, "sjbb2k", 17);
+        assert!(stats.dma_commits > 0, "{line}: no DMA transfer recorded");
+        fresh.push(line);
+    }
+    let m = Machine::builder()
+        .mode(Mode::OrderOnly)
+        .procs(16)
+        .budget(BUDGET)
+        .arbiter(ArbiterConfig::Sharded { shards: 4 })
+        .build();
+    let (line, stats) = recorded_line(&m, "radix", SEED);
+    assert!(stats.squashes > 0, "{line}: no squash recorded");
+    fresh.push(line);
+    assert_eq!(fresh, PINNED);
 }
 
 /// The golden line for one (workload, mode), as committed.
