@@ -50,16 +50,21 @@ impl BitWriter {
                 "value {value:#x} does not fit in {width} bits"
             );
         }
-        for i in 0..width {
-            let bit = (value >> i) & 1;
-            let pos = self.bit_len + u64::from(i);
-            let byte = (pos / 8) as usize;
-            if byte == self.bytes.len() {
-                self.bytes.push(0);
+        // Fill the free high bits of the partial last byte, then append
+        // the rest as whole bytes: all eight, cut back to the bytes the
+        // stream now spans. `value` has no bits above `width`, so whatever
+        // lands past it is zero padding.
+        let used = (self.bit_len % 8) as u32;
+        let mut rest = value;
+        if used != 0 {
+            if let Some(last) = self.bytes.last_mut() {
+                *last |= (value << used) as u8;
             }
-            self.bytes[byte] |= (bit as u8) << (pos % 8);
+            rest >>= (8 - used).min(width);
         }
+        self.bytes.extend_from_slice(&rest.to_le_bytes());
         self.bit_len += u64::from(width);
+        self.bytes.truncate(self.bit_len.div_ceil(8) as usize);
     }
 
     /// Appends a single bit.
@@ -127,14 +132,20 @@ impl<'a> BitReader<'a> {
         if end > self.bytes.len() as u64 * 8 {
             return None;
         }
-        let mut value = 0u64;
-        for i in 0..width {
-            let pos = self.pos + u64::from(i);
-            let bit = (self.bytes[(pos / 8) as usize] >> (pos % 8)) & 1;
-            value |= u64::from(bit) << i;
-        }
+        // The bits span at most nine bytes: load sixteen (fewer near the
+        // end), then shift and mask once.
+        let first = (self.pos / 8) as usize;
+        let window = match self.bytes[first..].first_chunk::<16>() {
+            Some(window) => *window,
+            None => {
+                let mut window = [0u8; 16];
+                window[..self.bytes.len() - first].copy_from_slice(&self.bytes[first..]);
+                window
+            }
+        };
+        let bits = u128::from_le_bytes(window) >> (self.pos % 8);
         self.pos = end;
-        Some(value)
+        Some((bits & ((1u128 << width) - 1)) as u64)
     }
 
     /// Reads a single bit.
@@ -162,6 +173,88 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A writer that stores one bit per step, the reference for
+    /// [`BitWriter::write_bits`]: its bytes and bit length.
+    fn reference_write(items: &[(u64, u32)]) -> (Vec<u8>, u64) {
+        let (mut bytes, mut bit_len) = (Vec::new(), 0u64);
+        for &(value, width) in items {
+            for i in 0..width {
+                let pos = bit_len + u64::from(i);
+                if (pos / 8) as usize == bytes.len() {
+                    bytes.push(0);
+                }
+                bytes[(pos / 8) as usize] |= (((value >> i) & 1) as u8) << (pos % 8);
+            }
+            bit_len += u64::from(width);
+        }
+        (bytes, bit_len)
+    }
+
+    /// A reader that loads one bit per step, the reference for
+    /// [`BitReader::read_bits`].
+    fn reference_read(bytes: &[u8], pos: u64, width: u32) -> Option<u64> {
+        if pos + u64::from(width) > bytes.len() as u64 * 8 {
+            return None;
+        }
+        let mut value = 0u64;
+        for i in 0..width {
+            let p = pos + u64::from(i);
+            value |= u64::from((bytes[(p / 8) as usize] >> (p % 8)) & 1) << i;
+        }
+        Some(value)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Whole-byte writes and reads equal the per-bit reference, up to
+        /// a read that ends exactly at the end of the buffer, and a read
+        /// one bit longer is `None`.
+        #[test]
+        fn whole_byte_io_matches_per_bit_reference(
+            items in proptest::collection::vec((0u32..=64, any::<u64>()), 0..64),
+            tail in 0u64..=64,
+            stride in 1u32..=64,
+        ) {
+            let items: Vec<(u64, u32)> = items
+                .iter()
+                .map(|&(width, v)| (if width == 64 { v } else { v & ((1u64 << width) - 1) }, width))
+                .collect();
+            let mut w = BitWriter::new();
+            for &(value, width) in &items {
+                w.write_bits(value, width);
+            }
+            let (bytes, bit_len) = reference_write(&items);
+            prop_assert_eq!(w.bit_len(), bit_len);
+            prop_assert_eq!(w.as_bytes(), &bytes[..]);
+
+            let mut r = BitReader::new(&bytes);
+            for &(value, width) in &items {
+                prop_assert_eq!(r.read_bits(width), Some(value));
+            }
+            // Re-read at `stride`-bit steps up to `tail` bits before the
+            // end, then read exactly to the end.
+            let end = bytes.len() as u64 * 8;
+            let last = end.saturating_sub(tail);
+            let mut r = BitReader::new(&bytes);
+            while r.position() < last {
+                let width = stride.min((last - r.position()) as u32);
+                let want = reference_read(&bytes, r.position(), width);
+                prop_assert_eq!(r.read_bits(width), want);
+            }
+            let exact = (end - last) as u32;
+            if exact < 64 {
+                prop_assert_eq!(r.clone().read_bits(exact + 1), None);
+            }
+            let want = reference_read(&bytes, last, exact);
+            prop_assert!(want.is_some());
+            prop_assert_eq!(r.read_bits(exact), want);
+            prop_assert_eq!(r.read_bits(0), Some(0));
+            prop_assert_eq!(r.read_bits(1), None);
+        }
+    }
 
     #[test]
     fn round_trip_mixed_widths() {

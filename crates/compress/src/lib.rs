@@ -36,4 +36,4 @@ pub mod lz77;
 mod size;
 
 pub use bits::{BitReader, BitWriter};
-pub use size::{LogSize, PARALLEL_MEASURE_THRESHOLD};
+pub use size::{LogSize, SEGMENTED_MEASURE_THRESHOLD};

@@ -8,8 +8,11 @@
 //! * `1` bit + `DIST_BITS`-bit backward distance (1-based) +
 //!   `LEN_BITS`-bit match length (stored as `len - MIN_MATCH`).
 //!
-//! Matching uses a hash-chain over 3-byte prefixes, greedy with a one-byte
-//! lazy check, which is close to what a small hardware window achieves.
+//! Matching is greedy over hash chains of 3-byte prefixes. A position's
+//! chain link lives in a ring of [`WINDOW`] slots, because a match
+//! reaches back at most that far; each lookup tries up to 32 candidates
+//! and keeps the first strictly longest match. That is close to what a
+//! small hardware window achieves.
 //!
 //! # Examples
 //!
@@ -36,6 +39,8 @@ pub const MAX_MATCH: usize = MIN_MATCH + (1 << LEN_BITS) - 1;
 
 const HASH_SIZE: usize = 1 << 13;
 const MAX_CHAIN: usize = 32;
+/// The end of a hash chain.
+const NIL: usize = usize::MAX;
 
 /// Error returned by [`decompress`] on a malformed stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,12 +62,40 @@ fn hash3(data: &[u8], i: usize) -> usize {
     (h as usize) & (HASH_SIZE - 1)
 }
 
+/// Hash chains over 3-byte prefixes: `head[h]` is the latest position
+/// whose prefix hashes to `h`, and `prev[p % WINDOW]` the position before
+/// `p` on its chain. A lookup at `i` follows the link of `p` only when
+/// `i - p <= WINDOW`; the next position to reuse that slot is
+/// `p + WINDOW >= i`, which is inserted after the lookup.
+struct Chains {
+    head: Vec<usize>,
+    prev: Vec<usize>,
+}
+
+impl Chains {
+    fn new() -> Self {
+        Self {
+            head: vec![NIL; HASH_SIZE],
+            prev: vec![NIL; WINDOW],
+        }
+    }
+
+    /// Links every position in `from..to` that has a full prefix.
+    fn insert(&mut self, data: &[u8], from: usize, to: usize) {
+        for j in from..to.min(data.len().saturating_sub(MIN_MATCH - 1)) {
+            let h = hash3(data, j);
+            self.prev[j % WINDOW] = self.head[h];
+            self.head[h] = j;
+        }
+    }
+}
+
 /// Compresses `data`, returning the bit-packed token stream prefixed by
 /// a 32-bit little-endian uncompressed length.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut w = BitWriter::new();
     w.write_bits(data.len() as u64, 32);
-    compress_into(data, &mut w);
+    compress_from(data, 0, &mut Chains::new(), &mut w);
     w.into_bytes()
 }
 
@@ -70,204 +103,104 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// 32-bit length header), the quantity used for log-size reporting.
 pub fn compressed_bits(data: &[u8]) -> u64 {
     let mut w = BitWriter::new();
-    compress_into(data, &mut w);
+    compress_from(data, 0, &mut Chains::new(), &mut w);
     w.bit_len()
-}
-
-fn compress_into(data: &[u8], w: &mut BitWriter) {
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; data.len()];
-    compress_from(data, 0, &mut head, &mut prev, w);
 }
 
 /// Emits tokens for `data[start..]`; positions below `start` must already
 /// be inserted in the chains so matches can reach into that history.
-fn compress_from(
-    data: &[u8],
-    start: usize,
-    head: &mut [usize],
-    prev: &mut [usize],
-    w: &mut BitWriter,
-) {
+fn compress_from(data: &[u8], start: usize, chains: &mut Chains, w: &mut BitWriter) {
     let mut i = start;
     while i < data.len() {
-        let (len, dist) = best_match(data, i, head, prev);
-        if len >= MIN_MATCH {
-            w.write_bit(true);
-            w.write_bits((dist - 1) as u64, DIST_BITS);
-            w.write_bits((len - MIN_MATCH) as u64, LEN_BITS);
-            // Insert all covered positions in the chain so later matches
-            // can reference them.
-            let end = (i + len).min(data.len());
-            let mut j = i;
-            while j < end && j + MIN_MATCH <= data.len() {
-                let h = hash3(data, j);
-                prev[j] = head[h];
-                head[h] = j;
-                j += 1;
-            }
-            i += len;
+        let (len, dist) = best_match(data, i, chains);
+        // One write per token: the flag bit, then the literal byte or the
+        // distance and length.
+        let step = if len >= MIN_MATCH {
+            let fields = (dist - 1) as u64 | ((len - MIN_MATCH) as u64) << DIST_BITS;
+            w.write_bits(1 | fields << 1, 1 + DIST_BITS + LEN_BITS);
+            len
         } else {
-            w.write_bit(false);
-            w.write_bits(u64::from(data[i]), 8);
-            if i + MIN_MATCH <= data.len() {
-                let h = hash3(data, i);
-                prev[i] = head[h];
-                head[h] = i;
-            }
-            i += 1;
-        }
+            w.write_bits(u64::from(data[i]) << 1, 9);
+            1
+        };
+        // Insert every covered position so later matches can reference it.
+        chains.insert(data, i, i + step);
+        i += step;
     }
 }
 
-fn best_match(data: &[u8], i: usize, head: &[usize], prev: &[usize]) -> (usize, usize) {
+fn best_match(data: &[u8], i: usize, chains: &Chains) -> (usize, usize) {
     if i + MIN_MATCH > data.len() {
         return (0, 0);
     }
     let max_len = (data.len() - i).min(MAX_MATCH);
     let mut best_len = 0usize;
     let mut best_dist = 0usize;
-    let mut cand = head[hash3(data, i)];
+    let mut cand = chains.head[hash3(data, i)];
     let mut chain = 0usize;
-    while cand != usize::MAX && chain < MAX_CHAIN {
+    while cand != NIL && chain < MAX_CHAIN {
         let dist = i - cand;
         if dist > WINDOW {
             break;
         }
-        let mut l = 0usize;
-        while l < max_len && data[cand + l] == data[i + l] {
-            l += 1;
-        }
-        if l > best_len {
-            best_len = l;
-            best_dist = dist;
-            if l == max_len {
-                break;
+        // Only a candidate that also matches at `best_len` can be longer.
+        if data[cand + best_len] == data[i + best_len] {
+            let l = match_len(data, cand, i, max_len);
+            if l > best_len {
+                best_len = l;
+                best_dist = dist;
+                if l == max_len {
+                    break;
+                }
             }
         }
-        cand = prev[cand];
+        cand = chains.prev[cand % WINDOW];
         chain += 1;
     }
     (best_len, best_dist)
 }
 
-/// Default segment size for [`compress_blocks_parallel`] /
-/// [`compressed_bits_parallel`]: large enough that per-block setup is
-/// amortized, small enough that a sweep-sized log yields a block per
-/// worker.
-pub const PAR_BLOCK: usize = 256 * 1024;
-
-/// Compresses one `block_size`-aligned segment of `data` exactly as the
-/// streaming [`Encoder`] would when flushed every `block_size` bytes:
-/// the match window is seeded with the raw bytes preceding the segment
-/// (up to [`WINDOW`]), so distances may reach across the segment
-/// boundary. Returns the packed block and its token-stream bit length
-/// (excluding the 32-bit length header).
-fn compress_block(data: &[u8], start: usize, end: usize) -> (Vec<u8>, u64) {
-    let hist_start = start.saturating_sub(WINDOW);
-    let slice = &data[hist_start..end];
-    let local_start = start - hist_start;
-    let mut w = BitWriter::new();
-    w.write_bits((end - start) as u64, 32);
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; slice.len()];
-    let indexed = local_start.min(slice.len().saturating_sub(MIN_MATCH - 1));
-    for (j, slot) in prev.iter_mut().enumerate().take(indexed) {
-        let h = hash3(slice, j);
-        *slot = head[h];
-        head[h] = j;
-    }
-    let before = w.bit_len();
-    compress_from(slice, local_start, &mut head, &mut prev, &mut w);
-    let token_bits = w.bit_len() - before;
-    (w.into_bytes(), token_bits)
-}
-
-/// Compresses `data` as a sequence of `block_size`-byte streaming
-/// blocks, distributing the blocks over up to `workers` scoped threads.
-///
-/// Because each block's match window is seeded from the *raw* input
-/// bytes preceding it (not from previously compressed output), the
-/// blocks are independent work items: the result is byte-identical to
-/// pushing `data` through an [`Encoder`] and calling
-/// [`Encoder::flush_block`] every `block_size` bytes, at **any** worker
-/// count — the property the parallel sweep engine relies on. Decode
-/// the blocks in order with a [`Decoder`].
-///
-/// # Panics
-///
-/// Panics if `block_size` is zero.
-pub fn compress_blocks_parallel(data: &[u8], block_size: usize, workers: usize) -> Vec<Vec<u8>> {
-    assert!(block_size > 0, "block size must be positive");
-    let n_blocks = data.len().div_ceil(block_size);
-    if n_blocks == 0 {
-        return Vec::new();
-    }
-    run_blocks(data, block_size, n_blocks, workers)
-        .into_iter()
-        .map(|(packed, _)| packed)
-        .collect()
-}
-
-/// Compressed size of `data` in bits under segmented (streaming)
-/// compression: the sum of every block's token-stream bits, excluding
-/// the per-block length headers. Deterministic and identical at any
-/// `workers` value; slightly larger than [`compressed_bits`] because
-/// matches cannot precede the stream start of each window.
-///
-/// # Panics
-///
-/// Panics if `block_size` is zero.
-pub fn compressed_bits_parallel(data: &[u8], block_size: usize, workers: usize) -> u64 {
-    assert!(block_size > 0, "block size must be positive");
-    let n_blocks = data.len().div_ceil(block_size);
-    if n_blocks == 0 {
-        return 0;
-    }
-    run_blocks(data, block_size, n_blocks, workers)
-        .iter()
-        .map(|(_, bits)| bits)
-        .sum()
-}
-
-/// Runs [`compress_block`] for every block index, striding the indices
-/// across `workers` threads, and returns the results in block order.
-/// A packed block plus its token-stream bit length.
-type BlockResult = (Vec<u8>, u64);
-
-fn run_blocks(data: &[u8], block_size: usize, n_blocks: usize, workers: usize) -> Vec<BlockResult> {
-    let workers = workers.clamp(1, n_blocks);
-    let block_of = |idx: usize| {
-        let start = idx * block_size;
-        let end = (start + block_size).min(data.len());
-        compress_block(data, start, end)
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max_len`, compared eight bytes at a time.
+fn match_len(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
+    let (x, y) = (&data[a..a + max_len], &data[b..b + max_len]);
+    let word = |s: &[u8], at: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&s[at..at + 8]);
+        u64::from_le_bytes(w)
     };
-    if workers == 1 {
-        return (0..n_blocks).map(block_of).collect();
-    }
-    let mut per_worker: Vec<Vec<(usize, BlockResult)>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                let block_of = &block_of;
-                s.spawn(move || {
-                    (t..n_blocks)
-                        .step_by(workers)
-                        .map(|idx| (idx, block_of(idx)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // A worker thread only panics if `compress_block` does,
-            // which is a bug, not an input condition.
-            #[allow(clippy::expect_used)]
-            per_worker.push(h.join().expect("compression worker panicked"));
+    let mut l = 0;
+    while l + 8 <= max_len {
+        let diff = word(x, l) ^ word(y, l);
+        if diff != 0 {
+            return l + diff.trailing_zeros() as usize / 8;
         }
-    });
-    let mut merged: Vec<(usize, BlockResult)> = per_worker.into_iter().flatten().collect();
-    merged.sort_by_key(|(idx, _)| *idx);
-    merged.into_iter().map(|(_, r)| r).collect()
+        l += 8;
+    }
+    l + x[l..]
+        .iter()
+        .zip(&y[l..])
+        .take_while(|(p, q)| p == q)
+        .count()
+}
+
+/// Compressed size of `data` in bits when an [`Encoder`] flushes a block
+/// every `block_size` bytes: the sum of every block's token-stream bits,
+/// excluding the per-block length headers. Slightly larger than
+/// [`compressed_bits`], because no match runs past the end of its block.
+///
+/// # Panics
+///
+/// Panics if `block_size` is zero.
+pub fn compressed_bits_segmented(data: &[u8], block_size: usize) -> u64 {
+    assert!(block_size > 0, "block size must be positive");
+    let mut enc = Encoder::new();
+    data.chunks(block_size)
+        .map(|block| {
+            enc.push(block);
+            enc.flush().bit_len() - 32
+        })
+        .sum()
 }
 
 /// Decompresses a stream produced by [`compress`].
@@ -277,29 +210,7 @@ fn run_blocks(data: &[u8], block_size: usize, n_blocks: usize, workers: usize) -
 /// Returns [`DecompressError`] if the stream is truncated or a match
 /// references data before the start of the output.
 pub fn decompress(packed: &[u8]) -> Result<Vec<u8>, DecompressError> {
-    let mut r = BitReader::new(packed);
-    let total = r.read_bits(32).ok_or(DecompressError)? as usize;
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        let is_match = r.read_bit().ok_or(DecompressError)?;
-        if is_match {
-            let dist = r.read_bits(DIST_BITS).ok_or(DecompressError)? as usize + 1;
-            let len = r.read_bits(LEN_BITS).ok_or(DecompressError)? as usize + MIN_MATCH;
-            if dist > out.len() {
-                return Err(DecompressError);
-            }
-            let start = out.len() - dist;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        } else {
-            let b = r.read_bits(8).ok_or(DecompressError)? as u8;
-            out.push(b);
-        }
-    }
-    out.truncate(total);
-    Ok(out)
+    Decoder::new().decode_block(packed)
 }
 
 /// Incremental LZ77 encoder for streaming log persistence.
@@ -361,31 +272,29 @@ impl Encoder {
     /// yields a valid empty block). The flushed bytes enter the match
     /// window for subsequent blocks.
     pub fn flush_block(&mut self) -> Vec<u8> {
+        self.flush().into_bytes()
+    }
+
+    /// Compresses and drains the pending bytes into one block's bits.
+    fn flush(&mut self) -> BitWriter {
         let mut w = BitWriter::new();
         w.write_bits(self.pending.len() as u64, 32);
 
-        // Concatenate retained history and pending bytes, seed the hash
+        // Append the pending bytes to the retained history, seed the hash
         // chains with every history position, then emit tokens only for
         // the pending region. Distances stay within WINDOW, so matches
         // can span the flush boundary without unbounded state.
-        let mut data = Vec::with_capacity(self.history.len() + self.pending.len());
-        data.extend_from_slice(&self.history);
-        data.extend_from_slice(&self.pending);
         let start = self.history.len();
-        let mut head = vec![usize::MAX; HASH_SIZE];
-        let mut prev = vec![usize::MAX; data.len()];
-        let indexed = start.min(data.len().saturating_sub(MIN_MATCH - 1));
-        for (j, slot) in prev.iter_mut().enumerate().take(indexed) {
-            let h = hash3(&data, j);
-            *slot = head[h];
-            head[h] = j;
-        }
-        compress_from(&data, start, &mut head, &mut prev, &mut w);
+        let mut data = std::mem::take(&mut self.history);
+        data.extend_from_slice(&self.pending);
+        let mut chains = Chains::new();
+        chains.insert(&data, 0, start);
+        compress_from(&data, start, &mut chains, &mut w);
 
-        let keep = data.len().min(WINDOW);
-        self.history = data[data.len() - keep..].to_vec();
+        data.drain(..data.len() - data.len().min(WINDOW));
+        self.history = data;
         self.pending.clear();
-        w.into_bytes()
+        w
     }
 }
 
@@ -426,17 +335,22 @@ impl Decoder {
         while out.len() - base < total {
             let is_match = r.read_bit().ok_or(DecompressError)?;
             if is_match {
-                let dist = r.read_bits(DIST_BITS).ok_or(DecompressError)? as usize + 1;
-                let len = r.read_bits(LEN_BITS).ok_or(DecompressError)? as usize + MIN_MATCH;
+                let fields = r.read_bits(DIST_BITS + LEN_BITS).ok_or(DecompressError)? as usize;
+                let dist = (fields & ((1 << DIST_BITS) - 1)) + 1;
+                let len = (fields >> DIST_BITS) + MIN_MATCH;
                 if dist > out.len() {
                     self.history = out;
                     self.history.truncate(base);
                     return Err(DecompressError);
                 }
                 let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if dist >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // The match overlaps the bytes it produces.
+                    for k in start..start + len {
+                        out.push(out[k]);
+                    }
                 }
             } else {
                 let b = r.read_bits(8).ok_or(DecompressError)? as u8;
@@ -454,7 +368,174 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// A plain matcher with one `usize` link per input byte and a
+    /// byte-at-a-time comparison: every token stream must equal the one
+    /// it emits.
+    mod reference {
+        use super::super::{
+            hash3, DIST_BITS, HASH_SIZE, LEN_BITS, MAX_CHAIN, MAX_MATCH, MIN_MATCH, WINDOW,
+        };
+        use crate::BitWriter;
+
+        fn compress_from(
+            data: &[u8],
+            start: usize,
+            head: &mut [usize],
+            prev: &mut [usize],
+            w: &mut BitWriter,
+        ) {
+            let mut i = start;
+            while i < data.len() {
+                let (len, dist) = best_match(data, i, head, prev);
+                if len >= MIN_MATCH {
+                    w.write_bit(true);
+                    w.write_bits((dist - 1) as u64, DIST_BITS);
+                    w.write_bits((len - MIN_MATCH) as u64, LEN_BITS);
+                    let end = (i + len).min(data.len());
+                    let mut j = i;
+                    while j < end && j + MIN_MATCH <= data.len() {
+                        let h = hash3(data, j);
+                        prev[j] = head[h];
+                        head[h] = j;
+                        j += 1;
+                    }
+                    i += len;
+                } else {
+                    w.write_bit(false);
+                    w.write_bits(u64::from(data[i]), 8);
+                    if i + MIN_MATCH <= data.len() {
+                        let h = hash3(data, i);
+                        prev[i] = head[h];
+                        head[h] = i;
+                    }
+                    i += 1;
+                }
+            }
+        }
+
+        fn best_match(data: &[u8], i: usize, head: &[usize], prev: &[usize]) -> (usize, usize) {
+            if i + MIN_MATCH > data.len() {
+                return (0, 0);
+            }
+            let max_len = (data.len() - i).min(MAX_MATCH);
+            let (mut best_len, mut best_dist) = (0, 0);
+            let mut cand = head[hash3(data, i)];
+            let mut chain = 0;
+            while cand != usize::MAX && chain < MAX_CHAIN {
+                let dist = i - cand;
+                if dist > WINDOW {
+                    break;
+                }
+                let mut l = 0;
+                while l < max_len && data[cand + l] == data[i + l] {
+                    l += 1;
+                }
+                if l > best_len {
+                    best_len = l;
+                    best_dist = dist;
+                    if l == max_len {
+                        break;
+                    }
+                }
+                cand = prev[cand];
+                chain += 1;
+            }
+            (best_len, best_dist)
+        }
+
+        /// The block an `Encoder` flushes for `data[start..end]` after
+        /// flushing `data[..start]`, and its token-stream bits.
+        pub fn block(data: &[u8], start: usize, end: usize) -> (Vec<u8>, u64) {
+            let hist_start = start.saturating_sub(WINDOW);
+            let slice = &data[hist_start..end];
+            let local_start = start - hist_start;
+            let mut w = BitWriter::new();
+            w.write_bits((end - start) as u64, 32);
+            let mut head = vec![usize::MAX; HASH_SIZE];
+            let mut prev = vec![usize::MAX; slice.len()];
+            let indexed = local_start.min(slice.len().saturating_sub(MIN_MATCH - 1));
+            for (j, slot) in prev.iter_mut().enumerate().take(indexed) {
+                let h = hash3(slice, j);
+                *slot = head[h];
+                head[h] = j;
+            }
+            compress_from(slice, local_start, &mut head, &mut prev, &mut w);
+            let bits = w.bit_len() - 32;
+            (w.into_bytes(), bits)
+        }
+    }
+
+    /// `len` bytes of one input shape: `0` little-endian `u64` words with
+    /// zero high bytes (the PI-log footprint), `1` long runs, else random
+    /// bytes.
+    fn shaped(shape: u8, len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(len + MAX_MATCH * 2);
+        while data.len() < len {
+            match shape {
+                0 => {
+                    let word = if rng.gen_range(0u32..4) == 0 {
+                        rng.gen_range(0u64..1 << 24)
+                    } else {
+                        0x1000 + 8 * rng.gen_range(0u64..32)
+                    };
+                    data.extend_from_slice(&word.to_le_bytes());
+                }
+                1 => {
+                    let byte = rng.gen_range(0u8..3);
+                    data.resize(data.len() + rng.gen_range(1usize..2 * MAX_MATCH), byte);
+                }
+                _ => data.push(rng.gen()),
+            }
+        }
+        data.truncate(len);
+        data
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// `compress`, an `Encoder` flushed at random cuts and the
+        /// segmented bit count emit exactly the reference's tokens.
+        #[test]
+        fn token_streams_equal_the_reference(
+            shape in 0u8..3,
+            seed in any::<u64>(),
+            near in 0usize..5,
+            jitter in 0usize..5,
+            free in 0usize..12_000,
+            cuts in proptest::collection::vec(1usize..3 * WINDOW, 1..6),
+            block_size in 1usize..3 * WINDOW,
+        ) {
+            let len = [MAX_MATCH, WINDOW, WINDOW + MAX_MATCH, 2 * WINDOW, free][near] + jitter;
+            let data = shaped(shape, len.saturating_sub(2), seed);
+
+            let packed = compress(&data);
+            prop_assert_eq!(&packed, &reference::block(&data, 0, data.len()).0);
+            prop_assert_eq!(decompress(&packed).unwrap(), data.clone());
+
+            let mut enc = Encoder::new();
+            let mut start = 0;
+            for &cut in cuts.iter().cycle() {
+                let end = (start + cut).min(data.len());
+                enc.push(&data[start..end]);
+                prop_assert_eq!(enc.flush_block(), reference::block(&data, start, end).0);
+                start = end;
+                if start == data.len() {
+                    break;
+                }
+            }
+
+            let bits: u64 = (0..data.len())
+                .step_by(block_size)
+                .map(|at| reference::block(&data, at, (at + block_size).min(data.len())).1)
+                .sum();
+            prop_assert_eq!(compressed_bits_segmented(&data, block_size), bits);
+        }
+    }
 
     #[test]
     fn empty_round_trip() {
@@ -589,62 +670,65 @@ mod tests {
         );
     }
 
+    /// Bits of a block's token stream, its length header excluded,
+    /// counted by walking the tokens.
+    fn token_bits(block: &[u8]) -> u64 {
+        let mut r = BitReader::new(block);
+        let total = r.read_bits(32).unwrap();
+        let mut produced = 0;
+        while produced < total {
+            produced += if r.read_bit().unwrap() {
+                r.read_bits(DIST_BITS).unwrap();
+                r.read_bits(LEN_BITS).unwrap() + MIN_MATCH as u64
+            } else {
+                r.read_bits(8).unwrap();
+                1
+            };
+        }
+        r.position() - 32
+    }
+
     #[test]
-    fn parallel_blocks_match_streaming_encoder() {
+    fn segmented_bits_match_streaming_encoder() {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         let data: Vec<u8> = (0..40_000u32)
             .map(|i| ((i % 13) | ((rng.gen::<u8>() as u32 % 5) << 4)) as u8)
             .collect();
         let block = 8 * 1024;
-        let parallel = compress_blocks_parallel(&data, block, 4);
         let mut enc = Encoder::new();
-        let mut sequential = Vec::new();
+        let mut dec = Decoder::new();
+        let (mut bits, mut out) = (0, Vec::new());
         for chunk in data.chunks(block) {
             enc.push(chunk);
-            sequential.push(enc.flush_block());
+            let packed = enc.flush_block();
+            bits += token_bits(&packed);
+            out.extend(dec.decode_block(&packed).unwrap());
         }
-        assert_eq!(parallel, sequential);
-        let mut dec = Decoder::new();
-        let mut out = Vec::new();
-        for b in &parallel {
-            out.extend(dec.decode_block(b).unwrap());
-        }
+        assert_eq!(compressed_bits_segmented(&data, block), bits);
         assert_eq!(out, data);
     }
 
     #[test]
-    fn parallel_output_is_worker_invariant() {
-        let data: Vec<u8> = (0..50_000u32).map(|i| ((i * 31) % 251) as u8).collect();
-        let one = compress_blocks_parallel(&data, 4096, 1);
-        let three = compress_blocks_parallel(&data, 4096, 3);
-        let many = compress_blocks_parallel(&data, 4096, 16);
-        assert_eq!(one, three);
-        assert_eq!(one, many);
-        assert_eq!(
-            compressed_bits_parallel(&data, 4096, 1),
-            compressed_bits_parallel(&data, 4096, 8)
-        );
-    }
-
-    #[test]
-    fn parallel_bits_track_one_shot() {
+    fn segmented_bits_track_one_shot() {
         let data: Vec<u8> = (0..64 * 1024u32)
             .map(|i| ((i % 9) | ((i % 7) << 4)) as u8)
             .collect();
-        let seg = compressed_bits_parallel(&data, 8 * 1024, 4);
+        let seg = compressed_bits_segmented(&data, 8 * 1024);
         let one = compressed_bits(&data);
         assert!(seg >= one, "segmented {seg} < one-shot {one}");
         assert!(seg < one * 2, "segmented {seg} vs one-shot {one}");
     }
 
     #[test]
-    fn parallel_empty_and_tiny_inputs() {
-        assert!(compress_blocks_parallel(&[], 1024, 4).is_empty());
-        assert_eq!(compressed_bits_parallel(&[], 1024, 4), 0);
-        let blocks = compress_blocks_parallel(b"ab", 1024, 4);
-        assert_eq!(blocks.len(), 1);
-        let mut dec = Decoder::new();
-        assert_eq!(dec.decode_block(&blocks[0]).unwrap(), b"ab");
+    fn segmented_empty_and_tiny_inputs() {
+        assert_eq!(compressed_bits_segmented(&[], 1024), 0);
+        assert_eq!(compressed_bits_segmented(b"ab", 1024), 18);
+    }
+
+    #[test]
+    fn decompress_caps_an_untrusted_length() {
+        // The header claims 4 GiB of output that the stream does not hold.
+        assert_eq!(decompress(&[0xff; 4]), Err(DecompressError));
     }
 
     #[test]

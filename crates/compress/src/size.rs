@@ -24,17 +24,18 @@ pub struct LogSize {
     pub compressed_bits: u64,
 }
 
-/// Logs at least this large are measured with segmented parallel
-/// compression ([`lz77::compressed_bits_parallel`]) instead of a
-/// one-shot pass. The threshold and segment size are fixed so the
-/// measured value depends only on the bytes, never on the machine's
-/// core count.
-pub const PARALLEL_MEASURE_THRESHOLD: usize = 1 << 20;
+/// Logs at least this large are measured with segmented compression
+/// ([`lz77::compressed_bits_segmented`], one block per 256 KiB) instead
+/// of a one-shot pass. The threshold and segment size are fixed, so the
+/// measured value depends only on the bytes.
+pub const SEGMENTED_MEASURE_THRESHOLD: usize = 1 << 20;
+
+/// Block size of the segmented measurement.
+const SEGMENT: usize = 256 * 1024;
 
 fn measured_bits(bytes: &[u8]) -> u64 {
-    if bytes.len() >= PARALLEL_MEASURE_THRESHOLD {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        lz77::compressed_bits_parallel(bytes, lz77::PAR_BLOCK, workers)
+    if bytes.len() >= SEGMENTED_MEASURE_THRESHOLD {
+        lz77::compressed_bits_segmented(bytes, SEGMENT)
     } else {
         lz77::compressed_bits(bytes)
     }
@@ -43,10 +44,9 @@ fn measured_bits(bytes: &[u8]) -> u64 {
 impl LogSize {
     /// Measures a byte buffer, compressing it with [`lz77`].
     ///
-    /// Buffers of [`PARALLEL_MEASURE_THRESHOLD`] bytes or more are
-    /// compressed per-segment on all available cores; the segmented
-    /// size is what the streaming `.dlrn` writer produces anyway, and
-    /// it is identical at any core count.
+    /// Buffers of [`SEGMENTED_MEASURE_THRESHOLD`] bytes or more are
+    /// compressed per segment, as a streaming encoder flushing every
+    /// 256 KiB would compress them.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         Self {
             raw_bits: bytes.len() as u64 * 8,
@@ -59,7 +59,7 @@ impl LogSize {
     /// Used when the logical log is not byte-aligned (e.g. 4-bit PI
     /// entries): `raw_bits` counts the logical bits while compression
     /// operates on the packed representation. Large buffers take the
-    /// same parallel segmented path as [`LogSize::from_bytes`].
+    /// same segmented path as [`LogSize::from_bytes`].
     pub fn from_bits(bytes: &[u8], raw_bits: u64) -> Self {
         Self {
             raw_bits,
@@ -165,15 +165,14 @@ mod tests {
     #[test]
     fn large_buffers_measure_via_segmented_parallel_path() {
         // Above the threshold the measured size must equal the
-        // fixed-segmentation parallel measurement (worker-invariant),
-        // not the one-shot size.
-        let data: Vec<u8> = (0..PARALLEL_MEASURE_THRESHOLD as u32 + 17)
+        // fixed-segmentation measurement, not the one-shot size.
+        let data: Vec<u8> = (0..SEGMENTED_MEASURE_THRESHOLD as u32 + 17)
             .map(|i| ((i % 9) | ((i % 7) << 4)) as u8)
             .collect();
         let s = LogSize::from_bytes(&data);
         assert_eq!(
             s.compressed_bits,
-            lz77::compressed_bits_parallel(&data, lz77::PAR_BLOCK, 1)
+            lz77::compressed_bits_segmented(&data, SEGMENT)
         );
         assert_eq!(s.raw_bits, data.len() as u64 * 8);
     }

@@ -16,7 +16,7 @@ use crate::error::ReplayError;
 use crate::inspect::ReplayInspector;
 use crate::mode::Mode;
 use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource, SegmentMark};
-use crate::wire::{frame, frame_checksum, mode_from, mode_tag, Fnv, Reader, Writer};
+use crate::wire::{mode_from, mode_tag, Fnv, Reader, Writer, FILE_HEAD};
 use delorean_chunk::StartState;
 use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::WorkloadSpec;
@@ -228,28 +228,67 @@ impl CheckpointIndex {
     /// Serializes the index into the framed, checksummed `.dlrnx`
     /// format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Writer::new();
-        body.u64(self.source_len);
-        body.u64(self.source_fnv);
-        body.u8(mode_tag(self.mode));
-        body.u32(self.n_procs);
-        body.u64(self.interval_k);
-        body.u64(self.total_commits);
-        body.u64(self.entries.len() as u64);
+        // Memory images dominate; the rest of an entry takes well under
+        // 400 bytes per processor.
+        let cap: usize = self
+            .entries
+            .iter()
+            .map(|e| 64 + 8 * e.state.memory.len() + 400 * e.state.vm_states.len())
+            .sum();
+        let mut w = Writer {
+            buf: Vec::with_capacity(FILE_HEAD + 8 + 64 + cap),
+        };
+        w.u32(MAGIC_X);
+        w.u16(VERSION_X);
+        // The frame checksum and body length, patched in below.
+        w.u64(0);
+        w.u64(0);
+        w.u64(self.source_len);
+        w.u64(self.source_fnv);
+        w.u8(mode_tag(self.mode));
+        w.u32(self.n_procs);
+        w.u64(self.interval_k);
+        w.u64(self.total_commits);
+        w.u64(self.entries.len() as u64);
+        // Where each entry's `checksum u64 | len u64` head sits.
+        let mut heads = Vec::with_capacity(self.entries.len() + 1);
         for e in &self.entries {
-            let mut ew = Writer::new();
-            ew.u64(e.gcc);
-            ew.u32(e.rr_cursor);
-            ew.u64(e.segment.byte_offset);
-            ew.u64(e.segment.start_gcc);
+            let head = w.buf.len();
+            heads.push(head);
+            w.u64(0);
+            w.u64(0);
+            w.u64(e.gcc);
+            w.u32(e.rr_cursor);
+            w.u64(e.segment.byte_offset);
+            w.u64(e.segment.start_gcc);
             for &c in &e.segment.start_chunks {
-                ew.u64(c);
+                w.u64(c);
             }
-            encode_start_state(&mut ew, &e.state);
-            body.u64(Fnv::of(&ew.buf));
-            body.bytes(&ew.buf);
+            encode_start_state(&mut w, &e.state);
+            let len = (w.buf.len() - head - 16) as u64;
+            w.buf[head + 8..head + 16].copy_from_slice(&len.to_le_bytes());
         }
-        frame(MAGIC_X, VERSION_X, &body.buf)
+        let mut buf = w.buf;
+        let body_len = (buf.len() - FILE_HEAD - 8) as u64;
+        buf[FILE_HEAD..FILE_HEAD + 8].copy_from_slice(&body_len.to_le_bytes());
+
+        // Both checksums in one pass: while the frame hash folds in entry
+        // k, whose checksum is already patched in, entry k + 1 hashes
+        // beside it.
+        heads.push(buf.len());
+        let mut frame = Fnv::default();
+        let mut from = FILE_HEAD;
+        for span in heads.windows(2) {
+            let (head, end) = (span[0], span[1]);
+            let mut entry = Fnv::default();
+            frame.update_pair(&buf[from..head], &mut entry, &buf[head + 16..end]);
+            buf[head..head + 8].copy_from_slice(&entry.value().to_le_bytes());
+            from = head;
+        }
+        frame.update(&buf[from..]);
+        // The frame checksum is the last field of the file head.
+        buf[FILE_HEAD - 8..FILE_HEAD].copy_from_slice(&frame.value().to_le_bytes());
+        buf
     }
 
     /// Parses and integrity-checks a `.dlrnx` index.
@@ -286,9 +325,28 @@ impl CheckpointIndex {
                 "trailing bytes after index body".to_string(),
             ));
         }
-        if frame_checksum(body) != checksum {
+        // The frame checksum folds in the body as it is parsed. A parse
+        // error counts only if the frame holds; otherwise the damage is
+        // reported as `BadChecksum`, as if the frame were checked first.
+        let mut frame = Fnv::default();
+        frame.update(&(body.len() as u64).to_le_bytes());
+        let mut folded = 0;
+        let parsed = Self::parse_body(body, &mut frame, &mut folded);
+        frame.update(&body[folded..]);
+        if frame.value() != checksum {
             return Err(CheckpointError::BadChecksum);
         }
+        parsed
+    }
+
+    /// Parses a `.dlrnx` body, checking each entry's checksum before it
+    /// parses the entry. Every body byte below `folded` has been folded
+    /// into `frame`, each entry in the same pass as its own checksum.
+    fn parse_body(
+        body: &[u8],
+        frame: &mut Fnv,
+        folded: &mut usize,
+    ) -> Result<Self, CheckpointError> {
         let mut b = Reader::new(body);
         let trunc = |_| CheckpointError::Truncated("index field");
         let source_len = b.u64("source length").map_err(trunc)?;
@@ -312,7 +370,11 @@ impl CheckpointIndex {
             let eb = b
                 .bytes("entry body")
                 .map_err(|_| CheckpointError::Truncated("entry body"))?;
-            if Fnv::of(eb) != entry_fnv {
+            let mut entry = Fnv::default();
+            frame.update(&body[*folded..b.pos - eb.len()]);
+            frame.update_pair(eb, &mut entry, eb);
+            *folded = b.pos;
+            if entry.value() != entry_fnv {
                 return Err(CheckpointError::BadChecksum);
             }
             let mut er = Reader::new(eb);

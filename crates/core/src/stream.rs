@@ -552,9 +552,7 @@ impl LogSink for MemorySink {
 /// can never drift apart.
 pub(crate) fn encode_start_state(w: &mut Writer, start: &StartState) {
     w.u64(start.memory.len() as u64);
-    for &word in &start.memory {
-        w.u64(word);
-    }
+    w.words(&start.memory);
     for st in &start.vm_states {
         w.bytes(&st.to_bytes());
     }
@@ -570,10 +568,7 @@ pub(crate) fn decode_start_state(
     n_procs: u32,
 ) -> Result<StartState, DecodeError> {
     let n = r.len("interval memory len")?;
-    let mut memory = Vec::with_capacity(n);
-    for _ in 0..n {
-        memory.push(r.u64("interval memory word")?);
-    }
+    let memory = r.words(n, "interval memory word")?;
     let mut vm_states = Vec::with_capacity(n_procs as usize);
     for _ in 0..n_procs {
         let b = r.bytes("interval vm state")?;

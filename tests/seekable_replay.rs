@@ -129,6 +129,40 @@ proptest! {
     }
 }
 
+/// Where a `.dlrnx` body starts: the `magic | version | checksum` head
+/// and the body length come first.
+const DLRNX_BODY: usize = 22;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// A bit flip anywhere in the body breaks the frame checksum, and the
+    /// frame is judged before any field: the error is exactly
+    /// `BadChecksum`, never a `Truncated` or `Malformed` read of the
+    /// damaged field. Half the flips land in the index and first entry
+    /// heads, whose damage would otherwise read as such errors.
+    #[test]
+    fn body_bit_flips_are_bad_checksums(
+        seed in 0u64..100_000,
+        near_head in proptest::bool::ANY,
+        flip in 0usize..1_000_000,
+        bit in 0u8..8,
+    ) {
+        let m = machine(Mode::OrderOnly, 2);
+        let rec = m.record(workload::by_name("lu").unwrap(), seed);
+        let mut encoded = index_stream(&serialize::to_bytes(&rec), 32).unwrap().to_bytes();
+        let span = if near_head { 96 } else { encoded.len() - DLRNX_BODY };
+        let pos = DLRNX_BODY + flip % span;
+        encoded[pos] ^= 1 << bit;
+        let result = CheckpointIndex::from_bytes(&encoded);
+        prop_assert!(
+            matches!(result, Err(CheckpointError::BadChecksum)),
+            "flip at byte {pos}: {:?}",
+            result.as_ref().err()
+        );
+    }
+}
+
 /// Windows over a recording with interrupts and DMA transfers, started
 /// at every commit: the PicoLog DMA slots queued before a window start
 /// must be renumbered relative to it, which no catalog recording in the

@@ -7,8 +7,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use delorean::{
-    serialize, ArbiterConfig, FileSink, FileSource, Fnv, HookStage, Machine, Mode, NoopStage,
-    ReplayError, RunStats, SubstrateEvent,
+    index_stream, serialize, ArbiterConfig, FileSink, FileSource, Fnv, HookStage, Machine, Mode,
+    NoopStage, ReplayError, RunStats, SubstrateEvent,
 };
 use delorean_chunk::DeviceConfig;
 use delorean_isa::workload;
@@ -56,9 +56,9 @@ fn current_line(workload: &str, mode: Mode) -> String {
     recorded_line(&machine(mode), workload, SEED).0
 }
 
-/// The golden-format line for one recording of `workload` on `m`, and
-/// the recording's statistics.
-fn recorded_line(m: &Machine, workload: &str, seed: u64) -> (String, RunStats) {
+/// The golden-format line for one recording of `workload` on `m`, the
+/// recording's statistics and its streamed `.dlrn` bytes.
+fn recorded_line(m: &Machine, workload: &str, seed: u64) -> (String, RunStats, Vec<u8>) {
     let w = workload::by_name(workload).expect("catalog workload");
     let recording = m.record(w, seed);
     let mut sink = FileSink::new(Vec::new());
@@ -71,7 +71,7 @@ fn recorded_line(m: &Machine, workload: &str, seed: u64) -> (String, RunStats) {
         Fnv::of(&bytes),
         bytes.len()
     );
-    (line, recording.stats)
+    (line, recording.stats, bytes)
 }
 
 /// Acceptance: the refactor onto the `Session` pipeline left every
@@ -112,37 +112,80 @@ const PINNED: [&str; 4] = [
     "radix orderonly ef6af8f6d09cea71 48365ad63b6ab73f 35377",
 ];
 
-/// The engine's DMA commit path and its sharded grant and squash paths
-/// leave every digest and `.dlrn` byte as pinned.
-#[test]
-fn dma_and_sharded_recordings_are_pinned() {
+/// The machines, workloads and seeds behind [`PINNED`], in order.
+fn pinned_runs() -> Vec<(Machine, &'static str, u64)> {
     let devices = DeviceConfig {
         irq_period: 6_000,
         dma_period: 9_000,
         dma_words: 16,
     };
-    let mut fresh = Vec::new();
-    for mode in MODES {
-        let m = Machine::builder()
-            .mode(mode)
-            .procs(4)
-            .budget(12_000)
-            .devices(devices)
-            .build();
-        let (line, stats) = recorded_line(&m, "sjbb2k", 17);
-        assert!(stats.dma_commits > 0, "{line}: no DMA transfer recorded");
-        fresh.push(line);
-    }
+    let mut runs: Vec<_> = MODES
+        .iter()
+        .map(|&mode| {
+            let m = Machine::builder()
+                .mode(mode)
+                .procs(4)
+                .budget(12_000)
+                .devices(devices)
+                .build();
+            (m, "sjbb2k", 17)
+        })
+        .collect();
     let m = Machine::builder()
         .mode(Mode::OrderOnly)
         .procs(16)
         .budget(BUDGET)
         .arbiter(ArbiterConfig::Sharded { shards: 4 })
         .build();
-    let (line, stats) = recorded_line(&m, "radix", SEED);
-    assert!(stats.squashes > 0, "{line}: no squash recorded");
-    fresh.push(line);
+    runs.push((m, "radix", SEED));
+    runs
+}
+
+/// The engine's DMA commit path and its sharded grant and squash paths
+/// leave every digest and `.dlrn` byte as pinned.
+#[test]
+fn dma_and_sharded_recordings_are_pinned() {
+    let mut fresh = Vec::new();
+    for (m, workload, seed) in pinned_runs() {
+        let (line, stats, _) = recorded_line(&m, workload, seed);
+        if workload == "radix" {
+            assert!(stats.squashes > 0, "{line}: no squash recorded");
+        } else {
+            assert!(stats.dma_commits > 0, "{line}: no DMA transfer recorded");
+        }
+        fresh.push(line);
+    }
     assert_eq!(fresh, PINNED);
+}
+
+/// `.dlrnx` indexes with a checkpoint every 64 commits over the
+/// [`PINNED`] recordings: workload, mode, FNV-1a and length of each.
+const DLRNX_PINNED: [&str; 4] = [
+    "sjbb2k ordersize 3327658e102f34af 1066339",
+    "sjbb2k orderonly 0eaca3f665d6e70d 1066339",
+    "sjbb2k picolog 13efbf59491e15f0 2132747",
+    "radix orderonly fb854c534e7f64d8 5285707",
+];
+
+/// The `.dlrnx` encoder writes every index byte as pinned.
+#[test]
+fn dlrnx_indexes_of_pinned_recordings_are_pinned() {
+    let fresh: Vec<String> = pinned_runs()
+        .iter()
+        .map(|(m, workload, seed)| {
+            let (_, _, bytes) = recorded_line(m, workload, *seed);
+            let index = index_stream(&bytes, 64)
+                .expect("a pinned log indexes")
+                .to_bytes();
+            format!(
+                "{workload} {} {:016x} {}",
+                mode_tag(m.mode()),
+                Fnv::of(&index),
+                index.len()
+            )
+        })
+        .collect();
+    assert_eq!(fresh, DLRNX_PINNED);
 }
 
 /// The golden line for one (workload, mode), as committed.
