@@ -1,5 +1,4 @@
-//! Chunk dependence-graph analysis (pass 4) and the replay-parallelism
-//! certificate.
+//! Chunk dependence-graph analysis (pass 4).
 //!
 //! DeLorean's commit log records a *total* order, but the true
 //! constraint on replay is only a *partial* order: chunks whose
@@ -30,29 +29,21 @@
 //! match the trailer, which fails exactly when conflicting chunks were
 //! reordered (commuting independent chunks is legal and passes).
 //!
-//! The result is exported as a versioned, checksummed **certificate**
-//! (`<log>.deps.json`): a hand-rolled JSON document fingerprinted
-//! against the source `.dlrn` bytes and byte-deterministic across runs.
-//! The certificate is an analysis artifact: it measures how much
-//! replay parallelism a recording holds, and no replayer consumes it.
+//! The report's JSON rendering (the `deps` object of `analyze --deps
+//! --json`) is byte-deterministic across runs. It measures how much
+//! replay parallelism a recording holds; no replayer consumes it.
 
 use crate::report::{diagnostics_json, Diagnostic};
 use delorean::inspect::{CommitEvent, InspectError, ReplayInspector};
-use delorean::json::{self, Json};
+use delorean::json;
 use delorean::recover::RecoveringSource;
-use delorean::{FileSource, Fnv, LogSource};
+use delorean::{FileSource, LogSource};
 use delorean_chunk::{ChunkFootprint, Committer};
 use delorean_mem::{bit_indices, SIG_BITS};
 use std::collections::HashMap;
 
 /// Core counts the available-parallelism profile is evaluated at.
 pub const PROFILE_CORES: [u32; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
-
-/// Certificate schema version; consumers refuse other versions.
-pub const CERT_SCHEMA_VERSION: u64 = 1;
-
-/// The certificate's `kind` discriminator.
-const CERT_KIND: &str = "delorean-deps-certificate";
 
 /// Options for the dependence pass.
 #[derive(Debug, Clone)]
@@ -67,12 +58,6 @@ impl Default for DepsOptions {
             cores: PROFILE_CORES.to_vec(),
         }
     }
-}
-
-/// FNV-1a fingerprint of a byte image: `(hash, length)`. Binds a
-/// certificate to the exact `.dlrn` stream it was derived from.
-pub fn fingerprint(bytes: &[u8]) -> (u64, u64) {
-    (Fnv::of(bytes), bytes.len() as u64)
 }
 
 /// One node of the dependence DAG: a committed chunk or DMA transfer.
@@ -126,11 +111,8 @@ pub struct DepsReport {
     pub partial: bool,
     /// Human-readable lost commit ranges, when partial.
     pub lost_ranges: Vec<String>,
-    /// FNV fingerprint of the source `.dlrn` byte image, when the pass
-    /// ran over one (`(hash, length)`).
-    pub source_fingerprint: Option<(u64, u64)>,
     /// Whether the replay reached a clean end (full stream or salvaged
-    /// prefix); certificates are only emitted when it did.
+    /// prefix); the graph fields are empty when it did not.
     pub replay_complete: bool,
     /// Findings, including the linear-extension verdict.
     pub diagnostics: Vec<Diagnostic>,
@@ -155,7 +137,6 @@ impl DepsReport {
             parallelism: Vec::new(),
             partial: false,
             lost_ranges: Vec::new(),
-            source_fingerprint: None,
             replay_complete: false,
             diagnostics: vec![Diagnostic::error("replay-failed", err.to_string())],
         }
@@ -205,82 +186,6 @@ impl DepsReport {
         diagnostics_json(&self.diagnostics, out);
         out.push('}');
     }
-
-    /// Renders the versioned, checksummed replay-parallelism
-    /// certificate, or `None` when the replay never reached a clean end
-    /// (a broken graph must not be exported as a scheduling input).
-    ///
-    /// The document is byte-deterministic: node order is commit-slot
-    /// order, edge order is (later, earlier) ascending, floats are
-    /// fixed-precision, and the trailing checksum is an FNV-1a hash of
-    /// every byte before it.
-    pub fn certificate(&self) -> Option<String> {
-        if !self.replay_complete {
-            return None;
-        }
-        let (fp_hash, fp_len) = self.source_fingerprint.unwrap_or((0, 0));
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"schema_version\":{CERT_SCHEMA_VERSION},\"kind\":\"{CERT_KIND}\",\"source\":{{\"fingerprint\":\"{fp_hash:#018x}\",\"bytes\":{fp_len}}}"
-        ));
-        out.push_str(&format!(
-            ",\"workload\":\"{}\",\"mode\":\"{}\",\"procs\":{},\"arbiter\":\"{}\"",
-            json::escape(&self.workload),
-            json::escape(&self.mode),
-            self.n_procs,
-            json::escape(&self.arbiter)
-        ));
-        out.push_str(&format!(",\"partial\":{},\"lost_ranges\":[", self.partial));
-        for (i, r) in self.lost_ranges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json::escape(r)));
-        }
-        out.push_str("],\"nodes\":[");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "[{},\"{}\",{},{}]",
-                n.slot,
-                json::escape(&n.who),
-                n.chunk,
-                n.weight
-            ));
-        }
-        out.push_str("],\"edges\":[");
-        for (i, (u, v)) in self.reduced_edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{u},{v}]"));
-        }
-        out.push_str(&format!(
-            "],\"stats\":{{\"node_count\":{},\"edge_count\":{},\"exact_edges\":{},\"approx_edges\":{},\"aliased_edges\":{},\"aliasing_rate\":{},\"critical_path\":{},\"total_work\":{},\"max_speedup\":{}}}",
-            self.nodes.len(),
-            self.reduced_edges.len(),
-            self.exact_edges,
-            self.approx_edges,
-            self.aliased_edges,
-            fmt6(self.aliasing_rate),
-            self.critical_path,
-            self.total_work,
-            fmt6(self.max_speedup()),
-        ));
-        out.push_str(",\"parallelism\":[");
-        for (i, (cores, speedup)) in self.parallelism.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{cores},{}]", fmt6(*speedup)));
-        }
-        out.push(']');
-        let checksum = Fnv::of(out.as_bytes());
-        out.push_str(&format!(",\"checksum\":\"{checksum:#018x}\"}}\n"));
-        Some(out)
-    }
 }
 
 impl core::fmt::Display for DepsReport {
@@ -315,7 +220,7 @@ impl core::fmt::Display for DepsReport {
             if self.partial {
                 writeln!(
                     f,
-                    "  PARTIAL certificate: lost commit range(s) {}",
+                    "  PARTIAL graph: lost commit range(s) {}",
                     self.lost_ranges.join(", ")
                 )?;
             }
@@ -327,7 +232,7 @@ impl core::fmt::Display for DepsReport {
     }
 }
 
-/// Fixed-precision float rendering, the certificate's determinism
+/// Fixed-precision float rendering, the JSON report's determinism
 /// contract for non-integer values.
 fn fmt6(x: f64) -> String {
     format!("{x:.6}")
@@ -757,7 +662,6 @@ fn assemble(
         parallelism: g.parallelism,
         partial,
         lost_ranges,
-        source_fingerprint: None,
         replay_complete: true,
         diagnostics,
     }
@@ -766,20 +670,16 @@ fn assemble(
 /// Runs the dependence pass over a full `.dlrn` byte image, degrading
 /// gracefully on damaged streams: when the intact-path replay fails,
 /// the salvage pass of [`delorean::recover`] recovers what it can and
-/// the DAG is built over the salvaged *prefix*, with the certificate
+/// the DAG is built over the salvaged *prefix*, with the report
 /// marked `partial: true` and the lost commit ranges named. Never
 /// panics; an unusable stream yields a report whose single finding is
 /// the decode error.
 pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
-    let fp = fingerprint(bytes);
     // The intact path; falls through with the failure when the stream
     // is damaged.
     let err = match FileSource::open(bytes) {
         Ok(source) => match analyze_deps(source, opts) {
-            Ok(mut r) => {
-                r.source_fingerprint = Some(fp);
-                return r;
-            }
+            Ok(r) => return r,
             Err(e) => e,
         },
         Err(e) => InspectError {
@@ -788,9 +688,7 @@ pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
         },
     };
     let Ok(s) = delorean::recover::salvage(bytes) else {
-        let mut r = DepsReport::failed(&err);
-        r.source_fingerprint = Some(fp);
-        return r;
+        return DepsReport::failed(&err);
     };
     let Some(source) = RecoveringSource::prefix(&s) else {
         let mut r = DepsReport::failed(&err);
@@ -798,7 +696,6 @@ pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
             "deps-partial",
             "salvage recovered no prefix region starting at commit 1; no dependence graph can be built",
         ));
-        r.source_fingerprint = Some(fp);
         return r;
     };
     let covered = source.commits();
@@ -814,11 +711,7 @@ pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
         })();
     let (gb, mut inspector) = match partial_graph {
         Ok(pair) => pair,
-        Err(e) => {
-            let mut r = DepsReport::failed(&e);
-            r.source_fingerprint = Some(fp);
-            return r;
-        }
+        Err(e) => return DepsReport::failed(&e),
     };
     let mut diagnostics = vec![Diagnostic::warning(
         "deps-partial",
@@ -851,7 +744,7 @@ pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
             "trailer digest unavailable on the salvaged prefix; linear extension verified only by replay consistency".to_string(),
         )),
     }
-    let mut r = assemble(
+    assemble(
         gb.finish(opts),
         s.meta.workload.name.to_string(),
         s.meta.mode.to_string(),
@@ -860,90 +753,7 @@ pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
         true,
         lost_ranges,
         diagnostics,
-    );
-    r.source_fingerprint = Some(fp);
-    r
-}
-
-/// Summary of a validated certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertSummary {
-    /// Schema version the document declares.
-    pub schema_version: u64,
-    /// Source-stream FNV fingerprint the certificate binds to.
-    pub fingerprint: u64,
-    /// Source-stream byte length.
-    pub source_bytes: u64,
-    /// Whether the certificate covers only a salvaged prefix.
-    pub partial: bool,
-    /// DAG node count.
-    pub node_count: u64,
-    /// Reduced-edge count.
-    pub edge_count: u64,
-}
-
-/// Validates a certificate document: schema version, self-checksum
-/// and — when the source `.dlrn` bytes are provided — the fingerprint
-/// binding.
-///
-/// # Errors
-///
-/// Returns a description of the first violated invariant: text that
-/// is not JSON, unknown schema or kind, a missing or mistyped field, a
-/// checksum mismatch (the document was modified), or a fingerprint that
-/// does not bind to the given stream.
-pub fn validate_certificate(text: &str, source: Option<&[u8]>) -> Result<CertSummary, String> {
-    let text = text.trim_end();
-    let doc = Json::parse(text).map_err(|e| format!("certificate is not JSON: {e}"))?;
-    if doc.get("kind").and_then(Json::as_str) != Some(CERT_KIND) {
-        return Err("not a DeLorean dependence certificate".to_string());
-    }
-    let uint = |obj: Option<&Json>, key: &str| {
-        obj.and_then(|o| o.get(key))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("certificate field {key} is missing or not a number"))
-    };
-    let hex = |obj: Option<&Json>, key: &str| {
-        obj.and_then(|o| o.get(key))
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())
-            .ok_or_else(|| format!("certificate field {key} is missing or not hex"))
-    };
-    let schema_version = uint(Some(&doc), "schema_version")?;
-    if schema_version != CERT_SCHEMA_VERSION {
-        return Err(format!(
-            "unsupported certificate schema version {schema_version} (expected {CERT_SCHEMA_VERSION})"
-        ));
-    }
-    // The checksum is the last field and covers every byte before it.
-    let at = text
-        .rfind(",\"checksum\":")
-        .ok_or_else(|| "certificate carries no checksum".to_string())?;
-    let declared = hex(Some(&doc), "checksum")?;
-    let actual = Fnv::of(&text.as_bytes()[..at]);
-    if declared != actual {
-        return Err(format!(
-            "checksum mismatch: certificate declares {declared:#018x} but its payload hashes to {actual:#018x} — the document was modified"
-        ));
-    }
-    let fingerprint_hash = hex(doc.get("source"), "fingerprint")?;
-    let source_bytes = uint(doc.get("source"), "bytes")?;
-    if let Some(bytes) = source {
-        let (h, len) = fingerprint(bytes);
-        if h != fingerprint_hash || len != source_bytes {
-            return Err(format!(
-                "fingerprint mismatch: certificate binds to stream {fingerprint_hash:#018x} ({source_bytes} bytes) but the given stream is {h:#018x} ({len} bytes)"
-            ));
-        }
-    }
-    Ok(CertSummary {
-        schema_version,
-        fingerprint: fingerprint_hash,
-        source_bytes,
-        partial: doc.get("partial").and_then(Json::as_bool) == Some(true),
-        node_count: uint(doc.get("stats"), "node_count")?,
-        edge_count: uint(doc.get("stats"), "edge_count")?,
-    })
+    )
 }
 
 #[cfg(test)]
@@ -1084,56 +894,13 @@ mod tests {
     }
 
     #[test]
-    fn certificate_round_trips_and_rejects_tampering() {
-        let g = summary(
-            &[
-                ev(1, Committer::Proc(0), 1, 10, vec![], vec![7]),
-                ev(2, Committer::Proc(1), 1, 10, vec![7], vec![]),
-            ],
-            2,
-        );
-        let mut report = assemble(
-            g,
-            "fft".into(),
-            "OrderOnly".into(),
-            2,
-            "global".into(),
-            false,
-            Vec::new(),
-            Vec::new(),
-        );
-        report.source_fingerprint = Some((0x1234, 99));
-        let cert = report.certificate().unwrap();
-        let summary = validate_certificate(&cert, None).unwrap();
-        assert_eq!(summary.schema_version, CERT_SCHEMA_VERSION);
-        assert_eq!(summary.node_count, 2);
-        assert_eq!(summary.edge_count, 1);
-        assert_eq!(summary.fingerprint, 0x1234);
-        assert!(!summary.partial);
-        // Tamper with one byte of the payload: checksum must fail.
-        let tampered = cert.replace("\"procs\":2", "\"procs\":4");
-        assert!(validate_certificate(&tampered, None)
-            .unwrap_err()
-            .contains("checksum mismatch"));
-        // Wrong source bytes: fingerprint must fail.
-        assert!(validate_certificate(&cert, Some(b"other stream"))
-            .unwrap_err()
-            .contains("fingerprint mismatch"));
-    }
-
-    #[test]
-    fn failed_reports_emit_no_certificate() {
+    fn failed_reports_carry_the_replay_error() {
         let r = DepsReport::failed(&InspectError {
             detail: "boom".into(),
             commit: Some(3),
         });
-        assert!(r.certificate().is_none());
+        assert!(!r.replay_complete);
+        assert!(r.nodes.is_empty());
         assert_eq!(r.diagnostics[0].code, "replay-failed");
-    }
-
-    #[test]
-    fn fingerprints_are_length_and_content_sensitive() {
-        assert_ne!(fingerprint(b"abc").0, fingerprint(b"abd").0);
-        assert_ne!(fingerprint(b"abc"), fingerprint(b"abc\0"));
     }
 }

@@ -22,10 +22,8 @@
 //!    DAG over a recording, built twice (exact line-granular
 //!    footprints vs. the hardware's aliasing-prone 2-Kbit signatures),
 //!    with transitive reduction, critical path, an
-//!    available-parallelism profile, a hard check that the recorded
-//!    commit order is a linear extension of the exact DAG, and a
-//!    versioned, checksummed replay-parallelism certificate bound to
-//!    the source stream by fingerprint.
+//!    available-parallelism profile and a hard check that the recorded
+//!    commit order is a linear extension of the exact DAG.
 //!
 //! Only [`Severity::Error`] findings indicate a broken artifact (and
 //! drive the CLI's exit code); races are reported as warnings because
@@ -41,10 +39,7 @@ pub mod lint;
 pub mod races;
 pub mod report;
 
-pub use deps::{
-    analyze_deps, deps_from_bytes, fingerprint, validate_certificate, CertSummary, DepNode,
-    DepsOptions, DepsReport, CERT_SCHEMA_VERSION, PROFILE_CORES,
-};
+pub use deps::{analyze_deps, deps_from_bytes, DepNode, DepsOptions, DepsReport, PROFILE_CORES};
 pub use footprint::{
     analyze_workload, find_static_races, AbsVal, AccessSite, FootprintReport, StaticOptions,
 };

@@ -688,13 +688,13 @@ fn replay_verdict(
     stratify: Option<u32>,
     seeds: &[u64],
 ) -> (u64, bool) {
-    let reports: Result<Vec<delorean::ReplayReport>, _> = match stratify {
-        None => machine.verify_replays(rec, seeds, 1),
-        Some(cap) => seeds
-            .iter()
-            .map(|&s| machine.replay_stratified(rec, cap, s))
-            .collect(),
-    };
+    let reports: Result<Vec<delorean::ReplayReport>, _> = seeds
+        .iter()
+        .map(|&s| match stratify {
+            None => machine.replay_with_seed(rec, s),
+            Some(cap) => machine.replay_stratified(rec, cap, s),
+        })
+        .collect();
     match reports {
         Err(_) => (0, false),
         Ok(r) => (

@@ -1,6 +1,10 @@
 //! Minimal flag parsing: `--flag value` pairs and positionals, checked
 //! against the flags the subcommand accepts.
 
+use std::fmt::Display;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
+
 /// Parsed command-line arguments (after the subcommand).
 #[derive(Debug, Default)]
 pub struct Args {
@@ -80,6 +84,26 @@ impl Args {
                 .map_err(|_| format!("flag {flag} expects a number, got {v}")),
         }
     }
+
+    /// Numeric flag value that must lie in `range`. A value outside it,
+    /// or too wide for `T`, is an error naming the flag and the range,
+    /// never a wrapped or panicking value further down.
+    pub fn num_in<T>(&self, flag: &str, range: RangeInclusive<T>) -> Result<Option<T>, String>
+    where
+        T: FromStr + PartialOrd + Display,
+    {
+        match self.get(flag) {
+            None => Ok(None),
+            Some(v) => match v.parse() {
+                Ok(n) if range.contains(&n) => Ok(Some(n)),
+                _ => Err(format!(
+                    "flag {flag} expects a number in {}..={}, got {v}",
+                    range.start(),
+                    range.end()
+                )),
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -96,6 +120,7 @@ mod tests {
         let a = parse(&["file.dlrn", "--seed", "9", "--watch", "1", "--watch", "2"]).unwrap();
         assert_eq!(a.positional, vec!["file.dlrn"]);
         assert_eq!(a.num("--seed").unwrap(), Some(9));
+        assert_eq!(a.num_in("--seed", 1..=9u32).unwrap(), Some(9));
         assert_eq!(a.get_all("--watch"), vec!["1", "2"]);
         assert_eq!(a.get("--missing"), None);
     }
@@ -118,6 +143,11 @@ mod tests {
     fn bad_number_is_an_error() {
         let a = parse(&["--seed", "zebra"]).unwrap();
         assert!(a.num("--seed").is_err());
+        let a = parse(&["--seed", "4294967296"]).unwrap();
+        assert_eq!(
+            a.num_in("--seed", 1..=u32::MAX).unwrap_err(),
+            "flag --seed expects a number in 1..=4294967295, got 4294967296"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use delorean::inspect::ReplayInspector;
 use delorean::stream::StreamMeta;
-use delorean::{serialize, FileSink, FileSource, LogSource, Machine, Mode, Recording};
+use delorean::{serialize, FileSink, FileSource, LogSource, Machine, Mode, Recording, MAX_PROCS};
 use delorean_bench as bench;
 use delorean_chunk::Committer;
 use delorean_isa::workload;
@@ -51,8 +51,7 @@ usage:
   delorean inspect <file> [--watch ADDR]... [--limit N] [--json]
   delorean inspect <file> --at N [--index PATH] [--json]
   delorean analyze <file> [--json] [--skip static|races|lint]... [--max-examples N]
-                  [--deps] [--cert PATH]
-  delorean analyze <file> --check-cert PATH
+                  [--deps]
   delorean analyze --trace PATH [--json]
   delorean bench [--figure figNN]... [--json PATH] [--jobs N] [--full]
                  [--baseline PATH] [--tolerance PCT] [--seed N]
@@ -89,7 +88,7 @@ const COMMANDS: &[(&str, &str, &str, Handler)] = &[
     (
         "analyze",
         "--json --deps",
-        "--skip --max-examples --cert --check-cert --trace",
+        "--skip --max-examples --trace",
         cmd_analyze,
     ),
     (
@@ -205,12 +204,10 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         .unwrap_or(Mode::OrderOnly);
     let mut b = Machine::builder();
     b.mode(mode);
-    let procs = args.num("--procs")?.unwrap_or(8) as u32;
-    delorean::validate_procs(procs).map_err(|e| format!("bad --procs: {e}"))?;
-    b.procs(procs);
-    b.budget(args.num("--budget")?.unwrap_or(50_000));
-    if let Some(c) = args.num("--chunk")? {
-        b.chunk_size(c as u32);
+    b.procs(args.num_in("--procs", 1..=MAX_PROCS)?.unwrap_or(8));
+    b.budget(args.num_in("--budget", 1..=u64::MAX)?.unwrap_or(50_000));
+    if let Some(c) = args.num_in("--chunk", 1..=u32::MAX)? {
+        b.chunk_size(c);
     }
     if let Some(t) = args.num("--timing-seed")? {
         b.timing_seed(t);
@@ -308,15 +305,12 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         return cmd_replay_window(args);
     }
     let seed = args.num("--seed")?.unwrap_or(0x5a5a);
-    let report = if let Some(max) = args.num("--stratified")? {
+    let report = if let Some(max) = args.num_in("--stratified", 0..=u32::MAX)? {
         // Stratification needs the chunk footprints resident, so this
         // path still decodes the whole recording up front.
         let r = load(args)?;
-        if !r.mode.has_pi_log() {
-            return Err(format!("{} recordings have no PI log to stratify", r.mode));
-        }
         machine_for(&r)
-            .replay_stratified(&r, max as u32, seed)
+            .replay_stratified(&r, max, seed)
             .map_err(|e| e.to_string())?
     } else {
         let path = recording_path(args)?;
@@ -621,40 +615,13 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     let skip = args.get_all("--skip");
     let skip = |pass: &str| skip.iter().any(|s| s == pass);
     let max_examples = args.num("--max-examples")?.map(|n| n as usize);
-    let deps_requested = args.has("--deps") || args.get("--cert").is_some();
-
-    // `--check-cert` is a standalone verb: validate an existing
-    // certificate against this stream and exit.
-    if let Some(cert_path) = args.get("--check-cert") {
-        let text =
-            std::fs::read_to_string(&cert_path).map_err(|e| format!("reading {cert_path}: {e}"))?;
-        let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        return match delorean_analyze::validate_certificate(&text, Some(&bytes)) {
-            Ok(s) => {
-                println!(
-                    "certificate OK: schema v{}, {} node(s), {} edge(s), bound to {} ({} bytes, fingerprint {:#018x}){}",
-                    s.schema_version,
-                    s.node_count,
-                    s.edge_count,
-                    path,
-                    s.source_bytes,
-                    s.fingerprint,
-                    if s.partial { ", PARTIAL" } else { "" }
-                );
-                Ok(ExitCode::SUCCESS)
-            }
-            Err(e) => {
-                println!("certificate INVALID: {e}");
-                Ok(ExitCode::FAILURE)
-            }
-        };
-    }
+    let deps_requested = args.has("--deps");
 
     // Pass 3 first: the lint works on the raw byte stream and cannot
     // itself fail, so a corrupt file still yields a report. Linting
     // the full byte image lets a damaged stream also carry the salvage
     // account of what a recovery would preserve. The deps pass shares
-    // the byte image (it fingerprints the certificate against it).
+    // the byte image (it salvages a damaged stream from it).
     let bytes = if !skip("lint") || deps_requested {
         Some(std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?)
     } else {
@@ -664,9 +631,9 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
         Some(b) if !skip("lint") => Some(delorean_analyze::lint_bytes(b)),
         _ => None,
     };
-    // Pass 4: the dependence DAG / parallelism certificate. Works from
-    // the byte image so damaged streams degrade to a partial
-    // certificate over the salvaged prefix instead of erroring.
+    // Pass 4: the dependence DAG. Works from the byte image so damaged
+    // streams degrade to a partial graph over the salvaged prefix
+    // instead of erroring.
     let deps = match &bytes {
         Some(b) if deps_requested => Some(delorean_analyze::deps_from_bytes(
             b,
@@ -729,26 +696,6 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
             }
         }
     };
-    if let Some(cert_path) = args.get("--cert") {
-        let Some(d) = &report.deps else {
-            return Err("--cert requires the dependence pass (pass --deps)".to_string());
-        };
-        match d.certificate() {
-            Some(text) => {
-                std::fs::write(&cert_path, text)
-                    .map_err(|e| format!("writing {cert_path}: {e}"))?;
-                if !args.has("--json") {
-                    println!("wrote replay-parallelism certificate -> {cert_path}");
-                }
-            }
-            None => {
-                return Err(
-                    "no certificate: the dependence replay did not complete (see diagnostics)"
-                        .to_string(),
-                )
-            }
-        }
-    }
     if args.has("--json") {
         println!("{}", report.to_json());
     } else {
@@ -770,15 +717,14 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
 /// Exits non-zero iff any invariant is violated.
 fn cmd_crashtest(args: &Args) -> Result<ExitCode, String> {
     let mut cfg = delorean_faults::CrashtestConfig::smoke(args.num("--seed")?.unwrap_or(42));
-    if let Some(n) = args.num("--procs")? {
-        delorean::validate_procs(n as u32).map_err(|e| format!("bad --procs: {e}"))?;
-        cfg.procs = n as u32;
+    if let Some(n) = args.num_in("--procs", 1..=MAX_PROCS)? {
+        cfg.procs = n;
     }
-    if let Some(n) = args.num("--budget")? {
+    if let Some(n) = args.num_in("--budget", 1..=u64::MAX)? {
         cfg.budget = n;
     }
-    if let Some(n) = args.num("--chunk")? {
-        cfg.chunk_size = n as u32;
+    if let Some(n) = args.num_in("--chunk", 1..=u32::MAX)? {
+        cfg.chunk_size = n;
     }
     let workloads = args.get_all("--workload");
     if !workloads.is_empty() {
@@ -932,6 +878,8 @@ mod tests {
             ("replay x.dlrn --jobs 8 --cert c", "--jobs"),
             ("replay x.dlrn --sed 5", "--sed"),
             ("inspect x.dlrn --limt 3", "--limt"),
+            ("analyze x.dlrn --cert c", "--cert"),
+            ("analyze x.dlrn --check-cert c", "--check-cert"),
         ] {
             let cmd = line.split_whitespace().next().unwrap();
             assert_eq!(
@@ -944,6 +892,29 @@ mod tests {
             run(&argv("frobnicate x.dlrn")).unwrap_err(),
             "unknown command frobnicate"
         );
+    }
+
+    #[test]
+    fn out_of_range_numbers_fail_naming_the_flag() {
+        // Each value would panic the machine builder or wrap through
+        // `as u32`; all must be rejected before anything runs or any
+        // file is created.
+        for (line, flag) in [
+            ("record fft -o x.dlrn --chunk 0", "--chunk"),
+            ("record fft -o x.dlrn --budget 0", "--budget"),
+            ("record fft -o x.dlrn --chunk 4294967296", "--chunk"),
+            ("record fft -o x.dlrn --procs 4294967298", "--procs"),
+            ("replay x.dlrn --stratified 4294967296", "--stratified"),
+            ("crashtest --chunk 0", "--chunk"),
+            ("crashtest --budget 0", "--budget"),
+        ] {
+            let err = run(&argv(line)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("flag {flag} expects")),
+                "{line}: {err}"
+            );
+        }
+        assert!(!Path::new("x.dlrn").exists());
     }
 
     /// Markdown and workflow files under `dir`, skipping build output.

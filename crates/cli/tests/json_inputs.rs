@@ -1,11 +1,11 @@
-//! The JSON artifacts users keep — trace JSONL, deps certificates and
-//! bench documents — are all parsed by `delorean::json`. Real ones must
+//! The JSON artifacts users keep — trace JSONL, `analyze --deps --json`
+//! reports and bench documents — are all parsed by `delorean::json`. Real ones must
 //! validate, and damaged copies must come back from every reader as a
 //! value, never as a panic.
 
 use delorean::json::Json;
 use delorean::{FileSink, Machine, Mode};
-use delorean_analyze::{deps_from_bytes, validate_certificate, DepsOptions};
+use delorean_analyze::{deps_from_bytes, AnalysisReport, DepsOptions};
 use delorean_bench::parse_document;
 use delorean_isa::workload;
 use delorean_trace::{validate, JsonlTracer};
@@ -32,17 +32,25 @@ fn traced_fft(seed: u64) -> (Vec<u8>, Vec<u8>) {
     (trace, sink.into_inner().unwrap())
 }
 
-/// A real trace, a real certificate and the first records of the
-/// committed bench baseline, each accepted by its reader.
+/// A real trace, a real `analyze --deps --json` report and the first
+/// records of the committed bench baseline, each accepted by its reader.
 fn inputs() -> &'static [Vec<u8>; 3] {
     static INPUTS: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
     INPUTS.get_or_init(|| {
         let (trace, dlrn) = traced_fft(7);
         validate(&trace[..]).unwrap();
-        let cert = deps_from_bytes(&dlrn, &DepsOptions::default())
-            .certificate()
-            .unwrap();
-        validate_certificate(&cert, Some(&dlrn)).unwrap();
+        let deps = deps_from_bytes(&dlrn, &DepsOptions::default());
+        let report = AnalysisReport {
+            workload: deps.workload.clone(),
+            mode: deps.mode.clone(),
+            n_procs: deps.n_procs,
+            static_pass: None,
+            races: None,
+            lint: None,
+            deps: Some(deps),
+        }
+        .to_json();
+        assert!(Json::parse(&report).unwrap().get("deps").is_some());
         let baseline = Json::parse(include_str!("../../../BENCH_results.json")).unwrap();
         let records = baseline.get("records").and_then(Json::as_arr).unwrap();
         let slice = Json::Obj(vec![
@@ -54,7 +62,7 @@ fn inputs() -> &'static [Vec<u8>; 3] {
         ]);
         let slice = slice.pretty();
         assert_eq!(parse_document(&slice).unwrap().len(), 3);
-        [trace, cert.into_bytes(), slice.into_bytes()]
+        [trace, report.into_bytes(), slice.into_bytes()]
     })
 }
 
@@ -99,6 +107,5 @@ proptest! {
         let _ = Json::parse(&text);
         let _ = parse_document(&text);
         let _ = validate(&bytes[..]);
-        let _ = validate_certificate(&text, None);
     }
 }

@@ -30,6 +30,14 @@ pub enum ReplayError {
         /// Human-readable description of the stream failure.
         detail: String,
     },
+    /// A stratified replay cannot apply: the mode keeps no PI log to
+    /// stratify (PicoLog), or the stratum capacity is zero.
+    Unstratifiable {
+        /// Mode of the recording.
+        mode: crate::Mode,
+        /// The requested chunks-per-processor-per-stratum capacity.
+        max_per_stratum: u32,
+    },
 }
 
 impl core::fmt::Display for ReplayError {
@@ -54,6 +62,19 @@ impl core::fmt::Display for ReplayError {
             }
             ReplayError::Source { detail } => {
                 write!(f, "replay log source failed: {detail}")
+            }
+            ReplayError::Unstratifiable {
+                mode,
+                max_per_stratum,
+            } => {
+                if mode.has_pi_log() {
+                    write!(
+                        f,
+                        "stratum capacity must be at least 1 chunk, got {max_per_stratum}"
+                    )
+                } else {
+                    write!(f, "{mode} recordings have no PI log to stratify")
+                }
             }
         }
     }

@@ -1,11 +1,11 @@
 //! The workspace's one JSON value, emitter and parser.
 //!
 //! The build environment vendors no serde, so this module is the single
-//! JSON codec every crate shares: `BENCH_results.json`, deps
-//! certificates and trace lines are all read by [`Json::parse`], and
-//! every hand-formatted emitter escapes its strings with [`escape`]. It
-//! supports objects (with preserved key order), arrays, strings, finite
-//! numbers, booleans and null. Numbers are emitted with Rust's shortest
+//! JSON codec every crate shares: `BENCH_results.json` and trace lines
+//! are both read by [`Json::parse`], and every hand-formatted emitter
+//! escapes its strings with [`escape`]. It supports objects (with
+//! preserved key order), arrays, strings, finite numbers, booleans and
+//! null. Numbers are emitted with Rust's shortest
 //! round-trippable float formatting, so a value survives
 //! emit → parse → emit byte-identically — the property the sweep's
 //! determinism test leans on.

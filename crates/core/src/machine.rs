@@ -498,68 +498,14 @@ impl Machine {
         })
     }
 
-    /// Replays `recording` once per seed in `seeds` — the paper's
-    /// perturbed-replay verification fan-out (Section 6.2.1 averages
-    /// five such runs per figure point) — distributing the independent
-    /// replays over up to `workers` scoped threads.
-    ///
-    /// Reports come back in seed order and are identical at any worker
-    /// count: each replay's outcome depends only on the recording and
-    /// its own timing seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first failing seed (in seed order) when
-    /// any replay rejects the recording — shape mismatch or a corrupt
-    /// log stream.
-    pub fn verify_replays(
-        &self,
-        recording: &Recording,
-        seeds: &[u64],
-        workers: usize,
-    ) -> Result<Vec<ReplayReport>, ReplayError> {
-        let workers = workers.clamp(1, seeds.len().max(1));
-        if workers == 1 {
-            return seeds
-                .iter()
-                .map(|&s| self.replay_with_seed(recording, s))
-                .collect();
-        }
-        let replay_at = |idx: usize| self.replay_with_seed(recording, seeds[idx]);
-        let mut per_worker: Vec<Vec<(usize, Result<ReplayReport, ReplayError>)>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    let replay_at = &replay_at;
-                    s.spawn(move || {
-                        (t..seeds.len())
-                            .step_by(workers)
-                            .map(|idx| (idx, replay_at(idx)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Replay never panics: engine deadlocks are caught and
-                // converted to `ReplayError::Source` inside
-                // `replay_from_with_seed`.
-                #[allow(clippy::expect_used)]
-                per_worker.push(h.join().expect("replay worker panicked"));
-            }
-        });
-        let mut merged: Vec<(usize, Result<ReplayReport, ReplayError>)> =
-            per_worker.into_iter().flatten().collect();
-        merged.sort_by_key(|(idx, _)| *idx);
-        merged.into_iter().map(|(_, r)| r).collect()
-    }
-
     /// Replays driven by a *stratified* PI log instead of the plain
     /// one (Section 4.3; Figure 11's "Stratified OrderOnly replay").
     ///
     /// # Errors
     ///
     /// Returns [`ReplayError`] when the machine shape or mode does not
-    /// match, or the mode has no PI log.
+    /// match, and [`ReplayError::Unstratifiable`] when the mode has no
+    /// PI log or `max_per_stratum` is zero.
     pub fn replay_stratified(
         &self,
         recording: &Recording,
@@ -800,31 +746,30 @@ mod tests {
     }
 
     #[test]
-    fn verify_replays_fans_out_deterministically() {
-        let m = Machine::builder().procs(4).budget(3_000).build();
-        let rec = m.record(workload::by_name("fft").unwrap(), 7);
-        let seeds = [11u64, 22, 33, 44, 55];
-        let serial = m.verify_replays(&rec, &seeds, 1).unwrap();
-        let parallel = m.verify_replays(&rec, &seeds, 4).unwrap();
-        assert_eq!(serial.len(), seeds.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert!(a.deterministic, "{:?}", a.divergence);
-            assert!(b.deterministic);
-            assert_eq!(a.stats.cycles, b.stats.cycles);
-            assert_eq!(a.stats.digest, b.stats.digest);
-        }
-        assert!(m.verify_replays(&rec, &[], 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn verify_replays_surfaces_shape_errors() {
+    fn stratified_replay_rejects_picolog_and_zero_capacity() {
+        let lu = workload::by_name("lu").unwrap();
+        let mut b = Machine::builder();
+        let pico = b.mode(Mode::PicoLog).procs(2).budget(2_000).build();
+        let rec = pico.record(lu, 1);
+        assert_eq!(
+            pico.replay_stratified(&rec, 1, 7).unwrap_err(),
+            ReplayError::Unstratifiable {
+                mode: Mode::PicoLog,
+                max_per_stratum: 1
+            }
+        );
         let m = Machine::builder().procs(2).budget(2_000).build();
-        let rec = m.record(workload::by_name("lu").unwrap(), 1);
-        let other = Machine::builder().procs(4).budget(2_000).build();
-        assert!(matches!(
-            other.verify_replays(&rec, &[1, 2, 3], 2),
-            Err(ReplayError::MachineMismatch { .. })
-        ));
+        let rec = m.record(lu, 1);
+        let err = m.replay_stratified(&rec, 0, 7).unwrap_err();
+        assert_eq!(
+            err,
+            ReplayError::Unstratifiable {
+                mode: Mode::OrderOnly,
+                max_per_stratum: 0
+            }
+        );
+        assert!(err.to_string().contains("got 0"), "{err}");
+        assert!(m.replay_stratified(&rec, 1, 7).unwrap().deterministic);
     }
 
     #[test]

@@ -399,7 +399,8 @@ impl<'m, 's> Session<'m, 's> {
     /// # Errors
     ///
     /// Returns [`ReplayError`] when the machine shape or mode does not
-    /// match, or the mode has no PI log.
+    /// match, and [`ReplayError::Unstratifiable`] when the mode has no
+    /// PI log or `max_per_stratum` is zero.
     pub fn replay_stratified(
         self,
         recording: &Recording,
@@ -408,6 +409,12 @@ impl<'m, 's> Session<'m, 's> {
     ) -> Result<ReplayReport, ReplayError> {
         let m = self.machine;
         m.check_shape(recording)?;
+        if !recording.mode.has_pi_log() || max_per_stratum == 0 {
+            return Err(ReplayError::Unstratifiable {
+                mode: recording.mode,
+                max_per_stratum,
+            });
+        }
         let strat = recording.stratified_pi(max_per_stratum);
         let cfg = m.replay_config_for(
             &recording.workload,

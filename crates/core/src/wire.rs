@@ -129,8 +129,8 @@ impl<'a> Reader<'a> {
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental 64-bit FNV-1a: the checksum of every `.dlrn` and
-/// `.dlrnx` frame, the fingerprint that binds sidecars and certificates
-/// to their source stream, and the fold behind checkpoint ids.
+/// `.dlrnx` frame, the fingerprint that binds sidecars to their source
+/// stream, and the fold behind checkpoint ids.
 #[derive(Debug)]
 pub struct Fnv(u64);
 
