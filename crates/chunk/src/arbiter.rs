@@ -2,8 +2,8 @@
 //!
 //! The engine serializes commits through one seam: "given the eligible
 //! pending requests, who commits next?" A [`ArbiterBackend`] answers
-//! that question. The mode's [`GrantPolicy`](crate::hooks::GrantPolicy)
-//! (arrival order, PicoLog's round-robin token, a replay feed) stays in
+//! that question. The mode's [`ExecutionHooks::next_grant`] (arrival
+//! order, PicoLog's round-robin token, a replay log) stays in
 //! charge of *which committer* wins; the backend decides *which subset
 //! of requests the policy sees* and stamps the grant with its
 //! provenance:
@@ -34,9 +34,6 @@ pub struct Grant {
 
 /// A commit-arbitration topology.
 pub trait ArbiterBackend: std::fmt::Debug {
-    /// The topology's name, for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Picks the next grant, delegating committer choice to the mode's
     /// policy (`policy.next_grant`). Returns `None` when nothing can be
     /// granted right now.
@@ -59,10 +56,6 @@ pub trait ArbiterBackend: std::fmt::Debug {
 pub struct GlobalArbiter;
 
 impl ArbiterBackend for GlobalArbiter {
-    fn name(&self) -> &'static str {
-        "global"
-    }
-
     fn next_grant(
         &mut self,
         policy: &mut dyn ExecutionHooks,
@@ -104,10 +97,6 @@ impl ShardedArbiter {
 }
 
 impl ArbiterBackend for ShardedArbiter {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
     fn next_grant(
         &mut self,
         policy: &mut dyn ExecutionHooks,

@@ -22,6 +22,7 @@ use crate::hooks::{
 };
 use crate::spec::{Chunk, ChunkState, Occupancy, SpecView};
 use crate::stats::{ParallelStats, RunStats, StateDigest, TokenStats};
+use crate::CoreId;
 use delorean_isa::inst::effective_addr;
 use delorean_isa::layout::{AddressMap, DMA_WORDS};
 use delorean_isa::{Addr, Inst, IoBus, Program, StepKind, Vm, Word};
@@ -100,15 +101,59 @@ pub struct StartState {
     pub chunks_done: Vec<u64>,
 }
 
+/// Why the engine could not run an execution to its budget.
+///
+/// Recording cannot fail: its policy grants whatever is pending. A
+/// replay follows its logs instead, so a log the machine cannot
+/// follow, or a start state of the wrong shape, comes back as a value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// Events drained while processors still held uncommitted work:
+    /// the hooks never granted what those processors waited on.
+    Starved {
+        /// Simulated cycle of the last event.
+        cycle: u64,
+        /// The processors still holding work.
+        pending: Vec<CoreId>,
+    },
+    /// The start state holds register files, chunk counters or a
+    /// memory image for another machine than this one.
+    StartShape {
+        /// Processors in the machine.
+        n_procs: u32,
+    },
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::Starved { cycle, pending } => write!(
+                f,
+                "engine starved at cycle {cycle}: processors {pending:?} still hold \
+                 uncommitted work"
+            ),
+            EngineError::StartShape { n_procs } => {
+                write!(f, "start state does not fit a {n_procs}-processor machine")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
 /// Runs one chunk-based execution to the per-processor budget and
 /// returns its statistics and determinism digest.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the system deadlocks (events drain while processors still
-/// hold uncommitted work), which indicates inconsistent logs during a
-/// replay.
-pub fn run(spec: &RunSpec, cfg: &EngineConfig, hooks: &mut dyn ExecutionHooks) -> RunStats {
+/// Returns [`EngineError::Starved`] when events drain while processors
+/// still hold uncommitted work: during a replay, logs the machine
+/// cannot follow.
+pub fn run(
+    spec: &RunSpec,
+    cfg: &EngineConfig,
+    hooks: &mut dyn ExecutionHooks,
+) -> Result<RunStats, EngineError> {
     Engine::new(spec, cfg, hooks, None).run()
 }
 
@@ -116,26 +161,26 @@ pub fn run(spec: &RunSpec, cfg: &EngineConfig, hooks: &mut dyn ExecutionHooks) -
 /// budget in `spec` is *absolute*: each processor runs until its total
 /// retired count (including pre-checkpoint instructions) reaches it.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on deadlock (see [`run`]) or if `start` does not match the
-/// machine shape.
+/// As [`run`], plus [`EngineError::StartShape`] when `start` does not
+/// fit the machine.
 pub fn run_from(
     spec: &RunSpec,
     cfg: &EngineConfig,
     hooks: &mut dyn ExecutionHooks,
     start: &StartState,
-) -> RunStats {
-    assert_eq!(
-        start.vm_states.len(),
-        spec.n_procs as usize,
-        "start state shape mismatch"
-    );
-    assert_eq!(
-        start.chunks_done.len(),
-        spec.n_procs as usize,
-        "start state shape mismatch"
-    );
+) -> Result<RunStats, EngineError> {
+    let n = spec.n_procs as usize;
+    let words = AddressMap::new(spec.n_procs).total_words();
+    if start.vm_states.len() != n
+        || start.chunks_done.len() != n
+        || start.memory.len() as u64 != words
+    {
+        return Err(EngineError::StartShape {
+            n_procs: spec.n_procs,
+        });
+    }
     Engine::new(spec, cfg, hooks, Some(start)).run()
 }
 
@@ -209,15 +254,9 @@ impl<'h> Engine<'h> {
             }
         }
         let map = AddressMap::new(spec.n_procs);
+        // `run_from` checked the start state's shape.
         let memory = match start {
-            Some(st) => {
-                assert_eq!(
-                    st.memory.len() as u64,
-                    map.total_words(),
-                    "memory image mismatch"
-                );
-                Memory::from_image(st.memory.clone())
-            }
+            Some(st) => Memory::from_image(st.memory.clone()),
             None => Memory::new(map.total_words()),
         };
         let memsys = MemorySystem::new(&cfg.machine);
@@ -319,7 +358,7 @@ impl<'h> Engine<'h> {
         self.cores.iter().all(|c| c.done)
     }
 
-    fn run(mut self) -> RunStats {
+    fn run(mut self) -> Result<RunStats, EngineError> {
         let n = self.cores.len() as u32;
         let mut components = machine_components(n);
         for c in 0..n {
@@ -365,18 +404,13 @@ impl<'h> Engine<'h> {
             }
             self.poll_arbiter();
         }
-        assert!(
-            self.all_done(),
-            "engine deadlock at cycle {}: cores not done: {:?} (inconsistent replay logs?)",
-            self.now,
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.done)
-                .map(|(i, c)| (i, c.vm.retired(), c.chunks.len()))
-                .collect::<Vec<_>>()
-        );
-        self.finish()
+        if !self.all_done() {
+            return Err(EngineError::Starved {
+                cycle: self.now,
+                pending: (0..n).filter(|&c| !self.cores[c as usize].done).collect(),
+            });
+        }
+        Ok(self.finish())
     }
 
     fn finish(mut self) -> RunStats {
@@ -1161,9 +1195,12 @@ fn execute_attempt(
     // re-run, leaving them empty; such chunks are dropped and their
     // interrupt requeued, so delivering it here would fold an
     // interrupt into the instruction stream that no committed chunk
-    // (and no log entry) accounts for.
+    // (and no log entry) accounts for. A forged log can also place an
+    // interrupt inside the handler, where the platform cannot deliver
+    // it; the attempt then runs without it and the replay's digest
+    // reports the divergence.
     let exhausted = vm.retired() >= budget || vm.halted();
-    if !exhausted {
+    if !exhausted && !vm.in_handler() {
         if let Some((_vector, payload)) = chunk.irq {
             vm.deliver_interrupt(program, payload);
         }

@@ -1,5 +1,11 @@
-//! The mode-extension interface between the chunk engine and the
-//! DeLorean recorder/replayer.
+//! The one seam between the chunk engine and an execution mode.
+//!
+//! [`ExecutionHooks`] is the only trait the engine drives: its decision
+//! methods pick grants and supply logged values, and its observation
+//! methods see commits, [`SubstrateEvent`]s and the end of the run. A
+//! mode driver (the `delorean` crate's recorder or replayer)
+//! implements it directly; stacking observers on a driver is the
+//! caller's composition, not a second trait.
 
 use crate::CoreId;
 use delorean_isa::{Addr, Word};
@@ -131,11 +137,10 @@ impl ArbiterContext<'_> {
 /// One observable occurrence inside the chunk substrate, stamped with
 /// the simulated cycle at which it happened.
 ///
-/// The engine emits these through [`ExecutionHooks::on_event`] (and,
-/// for compositions, [`EventObserver::on_event`]) purely as an
-/// *observation* channel: no event carries a reply, so stacking any
-/// number of observers cannot perturb the execution, its logs, or its
-/// determinism digest. The heavyweight per-commit payloads (footprints,
+/// The engine emits these through [`ExecutionHooks::on_event`] purely
+/// as an *observation* channel: no event carries a reply, so stacking
+/// any number of observers cannot perturb the execution, its logs, or
+/// its determinism digest. The heavyweight per-commit payloads (footprints,
 /// I/O values, DMA words) stay on [`CommitRecord`], which only the mode
 /// driver sees; `SubstrateEvent` carries the summary counters a tracer
 /// or metrics stage needs.
@@ -229,9 +234,11 @@ impl SubstrateEvent {
 /// BulkSC machine is `ExecutionHooks` with nothing overridden — see
 /// [`BulkScHooks`].
 ///
-/// This is the *engine-facing* trait. Compositions are built from the
-/// per-concern slices — [`GrantPolicy`], [`ReplayFeed`],
-/// [`EventObserver`] — fanned out by [`HookStack`].
+/// The replay-input methods (`forced_chunk_size`, `io_load`,
+/// `pending_interrupt`, `dma_data`) return log values; every replayer,
+/// the timing engine and the software inspector alike, consumes them in
+/// recorded commit-slot order. The observation methods (`on_commit`,
+/// `on_event`, `on_run_end`) return nothing the engine reads.
 pub trait ExecutionHooks {
     /// Picks the next pending request to grant, or `None` to wait.
     ///
@@ -300,162 +307,6 @@ pub trait ExecutionHooks {
     }
 }
 
-// ----- per-concern slices of `ExecutionHooks` ---------------------------
-
-/// The arbiter-policy concern: who commits next.
-pub trait GrantPolicy {
-    /// Picks the next pending request to grant, or `None` to wait.
-    /// Same contract as [`ExecutionHooks::next_grant`].
-    fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
-        crate::policy::arrival(ctx)
-    }
-}
-
-/// The replay-input concern: log-sourced values the engine consumes
-/// while re-executing (forced chunk sizes, interrupts, I/O values, DMA
-/// payloads). Recording-side drivers keep every default.
-///
-/// Every consumer of a feed — the timing engine and the software
-/// inspector alike — consumes log values in recorded commit-slot order.
-pub trait ReplayFeed {
-    /// Same contract as [`ExecutionHooks::forced_chunk_size`].
-    fn forced_chunk_size(&mut self, core: CoreId, index: u64) -> Option<u32> {
-        let _ = (core, index);
-        None
-    }
-
-    /// Same contract as [`ExecutionHooks::io_load`].
-    fn io_load(
-        &mut self,
-        core: CoreId,
-        index: u64,
-        seq: u32,
-        port: u16,
-        device_value: Word,
-    ) -> Word {
-        let _ = (core, index, seq, port);
-        device_value
-    }
-
-    /// Same contract as [`ExecutionHooks::pending_interrupt`].
-    fn pending_interrupt(&mut self, core: CoreId, index: u64) -> Option<(u16, Word)> {
-        let _ = (core, index);
-        None
-    }
-
-    /// Same contract as [`ExecutionHooks::dma_data`].
-    fn dma_data(&mut self) -> Vec<(Addr, Word)> {
-        Vec::new()
-    }
-}
-
-/// The observation concern: commit records, substrate events, and the
-/// end-of-run statistics. Purely passive — a stack of observers cannot
-/// change what the engine does.
-pub trait EventObserver {
-    /// Same contract as [`ExecutionHooks::on_commit`].
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        let _ = rec;
-    }
-
-    /// Same contract as [`ExecutionHooks::on_event`].
-    fn on_event(&mut self, time: u64, ev: &SubstrateEvent) {
-        let _ = (time, ev);
-    }
-
-    /// Same contract as [`ExecutionHooks::on_run_end`].
-    fn on_run_end(&mut self, stats: &crate::stats::RunStats) {
-        let _ = stats;
-    }
-}
-
-/// A complete mode driver: all three concerns on one object. Blanket-
-/// implemented, so any `GrantPolicy + ReplayFeed + EventObserver` is a
-/// `ModeDriver` for free.
-pub trait ModeDriver: GrantPolicy + ReplayFeed + EventObserver {}
-
-impl<T: GrantPolicy + ReplayFeed + EventObserver + ?Sized> ModeDriver for T {}
-
-/// The combinator that collapses one [`ModeDriver`] plus a stack of
-/// passive [`EventObserver`]s into the single [`ExecutionHooks`] object
-/// the engine drives.
-///
-/// Decision callbacks (`next_grant`, `forced_chunk_size`, `io_load`,
-/// `pending_interrupt`, `dma_data`) go to the driver alone; observation
-/// callbacks (`on_commit`, `on_event`, `on_run_end`) go to the driver
-/// first, then fan out to each observer in stack order. Since
-/// observers are observation-only, any permutation or stacking of them
-/// leaves the execution — and therefore the recording — bit-identical.
-pub struct HookStack<'a> {
-    driver: &'a mut dyn ModeDriver,
-    observers: Vec<&'a mut dyn EventObserver>,
-}
-
-impl<'a> HookStack<'a> {
-    /// Stacks `observers` on top of `driver`.
-    pub fn new(driver: &'a mut dyn ModeDriver, observers: Vec<&'a mut dyn EventObserver>) -> Self {
-        HookStack { driver, observers }
-    }
-}
-
-impl std::fmt::Debug for HookStack<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookStack")
-            .field("observers", &self.observers.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ExecutionHooks for HookStack<'_> {
-    fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
-        self.driver.next_grant(ctx)
-    }
-
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        self.driver.on_commit(rec);
-        for obs in &mut self.observers {
-            obs.on_commit(rec);
-        }
-    }
-
-    fn forced_chunk_size(&mut self, core: CoreId, index: u64) -> Option<u32> {
-        self.driver.forced_chunk_size(core, index)
-    }
-
-    fn io_load(
-        &mut self,
-        core: CoreId,
-        index: u64,
-        seq: u32,
-        port: u16,
-        device_value: Word,
-    ) -> Word {
-        self.driver.io_load(core, index, seq, port, device_value)
-    }
-
-    fn pending_interrupt(&mut self, core: CoreId, index: u64) -> Option<(u16, Word)> {
-        self.driver.pending_interrupt(core, index)
-    }
-
-    fn dma_data(&mut self) -> Vec<(Addr, Word)> {
-        self.driver.dma_data()
-    }
-
-    fn on_run_end(&mut self, stats: &crate::stats::RunStats) {
-        self.driver.on_run_end(stats);
-        for obs in &mut self.observers {
-            obs.on_run_end(stats);
-        }
-    }
-
-    fn on_event(&mut self, time: u64, ev: &SubstrateEvent) {
-        self.driver.on_event(time, ev);
-        for obs in &mut self.observers {
-            obs.on_event(time, ev);
-        }
-    }
-}
-
 /// A plain BulkSC machine: chunked execution with arrival-order
 /// commits and no logging. Used for the paper's `BulkSC` bar in
 /// Figure 10.
@@ -463,10 +314,6 @@ impl ExecutionHooks for HookStack<'_> {
 pub struct BulkScHooks;
 
 impl ExecutionHooks for BulkScHooks {}
-
-impl GrantPolicy for BulkScHooks {}
-impl ReplayFeed for BulkScHooks {}
-impl EventObserver for BulkScHooks {}
 
 #[cfg(test)]
 mod tests {
@@ -506,29 +353,10 @@ mod tests {
     #[test]
     fn default_hooks_pass_io_through() {
         let mut h = BulkScHooks;
-        assert_eq!(ExecutionHooks::io_load(&mut h, 0, 1, 0, 3, 77), 77);
-        assert_eq!(ExecutionHooks::forced_chunk_size(&mut h, 0, 1), None);
-        assert_eq!(ExecutionHooks::pending_interrupt(&mut h, 0, 1), None);
-        assert!(ExecutionHooks::dma_data(&mut h).is_empty());
-    }
-
-    #[derive(Default)]
-    struct CountingObserver {
-        commits: u32,
-        events: Vec<SubstrateEvent>,
-        run_ends: u32,
-    }
-
-    impl EventObserver for CountingObserver {
-        fn on_commit(&mut self, _rec: &CommitRecord) {
-            self.commits += 1;
-        }
-        fn on_event(&mut self, _time: u64, ev: &SubstrateEvent) {
-            self.events.push(ev.clone());
-        }
-        fn on_run_end(&mut self, _stats: &crate::stats::RunStats) {
-            self.run_ends += 1;
-        }
+        assert_eq!(h.io_load(0, 1, 0, 3, 77), 77);
+        assert_eq!(h.forced_chunk_size(0, 1), None);
+        assert_eq!(h.pending_interrupt(0, 1), None);
+        assert!(h.dma_data().is_empty());
     }
 
     fn commit_record() -> CommitRecord {
@@ -544,27 +372,6 @@ mod tests {
             access_lines: vec![4, 5],
             write_lines: vec![5],
             shard: None,
-        }
-    }
-
-    #[test]
-    fn hook_stack_fans_observations_out_and_decisions_to_the_driver() {
-        let mut driver = BulkScHooks;
-        let mut a = CountingObserver::default();
-        let mut b = CountingObserver::default();
-        let rec = commit_record();
-        let ev = SubstrateEvent::commit_of(&rec);
-        {
-            let mut stack = HookStack::new(&mut driver, vec![&mut a, &mut b]);
-            stack.on_commit(&rec);
-            stack.on_event(17, &ev);
-            // Decision calls keep the driver's defaults.
-            assert_eq!(stack.io_load(0, 1, 0, 3, 77), 77);
-            assert_eq!(stack.forced_chunk_size(0, 1), None);
-        }
-        for obs in [&a, &b] {
-            assert_eq!(obs.commits, 1);
-            assert_eq!(obs.events, vec![ev.clone()]);
         }
     }
 

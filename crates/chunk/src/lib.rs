@@ -20,6 +20,9 @@
 //!   recording, I/O log during replay),
 //! * interrupt and DMA injection.
 //!
+//! A replay whose logs the machine cannot follow ends as an
+//! [`EngineError`] value, never a panic.
+//!
 //! The engine also models the *timing* the paper measures: per-chunk
 //! durations from the Table-5 cache hierarchy, a 30-cycle commit
 //! arbitration round trip overlapped with execution of subsequent
@@ -38,7 +41,7 @@
 //!
 //! let spec = RunSpec::new(WorkloadSpec::test_spec(), 2, 7, 4_000).unwrap();
 //! let cfg = EngineConfig::recording(1_000);
-//! let stats = run(&spec, &cfg, &mut BulkScHooks::default());
+//! let stats = run(&spec, &cfg, &mut BulkScHooks::default()).expect("recording cannot starve");
 //! assert_eq!(stats.digest.retired, vec![4_000, 4_000]);
 //! ```
 
@@ -58,11 +61,11 @@ pub mod stats;
 
 pub use arbiter::{ArbiterBackend, GlobalArbiter, Grant, ShardedArbiter};
 pub use config::{ArbiterConfig, DeviceConfig, EngineConfig, PerturbConfig, SubstrateFaultConfig};
-pub use engine::{run, run_from, StartState};
+pub use engine::{run, run_from, EngineError, StartState};
 pub use footprint::ChunkFootprint;
 pub use hooks::{
-    ArbiterContext, BulkScHooks, CommitRecord, Committer, EventObserver, ExecutionHooks,
-    GrantPolicy, HookStack, ModeDriver, PendingView, ReplayFeed, SubstrateEvent, TruncationReason,
+    ArbiterContext, BulkScHooks, CommitRecord, Committer, ExecutionHooks, PendingView,
+    SubstrateEvent, TruncationReason,
 };
 pub use stats::{ParallelStats, RunStats, StateDigest, TokenStats};
 

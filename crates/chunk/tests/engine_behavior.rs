@@ -4,13 +4,73 @@
 // Test code may panic freely.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use delorean_chunk::{run, BulkScHooks, Committer, EngineConfig, ExecutionHooks};
+use delorean_chunk::{
+    ArbiterContext, BulkScHooks, Committer, EngineConfig, EngineError, ExecutionHooks, RunStats,
+    StartState,
+};
+use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::{self, WorkloadSpec};
-use delorean_isa::{AluOp, Inst, Program, ProgramBuilder, Reg};
+use delorean_isa::{AluOp, Inst, Program, ProgramBuilder, Reg, Vm};
 use delorean_sim::RunSpec;
 
 fn spec(name: &str, procs: u32, seed: u64, budget: u64) -> RunSpec {
     RunSpec::new(*workload::by_name(name).unwrap(), procs, seed, budget).unwrap()
+}
+
+/// Runs the engine with a policy that grants whatever is pending, which
+/// cannot starve.
+fn run(spec: &RunSpec, cfg: &EngineConfig, hooks: &mut dyn ExecutionHooks) -> RunStats {
+    delorean_chunk::run(spec, cfg, hooks).expect("a granting policy never starves the engine")
+}
+
+/// Hooks that never grant a commit.
+struct NeverGrant;
+
+impl ExecutionHooks for NeverGrant {
+    fn next_grant(&mut self, _ctx: &ArbiterContext<'_>) -> Option<Committer> {
+        None
+    }
+}
+
+#[test]
+fn a_run_whose_hooks_never_grant_starves_as_a_value() {
+    let err = delorean_chunk::run(
+        &spec("fft", 2, 3, 2_000),
+        &EngineConfig::recording(500),
+        &mut NeverGrant,
+    )
+    .unwrap_err();
+    match err {
+        EngineError::Starved { cycle, pending } => {
+            assert!(cycle > 0);
+            assert_eq!(pending, vec![0, 1]);
+        }
+        other => panic!("expected starvation, got {other:?}"),
+    }
+}
+
+#[test]
+fn start_states_that_do_not_fit_the_machine_are_errors() {
+    let r = spec("fft", 2, 3, 2_000);
+    let map = AddressMap::new(2);
+    let fits = StartState {
+        memory: vec![0; map.total_words() as usize],
+        vm_states: (0..2).map(|t| Vm::new(t, &map).snapshot()).collect(),
+        chunks_done: vec![0; 2],
+    };
+    let cfg = EngineConfig::recording(500);
+    let from = |start: &StartState| delorean_chunk::run_from(&r, &cfg, &mut BulkScHooks, start);
+    assert!(from(&fits).is_ok());
+    let mut short = fits.clone();
+    short.chunks_done.pop();
+    let mut half = fits.clone();
+    half.memory.truncate(half.memory.len() / 2);
+    for misfit in [short, half] {
+        assert_eq!(
+            from(&misfit).unwrap_err(),
+            EngineError::StartShape { n_procs: 2 }
+        );
+    }
 }
 
 #[test]
@@ -261,8 +321,7 @@ fn single_core_chunked_stream_matches_plain_vm_execution() {
     // produce exactly the same retired stream as stepping the VM
     // directly (lu has no I/O in its body, so devices don't interfere;
     // the handler never runs because interrupts are off).
-    use delorean_isa::layout::AddressMap;
-    use delorean_isa::{FlatMemory, NullIo, Vm};
+    use delorean_isa::{FlatMemory, NullIo};
     let w = *workload::by_name("lu").unwrap();
     let budget = 7_000u64;
     let r = RunSpec::new(w, 1, 31, budget).unwrap();

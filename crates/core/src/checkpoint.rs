@@ -18,7 +18,6 @@ use crate::mode::Mode;
 use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource, SegmentMark};
 use crate::wire::{mode_from, mode_tag, Fnv, Reader, Writer, FILE_HEAD};
 use delorean_chunk::StartState;
-use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::WorkloadSpec;
 use std::io::{Read, Seek, SeekFrom};
 
@@ -360,7 +359,6 @@ impl CheckpointIndex {
                 delorean_sim::MAX_PROCS
             )));
         }
-        let words = AddressMap::new(n_procs).total_words();
         let interval_k = b.u64("checkpoint interval").map_err(trunc)?;
         let total_commits = b.u64("total commits").map_err(trunc)?;
         let n_entries = b.u64("entry count").map_err(trunc)?;
@@ -392,13 +390,6 @@ impl CheckpointIndex {
                 return Err(CheckpointError::Malformed(
                     "trailing bytes after entry state".to_string(),
                 ));
-            }
-            if state.memory.len() as u64 != words {
-                return Err(CheckpointError::Malformed(format!(
-                    "entry at commit {gcc} holds a {}-word memory image, a {n_procs}-processor \
-                     machine has {words}",
-                    state.memory.len()
-                )));
             }
             entries.push(CheckpointEntry {
                 gcc,

@@ -72,7 +72,6 @@ pub use machine::{Machine, MachineBuilder, Recording, ReplayReport};
 pub use mode::Mode;
 pub use recorder::LogSet;
 pub use recover::{RecoveringSource, Salvage, SalvageReport};
-pub use replayer::Replayer;
 pub use session::{HookStage, NoopStage, Session};
 pub use stream::{
     EventSegment, FileSink, FileSource, LogSink, LogSource, MemorySink, MemorySource,
@@ -81,9 +80,6 @@ pub use stream::{
 pub use wire::Fnv;
 
 // Re-export the substrate types users need at the API boundary.
-pub use delorean_chunk::{
-    ArbiterConfig, EventObserver, GrantPolicy, HookStack, ModeDriver, ReplayFeed, RunStats,
-    StateDigest, SubstrateEvent,
-};
+pub use delorean_chunk::{ArbiterConfig, RunStats, StateDigest, SubstrateEvent};
 pub use delorean_isa::workload::WorkloadSpec;
 pub use delorean_sim::{validate_procs, SpecError, MAX_PROCS};

@@ -309,7 +309,8 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`ReplayError::MachineMismatch`] when the checkpoint's
-    /// processor count differs from this machine's.
+    /// processor count differs from this machine's, and
+    /// [`ReplayError::Source`] when its state does not fit the machine.
     ///
     /// # Panics
     ///
@@ -336,7 +337,8 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`ReplayError::MachineMismatch`] when the checkpoint's
-    /// processor count differs from this machine's.
+    /// processor count differs from this machine's, and
+    /// [`ReplayError::Source`] when its state does not fit the machine.
     ///
     /// # Panics
     ///
@@ -350,22 +352,6 @@ impl Machine {
         sink: &mut S,
     ) -> Result<RunStats, ReplayError> {
         self.session().record_interval_to(ck, extra_budget, sink)
-    }
-
-    pub(crate) fn check_shape(&self, recording: &Recording) -> Result<(), ReplayError> {
-        if recording.n_procs != self.n_procs {
-            return Err(ReplayError::MachineMismatch {
-                recorded: recording.n_procs,
-                replaying: self.n_procs,
-            });
-        }
-        if recording.mode != self.mode {
-            return Err(ReplayError::ModeMismatch {
-                recorded: recording.mode,
-                replaying: self.mode,
-            });
-        }
-        Ok(())
     }
 
     pub(crate) fn replay_config_for(
@@ -514,57 +500,6 @@ impl Machine {
     ) -> Result<ReplayReport, ReplayError> {
         self.session()
             .replay_stratified(recording, max_per_stratum, timing_seed)
-    }
-}
-
-/// Refcounted, process-global panic-hook silencing.
-///
-/// `std::panic::set_hook` mutates global state; the naive
-/// take-hook/set-hook pair around a guarded replay is a race once
-/// replays run on several threads (one thread could restore the default
-/// hook while another is still inside its guarded region, or worse,
-/// capture the silent hook as "previous" and leak it). The guard keeps
-/// a depth count: the first enterer swaps the silent hook in, the last
-/// leaver restores the original.
-pub(crate) mod panic_silence {
-    use std::panic::PanicHookInfo;
-    use std::sync::Mutex;
-
-    type Hook = Box<dyn Fn(&PanicHookInfo<'_>) + Sync + Send + 'static>;
-
-    struct State {
-        depth: usize,
-        prev: Option<Hook>,
-    }
-
-    static STATE: Mutex<State> = Mutex::new(State {
-        depth: 0,
-        prev: None,
-    });
-
-    /// Silences the panic hook until the returned guard drops.
-    pub(crate) fn silence() -> Guard {
-        let mut st = STATE.lock().unwrap_or_else(|e| e.into_inner());
-        if st.depth == 0 {
-            st.prev = Some(std::panic::take_hook());
-            std::panic::set_hook(Box::new(|_| {}));
-        }
-        st.depth += 1;
-        Guard
-    }
-
-    pub(crate) struct Guard;
-
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            let mut st = STATE.lock().unwrap_or_else(|e| e.into_inner());
-            st.depth -= 1;
-            if st.depth == 0 {
-                if let Some(prev) = st.prev.take() {
-                    std::panic::set_hook(prev);
-                }
-            }
-        }
     }
 }
 

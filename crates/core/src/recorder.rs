@@ -32,14 +32,14 @@ mod tests {
     use super::*;
     use crate::mode::Mode;
     use crate::stream::{MemorySink, StreamRecorder};
-    use delorean_chunk::{CommitRecord, Committer, EventObserver, TruncationReason};
+    use delorean_chunk::{CommitRecord, Committer, ExecutionHooks, TruncationReason};
 
     /// The logs a recorder in `mode` keeps for `commits`.
     fn logs_of(mode: Mode, n_procs: u32, commits: &[CommitRecord]) -> LogSet {
         let mut sink = MemorySink::with_shape(mode, n_procs, 1000);
         let mut r = StreamRecorder::new(mode, n_procs, &mut sink);
         for c in commits {
-            EventObserver::on_commit(&mut r, c);
+            r.on_commit(c);
         }
         sink.into_logs()
     }

@@ -5,10 +5,7 @@ use crate::mode::Mode;
 use crate::recorder::LogSet;
 use crate::stratify::StratifiedPiLog;
 use crate::stream::{LogSource, MemorySource};
-use delorean_chunk::{
-    policy, ArbiterContext, CommitRecord, Committer, EventObserver, ExecutionHooks, GrantPolicy,
-    ReplayFeed,
-};
+use delorean_chunk::{policy, ArbiterContext, CommitRecord, Committer, ExecutionHooks};
 use delorean_isa::{Addr, Word};
 
 #[derive(Debug)]
@@ -58,7 +55,7 @@ impl StratCursor {
 /// PicoLog it regenerates the round-robin order and injects DMA at the
 /// recorded commit slots.
 #[derive(Debug)]
-pub struct Replayer<S: LogSource> {
+pub(crate) struct Replayer<S: LogSource> {
     mode: Mode,
     n_procs: u32,
     source: S,
@@ -71,7 +68,7 @@ pub struct Replayer<S: LogSource> {
 impl<'r> Replayer<MemorySource<'r>> {
     /// A replayer following the recording's exact commit order, over
     /// in-memory logs.
-    pub fn new(mode: Mode, n_procs: u32, logs: &'r LogSet) -> Self {
+    pub(crate) fn new(mode: Mode, n_procs: u32, logs: &'r LogSet) -> Self {
         Self::from_source(MemorySource::from_logs(mode, n_procs, logs))
     }
 
@@ -80,7 +77,12 @@ impl<'r> Replayer<MemorySource<'r>> {
     /// # Panics
     ///
     /// Panics if `mode` is PicoLog, which has no PI log to stratify.
-    pub fn stratified(mode: Mode, n_procs: u32, logs: &'r LogSet, log: &StratifiedPiLog) -> Self {
+    pub(crate) fn stratified(
+        mode: Mode,
+        n_procs: u32,
+        logs: &'r LogSet,
+        log: &StratifiedPiLog,
+    ) -> Self {
         assert!(mode.has_pi_log(), "PicoLog has no PI log to stratify");
         let mut r = Self::new(mode, n_procs, logs);
         r.strata = Some(StratCursor::new(log));
@@ -91,7 +93,7 @@ impl<'r> Replayer<MemorySource<'r>> {
 impl<S: LogSource> Replayer<S> {
     /// A replayer over any log source (e.g. a streaming
     /// [`FileSource`](crate::FileSource)).
-    pub fn from_source(source: S) -> Self {
+    pub(crate) fn from_source(source: S) -> Self {
         Self {
             mode: source.mode(),
             n_procs: source.n_procs(),
@@ -105,19 +107,8 @@ impl<S: LogSource> Replayer<S> {
         }
     }
 
-    /// First divergence detected between the logs and the execution,
-    /// if any.
-    pub fn divergence(&self) -> Option<&str> {
-        self.divergence.as_deref()
-    }
-
-    /// Consumes the replayer, returning the divergence (if any).
-    pub fn into_divergence(self) -> Option<String> {
-        self.divergence
-    }
-
     /// Consumes the replayer, returning the source and the divergence.
-    pub fn into_parts(self) -> (S, Option<String>) {
+    pub(crate) fn into_parts(self) -> (S, Option<String>) {
         (self.source, self.divergence)
     }
 
@@ -128,7 +119,7 @@ impl<S: LogSource> Replayer<S> {
     }
 }
 
-impl<S: LogSource> GrantPolicy for Replayer<S> {
+impl<S: LogSource> ExecutionHooks for Replayer<S> {
     fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
         match self.mode {
             Mode::PicoLog => {
@@ -167,9 +158,7 @@ impl<S: LogSource> GrantPolicy for Replayer<S> {
             }
         }
     }
-}
 
-impl<S: LogSource> EventObserver for Replayer<S> {
     fn on_commit(&mut self, rec: &CommitRecord) {
         let col = match rec.committer {
             Committer::Proc(p) => p as usize,
@@ -205,9 +194,7 @@ impl<S: LogSource> EventObserver for Replayer<S> {
         self.pi_pos += 1;
         self.source.note_commit(rec.committer);
     }
-}
 
-impl<S: LogSource> ReplayFeed for Replayer<S> {
     fn forced_chunk_size(&mut self, core: u32, index: u64) -> Option<u32> {
         self.source.forced_size(core, index)
     }
@@ -239,32 +226,6 @@ impl<S: LogSource> ReplayFeed for Replayer<S> {
     }
 }
 
-impl<S: LogSource> ExecutionHooks for Replayer<S> {
-    fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
-        GrantPolicy::next_grant(self, ctx)
-    }
-
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        EventObserver::on_commit(self, rec);
-    }
-
-    fn forced_chunk_size(&mut self, core: u32, index: u64) -> Option<u32> {
-        ReplayFeed::forced_chunk_size(self, core, index)
-    }
-
-    fn io_load(&mut self, core: u32, index: u64, seq: u32, port: u16, dev: Word) -> Word {
-        ReplayFeed::io_load(self, core, index, seq, port, dev)
-    }
-
-    fn pending_interrupt(&mut self, core: u32, index: u64) -> Option<(u16, Word)> {
-        ReplayFeed::pending_interrupt(self, core, index)
-    }
-
-    fn dma_data(&mut self) -> Vec<(Addr, Word)> {
-        ReplayFeed::dma_data(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     // Test code may panic freely.
@@ -278,26 +239,23 @@ mod tests {
         let mut sink = MemorySink::with_shape(Mode::OrderOnly, 2, 1000);
         let mut r = StreamRecorder::new(Mode::OrderOnly, 2, &mut sink);
         for (i, &c) in entries.iter().enumerate() {
-            EventObserver::on_commit(
-                &mut r,
-                &CommitRecord {
-                    shard: None,
-                    committer: c,
-                    chunk_index: i as u64 / 2 + 1,
-                    size: 1000,
-                    truncation: TruncationReason::StandardSize,
-                    global_slot: i as u64 + 1,
-                    interrupt: None,
-                    io_values: Vec::new(),
-                    dma_data: if c == Committer::Dma {
-                        vec![(1, 1)]
-                    } else {
-                        Vec::new()
-                    },
-                    access_lines: Vec::new(),
-                    write_lines: Vec::new(),
+            r.on_commit(&CommitRecord {
+                shard: None,
+                committer: c,
+                chunk_index: i as u64 / 2 + 1,
+                size: 1000,
+                truncation: TruncationReason::StandardSize,
+                global_slot: i as u64 + 1,
+                interrupt: None,
+                io_values: Vec::new(),
+                dma_data: if c == Committer::Dma {
+                    vec![(1, 1)]
+                } else {
+                    Vec::new()
                 },
-            );
+                access_lines: Vec::new(),
+                write_lines: Vec::new(),
+            });
         }
         sink.into_logs()
     }
@@ -320,11 +278,7 @@ mod tests {
             total_commits: 0,
             finished: &finished,
         };
-        assert_eq!(
-            GrantPolicy::next_grant(&mut rp, &ctx),
-            None,
-            "must wait for proc 1"
-        );
+        assert_eq!(rp.next_grant(&ctx), None, "must wait for proc 1");
         let pending = [
             PendingView {
                 committer: Committer::Proc(0),
@@ -342,41 +296,35 @@ mod tests {
             total_commits: 0,
             finished: &finished,
         };
-        assert_eq!(
-            GrantPolicy::next_grant(&mut rp, &ctx),
-            Some(Committer::Proc(1))
-        );
+        assert_eq!(rp.next_grant(&ctx), Some(Committer::Proc(1)));
     }
 
     #[test]
     fn commit_mismatch_is_flagged() {
         let logs = logs_with_pi(&[Committer::Proc(1)]);
         let mut rp = Replayer::new(Mode::OrderOnly, 2, &logs);
-        EventObserver::on_commit(
-            &mut rp,
-            &CommitRecord {
-                shard: None,
-                committer: Committer::Proc(0),
-                chunk_index: 1,
-                size: 1000,
-                truncation: TruncationReason::StandardSize,
-                global_slot: 1,
-                interrupt: None,
-                io_values: Vec::new(),
-                dma_data: Vec::new(),
-                access_lines: Vec::new(),
-                write_lines: Vec::new(),
-            },
-        );
-        assert!(rp.divergence().unwrap().contains("expected"));
+        rp.on_commit(&CommitRecord {
+            shard: None,
+            committer: Committer::Proc(0),
+            chunk_index: 1,
+            size: 1000,
+            truncation: TruncationReason::StandardSize,
+            global_slot: 1,
+            interrupt: None,
+            io_values: Vec::new(),
+            dma_data: Vec::new(),
+            access_lines: Vec::new(),
+            write_lines: Vec::new(),
+        });
+        assert!(rp.divergence.as_deref().unwrap().contains("expected"));
     }
 
     #[test]
     fn io_log_misses_are_divergences() {
         let logs = logs_with_pi(&[]);
         let mut rp = Replayer::new(Mode::OrderOnly, 2, &logs);
-        assert_eq!(ReplayFeed::io_load(&mut rp, 0, 1, 0, 3, 77), 0);
-        assert!(rp.divergence().is_some());
+        assert_eq!(rp.io_load(0, 1, 0, 3, 77), 0);
+        assert!(rp.divergence.is_some());
     }
 
     #[test]
@@ -391,7 +339,7 @@ mod tests {
             total_commits: 0,
             finished: &finished,
         };
-        assert_eq!(GrantPolicy::next_grant(&mut rp, &ctx), Some(Committer::Dma));
-        assert_eq!(ReplayFeed::dma_data(&mut rp), vec![(1, 1)]);
+        assert_eq!(rp.next_grant(&ctx), Some(Committer::Dma));
+        assert_eq!(rp.dma_data(), vec![(1, 1)]);
     }
 }

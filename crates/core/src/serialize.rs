@@ -49,6 +49,15 @@ pub enum DecodeError {
     /// The input carries a valid header and metadata but no segments:
     /// the recorder never wrote (or the file lost) its event stream.
     HeaderOnly,
+    /// A start state's memory image does not fit its machine.
+    MemoryImage {
+        /// Processors in the machine.
+        n_procs: u32,
+        /// Words in the image.
+        words: u64,
+        /// Words in the machine's memory.
+        expected: u64,
+    },
 }
 
 impl core::fmt::Display for DecodeError {
@@ -69,6 +78,15 @@ impl core::fmt::Display for DecodeError {
             DecodeError::HeaderOnly => {
                 write!(f, "header-only stream: valid metadata but no segments")
             }
+            DecodeError::MemoryImage {
+                n_procs,
+                words,
+                expected,
+            } => write!(
+                f,
+                "start state holds a {words}-word memory image, a {n_procs}-processor \
+                 machine has {expected}"
+            ),
         }
     }
 }

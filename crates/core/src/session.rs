@@ -2,12 +2,12 @@
 //!
 //! A [`Session`] is the single run loop every [`Machine`] entry point
 //! drives: it wires a mode driver (a recording [`StreamRecorder`] or a
-//! log-following [`Replayer`](crate::Replayer)) into the chunk engine
-//! and fans the engine's typed [`SubstrateEvent`] stream out to a stack
-//! of passive [`HookStage`]s — tracers, metrics collectors, test
-//! probes. Stages are observation-only by construction, so stacking any
-//! number of them leaves the execution, its logs, and its determinism
-//! digest bit-identical (see `tests/session_pipeline.rs`).
+//! log-following replayer) into the chunk engine and fans the engine's
+//! typed [`SubstrateEvent`] stream out to a stack of passive
+//! [`HookStage`]s — tracers, metrics collectors, test probes. Stages are
+//! observation-only by construction, so stacking any number of them
+//! leaves the execution, its logs, and its determinism digest
+//! bit-identical (see `tests/session_pipeline.rs`).
 //!
 //! ```
 //! use delorean::{Machine, Mode, HookStage, SubstrateEvent};
@@ -35,15 +35,18 @@
 use crate::checkpoint::{IntervalCheckpoint, ReplayCursor};
 use crate::error::ReplayError;
 use crate::inspect::ReplayInspector;
-use crate::machine::{panic_silence, Machine, Recording, ReplayReport};
+use crate::machine::{Machine, Recording, ReplayReport};
 use crate::replayer::Replayer;
-use crate::stream::{LogSink, LogSource, MemorySink, StreamMeta, StreamRecorder, StreamTrailer};
+use crate::stream::{
+    LogSink, LogSource, MemorySink, MemorySource, StreamMeta, StreamRecorder, StreamTrailer,
+};
 use delorean_chunk::{
-    run, run_from, ArbiterContext, CommitRecord, Committer, EventObserver, ExecutionHooks,
-    GrantPolicy, HookStack, RunStats, StartState, StateDigest, SubstrateEvent,
+    run, run_from, ArbiterContext, CommitRecord, Committer, CoreId, EngineConfig, EngineError,
+    ExecutionHooks, RunStats, StartState, StateDigest, SubstrateEvent,
 };
 use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::WorkloadSpec;
+use delorean_isa::{Addr, Word};
 use delorean_mem::Memory;
 use delorean_sim::RunSpec;
 use std::io::{Read, Seek};
@@ -57,11 +60,6 @@ use std::io::{Read, Seek};
 /// keyed by), `on_event` for every [`SubstrateEvent`], and `on_end`
 /// once with the final statistics.
 pub trait HookStage {
-    /// Short stable name, for diagnostics.
-    fn name(&self) -> &'static str {
-        "stage"
-    }
-
     /// The run is about to start.
     fn on_begin(&mut self, meta: &StreamMeta) {
         let _ = meta;
@@ -83,55 +81,73 @@ pub trait HookStage {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopStage;
 
-impl HookStage for NoopStage {
-    fn name(&self) -> &'static str {
-        "noop"
-    }
-}
+impl HookStage for NoopStage {}
 
-/// Adapts a [`HookStage`] to the chunk layer's [`EventObserver`] so a
-/// replay [`HookStack`] can fan events out to it.
-struct StageObserver<'a, 'b>(&'a mut (dyn HookStage + 'b));
-
-impl EventObserver for StageObserver<'_, '_> {
-    fn on_event(&mut self, time: u64, ev: &SubstrateEvent) {
-        self.0.on_event(time, ev);
-    }
-
-    fn on_run_end(&mut self, stats: &RunStats) {
-        self.0.on_end(stats);
-    }
-}
-
-/// The recording pipeline: the [`StreamRecorder`] mode driver plus the
-/// stage stack, with `SegmentFlush` events synthesized from the sink's
-/// flush counters after each commit.
-struct RecordPipeline<'a, 'b, 'c, S: LogSink> {
-    recorder: StreamRecorder<'a, S>,
-    stages: &'b mut [&'c mut dyn HookStage],
+/// The one pipeline the engine drives, recording or replaying: a mode
+/// driver (a [`StreamRecorder`] or a [`Replayer`]) plus the stage
+/// stack. Decisions go to the driver alone; observations go to the
+/// driver first, then to each stage in stack order. After each commit
+/// the pipeline reads the driver's sink counters through `flushes` and
+/// publishes a new flush as a `SegmentFlush` event; replay drivers
+/// write no log and report none.
+struct Pipeline<'p, 's, D> {
+    driver: D,
+    flushes: fn(&D) -> (u64, u64),
+    stages: &'p mut [&'s mut dyn HookStage],
     segments_seen: u64,
     commits_seen: u64,
 }
 
-impl<S: LogSink> ExecutionHooks for RecordPipeline<'_, '_, '_, S> {
+impl<D: ExecutionHooks> ExecutionHooks for Pipeline<'_, '_, D> {
     fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
-        GrantPolicy::next_grant(&mut self.recorder, ctx)
+        self.driver.next_grant(ctx)
     }
 
     fn on_commit(&mut self, rec: &CommitRecord) {
-        EventObserver::on_commit(&mut self.recorder, rec);
+        self.driver.on_commit(rec);
+    }
+
+    fn forced_chunk_size(&mut self, core: CoreId, index: u64) -> Option<u32> {
+        self.driver.forced_chunk_size(core, index)
+    }
+
+    fn io_load(
+        &mut self,
+        core: CoreId,
+        index: u64,
+        seq: u32,
+        port: u16,
+        device_value: Word,
+    ) -> Word {
+        self.driver.io_load(core, index, seq, port, device_value)
+    }
+
+    fn pending_interrupt(&mut self, core: CoreId, index: u64) -> Option<(u16, Word)> {
+        self.driver.pending_interrupt(core, index)
+    }
+
+    fn dma_data(&mut self) -> Vec<(Addr, Word)> {
+        self.driver.dma_data()
+    }
+
+    fn on_run_end(&mut self, stats: &RunStats) {
+        self.driver.on_run_end(stats);
+        for stage in self.stages.iter_mut() {
+            stage.on_end(stats);
+        }
     }
 
     fn on_event(&mut self, time: u64, ev: &SubstrateEvent) {
+        self.driver.on_event(time, ev);
         for stage in self.stages.iter_mut() {
             stage.on_event(time, ev);
         }
-        // The sink flushes inside `on_commit`; the engine's commit
-        // event arrives right after, so polling here publishes the
-        // flush at the cycle it happened.
+        // A recording sink flushes inside `on_commit`; the engine's
+        // commit event arrives right after, so polling here publishes
+        // the flush at the cycle it happened.
         if matches!(ev, SubstrateEvent::Commit { .. }) {
             self.commits_seen += 1;
-            let (segments, bytes) = self.recorder.flush_stats();
+            let (segments, bytes) = (self.flushes)(&self.driver);
             if segments > self.segments_seen {
                 self.segments_seen = segments;
                 let flush = SubstrateEvent::SegmentFlush {
@@ -143,13 +159,6 @@ impl<S: LogSink> ExecutionHooks for RecordPipeline<'_, '_, '_, S> {
                     stage.on_event(time, &flush);
                 }
             }
-        }
-    }
-
-    fn on_run_end(&mut self, stats: &RunStats) {
-        EventObserver::on_run_end(&mut self.recorder, stats);
-        for stage in self.stages.iter_mut() {
-            stage.on_end(stats);
         }
     }
 }
@@ -206,6 +215,9 @@ impl<'m, 's> Session<'m, 's> {
     /// Records one execution of `workload`, streaming every commit into
     /// `sink` as it is granted and fanning substrate events out to the
     /// stacked stages.
+    // Infallible: a recording grants whatever is pending and starts
+    // from the machine's own initial state, so the engine cannot fail.
+    #[allow(clippy::expect_used)]
     pub fn record_to<S: LogSink>(
         self,
         workload: &WorkloadSpec,
@@ -214,6 +226,7 @@ impl<'m, 's> Session<'m, 's> {
     ) -> RunStats {
         let budget = self.machine.budget();
         self.run_recording(workload, app_seed, budget, None, sink)
+            .expect("a recording from the initial state cannot fail")
     }
 
     /// Records a new interval starting from a mid-execution checkpoint,
@@ -223,7 +236,8 @@ impl<'m, 's> Session<'m, 's> {
     /// # Errors
     ///
     /// Returns [`ReplayError::MachineMismatch`] when the checkpoint's
-    /// processor count differs from this machine's.
+    /// processor count differs from this machine's, and
+    /// [`ReplayError::Source`] when its state does not fit the machine.
     ///
     /// # Panics
     ///
@@ -243,20 +257,23 @@ impl<'m, 's> Session<'m, 's> {
         }
         let budget = ck.max_retired() + extra_budget;
         let interval = Some(ck.state.clone());
-        Ok(self.run_recording(&ck.workload, ck.app_seed, budget, interval, sink))
+        self.run_recording(&ck.workload, ck.app_seed, budget, interval, sink)
+            .map_err(|e| ReplayError::Source {
+                detail: e.to_string(),
+            })
     }
 
-    /// The one recording run loop: announce the stream, drive the
-    /// engine through the pipeline, let the engine's `on_run_end`
-    /// deliver the trailer and close out the stages.
+    /// The one recording run loop: announce the stream to the sink,
+    /// drive the recorder through the pipeline, and let the engine's
+    /// `on_run_end` deliver the trailer.
     fn run_recording<S: LogSink>(
-        mut self,
+        self,
         workload: &WorkloadSpec,
         app_seed: u64,
         budget: u64,
         interval: Option<StartState>,
         sink: &mut S,
-    ) -> RunStats {
+    ) -> Result<RunStats, EngineError> {
         let m = self.machine;
         let cfg = m.recording_config(workload);
         let meta = StreamMeta {
@@ -277,19 +294,9 @@ impl<'m, 's> Session<'m, 's> {
         let spec = RunSpec::new(*workload, m.procs(), app_seed, budget)
             .expect("machine builder validated the shape");
         sink.begin(&meta);
-        for stage in &mut self.stages {
-            stage.on_begin(&meta);
-        }
-        let mut pipeline = RecordPipeline {
-            recorder: StreamRecorder::new(meta.mode, meta.n_procs, sink),
-            stages: &mut self.stages,
-            segments_seen: 0,
-            commits_seen: 0,
-        };
-        match &meta.interval {
-            Some(start) => run_from(&spec, &cfg, &mut pipeline, start),
-            None => run(&spec, &cfg, &mut pipeline),
-        }
+        let recorder = StreamRecorder::new(meta.mode, meta.n_procs, sink);
+        let (_, outcome) = self.drive(&meta, &cfg, &spec, recorder, StreamRecorder::flush_stats);
+        outcome
     }
 
     /// Replays from a log source with an explicit replay-side timing
@@ -314,8 +321,7 @@ impl<'m, 's> Session<'m, 's> {
         let spec = RunSpec::new(meta.workload, m.procs(), meta.app_seed, meta.budget)
             .expect("stream decoder validated the shape");
         let replayer = Replayer::from_source(source);
-        let (mut source, stats, divergence) =
-            self.run_replay(&meta, &cfg, &spec, meta.interval.as_ref(), replayer)?;
+        let (mut source, stats, divergence) = self.run_replay(&meta, &cfg, &spec, replayer)?;
         if let Some(e) = source.error() {
             return Err(ReplayError::Source {
                 detail: e.to_string(),
@@ -408,7 +414,7 @@ impl<'m, 's> Session<'m, 's> {
         timing_seed: u64,
     ) -> Result<ReplayReport, ReplayError> {
         let m = self.machine;
-        m.check_shape(recording)?;
+        let meta = checked_meta(m, &MemorySource::of_recording(recording))?;
         if !recording.mode.has_pi_log() || max_per_stratum == 0 {
             return Err(ReplayError::Unstratifiable {
                 mode: recording.mode,
@@ -422,67 +428,65 @@ impl<'m, 's> Session<'m, 's> {
             recording.devices,
             timing_seed,
         );
-        let meta = StreamMeta::of_recording(recording);
         let spec = recording.run_spec();
         let replayer = Replayer::stratified(m.mode(), m.procs(), &recording.logs, &strat);
-        let (_, stats, divergence) =
-            self.run_replay(&meta, &cfg, &spec, recording.interval.as_ref(), replayer)?;
+        let (_, stats, divergence) = self.run_replay(&meta, &cfg, &spec, replayer)?;
         Ok(verified_report(&recording.stats.digest, stats, divergence))
     }
 
-    /// The one replay run loop: announce the stream to the stages,
-    /// stack them as observers on the replayer driver, guard the engine
-    /// against log-starvation deadlocks, and hand back the driver's
-    /// source plus any divergence it latched.
+    /// The one replay run loop: drive `replayer` through the pipeline
+    /// and hand back its source, the run's statistics and any
+    /// divergence it latched. A run the engine cannot finish fails as
+    /// [`ReplayError::Source`], naming the source's own error first,
+    /// else the latched divergence, else the engine's.
     fn run_replay<S: LogSource>(
-        mut self,
+        self,
         meta: &StreamMeta,
-        cfg: &delorean_chunk::EngineConfig,
+        cfg: &EngineConfig,
         spec: &RunSpec,
-        interval: Option<&delorean_chunk::StartState>,
-        mut replayer: Replayer<S>,
+        replayer: Replayer<S>,
     ) -> Result<(S, RunStats, Option<String>), ReplayError> {
-        for stage in &mut self.stages {
-            stage.on_begin(meta);
-        }
-        // A corrupt or truncated stream can starve the engine of
-        // grants, which it reports by panicking ("engine deadlock");
-        // surface that as a stream error rather than crashing. The
-        // default panic hook would still print a backtrace before
-        // `catch_unwind` recovers, so silence it around the guarded
-        // run. The guard refcounts a process-global swap, so concurrent
-        // replays (e.g. a verification fan-out) stay race-free.
-        let outcome = {
-            let mut adapters: Vec<StageObserver<'_, '_>> = self
-                .stages
-                .iter_mut()
-                .map(|s| StageObserver(&mut **s))
-                .collect();
-            let observers: Vec<&mut dyn EventObserver> = adapters
-                .iter_mut()
-                .map(|a| a as &mut dyn EventObserver)
-                .collect();
-            let mut stack = HookStack::new(&mut replayer, observers);
-            let _silence = panic_silence::silence();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match interval {
-                Some(start) => run_from(spec, cfg, &mut stack, start),
-                None => run(spec, cfg, &mut stack),
-            }))
-        };
+        let (replayer, outcome) = self.drive(meta, cfg, spec, replayer, |_| (0, 0));
         let (source, divergence) = replayer.into_parts();
         match outcome {
             Ok(stats) => Ok((source, stats, divergence)),
-            Err(_) => {
-                let detail = source
+            Err(e) => Err(ReplayError::Source {
+                detail: source
                     .error()
                     .map(str::to_string)
                     .or(divergence)
-                    .unwrap_or_else(|| {
-                        "engine deadlocked on an inconsistent log stream".to_string()
-                    });
-                Err(ReplayError::Source { detail })
-            }
+                    .unwrap_or_else(|| e.to_string()),
+            }),
         }
+    }
+
+    /// Announces `meta` to the stages, then runs the engine through a
+    /// [`Pipeline`] over `driver`, from `meta.interval` when the stream
+    /// starts mid-execution. Returns the driver with the engine's
+    /// outcome.
+    fn drive<D: ExecutionHooks>(
+        mut self,
+        meta: &StreamMeta,
+        cfg: &EngineConfig,
+        spec: &RunSpec,
+        driver: D,
+        flushes: fn(&D) -> (u64, u64),
+    ) -> (D, Result<RunStats, EngineError>) {
+        for stage in &mut self.stages {
+            stage.on_begin(meta);
+        }
+        let mut pipeline = Pipeline {
+            driver,
+            flushes,
+            stages: &mut self.stages,
+            segments_seen: 0,
+            commits_seen: 0,
+        };
+        let outcome = match &meta.interval {
+            Some(start) => run_from(spec, cfg, &mut pipeline, start),
+            None => run(spec, cfg, &mut pipeline),
+        };
+        (pipeline.driver, outcome)
     }
 }
 
@@ -578,9 +582,6 @@ mod tests {
     }
 
     impl HookStage for EventTally {
-        fn name(&self) -> &'static str {
-            "tally"
-        }
         fn on_begin(&mut self, _meta: &StreamMeta) {
             self.begins += 1;
         }
@@ -639,7 +640,7 @@ mod tests {
         let report = m
             .session()
             .with_stage(&mut tally)
-            .replay_from(crate::stream::MemorySource::of_recording(&recording), 99)
+            .replay_from(MemorySource::of_recording(&recording), 99)
             .unwrap();
         assert!(report.deterministic);
         assert_eq!(tally.begins, 1);

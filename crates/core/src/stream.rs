@@ -42,9 +42,10 @@ use crate::wire::{
     SEGMENT_HEAD, SEG_EVENTS, SEG_TRAILER, VERSION,
 };
 use delorean_chunk::{
-    policy, ArbiterConfig, ArbiterContext, CommitRecord, Committer, DeviceConfig, EventObserver,
-    ExecutionHooks, GrantPolicy, ParallelStats, ReplayFeed, RunStats, StartState, StateDigest,
+    policy, ArbiterConfig, ArbiterContext, CommitRecord, Committer, DeviceConfig, ExecutionHooks,
+    ParallelStats, RunStats, StartState, StateDigest,
 };
+use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::{self, WorkloadSpec};
 use delorean_isa::{Addr, Word};
 use std::collections::{HashSet, VecDeque};
@@ -353,15 +354,11 @@ impl<'a, S: LogSink> StreamRecorder<'a, S> {
     }
 }
 
-impl<S: LogSink> GrantPolicy for StreamRecorder<'_, S> {
+impl<S: LogSink> ExecutionHooks for StreamRecorder<'_, S> {
     fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
         self.bridge.next_grant(ctx)
     }
-}
 
-impl<S: LogSink> ReplayFeed for StreamRecorder<'_, S> {}
-
-impl<S: LogSink> EventObserver for StreamRecorder<'_, S> {
     fn on_commit(&mut self, rec: &CommitRecord) {
         let event = self.bridge.convert(rec);
         self.sink.on_event(&event);
@@ -371,20 +368,6 @@ impl<S: LogSink> EventObserver for StreamRecorder<'_, S> {
         self.sink.finish(&StreamTrailer {
             stats: stats.clone(),
         });
-    }
-}
-
-impl<S: LogSink> ExecutionHooks for StreamRecorder<'_, S> {
-    fn next_grant(&mut self, ctx: &ArbiterContext<'_>) -> Option<Committer> {
-        GrantPolicy::next_grant(self, ctx)
-    }
-
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        EventObserver::on_commit(self, rec);
-    }
-
-    fn on_run_end(&mut self, stats: &RunStats) {
-        EventObserver::on_run_end(self, stats);
     }
 }
 
@@ -562,12 +545,21 @@ pub(crate) fn encode_start_state(w: &mut Writer, start: &StartState) {
 }
 
 /// Decodes a [`StartState`] for an `n_procs`-processor machine — the
-/// inverse of [`encode_start_state`].
+/// inverse of [`encode_start_state`]. A memory image of another size
+/// than the machine's is a [`DecodeError::MemoryImage`].
 pub(crate) fn decode_start_state(
     r: &mut Reader<'_>,
     n_procs: u32,
 ) -> Result<StartState, DecodeError> {
     let n = r.len("interval memory len")?;
+    let expected = AddressMap::new(n_procs).total_words();
+    if n as u64 != expected {
+        return Err(DecodeError::MemoryImage {
+            n_procs,
+            words: n as u64,
+            expected,
+        });
+    }
     let memory = r.words(n, "interval memory word")?;
     let mut vm_states = Vec::with_capacity(n_procs as usize);
     for _ in 0..n_procs {

@@ -147,10 +147,6 @@ impl<W: Write> JsonlTracer<W> {
 }
 
 impl<W: Write> HookStage for JsonlTracer<W> {
-    fn name(&self) -> &'static str {
-        "jsonl-trace"
-    }
-
     fn on_begin(&mut self, meta: &StreamMeta) {
         self.mode = Some(meta.mode);
         let line = format!(

@@ -6,7 +6,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use delorean::inspect::ReplayInspector;
-use delorean::{serialize, Machine, Mode};
+use delorean::serialize::DecodeError;
+use delorean::{serialize, FileSource, Machine, Mode, ReplayError};
 use delorean_isa::workload;
 
 fn base_machine(mode: Mode) -> Machine {
@@ -32,6 +33,42 @@ fn interval_recordings_replay_deterministically() {
         );
         let report = machine.replay(&interval).expect("shape matches");
         assert!(report.deterministic, "{mode}: {:?}", report.divergence);
+    }
+}
+
+/// An interval stream whose start-state memory image does not fit its
+/// machine fails to open with a typed error, whether the image is empty
+/// or half the machine's size; it never reaches a replayer. Recording
+/// from such a checkpoint is an error too, not a panic.
+#[test]
+fn interval_streams_with_a_misfit_memory_image_do_not_open() {
+    let machine = Machine::builder().procs(2).budget(4_000).build();
+    let first = machine.record(workload::by_name("fft").unwrap(), 3);
+    let ck = first.checkpoint_at(first.stats.total_commits / 2).unwrap();
+    let interval = machine.record_interval(&ck, 2_000).unwrap();
+    let words = ck.state.memory.len() as u64;
+    for keep in [0, words / 2] {
+        let mut forged = interval.clone();
+        forged
+            .interval
+            .as_mut()
+            .unwrap()
+            .memory
+            .truncate(keep as usize);
+        let bytes = serialize::to_bytes(&forged);
+        let misfit = DecodeError::MemoryImage {
+            n_procs: 2,
+            words: keep,
+            expected: words,
+        };
+        assert_eq!(FileSource::open(&bytes[..]).unwrap_err(), misfit);
+        assert_eq!(serialize::from_bytes(&bytes).unwrap_err(), misfit);
+        let mut cut = ck.clone();
+        cut.state.memory.truncate(keep as usize);
+        assert!(matches!(
+            machine.record_interval(&cut, 2_000),
+            Err(ReplayError::Source { .. })
+        ));
     }
 }
 

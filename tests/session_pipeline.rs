@@ -8,7 +8,7 @@
 
 use delorean::{
     index_stream, serialize, ArbiterConfig, FileSink, FileSource, Fnv, HookStage, Machine, Mode,
-    NoopStage, ReplayError, RunStats, SubstrateEvent,
+    NoopStage, ReplayError, RunStats, StateDigest, SubstrateEvent,
 };
 use delorean_chunk::DeviceConfig;
 use delorean_isa::workload;
@@ -30,7 +30,7 @@ fn machine(mode: Mode) -> Machine {
 
 /// Stable fingerprint of a `StateDigest`: folds every field through
 /// FNV so the golden file stays one value per line.
-fn digest_fingerprint(d: &delorean::StateDigest) -> u64 {
+fn digest_fingerprint(d: &StateDigest) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&d.mem_hash.to_le_bytes());
     for part in [&d.stream_hashes, &d.retired, &d.committed_chunks] {
@@ -206,9 +206,6 @@ struct PassiveProbe {
 }
 
 impl HookStage for PassiveProbe {
-    fn name(&self) -> &'static str {
-        "probe"
-    }
     fn on_event(&mut self, _time: u64, ev: &SubstrateEvent) {
         self.events += 1;
         if let SubstrateEvent::Commit { size, .. } = ev {
@@ -240,8 +237,9 @@ fn stacked_session<'m, 's>(
 }
 
 /// Records (workload, mode) with an arbitrary stack of no-op stages
-/// and returns the same fingerprint line as [`current_line`].
-fn line_with_stages(workload: &str, mode: Mode, stack: &[u8]) -> String {
+/// and returns the same fingerprint line as [`current_line`], plus the
+/// streamed `.dlrn` bytes.
+fn line_with_stages(workload: &str, mode: Mode, stack: &[u8]) -> (String, Vec<u8>) {
     let m = machine(mode);
     let w = workload::by_name(workload).expect("catalog workload");
     let mut noops: Vec<NoopStage> = stack.iter().map(|_| NoopStage).collect();
@@ -252,12 +250,30 @@ fn line_with_stages(workload: &str, mode: Mode, stack: &[u8]) -> String {
     let mut sink = FileSink::new(Vec::new());
     stacked_session(&m, stack, &mut noops, &mut probes).record_to(w, SEED, &mut sink);
     let bytes = sink.into_inner().expect("writing to a Vec cannot fail");
-    format!(
+    let line = format!(
         "{workload} {} {:016x} {:016x} {}",
         mode_tag(mode),
         digest_fingerprint(&recording.stats.digest),
         Fnv::of(&bytes),
         bytes.len()
+    );
+    (line, bytes)
+}
+
+/// Replays `bytes` through a session with the stage stack `stack`
+/// describes and returns its verdict, digest and cycle count.
+fn replay_with_stages(mode: Mode, stack: &[u8], bytes: &[u8]) -> (bool, StateDigest, u64) {
+    let m = machine(mode);
+    let mut noops: Vec<NoopStage> = stack.iter().map(|_| NoopStage).collect();
+    let mut probes: Vec<PassiveProbe> = stack.iter().map(|_| PassiveProbe::default()).collect();
+    let source = FileSource::open(bytes).expect("a fresh recording decodes");
+    let report = stacked_session(&m, stack, &mut noops, &mut probes)
+        .replay_from(source, SEED)
+        .expect("a fresh recording replays");
+    (
+        report.deterministic,
+        report.stats.digest,
+        report.stats.cycles,
     )
 }
 
@@ -290,7 +306,8 @@ proptest! {
 
     /// Satellite: any permutation and stacking of observation-only
     /// `HookStage`s leaves the recording digest and the `.dlrn` byte
-    /// stream identical to the pre-refactor golden baseline.
+    /// stream identical to the pre-refactor golden baseline, and the
+    /// replay of those bytes identical to a stage-less replay.
     #[test]
     fn noop_stage_stacks_are_invisible(
         widx in 0usize..13,
@@ -299,10 +316,19 @@ proptest! {
     ) {
         let w = workload::catalog()[widx];
         let mode = MODES[mode_sel];
+        let (line, bytes) = line_with_stages(w.name, mode, &stack);
         prop_assert_eq!(
-            line_with_stages(w.name, mode, &stack),
+            line.as_str(),
             golden_line(w.name, mode),
             "a stack of {} no-op stages perturbed the recording",
+            stack.len()
+        );
+        let stacked = replay_with_stages(mode, &stack, &bytes);
+        prop_assert!(stacked.0, "the replay under {} stages diverged", stack.len());
+        prop_assert_eq!(
+            stacked,
+            replay_with_stages(mode, &[], &bytes),
+            "a stack of {} no-op stages perturbed the replay",
             stack.len()
         );
     }

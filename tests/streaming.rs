@@ -1,8 +1,8 @@
 //! End-to-end tests for the streaming record/replay pipeline: the
 //! `FileSink`/`FileSource` path must be byte- and digest-identical to
 //! the in-memory `Recording` path, its peak buffering must be bounded
-//! by the flush granularity, not the run length, and damaged streams
-//! must fail as values on the engine exactly when the software
+//! by the flush granularity, not the run length, and damaged or forged
+//! streams must fail as values on the engine exactly when the software
 //! inspector rejects them.
 
 // Test code may panic freely.
@@ -10,7 +10,12 @@
 
 use delorean::inspect::ReplayInspector;
 use delorean::recover::{salvage, RecoveringSource};
-use delorean::{serialize, FileSink, FileSource, LogSource, Machine, Mode};
+use delorean::stream::LogEvent;
+use delorean::{
+    serialize, FileSink, FileSource, LogSink, LogSource, Machine, Mode, SegmentWalker,
+    WalkedSegment,
+};
+use delorean_chunk::{Committer, DeviceConfig};
 use delorean_isa::workload;
 use proptest::prelude::*;
 
@@ -260,6 +265,131 @@ proptest! {
         if let Some((engine, inspector)) = prefix {
             let (replayed, inspected) = verdicts(engine, inspector);
             prop_assert_eq!(replayed, inspected);
+        }
+    }
+}
+
+/// A short sweb2005 recording with interrupts, I/O and DMA on and extra
+/// overflow noise, so that its log holds CS sizes, I/O values and DMA
+/// payloads in every mode.
+fn device_bytes(mode: Mode, seed: u64) -> Vec<u8> {
+    let m = Machine::builder()
+        .mode(mode)
+        .procs(2)
+        .budget(3_000)
+        .chunk_size(200)
+        .overflow_noise(0.002)
+        .devices(DeviceConfig {
+            irq_period: 700,
+            dma_period: 1_300,
+            dma_words: 8,
+        })
+        .build();
+    let mut sink = FileSink::new(Vec::new());
+    m.record_to(
+        workload::by_name("sweb2005").expect("catalog workload"),
+        seed,
+        &mut sink,
+    );
+    sink.into_inner().expect("writing to a Vec cannot fail")
+}
+
+/// Changes one logged value of `events`, chosen by `pick` among the
+/// candidates of `kind`: a processor commit's id (0), a CS size, shrunk
+/// (1), an I/O value (2) or a DMA payload word (3). `delta` is nonzero.
+/// `None` when the log holds no candidate, else whether the change must
+/// reach the final digest. A changed processor id in a PI log, an I/O
+/// value and a DMA word that no later transfer overwrites always do. A
+/// shrunk CS size can land on an equivalent chunking, and PicoLog fixes
+/// its commit order, so a commit moved to another processor with no
+/// logged value may change nothing.
+fn forge(events: &mut [LogEvent], mode: Mode, kind: u8, pick: usize, delta: u64) -> Option<bool> {
+    let has = |e: &LogEvent| match kind {
+        0 => matches!(e.committer, Committer::Proc(_)),
+        1 => e.cs_size.is_some(),
+        2 => !e.io_values.is_empty(),
+        _ => !e.dma_data.is_empty(),
+    };
+    let candidates: Vec<usize> = (0..events.len()).filter(|&i| has(&events[i])).collect();
+    let &i = candidates.get(pick % candidates.len().max(1))?;
+    let (e, later) = events[i..].split_first_mut()?;
+    Some(match (kind, e.committer, e.cs_size) {
+        (0, Committer::Proc(p), _) => {
+            e.committer = Committer::Proc(1 - p);
+            mode.has_pi_log()
+        }
+        (1, _, Some(size)) => {
+            e.cs_size = Some((delta % u64::from(size.max(1))) as u32);
+            false
+        }
+        (2, ..) => {
+            let j = pick % e.io_values.len();
+            e.io_values[j].1 ^= delta;
+            true
+        }
+        _ => {
+            let j = pick % e.dma_data.len();
+            e.dma_data[j].1 ^= delta;
+            let addr = e.dma_data[j].0;
+            later
+                .iter()
+                .all(|l| l.dma_data.iter().all(|&(a, _)| a != addr))
+        }
+    })
+}
+
+/// Walks `bytes` with a `SegmentWalker`, applies [`forge`] to its
+/// events and re-emits them through a `FileSink`, so every checksum of
+/// the forged stream is valid. Returns the stream and whether the
+/// change must reach the digest, or `None` when the log holds no
+/// candidate.
+fn forged(bytes: &[u8], kind: u8, pick: usize, delta: u64) -> Option<(Vec<u8>, bool)> {
+    let mut walker = SegmentWalker::open(bytes).expect("a fresh recording decodes");
+    let meta = walker.meta().clone();
+    let mut events = Vec::new();
+    let trailer = loop {
+        match walker.next_segment().expect("a fresh recording decodes") {
+            WalkedSegment::Events(seg) => events.extend(seg.events),
+            WalkedSegment::Trailer(t) => break t,
+            WalkedSegment::End => panic!("the stream ended before its trailer"),
+        }
+    };
+    let observable = forge(&mut events, meta.mode, kind, pick, delta)?;
+    let mut sink = FileSink::new(Vec::new());
+    sink.begin(&meta);
+    for e in &events {
+        sink.on_event(e);
+    }
+    sink.finish(&trailer);
+    Some((
+        sink.into_inner().expect("writing to a Vec cannot fail"),
+        observable,
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A two-processor log whose checksums are valid but one of whose
+    /// logged values was changed replays as a value on both replayers,
+    /// never a panic, and the two agree on whether it reproduces the
+    /// recording. A change that must reach the digest is rejected.
+    #[test]
+    fn forged_logs_with_valid_checksums_replay_as_values(
+        seed in 0u64..200,
+        mode_sel in 0u8..3,
+        kind in 0u8..4,
+        pick in 0usize..1_000_000,
+        delta in 1u64..1_000_000,
+    ) {
+        let mode = MODES[mode_sel as usize];
+        let forgery = forged(&device_bytes(mode, seed), kind, pick, delta);
+        prop_assert!(forgery.is_some(), "{} logs no value of kind {}", mode, kind);
+        if let Some((bytes, observable)) = forgery {
+            let open = || FileSource::open(&bytes[..]).expect("a re-emitted stream decodes");
+            let (replayed, inspected) = verdicts(open(), open());
+            prop_assert_eq!(replayed, inspected, "{} kind {}", mode, kind);
+            prop_assert!(!(observable && replayed), "{} accepted a forged kind {}", mode, kind);
         }
     }
 }
