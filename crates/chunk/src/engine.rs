@@ -20,7 +20,7 @@ use crate::hooks::{
     ArbiterContext, CommitRecord, Committer, ExecutionHooks, PendingView, SubstrateEvent,
     TruncationReason,
 };
-use crate::spec::{Chunk, ChunkState, Occupancy, SpecView};
+use crate::spec::{screened, Chunk, ChunkState, Occupancy, SpecView};
 use crate::stats::{ParallelStats, RunStats, StateDigest, TokenStats};
 use crate::CoreId;
 use delorean_isa::inst::effective_addr;
@@ -75,6 +75,8 @@ struct CoreState {
     program: Program,
     /// In-flight chunks, oldest first.
     chunks: Vec<Chunk>,
+    /// The last chunk to commit, kept to become the next one.
+    spare: Option<Chunk>,
     chunks_started: u64,
     committed: u64,
     occupancy: Occupancy,
@@ -275,6 +277,7 @@ impl<'h> Engine<'h> {
                     vm,
                     program,
                     chunks: Vec::new(),
+                    spare: None,
                     chunks_started: done,
                     committed: done,
                     occupancy: Occupancy::new(cfg.machine.l1.sets),
@@ -502,7 +505,7 @@ impl<'h> Engine<'h> {
                 !c.chunks.is_empty() && c.chunks[0].state == ChunkState::Committing,
                 "commit-done for a core whose oldest chunk is not committing"
             );
-            c.chunks.remove(0);
+            c.spare = Some(c.chunks.remove(0));
             if c.chunks.is_empty() && (c.vm.retired() >= self.budget || c.vm.halted()) {
                 c.done = true;
             }
@@ -744,7 +747,7 @@ impl<'h> Engine<'h> {
         }
         let memsys = &self.memsys;
         core.occupancy
-            .remove_chunk(chunk.wlines.iter(), |l| memsys.l1_set_of(l));
+            .remove_chunk(chunk.lines.writes().iter(), |l| memsys.l1_set_of(l));
         core.committed += 1;
         self.gcc += 1;
         self.chunk_commits += 1;
@@ -812,10 +815,11 @@ impl<'h> Engine<'h> {
             lines: rec.access_lines,
         });
         self.schedule(self.now + commit_latency, Ev::CommitDone { token });
+        let written = screened(&rec.write_lines);
         let n = self.cores.len() as u32;
         for q in 0..n {
             if q != p {
-                self.conflict_squash(q, |ch| ch.conflicts_with(&rec.write_lines));
+                self.conflict_squash(q, |ch| ch.conflicts_with(&written));
             }
         }
     }
@@ -921,7 +925,7 @@ impl<'h> Engine<'h> {
                 *squashed_insts += u64::from(ch.size);
                 squashed_here += 1;
                 insts_here += u64::from(ch.size);
-                occupancy.remove_chunk(ch.wlines.iter(), |l| memsys.l1_set_of(l));
+                occupancy.remove_chunk(ch.lines.writes().iter(), |l| memsys.l1_set_of(l));
                 // Only the directly-conflicting chunk counts toward
                 // repeated-collision shrinking; younger chunks are
                 // re-execution fallout.
@@ -1033,6 +1037,7 @@ impl<'h> Engine<'h> {
                 vm,
                 program,
                 chunks,
+                spare,
                 chunks_started,
                 occupancy,
                 pending_irqs,
@@ -1064,7 +1069,11 @@ impl<'h> Engine<'h> {
             }
             *chunks_started += 1;
             let index = *chunks_started;
-            let mut chunk = Chunk::new(index, cfg.chunk_size, vm.snapshot());
+            let checkpoint = vm.snapshot();
+            let mut chunk = match spare.take() {
+                Some(retired) => retired.recycled(index, cfg.chunk_size, checkpoint),
+                None => Chunk::new(index, cfg.chunk_size, checkpoint),
+            };
             if cfg.replay {
                 chunk.irq = hooks.pending_interrupt(p, index);
                 if let Some(size) = hooks.forced_chunk_size(p, index) {
@@ -1234,7 +1243,7 @@ fn execute_attempt(
         // plus wrong-path noise?
         let mut occ_line = None;
         if let Some(line) = store_line(&inst, vm) {
-            if !chunk.wlines.contains(&line) {
+            if !chunk.lines.writes().contains(&line) {
                 occ_line = Some(line);
                 if chunk.size > 0 {
                     let newly = !occupancy.contains(line);
@@ -1261,8 +1270,7 @@ fn execute_attempt(
                 committed: memory,
                 older,
                 buffer: &mut chunk.buffer,
-                wlines: &mut chunk.wlines,
-                rlines: &mut chunk.rlines,
+                lines: &mut chunk.lines,
             };
             let mut io = IoAdapter {
                 hooks,
@@ -1298,7 +1306,7 @@ fn execute_attempt(
             cost += params.mem_cost(class, op.write);
         }
         if let Some(line) = occ_line {
-            if chunk.wlines.contains(&line) {
+            if chunk.lines.writes().contains(&line) {
                 occupancy.add(line, memsys.l1_set_of(line));
             }
         }

@@ -4,7 +4,7 @@
 use crate::hooks::TruncationReason;
 use delorean_isa::vm::VmState;
 use delorean_isa::{Addr, DataMemory, Word};
-use delorean_mem::{line_of, Memory};
+use delorean_mem::{bit_indices, line_of, Memory};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -52,8 +52,78 @@ pub(crate) enum ChunkState {
     Committing,
 }
 
+/// A committed line with its two signature bit positions, computed
+/// once per commit and tested against every in-flight chunk.
+pub(crate) type ScreenedLine = (u64, [usize; 2]);
+
+/// `lines` with their signature bit positions.
+pub(crate) fn screened(lines: &[u64]) -> Vec<ScreenedLine> {
+    lines.iter().map(|&l| (l, bit_indices(l))).collect()
+}
+
+mod sets {
+    use super::{AddrSet, ScreenedLine};
+    use delorean_mem::Signature;
+
+    /// The cache lines a chunk attempt touched: exact read and write
+    /// sets, plus the 2-Kbit Bulk [`Signature`] of their union.
+    ///
+    /// The signature screens a commit's conflict test the way BulkSC's
+    /// signature intersection does: a line whose two bits are not both
+    /// set is in neither set. The exact sets decide every line that
+    /// passes the screen, so an aliased signature hit never squashes.
+    /// All three change only through [`LineSets::insert`] (and are
+    /// emptied together by [`LineSets::clear`]), so the screen can
+    /// never miss a line the exact sets hold.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub(crate) struct LineSets {
+        reads: AddrSet,
+        writes: AddrSet,
+        signature: Signature,
+    }
+
+    impl LineSets {
+        /// Records an access to `line`: a store when `write`, else a
+        /// load.
+        pub(crate) fn insert(&mut self, line: u64, write: bool) {
+            if write {
+                self.writes.insert(line);
+            } else {
+                self.reads.insert(line);
+            }
+            self.signature.insert(line);
+        }
+
+        /// Forgets every line, keeping the sets' capacity.
+        pub(crate) fn clear(&mut self) {
+            self.reads.clear();
+            self.writes.clear();
+            self.signature.clear();
+        }
+
+        /// Lines loaded.
+        pub(crate) fn reads(&self) -> &AddrSet {
+            &self.reads
+        }
+
+        /// Lines stored.
+        pub(crate) fn writes(&self) -> &AddrSet {
+            &self.writes
+        }
+
+        /// Whether `line` was loaded or stored. The exact sets are
+        /// probed only when the signature holds both of its bits.
+        pub(crate) fn holds(&self, &(line, bits): &ScreenedLine) -> bool {
+            self.signature.may_contain_bits(bits)
+                && (self.reads.contains(&line) || self.writes.contains(&line))
+        }
+    }
+}
+
+pub(crate) use sets::LineSets;
+
 /// One speculative chunk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Chunk {
     /// 1-based per-core logical index.
     pub index: u64,
@@ -63,12 +133,8 @@ pub(crate) struct Chunk {
     pub checkpoint: VmState,
     /// Speculative write buffer (word granular).
     pub buffer: AddrMap<Word>,
-    /// Lines written.
-    pub wlines: AddrSet,
-    /// Lines read (exact; conflict detection uses exact sets — the
-    /// hardware's Bulk signatures are engineered for a low
-    /// false-positive rate, which exact sets model).
-    pub rlines: AddrSet,
+    /// Lines read and written, with their Bulk signature.
+    pub lines: LineSets,
     /// Retired instructions in the current execution attempt.
     pub size: u32,
     /// Why the current attempt ended.
@@ -104,8 +170,7 @@ impl Chunk {
             target,
             checkpoint,
             buffer: AddrMap::default(),
-            wlines: AddrSet::default(),
-            rlines: AddrSet::default(),
+            lines: LineSets::default(),
             size: 0,
             reason: TruncationReason::StandardSize,
             state: ChunkState::Executing,
@@ -120,12 +185,26 @@ impl Chunk {
         }
     }
 
+    /// `Chunk::new(index, target, checkpoint)` built from a retired
+    /// chunk: the new chunk keeps the capacity of the old one's write
+    /// buffer, line sets and I/O vector, so it does not regrow them.
+    pub(crate) fn recycled(mut self, index: u64, target: u32, checkpoint: VmState) -> Self {
+        self.buffer.clear();
+        self.lines.clear();
+        self.io_values.clear();
+        Self {
+            buffer: self.buffer,
+            lines: self.lines,
+            io_values: self.io_values,
+            ..Self::new(index, target, checkpoint)
+        }
+    }
+
     /// Clears the speculative state for a re-execution. The attached
     /// interrupt (if any) is kept: it is redelivered at the retry.
     pub(crate) fn reset_for_retry(&mut self, new_incarnation: u64) {
         self.buffer.clear();
-        self.wlines.clear();
-        self.rlines.clear();
+        self.lines.clear();
         self.size = 0;
         self.reason = TruncationReason::StandardSize;
         self.state = ChunkState::Executing;
@@ -135,20 +214,19 @@ impl Chunk {
     }
 
     /// Whether a processor commit's written lines meet this chunk's
-    /// accesses (exact-set address disambiguation).
-    pub(crate) fn conflicts_with(&self, committed_wlines: &[u64]) -> bool {
-        committed_wlines
-            .iter()
-            .any(|l| self.rlines.contains(l) || self.wlines.contains(l))
+    /// accesses: the signature screens each line, the exact sets
+    /// decide.
+    pub(crate) fn conflicts_with(&self, committed_wlines: &[ScreenedLine]) -> bool {
+        committed_wlines.iter().any(|l| self.lines.holds(l))
     }
 
     /// This chunk's footprint as sorted, deduplicated line vectors: all
     /// lines it accessed, and the lines it wrote. Sorted, a commit's
     /// log bytes do not depend on the order the sets iterate in.
     pub(crate) fn footprint(&self) -> (Vec<u64>, Vec<u64>) {
-        let mut write: Vec<u64> = self.wlines.iter().copied().collect();
+        let mut write: Vec<u64> = self.lines.writes().iter().copied().collect();
         write.sort_unstable();
-        let mut access: Vec<u64> = self.rlines.iter().copied().collect();
+        let mut access: Vec<u64> = self.lines.reads().iter().copied().collect();
         access.extend_from_slice(&write);
         access.sort_unstable();
         access.dedup();
@@ -227,13 +305,12 @@ pub(crate) struct SpecView<'a> {
     pub committed: &'a Memory,
     pub older: &'a [Chunk],
     pub buffer: &'a mut AddrMap<Word>,
-    pub wlines: &'a mut AddrSet,
-    pub rlines: &'a mut AddrSet,
+    pub lines: &'a mut LineSets,
 }
 
 impl DataMemory for SpecView<'_> {
     fn load(&mut self, addr: Addr) -> Word {
-        self.rlines.insert(line_of(addr));
+        self.lines.insert(line_of(addr), false);
         if let Some(&v) = self.buffer.get(&addr) {
             return v;
         }
@@ -246,7 +323,7 @@ impl DataMemory for SpecView<'_> {
     }
 
     fn store(&mut self, addr: Addr, value: Word) {
-        self.wlines.insert(line_of(addr));
+        self.lines.insert(line_of(addr), true);
         self.buffer.insert(addr, value);
     }
 }
@@ -259,6 +336,7 @@ mod tests {
     use super::*;
     use delorean_isa::layout::AddressMap;
     use delorean_isa::Vm;
+    use delorean_mem::Signature;
 
     fn chunk(idx: u64) -> Chunk {
         let map = AddressMap::new(1);
@@ -280,8 +358,7 @@ mod tests {
             committed: &mem,
             older: &olders,
             buffer: &mut cur.buffer,
-            wlines: &mut cur.wlines,
-            rlines: &mut cur.rlines,
+            lines: &mut cur.lines,
         };
         // Youngest older chunk wins.
         assert_eq!(view.load(5), 11);
@@ -293,26 +370,48 @@ mod tests {
         view.store(5, 99);
         assert_eq!(view.load(5), 99);
         // Words 5, 6 and 7 all sit in line 1.
-        assert_eq!(cur.rlines.iter().collect::<Vec<_>>(), [&1]);
-        assert_eq!(cur.wlines.iter().collect::<Vec<_>>(), [&1]);
+        assert_eq!(cur.lines.reads().iter().collect::<Vec<_>>(), [&1]);
+        assert_eq!(cur.lines.writes().iter().collect::<Vec<_>>(), [&1]);
     }
 
     #[test]
     fn conflict_uses_read_and_write_sets() {
         let mut a = chunk(0);
-        a.rlines.insert(3);
-        assert!(a.conflicts_with(&[3]));
+        a.lines.insert(3, false);
+        assert!(a.conflicts_with(&screened(&[3])));
         let mut b = chunk(1);
-        b.wlines.insert(4);
-        assert!(b.conflicts_with(&[4]));
-        assert!(!b.conflicts_with(&[3]));
+        b.lines.insert(4, true);
+        assert!(b.conflicts_with(&screened(&[4])));
+        assert!(!b.conflicts_with(&screened(&[3])));
+    }
+
+    #[test]
+    fn signature_hits_on_lines_in_neither_set_do_not_conflict() {
+        let mut c = chunk(0);
+        let lines: Vec<u64> = (0..64).map(|l| l * 977).collect();
+        for (i, &l) in lines.iter().enumerate() {
+            c.lines.insert(l, i % 2 == 0);
+        }
+        // A line whose two bits other lines set: the screen passes it,
+        // and only the exact sets can turn it away.
+        let sig = Signature::from_lines(lines.iter().copied());
+        let alias = (100_000..200_000u64)
+            .find(|&l| sig.is_aliased_hit(l, &lines))
+            .expect("a false positive exists");
+        assert!(!c.conflicts_with(&screened(&[alias])));
+        assert!(c.conflicts_with(&screened(&[alias, 977])));
+        assert!(c.conflicts_with(&screened(&[2 * 977])));
     }
 
     #[test]
     fn footprint_is_sorted_and_deduplicated() {
         let mut c = chunk(0);
-        c.rlines.extend([9, 2, 5]);
-        c.wlines.extend([5, 1]);
+        for l in [9, 2, 5] {
+            c.lines.insert(l, false);
+        }
+        for l in [5, 1] {
+            c.lines.insert(l, true);
+        }
         assert_eq!(c.footprint(), (vec![1, 2, 5, 9], vec![1, 5]));
     }
 
@@ -320,16 +419,45 @@ mod tests {
     fn retry_clears_speculative_state_and_bumps_incarnation() {
         let mut c = chunk(0);
         c.buffer.insert(1, 2);
-        c.wlines.insert(0);
-        c.rlines.insert(7);
+        c.lines.insert(0, true);
+        c.lines.insert(7, false);
         c.size = 50;
         let inc = c.incarnation;
         c.reset_for_retry(inc + 1);
         assert!(c.buffer.is_empty());
-        assert!(c.wlines.is_empty());
-        assert!(c.rlines.is_empty());
+        assert_eq!(c.lines, LineSets::default());
+        assert!(!c.conflicts_with(&screened(&[0, 7])));
         assert_eq!(c.size, 0);
         assert_eq!(c.incarnation, inc + 1);
+    }
+
+    #[test]
+    fn a_recycled_chunk_is_a_new_chunk_with_the_old_capacity() {
+        let map = AddressMap::new(1);
+        let mut vm = Vm::new(0, &map);
+        let mut old = Chunk::new(3, 100, vm.snapshot());
+        for a in 0..200 {
+            old.buffer.insert(a, a);
+            old.lines.insert(a, a % 3 == 0);
+        }
+        old.io_values.push((1, 2));
+        old.size = 90;
+        old.reason = TruncationReason::Collision;
+        old.state = ChunkState::Committing;
+        old.incarnation = 17;
+        old.squashes = 4;
+        old.start_time = 5;
+        old.complete_time = 9;
+        old.irq = Some((1, 2));
+        old.replay_split = true;
+        old.shrunk = true;
+        let capacity = old.buffer.capacity();
+        vm.set_pc(7);
+        let recycled = old.recycled(4, 50, vm.snapshot());
+        assert_eq!(recycled, Chunk::new(4, 50, vm.snapshot()));
+        assert_eq!(recycled.buffer.capacity(), capacity);
+        assert!(recycled.lines.reads().capacity() >= 100);
+        assert!(recycled.io_values.capacity() >= 1);
     }
 
     #[test]

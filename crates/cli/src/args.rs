@@ -5,6 +5,32 @@ use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::str::FromStr;
 
+/// Why a subcommand failed.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// The command line is wrong: a missing or unknown command, an
+    /// unknown flag, a flag without its value or with a bad one, a
+    /// missing or unknown operand. `main` prints the usage text after
+    /// it.
+    Usage(String),
+    /// The command line was fine and running it failed: a file that
+    /// does not open, a damaged log, a replay that diverged. `main`
+    /// prints the error alone.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Self::Run(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Self::Run(msg.to_string())
+    }
+}
+
 /// Parsed command-line arguments (after the subcommand).
 #[derive(Debug, Default)]
 pub struct Args {
@@ -26,7 +52,7 @@ impl Args {
         command: &str,
         switches: &str,
         valued: &str,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, Failure> {
         let lists = |list: &str, flag: &str| list.split_whitespace().any(|f| f == flag);
         let mut args = Args::default();
         let mut it = argv.iter();
@@ -37,11 +63,11 @@ impl Args {
                     continue;
                 }
                 if !lists(valued, a) {
-                    return Err(format!("unknown flag {a} for `{command}`"));
+                    return Err(Failure::Usage(format!("unknown flag {a} for `{command}`")));
                 }
                 let value = it
                     .next()
-                    .ok_or_else(|| format!("flag {a} needs a value"))?
+                    .ok_or_else(|| Failure::Usage(format!("flag {a} needs a value")))?
                     .clone();
                 args.flags.push((a.clone(), value));
             } else {
@@ -75,20 +101,20 @@ impl Args {
     }
 
     /// Numeric flag value.
-    pub fn num(&self, flag: &str) -> Result<Option<u64>, String> {
+    pub fn num(&self, flag: &str) -> Result<Option<u64>, Failure> {
         match self.get(flag) {
             None => Ok(None),
             Some(v) => v
                 .parse()
                 .map(Some)
-                .map_err(|_| format!("flag {flag} expects a number, got {v}")),
+                .map_err(|_| Failure::Usage(format!("flag {flag} expects a number, got {v}"))),
         }
     }
 
     /// Numeric flag value that must lie in `range`. A value outside it,
     /// or too wide for `T`, is an error naming the flag and the range,
     /// never a wrapped or panicking value further down.
-    pub fn num_in<T>(&self, flag: &str, range: RangeInclusive<T>) -> Result<Option<T>, String>
+    pub fn num_in<T>(&self, flag: &str, range: RangeInclusive<T>) -> Result<Option<T>, Failure>
     where
         T: FromStr + PartialOrd + Display,
     {
@@ -96,11 +122,11 @@ impl Args {
             None => Ok(None),
             Some(v) => match v.parse() {
                 Ok(n) if range.contains(&n) => Ok(Some(n)),
-                _ => Err(format!(
+                _ => Err(Failure::Usage(format!(
                     "flag {flag} expects a number in {}..={}, got {v}",
                     range.start(),
                     range.end()
-                )),
+                ))),
             },
         }
     }
@@ -110,7 +136,7 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &[&str]) -> Result<Args, String> {
+    fn parse(s: &[&str]) -> Result<Args, Failure> {
         let argv: Vec<String> = s.iter().map(|x| x.to_string()).collect();
         Args::parse(&argv, "test", "--json", "--seed --watch --skip")
     }
@@ -146,14 +172,19 @@ mod tests {
         let a = parse(&["--seed", "4294967296"]).unwrap();
         assert_eq!(
             a.num_in("--seed", 1..=u32::MAX).unwrap_err(),
-            "flag --seed expects a number in 1..=4294967295, got 4294967296"
+            Failure::Usage(
+                "flag --seed expects a number in 1..=4294967295, got 4294967296".to_string()
+            )
         );
     }
 
     #[test]
     fn unknown_flag_names_the_flag_and_the_command() {
         let err = parse(&["run.dlrn", "--sed", "5"]).unwrap_err();
-        assert_eq!(err, "unknown flag --sed for `test`");
+        assert_eq!(
+            err,
+            Failure::Usage("unknown flag --sed for `test`".to_string())
+        );
         // A switch of another command is still unknown here.
         assert!(parse(&["--verbose"]).is_err());
     }

@@ -22,16 +22,20 @@ use std::process::ExitCode;
 
 mod args;
 
-use args::Args;
+use args::{Args, Failure};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -60,7 +64,7 @@ usage:
                      [--budget N] [--chunk N]";
 
 /// A subcommand's entry point.
-type Handler = fn(&Args) -> Result<ExitCode, String>;
+type Handler = fn(&Args) -> Result<ExitCode, Failure>;
 
 /// Every subcommand: its name, the flags its `cmd_*` reads as listed in
 /// `USAGE` — boolean switches, then flags that take a value — and its
@@ -105,18 +109,18 @@ const COMMANDS: &[(&str, &str, &str, Handler)] = &[
     ),
 ];
 
-fn run(argv: &[String]) -> Result<ExitCode, String> {
+fn run(argv: &[String]) -> Result<ExitCode, Failure> {
     let Some(cmd) = argv.first() else {
-        return Err("missing command".to_string());
+        return Err(Failure::Usage("missing command".to_string()));
     };
     let Some((name, switches, valued, handler)) = COMMANDS.iter().find(|(name, ..)| name == cmd)
     else {
-        return Err(format!("unknown command {cmd}"));
+        return Err(Failure::Usage(format!("unknown command {cmd}")));
     };
     handler(&Args::parse(&argv[1..], name, switches, valued)?)
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list() -> Result<(), Failure> {
     println!(
         "{:<11} {:>6} {:>6} {:>6} {:>7}  kind",
         "workload", "mem%", "shared%", "write%", "locks"
@@ -139,14 +143,14 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn parse_mode(s: &str) -> Result<Mode, String> {
+fn parse_mode(s: &str) -> Result<Mode, Failure> {
     match s.to_ascii_lowercase().as_str() {
         "ordersize" | "order&size" | "os" => Ok(Mode::OrderSize),
         "orderonly" | "oo" => Ok(Mode::OrderOnly),
         "picolog" | "pl" => Ok(Mode::PicoLog),
-        other => Err(format!(
+        other => Err(Failure::Usage(format!(
             "unknown mode {other} (ordersize|orderonly|picolog)"
-        )),
+        ))),
     }
 }
 
@@ -170,10 +174,10 @@ fn machine_from_meta(meta: &StreamMeta) -> Machine {
         .build()
 }
 
-fn recording_path(args: &Args) -> Result<&String, String> {
+fn recording_path(args: &Args) -> Result<&String, Failure> {
     args.positional
         .first()
-        .ok_or_else(|| "missing recording file".to_string())
+        .ok_or_else(|| Failure::Usage("missing recording file".to_string()))
 }
 
 /// Opens a `.dlrn` file as a streaming log source; only the header is
@@ -183,20 +187,23 @@ fn open_source(path: &str) -> Result<FileSource<BufReader<File>>, String> {
     FileSource::open(BufReader::new(file)).map_err(|e| format!("decoding {path}: {e}"))
 }
 
-fn load(args: &Args) -> Result<Recording, String> {
+fn load(args: &Args) -> Result<Recording, Failure> {
     let path = recording_path(args)?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serialize::from_bytes(&bytes).map_err(|e| format!("decoding {path}: {e}"))
+    Ok(serialize::from_bytes(&bytes).map_err(|e| format!("decoding {path}: {e}"))?)
 }
 
-fn cmd_record(args: &Args) -> Result<(), String> {
-    let name = args.positional.first().ok_or("missing workload name")?;
+fn cmd_record(args: &Args) -> Result<(), Failure> {
+    let name = args
+        .positional
+        .first()
+        .ok_or_else(|| Failure::Usage("missing workload name".to_string()))?;
     let w = workload::by_name(name)
-        .ok_or_else(|| format!("unknown workload {name} (try `delorean list`)"))?;
+        .ok_or_else(|| Failure::Usage(format!("unknown workload {name} (try `delorean list`)")))?;
     let out = args
         .get("-o")
         .or_else(|| args.get("--out"))
-        .ok_or("missing -o <file>")?;
+        .ok_or_else(|| Failure::Usage("missing -o <file>".to_string()))?;
     let mode = args
         .get("--mode")
         .map(|s| parse_mode(&s))
@@ -213,8 +220,11 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         b.timing_seed(t);
     }
     if let Some(a) = args.get("--arbiter") {
-        let arbiter = delorean::ArbiterConfig::parse(&a)
-            .ok_or_else(|| format!("bad --arbiter {a} (use global or sharded:K, K in 1..=256)"))?;
+        let arbiter = delorean::ArbiterConfig::parse(&a).ok_or_else(|| {
+            Failure::Usage(format!(
+                "bad --arbiter {a} (use global or sharded:K, K in 1..=256)"
+            ))
+        })?;
         b.arbiter(arbiter);
     }
     let machine = b.build();
@@ -235,7 +245,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             let lines = tracer.lines();
             let (_, err) = tracer.finish();
             if let Some(e) = err {
-                return Err(format!("writing {tpath}: {e}"));
+                return Err(Failure::Run(format!("writing {tpath}: {e}")));
             }
             println!("traced {lines} events -> {tpath}");
             stats
@@ -264,7 +274,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), String> {
+fn cmd_info(args: &Args) -> Result<(), Failure> {
     let r = load(args)?;
     println!("mode        : {}", r.mode);
     println!("workload    : {} (seed {})", r.workload.name, r.app_seed);
@@ -300,7 +310,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(args: &Args) -> Result<(), String> {
+fn cmd_replay(args: &Args) -> Result<(), Failure> {
     if args.get("--from").is_some() || args.get("--to").is_some() {
         return cmd_replay_window(args);
     }
@@ -331,10 +341,10 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         println!("deterministic: yes — execution reproduced bit-exactly");
         Ok(())
     } else {
-        Err(format!(
+        Err(Failure::Run(format!(
             "replay diverged: {}",
             report.divergence.unwrap_or_default()
-        ))
+        )))
     }
 }
 
@@ -363,7 +373,7 @@ fn open_cursor(args: &Args, path: &str) -> Result<delorean::ReplayCursor<BufRead
 /// sidecar (one indexing replay, snapshots every `--every` commits),
 /// or with `--check PATH` validates an existing sidecar against the
 /// log's fingerprint.
-fn cmd_checkpoint(args: &Args) -> Result<ExitCode, String> {
+fn cmd_checkpoint(args: &Args) -> Result<ExitCode, Failure> {
     let path = recording_path(args)?.clone();
     let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
     if let Some(xpath) = args.get("--check") {
@@ -410,12 +420,14 @@ fn cmd_checkpoint(args: &Args) -> Result<ExitCode, String> {
 /// before N via the `.dlrnx` sidecar, rolls forward, and replays only
 /// the window — to the end on the engine, or to commit M on the
 /// software inspector.
-fn cmd_replay_window(args: &Args) -> Result<(), String> {
+fn cmd_replay_window(args: &Args) -> Result<(), Failure> {
     let path = recording_path(args)?.clone();
     let from = args.num("--from")?.unwrap_or(0);
     let to = args.num("--to")?;
     if args.num("--stratified")?.is_some() {
-        return Err("--stratified and --from/--to are mutually exclusive".to_string());
+        return Err(Failure::Usage(
+            "--stratified and --from/--to are mutually exclusive".to_string(),
+        ));
     }
     let meta = open_source(&path)?
         .meta()
@@ -442,17 +454,17 @@ fn cmd_replay_window(args: &Args) -> Result<(), String> {
         println!("deterministic: yes — window reproduced bit-exactly");
         Ok(())
     } else {
-        Err(format!(
+        Err(Failure::Run(format!(
             "replay diverged: {}",
             report.divergence.unwrap_or_default()
-        ))
+        )))
     }
 }
 
 /// `inspect --at N`: restores the architectural state at commit N via
 /// the checkpoint index (seek + bounded roll-forward, not a full
 /// replay) and prints its summary.
-fn cmd_inspect_at(args: &Args, path: &str, at: u64, json: bool) -> Result<(), String> {
+fn cmd_inspect_at(args: &Args, path: &str, at: u64, json: bool) -> Result<(), Failure> {
     let meta = open_source(path)?
         .meta()
         .ok_or("stream carries no recording metadata")?
@@ -487,7 +499,7 @@ fn cmd_inspect_at(args: &Args, path: &str, at: u64, json: bool) -> Result<(), St
     Ok(())
 }
 
-fn cmd_inspect(args: &Args) -> Result<(), String> {
+fn cmd_inspect(args: &Args) -> Result<(), Failure> {
     let path = recording_path(args)?.clone();
     if let Some(at) = args.num("--at")? {
         return cmd_inspect_at(args, &path, at, args.has("--json"));
@@ -566,7 +578,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 /// `delorean analyze --trace PATH` — validates a JSONL session trace
 /// against the `delorean-trace` schema and summarizes it. Exits
 /// non-zero on the first schema violation.
-fn cmd_analyze_trace(path: &str, json: bool) -> Result<ExitCode, String> {
+fn cmd_analyze_trace(path: &str, json: bool) -> Result<ExitCode, Failure> {
     let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     match delorean_trace::validate(BufReader::new(file)) {
         Ok(s) => {
@@ -607,7 +619,7 @@ fn cmd_analyze_trace(path: &str, json: bool) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
+fn cmd_analyze(args: &Args) -> Result<ExitCode, Failure> {
     if let Some(tpath) = args.get("--trace") {
         return cmd_analyze_trace(&tpath, args.has("--json"));
     }
@@ -715,7 +727,7 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
 /// salvage report naming the lost range. The matrix runs twice to
 /// prove the fault schedules and reports are seed-deterministic.
 /// Exits non-zero iff any invariant is violated.
-fn cmd_crashtest(args: &Args) -> Result<ExitCode, String> {
+fn cmd_crashtest(args: &Args) -> Result<ExitCode, Failure> {
     let mut cfg = delorean_faults::CrashtestConfig::smoke(args.num("--seed")?.unwrap_or(42));
     if let Some(n) = args.num_in("--procs", 1..=MAX_PROCS)? {
         cfg.procs = n;
@@ -730,7 +742,9 @@ fn cmd_crashtest(args: &Args) -> Result<ExitCode, String> {
     if !workloads.is_empty() {
         for w in &workloads {
             if workload::by_name(w).is_none() {
-                return Err(format!("unknown workload {w} (see `delorean list`)"));
+                return Err(Failure::Usage(format!(
+                    "unknown workload {w} (see `delorean list`)"
+                )));
             }
         }
         cfg.workloads = workloads;
@@ -759,14 +773,12 @@ fn cmd_crashtest(args: &Args) -> Result<ExitCode, String> {
 /// No partial output: any sweep error (zero budget, unknown workload
 /// or figure, a panicking job) surfaces *before* the JSON file is
 /// created.
-fn cmd_bench(args: &Args) -> Result<ExitCode, String> {
+fn cmd_bench(args: &Args) -> Result<ExitCode, Failure> {
     let mut figures = Vec::new();
     for name in args.get_all("--figure") {
-        figures.push(
-            bench::Figure::parse(&name).ok_or_else(|| {
-                bench::BenchError::UnknownFigure { name: name.clone() }.to_string()
-            })?,
-        );
+        figures.push(bench::Figure::parse(&name).ok_or_else(|| {
+            Failure::Usage(bench::BenchError::UnknownFigure { name: name.clone() }.to_string())
+        })?);
     }
     let cfg = bench::SweepConfig {
         figures,
@@ -851,13 +863,13 @@ fn print_stage_totals(results: &bench::SweepResults) {
     }
 }
 
-fn parse_addr(s: &str) -> Result<u64, String> {
+fn parse_addr(s: &str) -> Result<u64, Failure> {
     let parsed = if let Some(hex) = s.strip_prefix("0x") {
         u64::from_str_radix(hex, 16)
     } else {
         s.parse()
     };
-    parsed.map_err(|_| format!("bad address {s}"))
+    parsed.map_err(|_| Failure::Usage(format!("bad address {s}")))
 }
 
 #[cfg(test)]
@@ -884,13 +896,13 @@ mod tests {
             let cmd = line.split_whitespace().next().unwrap();
             assert_eq!(
                 run(&argv(line)).unwrap_err(),
-                format!("unknown flag {flag} for `{cmd}`"),
+                Failure::Usage(format!("unknown flag {flag} for `{cmd}`")),
                 "{line}"
             );
         }
         assert_eq!(
             run(&argv("frobnicate x.dlrn")).unwrap_err(),
-            "unknown command frobnicate"
+            Failure::Usage("unknown command frobnicate".to_string())
         );
     }
 
@@ -910,8 +922,8 @@ mod tests {
         ] {
             let err = run(&argv(line)).unwrap_err();
             assert!(
-                err.starts_with(&format!("flag {flag} expects")),
-                "{line}: {err}"
+                matches!(&err, Failure::Usage(msg) if msg.starts_with(&format!("flag {flag} expects"))),
+                "{line}: {err:?}"
             );
         }
         assert!(!Path::new("x.dlrn").exists());
@@ -1004,7 +1016,7 @@ mod tests {
                         panic!("{}: unknown command in `{}`", doc.display(), line.trim());
                     };
                     if let Err(e) = Args::parse(&cmd[1..], name, switches, valued) {
-                        panic!("{}: `{}`: {e}", doc.display(), line.trim());
+                        panic!("{}: `{}`: {e:?}", doc.display(), line.trim());
                     }
                     checked += 1;
                 }

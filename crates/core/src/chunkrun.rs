@@ -30,11 +30,11 @@ pub(crate) struct ChunkRun {
 /// (the CS-forced size or `chunk_size`), and a target below the
 /// standard `chunk_size` re-derives as a logged non-deterministic
 /// truncation ([`TruncationReason::Overflow`]).
-pub(crate) fn run_chunk(
+pub(crate) fn run_chunk<M: DataMemory + ?Sized, I: IoBus + ?Sized>(
     vm: &mut Vm,
     program: &Program,
-    mem: &mut dyn DataMemory,
-    io: &mut dyn IoBus,
+    mem: &mut M,
+    io: &mut I,
     target: u32,
     chunk_size: u32,
     budget: u64,

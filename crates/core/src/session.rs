@@ -87,12 +87,15 @@ impl HookStage for NoopStage {}
 /// driver (a [`StreamRecorder`] or a [`Replayer`]) plus the stage
 /// stack. Decisions go to the driver alone; observations go to the
 /// driver first, then to each stage in stack order. After each commit
-/// the pipeline reads the driver's sink counters through `flushes` and
-/// publishes a new flush as a `SegmentFlush` event; replay drivers
-/// write no log and report none.
+/// a pipeline with stages reads the driver's sink counters through
+/// `flushes` and publishes a new flush as a `SegmentFlush` event;
+/// replay drivers write no log and report none. Reading the counters
+/// makes a [`FileSink`](crate::FileSink) write out the segments it is
+/// still compressing, so a pipeline without stages never reads them
+/// and leaves the sink's compression running beside the engine.
 struct Pipeline<'p, 's, D> {
     driver: D,
-    flushes: fn(&D) -> (u64, u64),
+    flushes: fn(&mut D) -> (u64, u64),
     stages: &'p mut [&'s mut dyn HookStage],
     segments_seen: u64,
     commits_seen: u64,
@@ -147,7 +150,10 @@ impl<D: ExecutionHooks> ExecutionHooks for Pipeline<'_, '_, D> {
         // the flush at the cycle it happened.
         if matches!(ev, SubstrateEvent::Commit { .. }) {
             self.commits_seen += 1;
-            let (segments, bytes) = (self.flushes)(&self.driver);
+            if self.stages.is_empty() {
+                return;
+            }
+            let (segments, bytes) = (self.flushes)(&mut self.driver);
             if segments > self.segments_seen {
                 self.segments_seen = segments;
                 let flush = SubstrateEvent::SegmentFlush {
@@ -470,7 +476,7 @@ impl<'m, 's> Session<'m, 's> {
         cfg: &EngineConfig,
         spec: &RunSpec,
         driver: D,
-        flushes: fn(&D) -> (u64, u64),
+        flushes: fn(&mut D) -> (u64, u64),
     ) -> (D, Result<RunStats, EngineError>) {
         for stage in &mut self.stages {
             stage.on_begin(meta);
@@ -629,6 +635,51 @@ mod tests {
             tally.flushes > 0,
             "a FileSink session must surface segment flushes"
         );
+    }
+
+    /// The `SegmentFlush` events a stage sees describe the log as
+    /// written at that commit: the `k`-th flush is segment `k`, it
+    /// arrives with the commit that filled it, and its byte count is
+    /// where that segment ends in the finished `.dlrn`. A sink that
+    /// reported segments still being compressed, or only those it
+    /// happened to have written, would break one of the three.
+    #[test]
+    fn observed_segment_flushes_match_the_written_log() {
+        #[derive(Default)]
+        struct Flushes(Vec<(u64, u64, u64)>);
+        impl HookStage for Flushes {
+            fn on_event(&mut self, _time: u64, ev: &SubstrateEvent) {
+                if let SubstrateEvent::SegmentFlush {
+                    segments,
+                    bytes,
+                    commits,
+                } = *ev
+                {
+                    self.0.push((segments, bytes, commits));
+                }
+            }
+        }
+        const EVERY: u64 = 3;
+        let mut b = Machine::builder();
+        b.mode(Mode::OrderOnly).procs(4).budget(20_000);
+        let m = b.build();
+        let w = workload::by_name("fft").unwrap();
+        let mut flushes = Flushes::default();
+        let mut sink = crate::stream::FileSink::with_flush_every(Vec::new(), EVERY as usize);
+        let stats = m
+            .session()
+            .with_stage(&mut flushes)
+            .record_to(w, 7, &mut sink);
+        let bytes = sink.into_inner().unwrap();
+        let layout = crate::recover::layout(&bytes).unwrap();
+        // Every full segment is observed; the partial last one is
+        // flushed by the trailer, after the last commit event.
+        assert_eq!(flushes.0.len() as u64, stats.total_commits / EVERY);
+        for (k, &(segments, written, commits)) in flushes.0.iter().enumerate() {
+            assert_eq!(segments, k as u64 + 1);
+            assert_eq!(commits, segments * EVERY);
+            assert_eq!(written, layout.segments[k].end as u64, "segment {k}");
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! ```
 //!
 //! Event segments carry a commit watermark plus one LZ77 block of
-//! encoded commit events. The sink resets its encoder's match window at
-//! every segment boundary, so each segment is independently
-//! decompressible — the property the salvage pass in
+//! encoded commit events. The sink compresses every segment's block
+//! alone, with no match history from earlier segments, so each segment
+//! is independently decompressible — the property the salvage pass in
 //! [`recover`](crate::recover) relies on to resume decoding after a
 //! corrupt region. The final segment is a trailer holding the
 //! determinism digest and run statistics. Every byte after the 14-byte
@@ -50,6 +50,8 @@ use delorean_isa::workload::{self, WorkloadSpec};
 use delorean_isa::{Addr, Word};
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read, Seek, SeekFrom};
+use std::sync::mpsc;
+use std::thread;
 
 /// Default number of commit events buffered before [`FileSink`] flushes
 /// a compressed segment.
@@ -251,9 +253,12 @@ pub trait LogSink {
     fn finish(&mut self, trailer: &StreamTrailer);
     /// `(segments, bytes)` flushed to the backing store so far. Sinks
     /// with no segmented backing store (e.g. [`MemorySink`]) report
-    /// `(0, 0)`; the `Session` pipeline polls this after each commit to
-    /// synthesize `SegmentFlush` substrate events for its stages.
-    fn flush_stats(&self) -> (u64, u64) {
+    /// `(0, 0)`. The counters are exact when read: a sink that writes
+    /// in the background first writes out what it holds, which is why
+    /// this takes `&mut self`. The `Session` pipeline polls this after
+    /// each commit, when it has stages, to synthesize `SegmentFlush`
+    /// substrate events for them.
+    fn flush_stats(&mut self) -> (u64, u64) {
         (0, 0)
     }
 }
@@ -349,7 +354,7 @@ impl<'a, S: LogSink> StreamRecorder<'a, S> {
 
     /// The sink's `(segments, bytes)` flush counters — see
     /// [`LogSink::flush_stats`].
-    pub fn flush_stats(&self) -> (u64, u64) {
+    pub fn flush_stats(&mut self) -> (u64, u64) {
         self.sink.flush_stats()
     }
 }
@@ -916,21 +921,142 @@ pub(crate) fn decode_trailer(bytes: &[u8], n_procs: u32) -> Result<StreamTrailer
 // FileSink
 // ---------------------------------------------------------------------------
 
+/// Most event segments a [`FileSink`] hands to its compressor thread
+/// before it waits for the oldest and writes it out.
+const MAX_IN_FLIGHT: usize = 2;
+
+/// One event segment on its way to the compressor thread.
+#[derive(Debug)]
+struct SegmentJob {
+    /// The body's uncompressed prefix: commit watermark, per-processor
+    /// chunk counts and event count.
+    prefix: Vec<u8>,
+    /// The segment's encoded events.
+    events: Vec<u8>,
+}
+
+/// A compressed, checksummed segment, written as two calls: head, then
+/// body.
+#[derive(Debug)]
+struct FramedSegment {
+    head: Vec<u8>,
+    body: Vec<u8>,
+}
+
+impl FramedSegment {
+    /// Frames `body` behind its head: `kind | body_len | fnv(kind ‖
+    /// body_len ‖ body)`.
+    fn new(kind: u8, body: Vec<u8>) -> Self {
+        let mut head = Writer::new();
+        head.u8(kind);
+        head.u64(body.len() as u64);
+        head.u64(segment_checksum(kind, &body));
+        Self {
+            head: head.buf,
+            body,
+        }
+    }
+}
+
+impl SegmentJob {
+    /// Compresses the events into one LZ77 block after the prefix and
+    /// frames the body. The block is compressed alone, with no match
+    /// history, so every segment decodes with a fresh decoder: the
+    /// property the salvage pass relies on to re-enter a stream at any
+    /// segment boundary after a corrupt region.
+    fn frame(self) -> FramedSegment {
+        let mut body = self.prefix;
+        body.extend_from_slice(&delorean_compress::lz77::compress(&self.events));
+        FramedSegment::new(SEG_EVENTS, body)
+    }
+}
+
+/// The thread that compresses and frames a [`FileSink`]'s event
+/// segments, one at a time, in the order they were handed over.
+#[derive(Debug)]
+struct Compressor {
+    jobs: mpsc::Sender<SegmentJob>,
+    done: mpsc::Receiver<FramedSegment>,
+    thread: thread::JoinHandle<()>,
+    /// Raw event bytes of each segment handed over and not yet
+    /// collected, oldest first.
+    in_flight: VecDeque<usize>,
+}
+
+fn compressor_stopped() -> io::Error {
+    io::Error::other("segment compressor thread stopped")
+}
+
+impl Compressor {
+    fn spawn() -> io::Result<Self> {
+        let (jobs, queued) = mpsc::channel::<SegmentJob>();
+        let (framed, done) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name("dlrn-compress".to_string())
+            .spawn(move || {
+                for job in queued {
+                    if framed.send(job.frame()).is_err() {
+                        return;
+                    }
+                }
+            })?;
+        Ok(Self {
+            jobs,
+            done,
+            thread,
+            in_flight: VecDeque::new(),
+        })
+    }
+
+    fn submit(&mut self, job: SegmentJob) -> io::Result<()> {
+        let raw = job.events.len();
+        self.jobs.send(job).map_err(|_| compressor_stopped())?;
+        self.in_flight.push_back(raw);
+        Ok(())
+    }
+
+    /// Waits for the oldest segment in flight; `None` when none is.
+    fn collect(&mut self) -> Option<io::Result<FramedSegment>> {
+        self.in_flight.pop_front()?;
+        Some(self.done.recv().map_err(|_| compressor_stopped()))
+    }
+
+    /// Closes the job queue and waits for the thread to exit.
+    fn join(self) -> io::Result<()> {
+        drop(self.jobs);
+        self.thread.join().map_err(|_| compressor_stopped())
+    }
+}
+
 /// A [`LogSink`] that frames the stream into the `.dlrn` binary format
 /// incrementally: every [`DEFAULT_FLUSH_EVERY`] events (configurable)
-/// the pending events are LZ77-compressed into one checksummed segment
-/// and written out, so peak buffering stays bounded by the flush
-/// granularity regardless of run length.
+/// the pending events become one LZ77-compressed, checksummed segment,
+/// so peak buffering stays bounded by the flush granularity regardless
+/// of run length.
+///
+/// A worker thread compresses and checksums the segments while the
+/// caller goes on producing events; at most [`MAX_IN_FLIGHT`] are with
+/// it at once. The writer never leaves the calling thread: it receives
+/// the header frame, then each segment's head and body (two writes) in
+/// stream order, then the trailer, exactly as if the segments were
+/// compressed in place. Everything that reports on the writer
+/// ([`LogSink::flush_stats`], [`FileSink::bytes_written`], `finish`,
+/// [`FileSink::abandon`], `Drop`) first writes out every segment in
+/// flight, so the counters it reads are exact.
 #[derive(Debug)]
 pub struct FileSink<W: io::Write> {
     out: Option<W>,
     error: Option<io::Error>,
-    encoder: delorean_compress::lz77::Encoder,
+    /// Encoded events of the open segment.
+    events: Vec<u8>,
     flush_every: usize,
     has_pi: bool,
     events_pending: u32,
     commits: u64,
     chunks_done: Vec<u64>,
+    /// Started with the first segment, joined by `finish`, `abandon`
+    /// and `Drop`.
+    compressor: Option<Compressor>,
     peak_buffered: usize,
     bytes_written: u64,
     segments_flushed: u64,
@@ -953,12 +1079,13 @@ impl<W: io::Write> FileSink<W> {
         Self {
             out: Some(out),
             error: None,
-            encoder: delorean_compress::lz77::Encoder::new(),
+            events: Vec::new(),
             flush_every,
             has_pi: true,
             events_pending: 0,
             commits: 0,
             chunks_done: Vec::new(),
+            compressor: None,
             peak_buffered: 0,
             bytes_written: 0,
             segments_flushed: 0,
@@ -966,20 +1093,18 @@ impl<W: io::Write> FileSink<W> {
         }
     }
 
-    /// Largest number of encoded-but-unflushed event bytes held at any
-    /// point — the streaming pipeline's peak log buffering.
+    /// Largest number of encoded event bytes held at any point, in the
+    /// open segment and in segments still with the compressor thread —
+    /// the streaming pipeline's peak log buffering.
     pub fn peak_buffered_bytes(&self) -> usize {
         self.peak_buffered
     }
 
-    /// Total bytes written to the underlying writer so far.
-    pub fn bytes_written(&self) -> u64 {
+    /// Total bytes written to the underlying writer so far, after
+    /// writing out every segment still with the compressor thread.
+    pub fn bytes_written(&mut self) -> u64 {
+        self.write_in_flight();
         self.bytes_written
-    }
-
-    /// First I/O error encountered, if any.
-    pub fn io_error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
     }
 
     /// Recovers the writer, or the first I/O error hit while streaming.
@@ -987,7 +1112,8 @@ impl<W: io::Write> FileSink<W> {
     /// # Errors
     ///
     /// Returns [`SinkError::Io`] with the latched error if any write
-    /// failed, and [`SinkError::UnfinishedSink`] if the sink never saw
+    /// failed or the compressor thread stopped, and
+    /// [`SinkError::UnfinishedSink`] if the sink never saw
     /// [`LogSink::finish`] — such a stream has no trailer and decodes
     /// as truncated, so handing the writer back silently would bless a
     /// corrupt log. Buffered events are still flushed to the writer by
@@ -1015,9 +1141,12 @@ impl<W: io::Write> FileSink<W> {
     ///
     /// # Errors
     ///
-    /// Returns the latched [`io::Error`] if any write failed.
+    /// Returns the latched [`io::Error`] if any write failed or the
+    /// compressor thread stopped.
     pub fn abandon(mut self) -> io::Result<W> {
         self.flush_segment();
+        self.write_in_flight();
+        self.join_compressor();
         match (self.error.take(), self.out.take()) {
             (Some(e), _) => Err(e),
             (None, Some(mut w)) => {
@@ -1026,6 +1155,11 @@ impl<W: io::Write> FileSink<W> {
             }
             (None, None) => Err(io::Error::other("log writer already taken")),
         }
+    }
+
+    /// Keeps the first error: later failures are its consequences.
+    fn latch(&mut self, e: io::Error) {
+        self.error.get_or_insert(e);
     }
 
     fn emit(&mut self, bytes: &[u8]) {
@@ -1042,55 +1176,88 @@ impl<W: io::Write> FileSink<W> {
         }
     }
 
-    fn emit_segment(&mut self, kind: u8, body: &[u8]) {
-        let mut head = Writer::new();
-        head.u8(kind);
-        head.u64(body.len() as u64);
-        head.u64(segment_checksum(kind, body));
-        self.emit(&head.buf);
-        self.emit(body);
+    fn emit_segment(&mut self, segment: &FramedSegment) {
+        self.emit(&segment.head);
+        self.emit(&segment.body);
     }
 
+    /// Hands the open segment to the compressor thread, first writing
+    /// out the oldest segment in flight if [`MAX_IN_FLIGHT`] are.
     fn flush_segment(&mut self) {
         if self.events_pending == 0 {
             return;
         }
-        let mut body = Writer::new();
-        body.u64(self.commits);
+        let mut prefix = Writer::new();
+        prefix.u64(self.commits);
         for &c in &self.chunks_done {
-            body.u64(c);
+            prefix.u64(c);
         }
-        body.u32(self.events_pending);
-        let block = self.encoder.flush_block();
-        // Window barrier: drop the encoder's match history so the next
-        // segment's block is decodable with a fresh decoder. A block
-        // encoded against empty history only references bytes within
-        // itself, so existing decoders (which keep history) are
-        // unaffected — but a salvage pass can now re-enter the stream
-        // at any segment boundary after a corrupt region.
-        self.encoder = delorean_compress::lz77::Encoder::new();
-        body.buf.extend_from_slice(&block);
+        prefix.u32(self.events_pending);
         self.events_pending = 0;
-        self.emit_segment(SEG_EVENTS, &body.buf);
+        let capacity = self.events.len();
+        let job = SegmentJob {
+            prefix: prefix.buf,
+            events: std::mem::replace(&mut self.events, Vec::with_capacity(capacity)),
+        };
+        if self
+            .compressor
+            .as_ref()
+            .is_some_and(|c| c.in_flight.len() >= MAX_IN_FLIGHT)
+        {
+            self.write_oldest();
+        }
+        let submitted = match self.compressor.as_mut() {
+            Some(c) => c.submit(job),
+            None => Compressor::spawn().and_then(|c| self.compressor.insert(c).submit(job)),
+        };
+        if let Err(e) = submitted {
+            self.latch(e);
+        }
+    }
+
+    /// Writes out the oldest segment in flight; false when none is.
+    fn write_oldest(&mut self) -> bool {
+        let Some(framed) = self.compressor.as_mut().and_then(Compressor::collect) else {
+            return false;
+        };
+        match framed {
+            Ok(segment) => self.emit_segment(&segment),
+            Err(e) => self.latch(e),
+        }
         self.segments_flushed += 1;
+        true
+    }
+
+    /// Writes out every segment in flight, oldest first.
+    fn write_in_flight(&mut self) {
+        while self.write_oldest() {}
+    }
+
+    /// Stops the compressor thread; every segment must be written out.
+    fn join_compressor(&mut self) {
+        if let Some(Err(e)) = self.compressor.take().map(Compressor::join) {
+            self.latch(e);
+        }
     }
 }
 
 impl<W: io::Write> Drop for FileSink<W> {
     fn drop(&mut self) {
-        if self.finished || self.out.is_none() {
-            return;
-        }
-        // Last-resort flush: a sink dropped without finish() must not
-        // silently discard buffered commits — push them out as a final
-        // segment (the stream still lacks a trailer and decodes as
-        // truncated, but every committed event reaches the writer).
-        self.flush_segment();
-        if self.error.is_none() {
-            if let Some(out) = self.out.as_mut() {
-                let _ = out.flush();
+        if !self.finished && self.out.is_some() {
+            // Last-resort flush: a sink dropped without finish() must
+            // not silently discard buffered commits — push them out as
+            // a final segment (the stream still lacks a trailer and
+            // decodes as truncated, but every committed event reaches
+            // the writer).
+            self.flush_segment();
+            self.write_in_flight();
+            if self.error.is_none() {
+                if let Some(out) = self.out.as_mut() {
+                    let _ = out.flush();
+                }
             }
         }
+        self.join_compressor();
     }
 }
 
@@ -1105,15 +1272,21 @@ impl<W: io::Write> LogSink for FileSink<W> {
     }
 
     fn on_event(&mut self, event: &LogEvent) {
-        let mut w = Writer::new();
+        let mut w = Writer {
+            buf: std::mem::take(&mut self.events),
+        };
         encode_event(event, self.has_pi, &mut w);
-        self.encoder.push(&w.buf);
+        self.events = w.buf;
         self.commits += 1;
         if let Committer::Proc(p) = event.committer {
             self.chunks_done[p as usize] += 1;
         }
         self.events_pending += 1;
-        self.peak_buffered = self.peak_buffered.max(self.encoder.pending_len());
+        let in_flight: usize = self
+            .compressor
+            .as_ref()
+            .map_or(0, |c| c.in_flight.iter().sum());
+        self.peak_buffered = self.peak_buffered.max(self.events.len() + in_flight);
         if self.events_pending as usize >= self.flush_every {
             self.flush_segment();
         }
@@ -1121,8 +1294,9 @@ impl<W: io::Write> LogSink for FileSink<W> {
 
     fn finish(&mut self, trailer: &StreamTrailer) {
         self.flush_segment();
-        let body = encode_trailer(trailer);
-        self.emit_segment(SEG_TRAILER, &body);
+        self.write_in_flight();
+        self.join_compressor();
+        self.emit_segment(&FramedSegment::new(SEG_TRAILER, encode_trailer(trailer)));
         if self.error.is_none() {
             if let Some(out) = self.out.as_mut() {
                 if let Err(e) = out.flush() {
@@ -1133,7 +1307,8 @@ impl<W: io::Write> LogSink for FileSink<W> {
         self.finished = true;
     }
 
-    fn flush_stats(&self) -> (u64, u64) {
+    fn flush_stats(&mut self) -> (u64, u64) {
+        self.write_in_flight();
         (self.segments_flushed, self.bytes_written)
     }
 }
@@ -2519,6 +2694,64 @@ mod tests {
         assert!(sink.peak_buffered_bytes() > 0);
     }
 
+    /// The writer sees what it saw when segments were compressed in
+    /// place: the header frame, then each segment's head and body as
+    /// two writes, in stream order, then the trailer's. A torn write
+    /// lands on the same byte only if the calls are the same.
+    #[test]
+    fn file_sink_writes_a_head_then_a_body_per_segment_in_order() {
+        #[derive(Default)]
+        struct WriteLog(Vec<Vec<u8>>);
+        impl io::Write for WriteLog {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let meta = test_meta(Mode::OrderOnly, 2);
+        let stats = RunStats {
+            digest: StateDigest {
+                mem_hash: 1,
+                stream_hashes: vec![2, 3],
+                retired: vec![500, 500],
+                committed_chunks: vec![4, 3],
+            },
+            ..RunStats::default()
+        };
+        let mut logged = FileSink::with_flush_every(WriteLog::default(), 2);
+        let mut plain = FileSink::with_flush_every(Vec::new(), 2);
+        for sink in [&mut logged as &mut dyn LogSink, &mut plain] {
+            sink.begin(&meta);
+            let mut bridge = CommitBridge::new(Mode::OrderOnly, 2);
+            for k in 0..7 {
+                sink.on_event(&bridge.convert(&proc_record(k % 2, u64::from(k / 2 + 1))));
+            }
+            sink.finish(&StreamTrailer {
+                stats: stats.clone(),
+            });
+        }
+        let writes = logged.into_inner().unwrap().0;
+        let bytes = plain.into_inner().unwrap();
+        assert_eq!(writes.concat(), bytes);
+        assert_eq!(writes[0], frame(MAGIC, VERSION, &encode_meta(&meta)));
+        // Three full segments, the partial fourth, the trailer.
+        let segments = &writes[1..];
+        assert_eq!(segments.len(), 2 * 5);
+        for (k, pair) in segments.chunks(2).enumerate() {
+            let (head, body) = (&pair[0], &pair[1]);
+            assert_eq!(head.len(), SEGMENT_HEAD, "segment {k}");
+            let kind = if k < 4 { SEG_EVENTS } else { SEG_TRAILER };
+            assert_eq!(
+                *head,
+                FramedSegment::new(kind, body.clone()).head,
+                "segment {k}"
+            );
+        }
+    }
+
     #[test]
     fn truncated_stream_is_an_error_not_a_panic() {
         let mut sink = FileSink::with_flush_every(Vec::new(), 1);
@@ -2615,7 +2848,7 @@ mod tests {
 
     #[test]
     fn segments_decode_with_a_fresh_decoder() {
-        // The window barrier guarantees every segment's LZ77 block is
+        // Compressing each block alone keeps every segment
         // independently decompressible: decode the *second* segment's
         // events with a decoder that never saw the first.
         let mut sink = FileSink::with_flush_every(Vec::new(), 1);

@@ -381,11 +381,11 @@ impl Vm {
     ///
     /// Returns what happened; when the thread is halted this is a no-op
     /// reporting [`StepKind::Halted`].
-    pub fn step(
+    pub fn step<M: DataMemory + ?Sized, I: IoBus + ?Sized>(
         &mut self,
         prog: &Program,
-        mem: &mut dyn DataMemory,
-        io: &mut dyn IoBus,
+        mem: &mut M,
+        io: &mut I,
     ) -> StepInfo {
         if self.halted {
             return StepInfo::none(StepKind::Halted);

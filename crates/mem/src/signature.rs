@@ -76,7 +76,7 @@ impl Signature {
 
     /// Inserts a cache-line index.
     pub fn insert(&mut self, line: u64) {
-        for h in [hash1(line), hash2(line)] {
+        for h in bit_indices(line) {
             self.bits[h / 64] |= 1u64 << (h % 64);
         }
     }
@@ -113,9 +113,14 @@ impl Signature {
     /// Membership test. May return `true` for lines never inserted
     /// (false positive) but never `false` for an inserted line.
     pub fn may_contain(&self, line: u64) -> bool {
-        [hash1(line), hash2(line)]
-            .into_iter()
-            .all(|h| self.bits[h / 64] & (1u64 << (h % 64)) != 0)
+        self.may_contain_bits(bit_indices(line))
+    }
+
+    /// [`Signature::may_contain`] for a line whose [`bit_indices`] were
+    /// computed once up front, as a commit does before testing its
+    /// written lines against every in-flight chunk.
+    pub fn may_contain_bits(&self, [a, b]: [usize; 2]) -> bool {
+        self.bit(a) && self.bit(b)
     }
 
     /// Whether no line was ever inserted.

@@ -542,6 +542,40 @@ mod tests {
         assert!(e.detail.contains("commits"), "{e}");
     }
 
+    /// A traced recording is as deterministic as an untraced one: its
+    /// `segment_flush` lines report the log as written at each commit,
+    /// never whatever the sink's compressor happened to have finished.
+    #[test]
+    fn traced_recordings_of_one_run_are_byte_identical() {
+        let m = Machine::builder()
+            .mode(Mode::OrderOnly)
+            .procs(4)
+            .budget(20_000)
+            .build();
+        let w = workload::by_name("fft").unwrap();
+        let record = |traced: bool| {
+            let mut tracer = JsonlTracer::new(Vec::new());
+            let mut sink = delorean::FileSink::with_flush_every(Vec::new(), 2);
+            let session = m.session();
+            let session = if traced {
+                session.with_stage(&mut tracer)
+            } else {
+                session
+            };
+            session.record_to(w, 7, &mut sink);
+            let (trace, e) = tracer.finish();
+            assert!(e.is_none());
+            (trace, sink.into_inner().unwrap())
+        };
+        let (trace, log) = record(true);
+        let flushes = validate(&trace[..]).unwrap().segment_flushes;
+        assert!(flushes >= 8, "only {flushes} segment flushes traced");
+        for _ in 0..3 {
+            assert!(record(true) == (trace.clone(), log.clone()));
+        }
+        assert_eq!(record(false).1, log, "tracing changed the log");
+    }
+
     #[test]
     fn garbage_is_rejected_with_a_line_number() {
         let e = validate(&b"{\"event\":\"begin\",\"mode\":\"order_only\",\"workload\":\"fft\",\"procs\":2,\"chunk_size\":2000,\"budget\":1,\"app_seed\":0}\nnot json\n"[..])
