@@ -582,7 +582,13 @@ pub fn analyze_deps<S: LogSource>(
     source: S,
     opts: &DepsOptions,
 ) -> Result<DepsReport, InspectError> {
-    let (workload, mode, n_procs, arbiter) = meta_of(&source)?;
+    let meta = source.meta();
+    let (workload, mode, n_procs, arbiter) = (
+        meta.workload.name.to_string(),
+        meta.mode.to_string(),
+        meta.n_procs,
+        meta.arbiter.to_string(),
+    );
     let mut inspector = ReplayInspector::from_source(source)?;
     inspector.collect_footprints(true);
     let mut gb = GraphBuilder::new(n_procs);
@@ -617,21 +623,6 @@ pub fn analyze_deps<S: LogSource>(
         false,
         Vec::new(),
         diagnostics,
-    ))
-}
-
-fn meta_of<S: LogSource>(source: &S) -> Result<(String, String, u32, String), InspectError> {
-    let Some(meta) = source.meta() else {
-        return Err(InspectError {
-            detail: "log source carries no recording metadata".to_string(),
-            commit: None,
-        });
-    };
-    Ok((
-        meta.workload.name.to_string(),
-        meta.mode.to_string(),
-        meta.n_procs,
-        meta.arbiter.to_string(),
     ))
 }
 

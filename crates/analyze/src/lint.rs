@@ -215,8 +215,10 @@ impl LintState {
             self.interrupts += 1;
         }
         // Shard stamps must agree with the header's arbiter topology.
-        // A *missing* stamp under a sharded header is fine: in-memory
-        // round trips rebuild streams without stamps.
+        // A sharded recording stamps every event, but a *missing* stamp
+        // is left alone: replay never reads the stamps, and the `.dlrn`
+        // files older `serialize::to_bytes` rebuilt from in-memory
+        // recordings carry none.
         match (self.meta.arbiter, ev.shard) {
             (ArbiterConfig::Global, Some(shard)) => {
                 self.diagnostics.push(
@@ -682,7 +684,8 @@ mod tests {
 
     #[test]
     fn unstamped_events_under_sharded_header_are_clean() {
-        // In-memory round trips drop stamps; that must not warn.
+        // `.dlrn` files older `serialize::to_bytes` wrote carry no
+        // stamps; that must not warn.
         let bytes = stamped_stream(ArbiterConfig::Sharded { shards: 2 }, None);
         let report = lint_stream(&bytes[..]);
         assert!(

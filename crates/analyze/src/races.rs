@@ -455,15 +455,7 @@ pub fn detect_races<S: LogSource>(
     source: S,
     opts: &RaceOptions,
 ) -> Result<RaceReport, InspectError> {
-    let (mode, n_procs) = {
-        let Some(meta) = source.meta() else {
-            return Err(InspectError {
-                detail: "log source carries no recording metadata".to_string(),
-                commit: None,
-            });
-        };
-        (meta.mode, meta.n_procs)
-    };
+    let (mode, n_procs) = (source.mode(), source.n_procs());
     let mut inspector = ReplayInspector::from_source(source)?;
     inspector.collect_footprints(true);
     let mut detector = Detector::new(mode, n_procs, opts);

@@ -7,7 +7,7 @@
 // Test code may panic freely.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use delorean::{serialize, FileSource, Machine, MemorySource, Mode, Recording};
+use delorean::{serialize, FileSource, Machine, Mode, Recording};
 use delorean_analyze::{
     analyze_workload, detect_races, lint_stream, RaceOptions, Severity, StaticOptions,
 };
@@ -45,11 +45,8 @@ fn drf_spec() -> WorkloadSpec {
 #[test]
 fn racy_catalog_workload_yields_confirmed_chunk_races() {
     let (_, recording) = record(racy_spec(), Mode::OrderOnly, 4, 11);
-    let report = detect_races(
-        MemorySource::of_recording(&recording),
-        &RaceOptions::default(),
-    )
-    .expect("intact recording replays");
+    let report = detect_races(recording.source(), &RaceOptions::default())
+        .expect("intact recording replays");
     assert!(
         report.races_total >= 1,
         "radix shares unsynchronized lines across threads; expected at least one \
@@ -58,9 +55,9 @@ fn racy_catalog_workload_yields_confirmed_chunk_races() {
     assert!(!report.examples.is_empty());
     // The static pass agrees: it flags unsynchronized conflicting pairs.
     let footprints = analyze_workload(
-        &recording.workload,
-        recording.n_procs,
-        recording.app_seed,
+        &recording.meta.workload,
+        recording.meta.n_procs,
+        recording.meta.app_seed,
         &StaticOptions::default(),
     );
     assert!(
@@ -72,20 +69,17 @@ fn racy_catalog_workload_yields_confirmed_chunk_races() {
 #[test]
 fn drf_workload_yields_zero_races() {
     let (_, recording) = record(drf_spec(), Mode::OrderOnly, 4, 11);
-    let report = detect_races(
-        MemorySource::of_recording(&recording),
-        &RaceOptions::default(),
-    )
-    .expect("intact recording replays");
+    let report = detect_races(recording.source(), &RaceOptions::default())
+        .expect("intact recording replays");
     assert_eq!(
         report.races_total, 0,
         "a private-only workload cannot race: {:?}",
         report.examples
     );
     let footprints = analyze_workload(
-        &recording.workload,
-        recording.n_procs,
-        recording.app_seed,
+        &recording.meta.workload,
+        recording.meta.n_procs,
+        recording.meta.app_seed,
         &StaticOptions::default(),
     );
     assert_eq!(
@@ -99,11 +93,8 @@ fn drf_workload_yields_zero_races() {
 fn race_detection_works_across_all_modes() {
     for mode in Mode::all() {
         let (_, recording) = record(racy_spec(), mode, 4, 7);
-        let report = detect_races(
-            MemorySource::of_recording(&recording),
-            &RaceOptions::default(),
-        )
-        .expect("intact recording replays");
+        let report = detect_races(recording.source(), &RaceOptions::default())
+            .expect("intact recording replays");
         assert!(
             report.races_total >= 1,
             "{mode}: expected chunk races in radix"

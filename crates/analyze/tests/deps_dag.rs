@@ -9,7 +9,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use delorean::json::Json;
-use delorean::log::PiLog;
 use delorean::{serialize, ArbiterConfig, FileSink, Machine, Mode, Recording};
 use delorean_analyze::{deps_from_bytes, AnalysisReport, DepsOptions, DepsReport, Severity};
 use delorean_chunk::Committer;
@@ -88,7 +87,7 @@ fn catalog_commit_orders_are_linear_extensions() {
     }
 }
 
-/// Swapping two adjacent, exactly-conflicting PI entries of different
+/// Swapping two adjacent, exactly-conflicting commit events of different
 /// processors produces a log whose commit order is *not* a linear
 /// extension of the dependence DAG — the pass must flag it with a
 /// [`Severity::Error`] finding (either the linear-extension verdict or
@@ -97,18 +96,20 @@ fn catalog_commit_orders_are_linear_extensions() {
 fn reordered_conflicting_commits_are_rejected() {
     let spec = workload::by_name("radix").expect("radix is in the catalog");
     let rec = record(spec, Mode::OrderOnly, 4, 11, 4_000, ArbiterConfig::Global);
-    let entries: Vec<Committer> = rec.logs.pi.iter().collect();
+    let events = &rec.events;
     let conflicts = |i: usize, j: usize| {
         let hit = |w: &[u64], a: &[u64]| w.iter().any(|l| a.binary_search(l).is_ok());
-        hit(&rec.logs.pi_write_footprints[i], &rec.logs.pi_footprints[j])
-            || hit(&rec.logs.pi_write_footprints[j], &rec.logs.pi_footprints[i])
+        hit(&events[i].write_lines, &events[j].access_lines)
+            || hit(&events[j].write_lines, &events[i].access_lines)
     };
     let mut rejected = false;
     let mut tried = 0;
-    for i in 0..entries.len().saturating_sub(1) {
+    for i in 0..events.len().saturating_sub(1) {
         // Only cross-processor swaps keep each per-processor stream
         // well-formed (chunk indices are assigned in per-proc order).
-        let (Committer::Proc(a), Committer::Proc(b)) = (entries[i], entries[i + 1]) else {
+        let (Committer::Proc(a), Committer::Proc(b)) =
+            (events[i].committer, events[i + 1].committer)
+        else {
             continue;
         };
         if a == b || !conflicts(i, i + 1) || tried >= 8 {
@@ -116,18 +117,7 @@ fn reordered_conflicting_commits_are_rejected() {
         }
         tried += 1;
         let mut reordered = rec.clone();
-        let mut pi = PiLog::new(rec.n_procs);
-        for k in 0..entries.len() {
-            let k = match k {
-                k if k == i => i + 1,
-                k if k == i + 1 => i,
-                k => k,
-            };
-            pi.push(entries[k]);
-        }
-        reordered.logs.pi = pi;
-        reordered.logs.pi_footprints.swap(i, i + 1);
-        reordered.logs.pi_write_footprints.swap(i, i + 1);
+        reordered.events.swap(i, i + 1);
         let bytes = serialize::to_bytes(&reordered);
         let report = deps_from_bytes(&bytes, &DepsOptions::default());
         if error_count(&report) >= 1 {

@@ -598,7 +598,7 @@ pub fn run_job(spec: &JobSpec) -> BenchRecord {
             absorb_stats(&mut record, &rec.stats);
             let t = Instant::now();
             measure_logs(&mut record, &rec);
-            let plain = rec.logs.pi.measure().compressed_bits.max(1);
+            let plain = rec.logs().pi.measure().compressed_bits.max(1);
             let strat = rec.stratified_pi(capacity).measure().compressed_bits.max(1);
             record.timings.compress_ms += ms(t);
             record
@@ -725,25 +725,26 @@ fn measure_logs(record: &mut BenchRecord, rec: &Recording) {
     let sizes = rec.memory_ordering_sizes();
     let total = sizes.total();
     let insts = rec.total_instructions();
-    record.raw_bits_pp_pki = total.bits_per_proc_per_kiloinst(insts, rec.n_procs);
-    record.comp_bits_pp_pki = total.compressed_bits_per_proc_per_kiloinst(insts, rec.n_procs);
+    let n_procs = rec.meta.n_procs;
+    record.raw_bits_pp_pki = total.bits_per_proc_per_kiloinst(insts, n_procs);
+    record.comp_bits_pp_pki = total.compressed_bits_per_proc_per_kiloinst(insts, n_procs);
     record.extra.push((
         "pi_bits_pp_pki".into(),
         sizes
             .pi
-            .compressed_bits_per_proc_per_kiloinst(insts, rec.n_procs),
+            .compressed_bits_per_proc_per_kiloinst(insts, n_procs),
     ));
     record.extra.push((
         "cs_bits_pp_pki".into(),
         sizes
             .cs
-            .compressed_bits_per_proc_per_kiloinst(insts, rec.n_procs),
+            .compressed_bits_per_proc_per_kiloinst(insts, n_procs),
     ));
     // The paper's Section 6.1 headline: compressed log production in
     // GB/day on a 5 GHz, IPC-1 machine.
     record.extra.push((
         "gb_per_day".into(),
-        total.gigabytes_per_day(insts, rec.n_procs, 5.0, 1.0),
+        total.gigabytes_per_day(insts, n_procs, 5.0, 1.0),
     ));
     record.timings.compress_ms = ms(t);
 }

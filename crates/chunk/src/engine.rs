@@ -103,6 +103,18 @@ pub struct StartState {
     pub chunks_done: Vec<u64>,
 }
 
+impl StartState {
+    /// Whether the state fits an `n_procs`-processor machine: one
+    /// register file and one chunk counter per processor, and a memory
+    /// image of the machine's size.
+    pub fn fits(&self, n_procs: u32) -> bool {
+        let n = n_procs as usize;
+        self.vm_states.len() == n
+            && self.chunks_done.len() == n
+            && self.memory.len() as u64 == AddressMap::new(n_procs).total_words()
+    }
+}
+
 /// Why the engine could not run an execution to its budget.
 ///
 /// Recording cannot fail: its policy grants whatever is pending. A
@@ -173,12 +185,7 @@ pub fn run_from(
     hooks: &mut dyn ExecutionHooks,
     start: &StartState,
 ) -> Result<RunStats, EngineError> {
-    let n = spec.n_procs as usize;
-    let words = AddressMap::new(spec.n_procs).total_words();
-    if start.vm_states.len() != n
-        || start.chunks_done.len() != n
-        || start.memory.len() as u64 != words
-    {
+    if !start.fits(spec.n_procs) {
         return Err(EngineError::StartShape {
             n_procs: spec.n_procs,
         });

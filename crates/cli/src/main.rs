@@ -154,16 +154,6 @@ fn parse_mode(s: &str) -> Result<Mode, Failure> {
     }
 }
 
-fn machine_for(recording: &Recording) -> Machine {
-    Machine::builder()
-        .mode(recording.mode)
-        .procs(recording.n_procs)
-        .chunk_size(recording.chunk_size)
-        .budget(recording.budget)
-        .devices(recording.devices)
-        .build()
-}
-
 fn machine_from_meta(meta: &StreamMeta) -> Machine {
     Machine::builder()
         .mode(meta.mode)
@@ -276,30 +266,35 @@ fn cmd_record(args: &Args) -> Result<(), Failure> {
 
 fn cmd_info(args: &Args) -> Result<(), Failure> {
     let r = load(args)?;
-    println!("mode        : {}", r.mode);
-    println!("workload    : {} (seed {})", r.workload.name, r.app_seed);
-    println!("processors  : {}", r.n_procs);
-    println!("chunk size  : {}", r.chunk_size);
-    println!("budget      : {} instructions/processor", r.budget);
-    println!("arbiter     : {}", r.arbiter);
+    let meta = &r.meta;
+    println!("mode        : {}", meta.mode);
+    println!(
+        "workload    : {} (seed {})",
+        meta.workload.name, meta.app_seed
+    );
+    println!("processors  : {}", meta.n_procs);
+    println!("chunk size  : {}", meta.chunk_size);
+    println!("budget      : {} instructions/processor", meta.budget);
+    println!("arbiter     : {}", meta.arbiter);
     println!("checkpoint  : {:#018x}", r.checkpoint_id());
     let s = r.memory_ordering_sizes();
+    let logs = r.logs();
     println!(
         "PI log      : {} entries, {} bits raw / {} compressed",
-        r.logs.pi.len(),
+        logs.pi.len(),
         s.pi.raw_bits,
         s.pi.compressed_bits
     );
     println!(
         "CS logs     : {} entries, {} bits raw",
-        r.logs.cs.iter().map(|l| l.len()).sum::<usize>(),
+        logs.cs.iter().map(|l| l.len()).sum::<usize>(),
         s.cs.raw_bits
     );
     println!(
         "input logs  : {} interrupts, {} I/O values, {} DMA transfers",
         r.stats.interrupts,
-        r.logs.io.iter().map(|l| l.len()).sum::<usize>(),
-        r.logs.dma.len()
+        logs.io.iter().map(|l| l.len()).sum::<usize>(),
+        logs.dma.len()
     );
     println!(
         "rate        : {:.3} compressed bits/proc/kilo-instruction ({:.2} GB/day @ 8x5GHz IPC1)",
@@ -319,17 +314,13 @@ fn cmd_replay(args: &Args) -> Result<(), Failure> {
         // Stratification needs the chunk footprints resident, so this
         // path still decodes the whole recording up front.
         let r = load(args)?;
-        machine_for(&r)
+        machine_from_meta(&r.meta)
             .replay_stratified(&r, max, seed)
             .map_err(|e| e.to_string())?
     } else {
         let path = recording_path(args)?;
         let source = open_source(path)?;
-        let meta = source
-            .meta()
-            .ok_or("stream carries no recording metadata")?;
-        let machine = machine_from_meta(meta);
-        machine
+        machine_from_meta(source.meta())
             .replay_from_with_seed(source, seed)
             .map_err(|e| e.to_string())?
     };
@@ -429,11 +420,7 @@ fn cmd_replay_window(args: &Args) -> Result<(), Failure> {
             "--stratified and --from/--to are mutually exclusive".to_string(),
         ));
     }
-    let meta = open_source(&path)?
-        .meta()
-        .ok_or("stream carries no recording metadata")?
-        .clone();
-    let machine = machine_from_meta(&meta);
+    let machine = machine_from_meta(open_source(&path)?.meta());
     let mut cursor = open_cursor(args, &path)?;
     let report = machine
         .replay_window(&mut cursor, from, to)
@@ -465,11 +452,7 @@ fn cmd_replay_window(args: &Args) -> Result<(), Failure> {
 /// the checkpoint index (seek + bounded roll-forward, not a full
 /// replay) and prints its summary.
 fn cmd_inspect_at(args: &Args, path: &str, at: u64, json: bool) -> Result<(), Failure> {
-    let meta = open_source(path)?
-        .meta()
-        .ok_or("stream carries no recording metadata")?
-        .clone();
-    let machine = machine_from_meta(&meta);
+    let machine = machine_from_meta(open_source(path)?.meta());
     let mut cursor = open_cursor(args, path)?;
     let ck = machine
         .state_at(&mut cursor, at)
@@ -505,11 +488,7 @@ fn cmd_inspect(args: &Args) -> Result<(), Failure> {
         return cmd_inspect_at(args, &path, at, args.has("--json"));
     }
     let source = open_source(&path)?;
-    let mode = source
-        .meta()
-        .ok_or("stream carries no recording metadata")?
-        .mode;
-    let mode_tag = delorean_trace::mode_tag(mode);
+    let mode_tag = delorean_trace::mode_tag(source.mode());
     let json = args.has("--json");
     let mut inspector = ReplayInspector::from_source(source).map_err(|e| e.to_string())?;
     for w in args.get_all("--watch") {
@@ -667,10 +646,7 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, Failure> {
             deps,
         },
         Ok(source) => {
-            let meta = source
-                .meta()
-                .ok_or("stream carries no recording metadata")?
-                .clone();
+            let meta = source.meta().clone();
             let static_pass = if skip("static") {
                 None
             } else {

@@ -33,7 +33,7 @@
 //!
 //! let machine = Machine::builder().mode(Mode::OrderOnly).procs(2).budget(4_000).build();
 //! let recording = machine.record(workload::by_name("lu").unwrap(), 3);
-//! let mut inspector = ReplayInspector::new(&recording);
+//! let mut inspector = ReplayInspector::new(&recording).unwrap();
 //! let report = inspector.run_to_end().unwrap();
 //! assert!(report.matches_recording);
 //! ```
@@ -41,8 +41,9 @@
 use crate::error::ReplayError;
 use crate::machine::Recording;
 use crate::mode::Mode;
-use crate::stream::{LogSource, MemorySource};
-use delorean_chunk::{Committer, SubstrateEvent, TruncationReason};
+use crate::recover::RecoveringSource;
+use crate::stream::LogSource;
+use delorean_chunk::{Committer, EngineError, SubstrateEvent, TruncationReason};
 use delorean_isa::layout::AddressMap;
 use delorean_isa::{Addr, DataMemory, IoBus, Program, Vm, Word};
 use delorean_mem::Memory;
@@ -258,17 +259,17 @@ pub struct ReplayInspector<S: LogSource> {
     done: bool,
 }
 
-impl<'r> ReplayInspector<MemorySource<'r>> {
+impl ReplayInspector<RecoveringSource> {
     /// Builds an inspector positioned at the recording's starting
     /// checkpoint (the initial state, or the interval checkpoint for
     /// recordings made with
     /// [`Machine::record_interval`](crate::Machine::record_interval)).
-    // Infallible: `MemorySource::of_recording` synthesizes its meta
-    // from the recording itself, so `from_source` cannot reject it.
-    #[allow(clippy::expect_used)]
-    pub fn new(recording: &'r Recording) -> Self {
-        Self::from_source(MemorySource::of_recording(recording))
-            .expect("a recording always carries its metadata")
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplayInspector::from_source`].
+    pub fn new(recording: &Recording) -> Result<Self, InspectError> {
+        Self::from_source(recording.source())
     }
 }
 
@@ -278,16 +279,10 @@ impl<S: LogSource> ReplayInspector<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`InspectError`] when the source carries no stream
-    /// metadata (the inspector cannot reconstruct the start state
-    /// without it).
+    /// Returns [`InspectError`] when the stream's start state does not
+    /// fit its machine — the check the engine makes before a replay.
     pub fn from_source(source: S) -> Result<Self, InspectError> {
-        let Some(meta) = source.meta() else {
-            return Err(InspectError {
-                detail: "log source carries no recording metadata".to_string(),
-                commit: None,
-            });
-        };
+        let meta = source.meta();
         let mode = meta.mode;
         let n_procs = meta.n_procs;
         let budget = meta.budget;
@@ -304,6 +299,12 @@ impl<S: LogSource> ReplayInspector<S> {
         let mut memory = Memory::new(map.total_words());
         let mut chunks_done = vec![0; n_procs as usize];
         if let Some(start) = &meta.interval {
+            if !start.fits(n_procs) {
+                return Err(InspectError {
+                    detail: EngineError::StartShape { n_procs }.to_string(),
+                    commit: None,
+                });
+            }
             memory = Memory::from_image(start.memory.clone());
             for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
                 vm.restore(st);
@@ -689,7 +690,7 @@ mod tests {
             (Mode::PicoLog, "fft"),
         ] {
             let (_, rec) = recording(mode, app);
-            let report = ReplayInspector::new(&rec).run_to_end().unwrap();
+            let report = ReplayInspector::new(&rec).unwrap().run_to_end().unwrap();
             assert!(
                 report.matches_recording,
                 "{mode} software replay diverged: {:?}",
@@ -713,14 +714,14 @@ mod tests {
             .build();
         let rec = m.record(workload::by_name("sjbb2k").unwrap(), 17);
         assert!(rec.stats.interrupts > 0 && rec.stats.dma_commits > 0);
-        let report = ReplayInspector::new(&rec).run_to_end().unwrap();
+        let report = ReplayInspector::new(&rec).unwrap().run_to_end().unwrap();
         assert!(report.matches_recording, "{:?}", report.mismatch);
     }
 
     #[test]
     fn stepping_reports_commit_sequence() {
         let (_, rec) = recording(Mode::OrderOnly, "lu");
-        let mut ins = ReplayInspector::new(&rec);
+        let mut ins = ReplayInspector::new(&rec).unwrap();
         let mut count = 0u64;
         while let Some(ev) = ins.step().unwrap() {
             count += 1;
@@ -730,7 +731,7 @@ mod tests {
                 assert!(ev.size > 0);
             }
         }
-        assert_eq!(count, rec.logs.pi.len() as u64);
+        assert_eq!(count, rec.events.len() as u64);
     }
 
     #[test]
@@ -748,7 +749,7 @@ mod tests {
     #[test]
     fn footprints_expose_exact_and_signature_views() {
         let (_, rec) = recording(Mode::OrderOnly, "radix");
-        let mut ins = ReplayInspector::new(&rec);
+        let mut ins = ReplayInspector::new(&rec).unwrap();
         ins.collect_footprints(true);
         let mut saw_lines = false;
         while let Some(ev) = ins.step().unwrap() {
@@ -773,7 +774,7 @@ mod tests {
         let map = delorean_isa::layout::AddressMap::new(4);
         // Watch the contended lock word and its data word.
         let lock = map.lock_addr(0);
-        let mut ins = ReplayInspector::new(&rec);
+        let mut ins = ReplayInspector::new(&rec).unwrap();
         ins.watch(lock);
         ins.watch(lock + 1);
         let mut hits = 0usize;
@@ -791,10 +792,10 @@ mod tests {
     fn memory_inspection_mid_replay() {
         let (_, rec) = recording(Mode::OrderOnly, "barnes");
         let map = delorean_isa::layout::AddressMap::new(4);
-        let mut ins = ReplayInspector::new(&rec);
+        let mut ins = ReplayInspector::new(&rec).unwrap();
         assert_eq!(ins.memory(map.shared_base()), 0, "initial state");
         // Half the commits in.
-        let half = rec.logs.pi.len() / 2;
+        let half = rec.events.len() / 2;
         for _ in 0..half {
             ins.step().unwrap().expect("log has entries left");
         }
@@ -807,9 +808,16 @@ mod tests {
     #[test]
     fn corrupted_log_is_reported_not_looped() {
         let (_, mut rec) = recording(Mode::OrderOnly, "lu");
-        // Append a bogus PI entry: one commit too many for core 0.
-        rec.logs.pi.push(Committer::Proc(0));
-        let mut ins = ReplayInspector::new(&rec);
+        // Append a bogus commit: one too many for core 0.
+        let mut bogus = rec
+            .events
+            .iter()
+            .rfind(|e| e.committer == Committer::Proc(0))
+            .unwrap()
+            .clone();
+        bogus.chunk_index += 1;
+        rec.events.push(bogus);
+        let mut ins = ReplayInspector::new(&rec).unwrap();
         let mut err = None;
         loop {
             match ins.step() {

@@ -74,8 +74,8 @@ pub use recorder::LogSet;
 pub use recover::{RecoveringSource, Salvage, SalvageReport};
 pub use session::{HookStage, NoopStage, Session};
 pub use stream::{
-    EventSegment, FileSink, FileSource, LogSink, LogSource, MemorySink, MemorySource,
-    PositionedDecodeError, SegmentMark, SegmentWalker, SinkError, StreamPosition, WalkedSegment,
+    EventSegment, FileSink, FileSource, LogSink, LogSource, MemorySink, PositionedDecodeError,
+    SegmentMark, SegmentWalker, SinkError, StreamPosition, WalkedSegment,
 };
 pub use wire::Fnv;
 

@@ -54,16 +54,6 @@ impl CsLog {
         }
     }
 
-    /// An Order&Size-shaped log whose first chunk has the given index
-    /// (deserialization of interval recordings).
-    pub fn full_from(max_size: u32, first_index: u64) -> Self {
-        CsLog::Full {
-            max_size,
-            first_index: Some(first_index),
-            sizes: Vec::new(),
-        }
-    }
-
     /// An OrderOnly-shaped log (21-bit distance, 11-bit size).
     pub fn order_only() -> Self {
         CsLog::Sparse {

@@ -6,47 +6,27 @@ use crate::inspect::ReplayInspector;
 use crate::log::MemoryOrderingSizes;
 use crate::mode::Mode;
 use crate::recorder::LogSet;
+use crate::recover::RecoveringSource;
 use crate::session::{checked_meta, Session};
 use crate::stratify::{StratifiedPiLog, Stratifier};
-use crate::stream::{LogSink, LogSource, MemorySink, MemorySource};
+use crate::stream::{LogEvent, LogSink, LogSource, MemorySink, StreamMeta, StreamTrailer};
 use crate::wire::Fnv;
 use delorean_chunk::{
-    ArbiterConfig, Committer, DeviceConfig, EngineConfig, RunStats, StartState, StateDigest,
+    ArbiterConfig, Committer, DeviceConfig, EngineConfig, RunStats, StateDigest,
     SubstrateFaultConfig,
 };
 use delorean_isa::workload::{WorkloadKind, WorkloadSpec};
-use delorean_sim::RunSpec;
 
-/// A complete DeLorean recording: the memory-ordering log (PI + CS),
-/// the input logs, what identifies the starting checkpoint and the
-/// recorded run's statistics (whose digest is the determinism
-/// reference).
+/// A complete DeLorean recording, held as exactly what its `.dlrn`
+/// stream carries: the metadata (machine shape, workload, start state),
+/// one [`LogEvent`] per commit and the recorded run's statistics, whose
+/// digest is the determinism reference.
 #[derive(Debug, Clone)]
 pub struct Recording {
-    /// Mode the recording was made in.
-    pub mode: Mode,
-    /// Processors.
-    pub n_procs: u32,
-    /// Standard (or maximum) chunk size used.
-    pub chunk_size: u32,
-    /// Retired-instruction budget per processor.
-    pub budget: u64,
-    /// The recorded application.
-    pub workload: WorkloadSpec,
-    /// Program-generation seed.
-    pub app_seed: u64,
-    /// Device activity during the recording.
-    pub devices: DeviceConfig,
-    /// Commit-arbitration topology the recording was made under
-    /// (replay always re-serializes through the global arbiter).
-    pub arbiter: ArbiterConfig,
-    /// Content hash of the initial memory image.
-    pub initial_mem_hash: u64,
-    /// For interval recordings: the mid-execution architectural state
-    /// the interval began at (`None` for whole-execution recordings).
-    pub interval: Option<StartState>,
-    /// All logs.
-    pub logs: LogSet,
+    /// Machine shape, workload, arbiter topology and start state.
+    pub meta: StreamMeta,
+    /// Every commit, in global commit order.
+    pub events: Vec<LogEvent>,
     /// Statistics of the initial execution (incl. the digest).
     pub stats: RunStats,
 }
@@ -71,10 +51,10 @@ impl Recording {
     /// ```
     pub fn checkpoint_id(&self) -> u64 {
         let mut h = Fnv::default();
-        h.update(self.workload.name.as_bytes());
-        h.word(u64::from(self.n_procs));
-        h.word(self.app_seed);
-        h.word(self.initial_mem_hash);
+        h.update(self.meta.workload.name.as_bytes());
+        h.word(u64::from(self.meta.n_procs));
+        h.word(self.meta.app_seed);
+        h.word(self.meta.initial_mem_hash);
         h.value()
     }
 
@@ -83,16 +63,32 @@ impl Recording {
         self.stats.digest.retired.iter().sum()
     }
 
+    /// The recording's logs, one per kind, built from its events.
+    pub fn logs(&self) -> LogSet {
+        LogSet::of(&self.meta, &self.events)
+    }
+
+    /// A log source replaying the recording from its start.
+    pub fn source(&self) -> RecoveringSource {
+        RecoveringSource::over(
+            self.meta.clone(),
+            &self.events,
+            Some(StreamTrailer {
+                stats: self.stats.clone(),
+            }),
+        )
+    }
+
     /// Measured sizes of the memory-ordering log.
     pub fn memory_ordering_sizes(&self) -> MemoryOrderingSizes {
-        let cs = self
-            .logs
+        let logs = self.logs();
+        let cs = logs
             .cs
             .iter()
             .map(|l| l.measure())
             .fold(delorean_compress::LogSize::default(), |a, b| a.combined(b));
         MemoryOrderingSizes {
-            pi: self.logs.pi.measure(),
+            pi: logs.pi.measure(),
             cs,
         }
     }
@@ -102,7 +98,7 @@ impl Recording {
     pub fn compressed_bits_per_proc_per_kiloinst(&self) -> f64 {
         self.memory_ordering_sizes()
             .total()
-            .compressed_bits_per_proc_per_kiloinst(self.total_instructions(), self.n_procs)
+            .compressed_bits_per_proc_per_kiloinst(self.total_instructions(), self.meta.n_procs)
     }
 
     /// Estimated compressed log production in GB/day at the given clock
@@ -110,7 +106,7 @@ impl Recording {
     pub fn gigabytes_per_day(&self, ghz: f64, ipc: f64) -> f64 {
         self.memory_ordering_sizes().total().gigabytes_per_day(
             self.total_instructions(),
-            self.n_procs,
+            self.meta.n_procs,
             ghz,
             ipc,
         )
@@ -124,31 +120,20 @@ impl Recording {
     ///
     /// Panics for PicoLog recordings, which have no PI log.
     pub fn stratified_pi(&self, max_per_stratum: u32) -> StratifiedPiLog {
-        assert!(self.mode.has_pi_log(), "PicoLog has no PI log to stratify");
-        let mut s = Stratifier::new(self.n_procs + 1, max_per_stratum);
-        for ((entry, lines), writes) in self
-            .logs
-            .pi
-            .iter()
-            .zip(&self.logs.pi_footprints)
-            .zip(&self.logs.pi_write_footprints)
-        {
-            let col = match entry {
+        let n_procs = self.meta.n_procs;
+        assert!(
+            self.meta.mode.has_pi_log(),
+            "PicoLog has no PI log to stratify"
+        );
+        let mut s = Stratifier::new(n_procs + 1, max_per_stratum);
+        for ev in &self.events {
+            let col = match ev.committer {
                 Committer::Proc(p) => p as usize,
-                Committer::Dma => self.n_procs as usize,
+                Committer::Dma => n_procs as usize,
             };
-            s.observe(col, lines, writes);
+            s.observe(col, &ev.access_lines, &ev.write_lines);
         }
         s.finish()
-    }
-
-    pub(crate) fn run_spec(&self) -> RunSpec {
-        // A Recording only exists for a machine the builder (or the
-        // stream decoder) already validated, so the spec is well-formed
-        // by construction.
-        #[allow(clippy::expect_used)]
-        RunSpec::new(self.workload, self.n_procs, self.app_seed, self.budget)
-            .expect("recording carries a validated machine shape")
     }
 
     /// Replays the recording in software up to Global Commit Count
@@ -160,12 +145,12 @@ impl Recording {
     /// Returns a [`ReplayError`] if `gcc` exceeds the recording's
     /// commit count or the logs are inconsistent.
     pub fn checkpoint_at(&self, gcc: u64) -> Result<IntervalCheckpoint, ReplayError> {
-        let mut inspector = ReplayInspector::new(self);
+        let mut inspector = ReplayInspector::new(self)?;
         while inspector.step_to(0, gcc)?.is_some() {}
         Ok(IntervalCheckpoint {
-            workload: self.workload,
-            app_seed: self.app_seed,
-            n_procs: self.n_procs,
+            workload: self.meta.workload,
+            app_seed: self.meta.app_seed,
+            n_procs: self.meta.n_procs,
             gcc,
             state: inspector.capture(),
         })
@@ -396,7 +381,7 @@ impl Machine {
         recording: &Recording,
         timing_seed: u64,
     ) -> Result<ReplayReport, ReplayError> {
-        self.replay_from_with_seed(MemorySource::of_recording(recording), timing_seed)
+        self.replay_from_with_seed(recording.source(), timing_seed)
     }
 
     /// Replays directly from a log source — e.g. a streaming
@@ -405,9 +390,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`ReplayError`] when the source carries no metadata, the
-    /// machine shape or mode does not match, or the stream turns out to
-    /// be corrupt or truncated mid-replay.
+    /// Returns [`ReplayError`] when the machine shape or mode does not
+    /// match, or the stream turns out to be corrupt or truncated
+    /// mid-replay.
     pub fn replay_from<S: LogSource>(&self, source: S) -> Result<ReplayReport, ReplayError> {
         self.replay_from_with_seed(source, self.timing_seed ^ 0x5a5a_5a5a)
     }
@@ -762,7 +747,7 @@ mod tests {
         let b = build().record(workload::by_name("lu").unwrap(), 5);
         assert_eq!(a.stats.digest, b.stats.digest);
         assert_eq!(a.stats.squashes, b.stats.squashes);
-        assert_eq!(a.logs.pi, b.logs.pi, "identical seeds, identical logs");
+        assert_eq!(a.events, b.events, "identical seeds, identical logs");
     }
 
     #[test]

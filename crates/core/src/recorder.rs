@@ -1,19 +1,18 @@
-//! The logs of one recording, as a [`StreamRecorder`](crate::stream::StreamRecorder)
-//! accumulates them into a [`MemorySink`](crate::MemorySink).
+//! The per-log view of a recording: its events regrouped into the PI,
+//! CS and input logs whose sizes the paper reports (Figures 6–9).
 
-use crate::log::{CsLog, DmaLog, InterruptLog, IoLog, PiLog};
+use crate::log::{CsEntry, CsLog, DmaLog, InterruptEntry, InterruptLog, IoEntry, IoLog, PiLog};
+use crate::mode::Mode;
+use crate::stream::{LogEvent, StreamMeta};
+use delorean_chunk::Committer;
 
-/// Every log produced by one recording.
+/// A recording's logs, one per kind, as the paper measures them.
+/// [`Recording::logs`](crate::Recording::logs) builds it on demand from
+/// the recording's events; replay reads the events themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogSet {
     /// The PI log (empty in PicoLog mode).
     pub pi: PiLog,
-    /// Per-PI-entry access footprints, kept so the log can be
-    /// stratified *post hoc* at any chunks-per-stratum capacity
-    /// (the hardware Stratifier of Figure 5 does this online).
-    pub pi_footprints: Vec<Vec<u64>>,
-    /// Per-PI-entry written lines (subsets of the access footprints).
-    pub pi_write_footprints: Vec<Vec<u64>>,
     /// Per-processor CS logs.
     pub cs: Vec<CsLog>,
     /// Per-processor Interrupt logs.
@@ -24,24 +23,78 @@ pub struct LogSet {
     pub dma: DmaLog,
 }
 
+impl LogSet {
+    /// The logs the machine `meta` describes keeps for `events`, given
+    /// in commit order.
+    pub(crate) fn of(meta: &StreamMeta, events: &[LogEvent]) -> Self {
+        let n = meta.n_procs as usize;
+        let has_pi = meta.mode.has_pi_log();
+        let mut logs = LogSet {
+            pi: PiLog::new(meta.n_procs),
+            cs: (0..n)
+                .map(|_| match meta.mode {
+                    Mode::OrderSize => CsLog::full(meta.chunk_size),
+                    Mode::OrderOnly => CsLog::order_only(),
+                    Mode::PicoLog => CsLog::picolog(),
+                })
+                .collect(),
+            interrupts: vec![InterruptLog::new(); n],
+            io: vec![IoLog::new(); n],
+            dma: DmaLog::new(),
+        };
+        for (slot, ev) in (0u64..).zip(events) {
+            if has_pi {
+                logs.pi.push(ev.committer);
+            }
+            match ev.committer {
+                Committer::Proc(p) => {
+                    let p = p as usize;
+                    let chunk_index = ev.chunk_index;
+                    if let Some(size) = ev.cs_size {
+                        logs.cs[p].push(CsEntry { chunk_index, size });
+                    }
+                    if let Some((vector, payload)) = ev.interrupt {
+                        logs.interrupts[p].push(InterruptEntry {
+                            chunk_index,
+                            vector,
+                            payload,
+                        });
+                    }
+                    if !ev.io_values.is_empty() {
+                        logs.io[p].push(IoEntry {
+                            chunk_index,
+                            values: ev.io_values.clone(),
+                        });
+                    }
+                }
+                Committer::Dma => {
+                    logs.dma.push_transfer(ev.dma_data.clone());
+                    if !has_pi {
+                        // The arbiter records the DMA's commit slot: the
+                        // number of commits granted before it.
+                        logs.dma.push_slot(slot);
+                    }
+                }
+            }
+        }
+        logs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     // Test code may panic freely.
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::mode::Mode;
-    use crate::stream::{MemorySink, StreamRecorder};
-    use delorean_chunk::{CommitRecord, Committer, ExecutionHooks, TruncationReason};
+    use crate::stream::{test_meta, CommitBridge};
+    use delorean_chunk::{CommitRecord, TruncationReason};
 
     /// The logs a recorder in `mode` keeps for `commits`.
     fn logs_of(mode: Mode, n_procs: u32, commits: &[CommitRecord]) -> LogSet {
-        let mut sink = MemorySink::with_shape(mode, n_procs, 1000);
-        let mut r = StreamRecorder::new(mode, n_procs, &mut sink);
-        for c in commits {
-            r.on_commit(c);
-        }
-        sink.into_logs()
+        let mut bridge = CommitBridge::new(mode, n_procs);
+        let events: Vec<LogEvent> = commits.iter().map(|c| bridge.convert(c)).collect();
+        LogSet::of(&test_meta(mode, n_procs), &events)
     }
 
     fn commit(p: u32, index: u64, size: u32, reason: TruncationReason) -> CommitRecord {

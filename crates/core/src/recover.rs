@@ -21,17 +21,17 @@
 //!   ranges recovered, commit ranges lost, and the byte ranges
 //!   quarantined — deterministic and serializable, so identical inputs
 //!   produce byte-identical reports.
-//! * [`RecoveringSource`] replays a recovered region as a
-//!   [`LogSource`]: the salvaged prefix directly, or any later region
-//!   resumed from an [`IntervalCheckpoint`] at the commit just before
-//!   the region (checkpoint-resumable replay — the caller learns the
-//!   exact commit-index gap instead of aborting).
+//! * [`RecoveringSource`] replays events held in memory as a
+//!   [`LogSource`]: a whole [`Recording`](crate::Recording), the
+//!   salvaged prefix directly, or any later region resumed from an
+//!   [`IntervalCheckpoint`] at the commit just before the region
+//!   (checkpoint-resumable replay — the caller learns the exact
+//!   commit-index gap instead of aborting).
 //! * [`RetryWriter`] adds bounded retry-with-backoff over transient
 //!   sink write errors, with a caller-supplied [`BackoffClock`] so
 //!   tests stay deterministic.
 
 use crate::checkpoint::{CheckpointIndex, IntervalCheckpoint};
-use crate::mode::Mode;
 use crate::serialize::DecodeError;
 use crate::stream::{
     decode_events, decode_trailer, LogEvent, LogSource, ReplayQueues, SegmentDecoder, StreamMeta,
@@ -573,15 +573,19 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
 // RecoveringSource
 // ---------------------------------------------------------------------------
 
-/// A [`LogSource`] over one salvaged region of a damaged stream.
+/// A [`LogSource`] over events held in memory: a whole
+/// [`Recording`](crate::Recording) (see
+/// [`Recording::source`](crate::Recording::source)) or one salvaged
+/// region of a damaged stream.
 ///
-/// The source ends *cleanly* at the region's last commit (its
+/// The source ends *cleanly* at its last event (its
 /// [`LogSource::error`] stays `None`), so a stepping replayer can
 /// distinguish "recovered range exhausted" from "stream died" — the
 /// invariant the crashtest harness verifies salvage against ground
-/// truth with. The trailer is attached only when the salvage provably
-/// covers the recording to its end (the digest describes the *final*
-/// state, which a partial replay must not be checked against).
+/// truth with. A salvaged region carries the trailer only when the
+/// salvage provably covers the recording to its end (the digest
+/// describes the *final* state, which a partial replay must not be
+/// checked against).
 #[derive(Debug)]
 pub struct RecoveringSource {
     meta: StreamMeta,
@@ -592,18 +596,24 @@ pub struct RecoveringSource {
 }
 
 impl RecoveringSource {
-    fn over(meta: StreamMeta, region: &RecoveredRegion, trailer: Option<StreamTrailer>) -> Self {
-        let mut queues = ReplayQueues::new(meta.mode, region.start_counters.clone());
+    /// A source replaying `events` from the start state `meta`
+    /// describes, ending with `trailer` when it is known.
+    pub(crate) fn over(
+        meta: StreamMeta,
+        events: &[LogEvent],
+        trailer: Option<StreamTrailer>,
+    ) -> Self {
+        let mut queues = ReplayQueues::new(&meta);
         // Slots are relative to the replay's start, as in an interval
         // recording.
-        for (slot, ev) in (0u64..).zip(&region.events) {
-            queues.push(ev.clone(), slot);
+        for (slot, ev) in (0u64..).zip(events) {
+            queues.push(ev, slot);
         }
         Self {
             meta,
             queues,
             trailer,
-            commits: region.events.len() as u64,
+            commits: events.len() as u64,
             phase: None,
         }
     }
@@ -617,7 +627,7 @@ impl RecoveringSource {
             return None;
         }
         let trailer = (s.covers_all()).then(|| s.trailer.clone()).flatten();
-        Some(Self::over(s.meta.clone(), region, trailer))
+        Some(Self::over(s.meta.clone(), &region.events, trailer))
     }
 
     /// A source over recovered region `region`, resumed from a
@@ -653,7 +663,7 @@ impl RecoveringSource {
         let trailer = (is_last && reaches_end)
             .then(|| s.trailer.clone())
             .flatten();
-        Ok(Self::over(meta, r, trailer))
+        Ok(Self::over(meta, &r.events, trailer))
     }
 
     /// Resumes recovered region `region` from the nearest surviving
@@ -719,16 +729,8 @@ impl RecoveringSource {
 }
 
 impl LogSource for RecoveringSource {
-    fn mode(&self) -> Mode {
-        self.meta.mode
-    }
-
-    fn n_procs(&self) -> u32 {
-        self.meta.n_procs
-    }
-
-    fn meta(&self) -> Option<&StreamMeta> {
-        Some(&self.meta)
+    fn meta(&self) -> &StreamMeta {
+        &self.meta
     }
 
     fn pi_peek(&mut self) -> Option<Committer> {
@@ -778,9 +780,9 @@ impl LogSource for RecoveringSource {
 // Bounded retry-with-backoff for transient sink errors
 // ---------------------------------------------------------------------------
 
-/// Pluggable pause between write retries. Production code can sleep;
-/// tests inject a recording clock so retry behaviour stays
-/// deterministic.
+/// Pluggable pause between write retries. A writer over real storage
+/// supplies one that sleeps; tests inject a recording clock so retry
+/// behaviour stays deterministic.
 pub trait BackoffClock {
     /// Called before retry number `attempt` (1-based).
     fn pause(&mut self, attempt: u32);
@@ -797,21 +799,6 @@ pub struct CountingClock {
 impl BackoffClock for CountingClock {
     fn pause(&mut self, attempt: u32) {
         self.pauses.push(attempt);
-    }
-}
-
-/// A [`BackoffClock`] that sleeps with bounded exponential backoff
-/// (`base_ms << attempt`, capped at one second).
-#[derive(Debug, Clone, Copy)]
-pub struct SleepingClock {
-    /// Delay before the first retry, milliseconds.
-    pub base_ms: u64,
-}
-
-impl BackoffClock for SleepingClock {
-    fn pause(&mut self, attempt: u32) {
-        let ms = (self.base_ms << attempt.min(10)).min(1_000);
-        std::thread::sleep(std::time::Duration::from_millis(ms));
     }
 }
 
@@ -894,12 +881,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::stream::{CommitBridge, FileSink, LogSink, StreamTrailer};
-    use delorean_chunk::{
-        ArbiterConfig, CommitRecord, DeviceConfig, ParallelStats, RunStats, StateDigest,
-        TruncationReason,
-    };
-    use delorean_isa::workload;
+    use crate::mode::Mode;
+    use crate::stream::{test_meta, CommitBridge, FileSink, LogSink, StreamTrailer};
+    use delorean_chunk::{CommitRecord, ParallelStats, RunStats, StateDigest, TruncationReason};
 
     fn proc_record(p: u32, index: u64) -> CommitRecord {
         CommitRecord {
@@ -914,21 +898,6 @@ mod tests {
             dma_data: Vec::new(),
             access_lines: vec![3, 7],
             write_lines: vec![7],
-        }
-    }
-
-    fn test_meta(n_procs: u32) -> StreamMeta {
-        StreamMeta {
-            mode: Mode::OrderOnly,
-            n_procs,
-            chunk_size: 1000,
-            budget: 4_000,
-            workload: *workload::by_name("lu").unwrap(),
-            app_seed: 5,
-            devices: DeviceConfig::none(),
-            initial_mem_hash: 0,
-            interval: None,
-            arbiter: ArbiterConfig::Global,
         }
     }
 
@@ -962,7 +931,7 @@ mod tests {
     /// event segments plus a trailer.
     fn small_stream() -> Vec<u8> {
         let mut sink = FileSink::with_flush_every(Vec::new(), 2);
-        sink.begin(&test_meta(2));
+        sink.begin(&test_meta(Mode::OrderOnly, 2));
         let mut bridge = CommitBridge::new(Mode::OrderOnly, 2);
         for i in 0..6u64 {
             let p = (i % 2) as u32;

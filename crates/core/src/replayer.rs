@@ -2,9 +2,8 @@
 //! recorded log stream.
 
 use crate::mode::Mode;
-use crate::recorder::LogSet;
 use crate::stratify::StratifiedPiLog;
-use crate::stream::{LogSource, MemorySource};
+use crate::stream::LogSource;
 use delorean_chunk::{policy, ArbiterContext, CommitRecord, Committer, ExecutionHooks};
 use delorean_isa::{Addr, Word};
 
@@ -43,10 +42,10 @@ impl StratCursor {
 /// Replay-side hooks: enforce the recorded commit order and feed the
 /// input logs back into the execution.
 ///
-/// The replayer is generic over its [`LogSource`]: [`MemorySource`]
-/// replays a borrowed in-memory [`LogSet`],
-/// [`FileSource`](crate::FileSource) decodes a `.dlrn` stream on
-/// demand, so replay never needs the whole log resident.
+/// The replayer is generic over its [`LogSource`]:
+/// [`RecoveringSource`](crate::RecoveringSource) replays events already
+/// in memory, [`FileSource`](crate::FileSource) decodes a `.dlrn`
+/// stream on demand, so replay never needs the whole log resident.
 ///
 /// For Order&Size and OrderOnly the arbiter follows the PI log
 /// entry-by-entry; with [`Replayer::stratified`] it instead enforces
@@ -65,34 +64,8 @@ pub(crate) struct Replayer<S: LogSource> {
     divergence: Option<String>,
 }
 
-impl<'r> Replayer<MemorySource<'r>> {
-    /// A replayer following the recording's exact commit order, over
-    /// in-memory logs.
-    pub(crate) fn new(mode: Mode, n_procs: u32, logs: &'r LogSet) -> Self {
-        Self::from_source(MemorySource::from_logs(mode, n_procs, logs))
-    }
-
-    /// A replayer driven by a *stratified* PI log (Section 4.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode` is PicoLog, which has no PI log to stratify.
-    pub(crate) fn stratified(
-        mode: Mode,
-        n_procs: u32,
-        logs: &'r LogSet,
-        log: &StratifiedPiLog,
-    ) -> Self {
-        assert!(mode.has_pi_log(), "PicoLog has no PI log to stratify");
-        let mut r = Self::new(mode, n_procs, logs);
-        r.strata = Some(StratCursor::new(log));
-        r
-    }
-}
-
 impl<S: LogSource> Replayer<S> {
-    /// A replayer over any log source (e.g. a streaming
-    /// [`FileSource`](crate::FileSource)).
+    /// A replayer following the source's exact commit order.
     pub(crate) fn from_source(source: S) -> Self {
         Self {
             mode: source.mode(),
@@ -105,6 +78,13 @@ impl<S: LogSource> Replayer<S> {
             divergence: None,
             source,
         }
+    }
+
+    /// Follows the *stratified* PI log `log` (Section 4.3) instead of
+    /// the source's plain one. PicoLog, which has no PI log, ignores it.
+    pub(crate) fn stratified(mut self, log: &StratifiedPiLog) -> Self {
+        self.strata = Some(StratCursor::new(log));
+        self
     }
 
     /// Consumes the replayer, returning the source and the divergence.
@@ -232,14 +212,16 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::stream::{MemorySink, StreamRecorder};
+    use crate::recover::RecoveringSource;
+    use crate::stream::{test_meta, CommitBridge};
     use delorean_chunk::TruncationReason;
 
-    fn logs_with_pi(entries: &[Committer]) -> LogSet {
-        let mut sink = MemorySink::with_shape(Mode::OrderOnly, 2, 1000);
-        let mut r = StreamRecorder::new(Mode::OrderOnly, 2, &mut sink);
+    /// An OrderOnly replayer over a 2-processor log of `entries`.
+    fn replayer_with_pi(entries: &[Committer]) -> Replayer<RecoveringSource> {
+        let mut bridge = CommitBridge::new(Mode::OrderOnly, 2);
+        let mut events = Vec::new();
         for (i, &c) in entries.iter().enumerate() {
-            r.on_commit(&CommitRecord {
+            events.push(bridge.convert(&CommitRecord {
                 shard: None,
                 committer: c,
                 chunk_index: i as u64 / 2 + 1,
@@ -255,16 +237,16 @@ mod tests {
                 },
                 access_lines: Vec::new(),
                 write_lines: Vec::new(),
-            });
+            }));
         }
-        sink.into_logs()
+        let meta = test_meta(Mode::OrderOnly, 2);
+        Replayer::from_source(RecoveringSource::over(meta, &events, None))
     }
 
     #[test]
     fn pi_order_is_enforced() {
         use delorean_chunk::PendingView;
-        let logs = logs_with_pi(&[Committer::Proc(1), Committer::Proc(0)]);
-        let mut rp = Replayer::new(Mode::OrderOnly, 2, &logs);
+        let mut rp = replayer_with_pi(&[Committer::Proc(1), Committer::Proc(0)]);
         // Proc 0 is pending but the PI log wants proc 1 first.
         let pending = [PendingView {
             committer: Committer::Proc(0),
@@ -301,8 +283,7 @@ mod tests {
 
     #[test]
     fn commit_mismatch_is_flagged() {
-        let logs = logs_with_pi(&[Committer::Proc(1)]);
-        let mut rp = Replayer::new(Mode::OrderOnly, 2, &logs);
+        let mut rp = replayer_with_pi(&[Committer::Proc(1)]);
         rp.on_commit(&CommitRecord {
             shard: None,
             committer: Committer::Proc(0),
@@ -321,16 +302,14 @@ mod tests {
 
     #[test]
     fn io_log_misses_are_divergences() {
-        let logs = logs_with_pi(&[]);
-        let mut rp = Replayer::new(Mode::OrderOnly, 2, &logs);
+        let mut rp = replayer_with_pi(&[]);
         assert_eq!(rp.io_load(0, 1, 0, 3, 77), 0);
         assert!(rp.divergence.is_some());
     }
 
     #[test]
     fn dma_entries_grant_immediately() {
-        let logs = logs_with_pi(&[Committer::Dma]);
-        let mut rp = Replayer::new(Mode::OrderOnly, 2, &logs);
+        let mut rp = replayer_with_pi(&[Committer::Dma]);
         let finished = [false, false];
         let ctx = ArbiterContext {
             pending: &[],

@@ -4,11 +4,13 @@
 //! The `.dlrn` format (version 2) is the segmented stream defined in
 //! [`crate::stream`]: a checksummed metadata header followed by
 //! LZ77-compressed commit-event segments and a trailer carrying the
-//! determinism digest. This module is the whole-buffer façade over that
-//! stream: [`to_bytes`] replays an in-memory [`Recording`] through a
-//! [`crate::FileSink`], and [`from_bytes`] decodes a complete buffer
-//! back into a [`Recording`]. The bytes are identical to what a live
-//! streaming recording of the same execution writes.
+//! determinism digest. A [`Recording`] holds that stream decoded, so
+//! the two functions here only move it between memory and bytes:
+//! [`to_bytes`] writes the recording's metadata, events and trailer
+//! through a [`crate::FileSink`], and [`from_bytes`] collects a
+//! complete buffer's decoded events back into a [`Recording`]. The
+//! bytes are identical to what a live streaming recording of the same
+//! execution writes, under any arbiter topology.
 //!
 //! # Examples
 //!
@@ -93,7 +95,8 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Serializes a recording to the versioned binary format.
+/// Serializes a recording to the versioned binary format: the bytes a
+/// [`crate::FileSink`] streamed while it was recorded.
 // Infallible: the sink writes into a `Vec<u8>`, whose `Write` impl
 // never returns an error, so the sink never latches one.
 #[allow(clippy::expect_used)]
@@ -135,12 +138,9 @@ mod tests {
             let (machine, rec) = sample(mode);
             let bytes = to_bytes(&rec);
             let back = from_bytes(&bytes).expect("round trip");
-            assert_eq!(back.mode, rec.mode);
-            assert_eq!(back.logs.pi, rec.logs.pi);
-            assert_eq!(back.logs.cs, rec.logs.cs);
-            assert_eq!(back.logs.interrupts, rec.logs.interrupts);
-            assert_eq!(back.logs.io, rec.logs.io);
-            assert_eq!(back.logs.dma, rec.logs.dma);
+            assert_eq!(back.meta.mode, rec.meta.mode);
+            assert_eq!(back.events, rec.events);
+            assert_eq!(back.logs(), rec.logs());
             assert_eq!(back.stats.digest, rec.stats.digest);
             // And the deserialized recording replays deterministically.
             let report = machine.replay(&back).expect("shape");

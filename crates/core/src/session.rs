@@ -37,9 +37,7 @@ use crate::error::ReplayError;
 use crate::inspect::ReplayInspector;
 use crate::machine::{Machine, Recording, ReplayReport};
 use crate::replayer::Replayer;
-use crate::stream::{
-    LogSink, LogSource, MemorySink, MemorySource, StreamMeta, StreamRecorder, StreamTrailer,
-};
+use crate::stream::{LogSink, LogSource, MemorySink, StreamMeta, StreamRecorder, StreamTrailer};
 use delorean_chunk::{
     run, run_from, ArbiterContext, CommitRecord, Committer, CoreId, EngineConfig, EngineError,
     ExecutionHooks, RunStats, StartState, StateDigest, SubstrateEvent,
@@ -310,24 +308,17 @@ impl<'m, 's> Session<'m, 's> {
     ///
     /// # Errors
     ///
-    /// Returns [`ReplayError`] when the source carries no metadata, the
-    /// machine shape or mode does not match, or the stream turns out to
-    /// be corrupt or truncated mid-replay.
+    /// Returns [`ReplayError`] when the machine shape or mode does not
+    /// match, or the stream turns out to be corrupt or truncated
+    /// mid-replay.
     pub fn replay_from<S: LogSource>(
         self,
         source: S,
         timing_seed: u64,
     ) -> Result<ReplayReport, ReplayError> {
-        let m = self.machine;
-        let meta = checked_meta(m, &source)?;
-        let cfg = m.replay_config_for(&meta.workload, meta.chunk_size, meta.devices, timing_seed);
-        // The stream decoder bounds n_procs and budget before `meta`
-        // exists, and this machine's shape was checked against it.
-        #[allow(clippy::expect_used)]
-        let spec = RunSpec::new(meta.workload, m.procs(), meta.app_seed, meta.budget)
-            .expect("stream decoder validated the shape");
+        let meta = checked_meta(self.machine, &source)?;
         let replayer = Replayer::from_source(source);
-        let (mut source, stats, divergence) = self.run_replay(&meta, &cfg, &spec, replayer)?;
+        let (mut source, stats, divergence) = self.run_replay(&meta, timing_seed, replayer)?;
         if let Some(e) = source.error() {
             return Err(ReplayError::Source {
                 detail: e.to_string(),
@@ -419,40 +410,40 @@ impl<'m, 's> Session<'m, 's> {
         max_per_stratum: u32,
         timing_seed: u64,
     ) -> Result<ReplayReport, ReplayError> {
-        let m = self.machine;
-        let meta = checked_meta(m, &MemorySource::of_recording(recording))?;
-        if !recording.mode.has_pi_log() || max_per_stratum == 0 {
+        let source = recording.source();
+        let meta = checked_meta(self.machine, &source)?;
+        if !meta.mode.has_pi_log() || max_per_stratum == 0 {
             return Err(ReplayError::Unstratifiable {
-                mode: recording.mode,
+                mode: meta.mode,
                 max_per_stratum,
             });
         }
-        let strat = recording.stratified_pi(max_per_stratum);
-        let cfg = m.replay_config_for(
-            &recording.workload,
-            recording.chunk_size,
-            recording.devices,
-            timing_seed,
-        );
-        let spec = recording.run_spec();
-        let replayer = Replayer::stratified(m.mode(), m.procs(), &recording.logs, &strat);
-        let (_, stats, divergence) = self.run_replay(&meta, &cfg, &spec, replayer)?;
+        let replayer =
+            Replayer::from_source(source).stratified(&recording.stratified_pi(max_per_stratum));
+        let (_, stats, divergence) = self.run_replay(&meta, timing_seed, replayer)?;
         Ok(verified_report(&recording.stats.digest, stats, divergence))
     }
 
     /// The one replay run loop: drive `replayer` through the pipeline
-    /// and hand back its source, the run's statistics and any
-    /// divergence it latched. A run the engine cannot finish fails as
-    /// [`ReplayError::Source`], naming the source's own error first,
-    /// else the latched divergence, else the engine's.
+    /// on the machine `meta` describes, with replay-side timing seed
+    /// `timing_seed`, and hand back its source, the run's statistics
+    /// and any divergence it latched. A run the engine cannot finish
+    /// fails as [`ReplayError::Source`], naming the source's own error
+    /// first, else the latched divergence, else the engine's.
     fn run_replay<S: LogSource>(
         self,
         meta: &StreamMeta,
-        cfg: &EngineConfig,
-        spec: &RunSpec,
+        timing_seed: u64,
         replayer: Replayer<S>,
     ) -> Result<(S, RunStats, Option<String>), ReplayError> {
-        let (replayer, outcome) = self.drive(meta, cfg, spec, replayer, |_| (0, 0));
+        let m = self.machine;
+        let cfg = m.replay_config_for(&meta.workload, meta.chunk_size, meta.devices, timing_seed);
+        // The stream decoder bounds n_procs and budget before `meta`
+        // exists, and this machine's shape was checked against it.
+        #[allow(clippy::expect_used)]
+        let spec = RunSpec::new(meta.workload, m.procs(), meta.app_seed, meta.budget)
+            .expect("stream decoder validated the shape");
+        let (replayer, outcome) = self.drive(meta, &cfg, &spec, replayer, |_| (0, 0));
         let (source, divergence) = replayer.into_parts();
         match outcome {
             Ok(stats) => Ok((source, stats, divergence)),
@@ -502,11 +493,7 @@ pub(crate) fn checked_meta<S: LogSource>(
     m: &Machine,
     source: &S,
 ) -> Result<StreamMeta, ReplayError> {
-    let Some(meta) = source.meta().cloned() else {
-        return Err(ReplayError::Source {
-            detail: "log source carries no recording metadata".to_string(),
-        });
-    };
+    let meta = source.meta();
     if meta.n_procs != m.procs() {
         return Err(ReplayError::MachineMismatch {
             recorded: meta.n_procs,
@@ -519,7 +506,7 @@ pub(crate) fn checked_meta<S: LogSource>(
             replaying: m.mode(),
         });
     }
-    Ok(meta)
+    Ok(meta.clone())
 }
 
 /// The one digest-verification body every replay path funnels through:
@@ -691,7 +678,7 @@ mod tests {
         let report = m
             .session()
             .with_stage(&mut tally)
-            .replay_from(MemorySource::of_recording(&recording), 99)
+            .replay_from(recording.source(), 99)
             .unwrap();
         assert!(report.deterministic);
         assert_eq!(tally.begins, 1);

@@ -1,19 +1,24 @@
 //! Streaming record/replay: log sinks and log sources.
 //!
-//! The original pipeline built a whole [`Recording`] in memory and
-//! serialized it afterwards, so recording a long run buffered O(run)
-//! log state. This module turns both directions into streams:
+//! A recording is one ordered stream: a [`StreamMeta`] header, one
+//! [`LogEvent`] per commit in global commit order, and a
+//! [`StreamTrailer`]. Each event is the record DeLorean's arbiter and
+//! processors emit for one chunk commit: its PI entry, plus the CS and
+//! input-log entries keyed by its chunk index. Both directions carry
+//! that stream and nothing else:
 //!
 //! * Recording-side, the chunk engine's commit events flow through a
-//!   [`LogSink`]. [`MemorySink`] accumulates them into the classic
-//!   [`LogSet`]/[`Recording`]; [`FileSink`] frames them into the
-//!   versioned `.dlrn` format *incrementally*, compressing and flushing
-//!   a segment every N commits so peak buffering is O(segment), not
-//!   O(run).
+//!   [`LogSink`]. [`MemorySink`] collects them unchanged into a
+//!   [`Recording`]; [`FileSink`] frames them into the versioned `.dlrn`
+//!   format *incrementally*, compressing and flushing a segment every N
+//!   commits so peak buffering is O(segment), not O(run).
 //! * Replay-side, the replayer and the software inspector consume a
-//!   [`LogSource`]. [`MemorySource`] walks a borrowed [`LogSet`];
-//!   [`FileSource`] decodes `.dlrn` segments on demand from any
-//!   [`std::io::Read`], so replaying never loads the whole file.
+//!   [`LogSource`]. [`FileSource`] decodes `.dlrn` segments on demand
+//!   from any [`std::io::Read`], so replaying never loads the whole
+//!   file; [`RecoveringSource`](crate::RecoveringSource) answers from
+//!   events already in memory, a [`Recording`]'s or a salvaged
+//!   region's. Both answer from one queue of the log entries a replay
+//!   has not consumed yet.
 //!
 //! The wire format (version 2) is:
 //!
@@ -32,10 +37,8 @@
 //! determinism digest and run statistics. Every byte after the 14-byte
 //! frame header is covered by a checksum.
 
-use crate::log::{CsEntry, CsLog, DmaLog, InterruptEntry, InterruptLog, IoEntry, IoLog, PiLog};
 use crate::machine::Recording;
 use crate::mode::Mode;
-use crate::recorder::LogSet;
 use crate::serialize::DecodeError;
 use crate::wire::{
     frame, frame_checksum, mode_from, mode_tag, segment_checksum, Reader, Writer, FILE_HEAD, MAGIC,
@@ -178,27 +181,36 @@ pub struct StreamMeta {
 }
 
 impl StreamMeta {
-    /// The metadata describing an existing recording.
-    pub fn of_recording(rec: &Recording) -> Self {
-        Self {
-            mode: rec.mode,
-            n_procs: rec.n_procs,
-            chunk_size: rec.chunk_size,
-            budget: rec.budget,
-            workload: rec.workload,
-            app_seed: rec.app_seed,
-            devices: rec.devices,
-            initial_mem_hash: rec.initial_mem_hash,
-            interval: rec.interval.clone(),
-            arbiter: rec.arbiter,
-        }
-    }
-
+    /// Per-processor chunks committed before the stream's first event,
+    /// one counter per processor. A start state of another shape is
+    /// rejected before the first commit ([`StartState::fits`]); sizing
+    /// the counters by `n_procs` keeps everything built before that
+    /// check in bounds.
     pub(crate) fn start_chunks(&self) -> Vec<u64> {
-        match &self.interval {
-            Some(s) => s.chunks_done.clone(),
-            None => vec![0; self.n_procs as usize],
-        }
+        let mut chunks = self
+            .interval
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.chunks_done.clone());
+        chunks.resize(self.n_procs as usize, 0);
+        chunks
+    }
+}
+
+/// Metadata of a 1000-instruction-chunk `lu` stream, for unit tests.
+#[cfg(test)]
+#[allow(clippy::expect_used)]
+pub(crate) fn test_meta(mode: Mode, n_procs: u32) -> StreamMeta {
+    StreamMeta {
+        mode,
+        n_procs,
+        chunk_size: 1000,
+        budget: 4_000,
+        workload: *workload::by_name("lu").expect("catalog workload"),
+        app_seed: 5,
+        devices: DeviceConfig::none(),
+        initial_mem_hash: 0,
+        interval: None,
+        arbiter: ArbiterConfig::Global,
     }
 }
 
@@ -328,8 +340,8 @@ impl CommitBridge {
 }
 
 /// Recording-side [`ExecutionHooks`] that forward every commit straight
-/// into a [`LogSink`]: a [`MemorySink`] accumulates the classic
-/// [`LogSet`], a [`FileSink`] streams `.dlrn` bytes.
+/// into a [`LogSink`]: a [`MemorySink`] collects the events, a
+/// [`FileSink`] streams `.dlrn` bytes.
 ///
 /// * Order&Size / OrderOnly grant commits in arrival order and log
 ///   processor IDs in the PI log; Order&Size additionally logs every
@@ -380,149 +392,41 @@ impl<S: LogSink> ExecutionHooks for StreamRecorder<'_, S> {
 // MemorySink
 // ---------------------------------------------------------------------------
 
-/// A [`LogSink`] that accumulates the stream into the classic in-memory
-/// [`LogSet`] (and, when metadata and trailer were seen, a full
-/// [`Recording`]).
-#[derive(Debug)]
+/// A [`LogSink`] that collects the stream into a [`Recording`]: the
+/// metadata, every event unchanged, then the trailer.
+#[derive(Debug, Default)]
 pub struct MemorySink {
     meta: Option<StreamMeta>,
-    mode: Mode,
-    n_procs: u32,
-    logs: LogSet,
-    commits: u64,
+    events: Vec<LogEvent>,
     trailer: Option<StreamTrailer>,
 }
 
-fn shaped_logs(mode: Mode, n_procs: u32, chunk_size: u32) -> LogSet {
-    LogSet {
-        pi: PiLog::new(n_procs),
-        pi_footprints: Vec::new(),
-        pi_write_footprints: Vec::new(),
-        cs: (0..n_procs)
-            .map(|_| match mode {
-                Mode::OrderSize => CsLog::full(chunk_size),
-                Mode::OrderOnly => CsLog::order_only(),
-                Mode::PicoLog => CsLog::picolog(),
-            })
-            .collect(),
-        interrupts: (0..n_procs).map(|_| InterruptLog::new()).collect(),
-        io: (0..n_procs).map(|_| IoLog::new()).collect(),
-        dma: DmaLog::new(),
-    }
-}
-
 impl MemorySink {
-    /// An unshaped sink; [`LogSink::begin`] shapes it from the metadata.
+    /// An empty sink.
     pub fn new() -> Self {
-        Self::with_shape(Mode::OrderOnly, 1, 1)
+        Self::default()
     }
 
-    /// A sink pre-shaped for standalone use without a `begin` call.
-    pub fn with_shape(mode: Mode, n_procs: u32, chunk_size: u32) -> Self {
-        Self {
-            meta: None,
-            mode,
-            n_procs,
-            logs: shaped_logs(mode, n_procs, chunk_size),
-            commits: 0,
-            trailer: None,
-        }
-    }
-
-    /// Commits seen so far.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Hands over the accumulated logs.
-    pub fn into_logs(self) -> LogSet {
-        self.logs
-    }
-
-    /// Assembles a full [`Recording`]; `None` unless both metadata and
+    /// The collected [`Recording`]; `None` unless both metadata and
     /// trailer were received.
     pub fn into_recording(self) -> Option<Recording> {
-        let meta = self.meta?;
-        let trailer = self.trailer?;
         Some(Recording {
-            mode: meta.mode,
-            n_procs: meta.n_procs,
-            chunk_size: meta.chunk_size,
-            budget: meta.budget,
-            workload: meta.workload,
-            app_seed: meta.app_seed,
-            devices: meta.devices,
-            initial_mem_hash: meta.initial_mem_hash,
-            interval: meta.interval,
-            arbiter: meta.arbiter,
-            logs: self.logs,
-            stats: trailer.stats,
+            meta: self.meta?,
+            events: self.events,
+            stats: self.trailer?.stats,
         })
-    }
-}
-
-impl Default for MemorySink {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 impl LogSink for MemorySink {
     fn begin(&mut self, meta: &StreamMeta) {
-        self.mode = meta.mode;
-        self.n_procs = meta.n_procs;
-        self.logs = shaped_logs(meta.mode, meta.n_procs, meta.chunk_size);
-        self.commits = 0;
-        self.trailer = None;
         self.meta = Some(meta.clone());
+        self.events.clear();
+        self.trailer = None;
     }
 
     fn on_event(&mut self, event: &LogEvent) {
-        match event.committer {
-            Committer::Proc(p) => {
-                if self.mode.has_pi_log() {
-                    self.logs.pi.push(Committer::Proc(p));
-                    self.logs.pi_footprints.push(event.access_lines.clone());
-                    self.logs
-                        .pi_write_footprints
-                        .push(event.write_lines.clone());
-                }
-                if let Some(size) = event.cs_size {
-                    self.logs.cs[p as usize].push(CsEntry {
-                        chunk_index: event.chunk_index,
-                        size,
-                    });
-                }
-                if let Some((vector, payload)) = event.interrupt {
-                    self.logs.interrupts[p as usize].push(InterruptEntry {
-                        chunk_index: event.chunk_index,
-                        vector,
-                        payload,
-                    });
-                }
-                if !event.io_values.is_empty() {
-                    self.logs.io[p as usize].push(IoEntry {
-                        chunk_index: event.chunk_index,
-                        values: event.io_values.clone(),
-                    });
-                }
-            }
-            Committer::Dma => {
-                self.logs.dma.push_transfer(event.dma_data.clone());
-                if self.mode.has_pi_log() {
-                    self.logs.pi.push(Committer::Dma);
-                    self.logs.pi_footprints.push(event.access_lines.clone());
-                    self.logs
-                        .pi_write_footprints
-                        .push(event.write_lines.clone());
-                } else {
-                    // The arbiter records the DMA's commit slot: the
-                    // number of commits granted before it.
-                    self.logs.dma.push_slot(self.commits);
-                }
-            }
-        }
-        self.commits += 1;
+        self.events.push(event.clone());
     }
 
     fn finish(&mut self, trailer: &StreamTrailer) {
@@ -1035,8 +939,7 @@ impl Compressor {
 /// of run length.
 ///
 /// A worker thread compresses and checksums the segments while the
-/// caller goes on producing events; at most [`MAX_IN_FLIGHT`] are with
-/// it at once. The writer never leaves the calling thread: it receives
+/// caller goes on producing events; at most two are with it at once. The writer never leaves the calling thread: it receives
 /// the header frame, then each segment's head and body (two writes) in
 /// stream order, then the trailer, exactly as if the segments were
 /// compressed in place. Everything that reports on the writer
@@ -1314,138 +1217,21 @@ impl<W: io::Write> LogSink for FileSink<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Recording → stream reconstruction
+// Recording → stream
 // ---------------------------------------------------------------------------
 
-/// Replays an existing [`Recording`]'s logs as an event stream into
-/// `sink` — metadata, every commit in the recorded global order, then
-/// the trailer. The streamed bytes are identical to what a live
-/// [`FileSink`] recording of the same execution produces.
+/// Streams an in-memory [`Recording`] into `sink`: its metadata, its
+/// events unchanged, then its trailer. A [`FileSink`] fed this way
+/// writes the bytes a live recording of the same execution streamed,
+/// shard stamps included.
 pub fn copy_recording<S: LogSink>(rec: &Recording, sink: &mut S) {
-    sink.begin(&StreamMeta::of_recording(rec));
-    for_each_event(rec, |ev| sink.on_event(&ev));
+    sink.begin(&rec.meta);
+    for ev in &rec.events {
+        sink.on_event(ev);
+    }
     sink.finish(&StreamTrailer {
         stats: rec.stats.clone(),
     });
-}
-
-/// Walks a recording's logs in global commit order, regenerating the
-/// per-commit events.
-fn for_each_event(rec: &Recording, mut f: impl FnMut(LogEvent)) {
-    let n = rec.n_procs as usize;
-    let mut counters = match &rec.interval {
-        Some(s) => s.chunks_done.clone(),
-        None => vec![0u64; n],
-    };
-    let mut dma_cursor = 0usize;
-    let proc_event = |p: u32, idx: u64, access: Vec<u64>, writes: Vec<u64>| {
-        let pi = p as usize;
-        LogEvent {
-            committer: Committer::Proc(p),
-            chunk_index: idx,
-            cs_size: rec.logs.cs[pi].forced_size(idx),
-            interrupt: rec.logs.interrupts[pi].at_chunk(idx),
-            io_values: rec.logs.io[pi]
-                .entries()
-                .iter()
-                .find(|e| e.chunk_index == idx)
-                .map(|e| e.values.clone())
-                .unwrap_or_default(),
-            dma_data: Vec::new(),
-            access_lines: access,
-            write_lines: writes,
-            // In-memory logs keep no shard stamps; streams rebuilt from
-            // a `Recording` are unstamped.
-            shard: None,
-        }
-    };
-    if rec.mode.has_pi_log() {
-        for (i, committer) in rec.logs.pi.iter().enumerate() {
-            let access = rec.logs.pi_footprints.get(i).cloned().unwrap_or_default();
-            let writes = rec
-                .logs
-                .pi_write_footprints
-                .get(i)
-                .cloned()
-                .unwrap_or_default();
-            match committer {
-                Committer::Proc(p) => {
-                    counters[p as usize] += 1;
-                    f(proc_event(p, counters[p as usize], access, writes));
-                }
-                Committer::Dma => {
-                    let data = rec
-                        .logs
-                        .dma
-                        .transfer(dma_cursor)
-                        .map(<[_]>::to_vec)
-                        .unwrap_or_default();
-                    dma_cursor += 1;
-                    f(LogEvent {
-                        committer: Committer::Dma,
-                        chunk_index: 0,
-                        cs_size: None,
-                        interrupt: None,
-                        io_values: Vec::new(),
-                        dma_data: data,
-                        access_lines: access,
-                        write_lines: writes,
-                        shard: None,
-                    });
-                }
-            }
-        }
-    } else {
-        // PicoLog: regenerate the round-robin order exactly as the
-        // software inspector does, injecting DMA at its recorded slots.
-        let target = &rec.stats.digest.committed_chunks;
-        let n_dma = rec.logs.dma.len();
-        let mut rr = 0u32;
-        let mut gcc = 0u64;
-        loop {
-            if rec.logs.dma.slot(dma_cursor) == Some(gcc) {
-                let data = rec
-                    .logs
-                    .dma
-                    .transfer(dma_cursor)
-                    .map(<[_]>::to_vec)
-                    .unwrap_or_default();
-                dma_cursor += 1;
-                gcc += 1;
-                f(LogEvent {
-                    committer: Committer::Dma,
-                    chunk_index: 0,
-                    cs_size: None,
-                    interrupt: None,
-                    io_values: Vec::new(),
-                    dma_data: data,
-                    access_lines: Vec::new(),
-                    write_lines: Vec::new(),
-                    shard: None,
-                });
-                continue;
-            }
-            let mut picked = None;
-            for k in 0..rec.n_procs {
-                let p = (rr + k) % rec.n_procs;
-                if counters[p as usize] < target[p as usize] {
-                    picked = Some(p);
-                    break;
-                }
-            }
-            let Some(p) = picked else {
-                debug_assert_eq!(
-                    dma_cursor, n_dma,
-                    "DMA slots past the last processor commit"
-                );
-                break;
-            };
-            counters[p as usize] += 1;
-            rr = (p + 1) % rec.n_procs;
-            gcc += 1;
-            f(proc_event(p, counters[p as usize], Vec::new(), Vec::new()));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1456,12 +1242,16 @@ fn for_each_event(rec: &Recording, mut f: impl FnMut(LogEvent)) {
 /// explicit commit notifications so implementations can advance (and
 /// file-backed ones can evict consumed state).
 pub trait LogSource {
+    /// The stream metadata: machine shape, workload and start state.
+    fn meta(&self) -> &StreamMeta;
     /// Execution mode of the stream.
-    fn mode(&self) -> Mode;
+    fn mode(&self) -> Mode {
+        self.meta().mode
+    }
     /// Processors in the recorded machine.
-    fn n_procs(&self) -> u32;
-    /// Stream metadata, when the source carries it.
-    fn meta(&self) -> Option<&StreamMeta>;
+    fn n_procs(&self) -> u32 {
+        self.meta().n_procs
+    }
     /// The next PI-log entry (PI modes), without consuming it.
     fn pi_peek(&mut self) -> Option<Committer>;
     /// The CS-log-forced size of `core`'s logical chunk `index`.
@@ -1503,13 +1293,7 @@ pub trait LogSource {
 /// roll a source forward with the inspector before handing it to the
 /// engine.
 impl<S: LogSource> LogSource for &mut S {
-    fn mode(&self) -> Mode {
-        (**self).mode()
-    }
-    fn n_procs(&self) -> u32 {
-        (**self).n_procs()
-    }
-    fn meta(&self) -> Option<&StreamMeta> {
+    fn meta(&self) -> &StreamMeta {
         (**self).meta()
     }
     fn pi_peek(&mut self) -> Option<Committer> {
@@ -1544,103 +1328,6 @@ impl<S: LogSource> LogSource for &mut S {
     }
 }
 
-/// A [`LogSource`] over a borrowed in-memory [`LogSet`].
-#[derive(Debug)]
-pub struct MemorySource<'r> {
-    mode: Mode,
-    n_procs: u32,
-    logs: &'r LogSet,
-    meta: Option<StreamMeta>,
-    stats: Option<&'r RunStats>,
-    pi_cursor: usize,
-    dma_cursor: usize,
-    dma_slot_cursor: usize,
-}
-
-impl<'r> MemorySource<'r> {
-    /// A source over bare logs (no metadata, no trailer).
-    pub fn from_logs(mode: Mode, n_procs: u32, logs: &'r LogSet) -> Self {
-        Self {
-            mode,
-            n_procs,
-            logs,
-            meta: None,
-            stats: None,
-            pi_cursor: 0,
-            dma_cursor: 0,
-            dma_slot_cursor: 0,
-        }
-    }
-
-    /// A source over a full recording, with metadata and trailer.
-    pub fn of_recording(rec: &'r Recording) -> Self {
-        let mut s = Self::from_logs(rec.mode, rec.n_procs, &rec.logs);
-        s.meta = Some(StreamMeta::of_recording(rec));
-        s.stats = Some(&rec.stats);
-        s
-    }
-}
-
-impl LogSource for MemorySource<'_> {
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn n_procs(&self) -> u32 {
-        self.n_procs
-    }
-
-    fn meta(&self) -> Option<&StreamMeta> {
-        self.meta.as_ref()
-    }
-
-    fn pi_peek(&mut self) -> Option<Committer> {
-        self.logs.pi.get(self.pi_cursor)
-    }
-
-    fn forced_size(&mut self, core: u32, index: u64) -> Option<u32> {
-        self.logs.cs[core as usize].forced_size(index)
-    }
-
-    fn interrupt_at(&mut self, core: u32, index: u64) -> Option<(u16, Word)> {
-        self.logs.interrupts[core as usize].at_chunk(index)
-    }
-
-    fn io_value(&mut self, core: u32, index: u64, seq: u32) -> Option<Word> {
-        self.logs.io[core as usize].value(index, seq)
-    }
-
-    fn dma_slot_matches(&mut self, gcc: u64) -> bool {
-        self.logs.dma.slot(self.dma_slot_cursor) == Some(gcc)
-    }
-
-    fn dma_next(&mut self) -> Option<Vec<(Addr, Word)>> {
-        self.logs.dma.transfer(self.dma_cursor).map(<[_]>::to_vec)
-    }
-
-    fn note_commit(&mut self, committer: Committer) {
-        if self.mode.has_pi_log() {
-            self.pi_cursor += 1;
-        }
-        if committer == Committer::Dma {
-            self.dma_cursor += 1;
-            if self.mode == Mode::PicoLog {
-                self.dma_slot_cursor += 1;
-            }
-        }
-    }
-
-    fn finish(&mut self) -> Result<StreamTrailer, String> {
-        self.stats
-            .map(|s| StreamTrailer { stats: s.clone() })
-            .ok_or_else(|| "in-memory log source carries no trailer".to_string())
-    }
-
-    fn error(&self) -> Option<&str> {
-        None
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Segment decoding and FileSource
 // ---------------------------------------------------------------------------
@@ -1651,9 +1338,10 @@ type IoQueue = VecDeque<(u64, Vec<(u16, Word)>)>;
 
 /// The log entries a replay has been handed but not yet consumed,
 /// queued per core and evicted as commits are noted. [`FileSource`]
-/// fills them segment by segment as it decodes; a salvaged
+/// fills them segment by segment as it decodes; a
 /// [`RecoveringSource`](crate::RecoveringSource) fills them once from
-/// its region. Both answer their [`LogSource`] queries from here.
+/// the events it is built over. Both answer their [`LogSource`]
+/// queries from here.
 #[derive(Debug)]
 pub(crate) struct ReplayQueues {
     mode: Mode,
@@ -1669,25 +1357,25 @@ pub(crate) struct ReplayQueues {
 }
 
 impl ReplayQueues {
-    /// Empty queues for a `mode` replay whose processors have already
-    /// committed `committed` chunks.
-    pub(crate) fn new(mode: Mode, committed: Vec<u64>) -> Self {
-        let n = committed.len();
+    /// Empty queues for a replay of `meta`'s stream from its start.
+    pub(crate) fn new(meta: &StreamMeta) -> Self {
+        let n = meta.n_procs as usize;
         Self {
-            mode,
+            mode: meta.mode,
             pi: VecDeque::new(),
             cs: vec![VecDeque::new(); n],
             irq: vec![VecDeque::new(); n],
             io: vec![VecDeque::new(); n],
             dma: VecDeque::new(),
             dma_slots: VecDeque::new(),
-            committed,
+            committed: meta.start_chunks(),
         }
     }
 
-    /// Queues one decoded event. `slot` is its commit slot relative to
-    /// the window start, recorded for PicoLog DMA commits only.
-    pub(crate) fn push(&mut self, ev: LogEvent, slot: u64) {
+    /// Queues what a replay asks of one event; footprints are not
+    /// copied. `slot` is its commit slot relative to the window start,
+    /// recorded for PicoLog DMA commits only.
+    pub(crate) fn push(&mut self, ev: &LogEvent, slot: u64) {
         if self.mode.has_pi_log() {
             self.pi.push_back(ev.committer);
         }
@@ -1701,14 +1389,14 @@ impl ReplayQueues {
                     self.irq[pi].push_back((ev.chunk_index, vector, payload));
                 }
                 if !ev.io_values.is_empty() {
-                    self.io[pi].push_back((ev.chunk_index, ev.io_values));
+                    self.io[pi].push_back((ev.chunk_index, ev.io_values.clone()));
                 }
             }
             Committer::Dma => {
                 if self.mode == Mode::PicoLog {
                     self.dma_slots.push_back(slot);
                 }
-                self.dma.push_back(ev.dma_data);
+                self.dma.push_back(ev.dma_data.clone());
             }
         }
     }
@@ -2187,25 +1875,24 @@ impl<R: Read> SegmentWalker<R> {
     }
 }
 
-/// Decodes a complete byte buffer into a [`Recording`] via a
-/// [`MemorySink`] — the whole-buffer façade over the streaming decoder.
+/// Decodes a complete byte buffer into a [`Recording`]: the header's
+/// metadata, every event in stream order and the trailer's statistics.
 pub(crate) fn read_recording(bytes: &[u8]) -> Result<Recording, DecodeError> {
     let mut dec = SegmentDecoder::open(bytes)?;
-    let mut sink = MemorySink::new();
-    sink.begin(&dec.meta.clone());
+    let mut events = Vec::new();
+    let mut stats = None;
     loop {
         match dec.next().map_err(|e| e.error)? {
-            Segment::Events(seg) => {
-                for ev in &seg.events {
-                    sink.on_event(ev);
-                }
-            }
-            Segment::Trailer(trailer) => sink.finish(&trailer),
+            Segment::Events(seg) => events.extend(seg.events),
+            Segment::Trailer(trailer) => stats = Some(trailer.stats),
             Segment::End => break,
         }
     }
-    sink.into_recording()
-        .ok_or(DecodeError::Truncated("missing trailer segment"))
+    Ok(Recording {
+        meta: dec.meta,
+        events,
+        stats: stats.ok_or(DecodeError::Truncated("missing trailer segment"))?,
+    })
 }
 
 /// A [`LogSource`] that decodes `.dlrn` segments on demand from any
@@ -2253,11 +1940,10 @@ impl<R: Read> FileSource<R> {
     }
 
     fn from_decoder(dec: SegmentDecoder<R>) -> Result<Self, DecodeError> {
-        let chunks_seen = dec.meta.start_chunks();
         Ok(Self {
-            queues: ReplayQueues::new(dec.meta.mode, chunks_seen.clone()),
+            queues: ReplayQueues::new(&dec.meta),
+            chunks_seen: dec.meta.start_chunks(),
             dec,
-            chunks_seen,
             commits_seen: 0,
             window_start: 0,
             phase: None,
@@ -2322,7 +2008,7 @@ impl<R: Read> FileSource<R> {
         }
         match self.dec.next() {
             Ok(Segment::Events(seg)) => {
-                for ev in seg.events {
+                for ev in &seg.events {
                     if let Committer::Proc(p) = ev.committer {
                         self.chunks_seen[p as usize] = ev.chunk_index;
                     }
@@ -2350,16 +2036,8 @@ impl<R: Read> FileSource<R> {
 }
 
 impl<R: Read> LogSource for FileSource<R> {
-    fn mode(&self) -> Mode {
-        self.dec.meta.mode
-    }
-
-    fn n_procs(&self) -> u32 {
-        self.dec.meta.n_procs
-    }
-
-    fn meta(&self) -> Option<&StreamMeta> {
-        Some(&self.dec.meta)
+    fn meta(&self) -> &StreamMeta {
+        &self.dec.meta
     }
 
     fn pi_peek(&mut self) -> Option<Committer> {
@@ -2464,21 +2142,6 @@ mod tests {
             dma_data: Vec::new(),
             access_lines: vec![3, 7],
             write_lines: vec![7],
-        }
-    }
-
-    fn test_meta(mode: Mode, n_procs: u32) -> StreamMeta {
-        StreamMeta {
-            mode,
-            n_procs,
-            chunk_size: 1000,
-            budget: 4_000,
-            workload: *workload::by_name("lu").unwrap(),
-            app_seed: 5,
-            devices: DeviceConfig::none(),
-            initial_mem_hash: 0,
-            interval: None,
-            arbiter: ArbiterConfig::Global,
         }
     }
 

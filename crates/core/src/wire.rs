@@ -1,5 +1,5 @@
 //! Low-level binary encoding helpers shared by the streaming log
-//! format ([`crate::stream`]), its whole-recording façade
+//! format ([`crate::stream`]), its whole-buffer entry points
 //! ([`crate::serialize`]), salvage ([`crate::recover`]) and the
 //! `.dlrnx` checkpoint index ([`crate::checkpoint`]): the reader and
 //! writer, the FNV-1a hasher, and the frame and segment checksums.

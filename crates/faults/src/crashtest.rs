@@ -205,7 +205,7 @@ fn record_pristine(
 fn pristine_states(gt: &GroundTruth, want: &[u64]) -> Result<BTreeMap<u64, StartState>, String> {
     let mut out = BTreeMap::new();
     let max = want.iter().copied().max().unwrap_or(0);
-    let mut insp = ReplayInspector::new(&gt.recording);
+    let mut insp = ReplayInspector::new(&gt.recording).map_err(|e| e.to_string())?;
     if want.contains(&0) {
         out.insert(0, insp.capture());
     }
@@ -300,9 +300,9 @@ fn verify_regions(gt: &GroundTruth, s: &Salvage) -> Result<String, String> {
             step_exactly(insp, r.range.len())?
         } else {
             let ck = IntervalCheckpoint {
-                workload: gt.recording.workload,
-                app_seed: gt.recording.app_seed,
-                n_procs: gt.recording.n_procs,
+                workload: gt.recording.meta.workload,
+                app_seed: gt.recording.meta.app_seed,
+                n_procs: gt.recording.meta.n_procs,
                 gcc: r.range.first - 1,
                 state: states
                     .get(&(r.range.first - 1))

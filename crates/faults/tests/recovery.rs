@@ -41,7 +41,7 @@ fn step_exactly<S: delorean::LogSource>(mut insp: ReplayInspector<S>, n: u64) ->
 
 /// Ground-truth state at commit `gcc` of the pristine recording.
 fn state_at(recording: &Recording, gcc: u64) -> StartState {
-    let mut insp = ReplayInspector::new(recording);
+    let mut insp = ReplayInspector::new(recording).expect("recording fits its machine");
     while insp.gcc() < gcc {
         insp.step()
             .expect("pristine replay")

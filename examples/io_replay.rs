@@ -29,18 +29,19 @@ fn main() {
     let w = workload::by_name("sweb2005").expect("catalog workload");
     let recording = machine.record(w, 314);
 
+    let logs = recording.logs();
     println!("full-system recording of sweb2005 on 4 processors:");
     println!("  interrupts delivered : {}", recording.stats.interrupts);
     println!("  DMA transfers        : {}", recording.stats.dma_commits);
     println!(
         "  I/O load values      : {}",
-        recording.logs.io.iter().map(|l| l.len()).sum::<usize>()
+        logs.io.iter().map(|l| l.len()).sum::<usize>()
     );
     println!(
         "  uncached truncations : {}",
         recording.stats.uncached_truncations
     );
-    for (p, log) in recording.logs.interrupts.iter().enumerate() {
+    for (p, log) in logs.interrupts.iter().enumerate() {
         if let Some(first) = log.entries().first() {
             println!(
                 "  first interrupt on P{p}: vector {} at chunk {}",

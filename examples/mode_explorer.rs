@@ -42,10 +42,11 @@ fn main() {
         let report = machine.replay(&recording).expect("shape");
         assert!(report.deterministic, "{:?}", report.divergence);
         let sizes = recording.memory_ordering_sizes();
+        let logs = recording.logs();
         println!(
             "{:<12} {:>7} {:>9} {:>9} {:>11.3} {:>9} {:>7.0}%",
             mode.to_string(),
-            recording.logs.pi.len() + recording.logs.cs.iter().map(|l| l.len()).sum::<usize>(),
+            logs.pi.len() + logs.cs.iter().map(|l| l.len()).sum::<usize>(),
             sizes.pi.raw_bits,
             sizes.cs.raw_bits,
             recording.compressed_bits_per_proc_per_kiloinst(),
@@ -62,7 +63,7 @@ fn main() {
         .budget(budget)
         .build();
     let recording = machine.record(w, 99);
-    let plain = recording.logs.pi.measure().raw_bits;
+    let plain = recording.logs().pi.measure().raw_bits;
     println!("\nstratifying the OrderOnly PI log ({} plain bits):", plain);
     for max in [1u32, 3, 7] {
         let strat = recording.stratified_pi(max);

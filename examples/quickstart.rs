@@ -26,6 +26,7 @@ fn main() {
     let recording = machine.record(workload, 2026);
 
     let sizes = recording.memory_ordering_sizes();
+    let logs = recording.logs();
     println!(
         "recorded {} instructions on {} processors",
         recording.total_instructions(),
@@ -33,13 +34,13 @@ fn main() {
     );
     println!(
         "  PI log: {} commits, {} bits ({} compressed)",
-        recording.logs.pi.len(),
+        logs.pi.len(),
         sizes.pi.raw_bits,
         sizes.pi.compressed_bits
     );
     println!(
         "  CS log: {} non-deterministic truncations, {} bits",
-        recording.logs.cs.iter().map(|l| l.len()).sum::<usize>(),
+        logs.cs.iter().map(|l| l.len()).sum::<usize>(),
         sizes.cs.raw_bits
     );
     println!(

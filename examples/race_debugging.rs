@@ -37,7 +37,7 @@ fn main() {
             "  timing seed {timing_seed}: final memory {:#018x}, {} squashes, {} commits",
             recording.digest().mem_hash,
             recording.stats.squashes,
-            recording.logs.pi.len()
+            recording.events.len()
         );
         digests.push((machine, recording));
     }

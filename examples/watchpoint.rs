@@ -37,7 +37,7 @@ fn main() {
     );
     println!("replaying with a watchpoint on it...\n");
 
-    let mut inspector = ReplayInspector::new(&recording);
+    let mut inspector = ReplayInspector::new(&recording).expect("recording fits its machine");
     inspector.watch(suspect);
     let mut writers = Vec::new();
     while let Some(ev) = inspector.step().expect("logs are consistent") {
@@ -58,7 +58,7 @@ fn main() {
         }
     }
     let report_ok = {
-        let mut check = ReplayInspector::new(&recording);
+        let mut check = ReplayInspector::new(&recording).expect("recording fits its machine");
         check.run_to_end().expect("consistent").matches_recording
     };
     println!("\n{} commits wrote the watched word.", writers.len());
@@ -70,7 +70,7 @@ fn main() {
 }
 
 fn final_value(recording: &delorean::Recording, addr: u64) -> u64 {
-    let mut ins = ReplayInspector::new(recording);
+    let mut ins = ReplayInspector::new(recording).expect("recording fits its machine");
     ins.run_to_end().expect("consistent");
     ins.memory(addr)
 }

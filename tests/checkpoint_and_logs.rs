@@ -22,8 +22,9 @@ fn order_only_pi_log_size_matches_formula() {
     // Log size ~ log2(#procs + 1) bits per chunk commit: 4 bits at 8
     // processors (Table 2's formula).
     let (_, r) = record(Mode::OrderOnly, "lu", 20_000);
-    let pi = r.logs.pi.measure();
-    assert_eq!(pi.raw_bits, r.logs.pi.len() as u64 * 4);
+    let logs = r.logs();
+    let pi = logs.pi.measure();
+    assert_eq!(pi.raw_bits, logs.pi.len() as u64 * 4);
     // Roughly one entry per chunk_size instructions per processor:
     // 2 bits/proc/kiloinst raw at 2000-instruction chunks.
     let bits = pi.bits_per_proc_per_kiloinst(r.total_instructions(), 8);
@@ -64,14 +65,15 @@ fn mode_log_size_ordering_matches_table1() {
 #[test]
 fn stratification_shrinks_the_pi_log() {
     let (_, r) = record(Mode::OrderOnly, "ocean", 20_000);
-    let plain = r.logs.pi.measure().raw_bits;
+    let pi = r.logs().pi;
+    let plain = pi.measure().raw_bits;
     let strat1 = r.stratified_pi(1).measure().raw_bits;
     assert!(
         strat1 < plain,
         "stratified(1) = {strat1} bits should be below plain = {plain} bits"
     );
     // Stratified log covers every commit exactly once.
-    assert_eq!(r.stratified_pi(3).total_chunks(), r.logs.pi.len() as u64);
+    assert_eq!(r.stratified_pi(3).total_chunks(), pi.len() as u64);
 }
 
 #[test]
@@ -86,7 +88,7 @@ fn larger_chunks_shrink_the_pi_log() {
                 .budget(18_000)
                 .build();
             let r = m.record(workload::by_name("fft").unwrap(), 5);
-            r.logs
+            r.logs()
                 .pi
                 .measure()
                 .bits_per_proc_per_kiloinst(r.total_instructions(), 8)
@@ -137,9 +139,10 @@ fn input_logs_measure_consistently() {
         .budget(12_000)
         .build();
     let r = m.record(workload::by_name("sjbb2k").unwrap(), 13);
-    let io_bits: u64 = r.logs.io.iter().map(|l| l.measure().raw_bits).sum();
-    let io_vals: usize = r.logs.io.iter().map(|l| l.len()).sum();
+    let logs = r.logs();
+    let io_bits: u64 = logs.io.iter().map(|l| l.measure().raw_bits).sum();
+    let io_vals: usize = logs.io.iter().map(|l| l.len()).sum();
     assert!(io_bits >= io_vals as u64 * 64);
-    let int_bits: u64 = r.logs.interrupts.iter().map(|l| l.measure().raw_bits).sum();
+    let int_bits: u64 = logs.interrupts.iter().map(|l| l.measure().raw_bits).sum();
     assert_eq!(int_bits, r.stats.interrupts * 104);
 }

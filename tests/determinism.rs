@@ -101,7 +101,7 @@ fn overflow_truncations_are_reproduced_via_cs_log() {
         recording.stats.overflow_truncations > 0,
         "test needs overflow truncations to be meaningful"
     );
-    assert!(recording.logs.cs.iter().any(|l| !l.is_empty()));
+    assert!(recording.logs().cs.iter().any(|l| !l.is_empty()));
     let report = m.replay(&recording).unwrap();
     assert!(report.deterministic, "{:?}", report.divergence);
 }
@@ -128,7 +128,7 @@ fn recordings_are_reproducible_themselves() {
     let a = m.record(w, 1);
     let b = m.record(w, 1);
     assert_eq!(a.digest(), b.digest());
-    assert_eq!(a.logs.pi, b.logs.pi);
+    assert_eq!(a.events, b.events);
 }
 
 #[test]

@@ -30,7 +30,7 @@ fn interrupts_are_recorded_and_replayed() {
         recording.stats.interrupts > 0,
         "device config must generate interrupts"
     );
-    let logged: usize = recording.logs.interrupts.iter().map(|l| l.len()).sum();
+    let logged: usize = recording.logs().interrupts.iter().map(|l| l.len()).sum();
     assert_eq!(logged as u64, recording.stats.interrupts);
     let report = m.replay(&recording).unwrap();
     assert!(report.deterministic, "{:?}", report.divergence);
@@ -41,7 +41,7 @@ fn interrupts_are_recorded_and_replayed() {
 fn io_values_are_recorded_and_fed_back() {
     let m = commercial_machine(Mode::OrderOnly);
     let recording = m.record(workload::by_name("sweb2005").unwrap(), 9);
-    let io_values: usize = recording.logs.io.iter().map(|l| l.len()).sum();
+    let io_values: usize = recording.logs().io.iter().map(|l| l.len()).sum();
     assert!(io_values > 0, "commercial workload must perform I/O loads");
     let report = m.replay(&recording).unwrap();
     assert!(report.deterministic, "{:?}", report.divergence);
@@ -55,10 +55,13 @@ fn dma_transfers_are_recorded_and_reinjected() {
         recording.stats.dma_commits > 0,
         "device config must generate DMA"
     );
-    assert_eq!(recording.logs.dma.len() as u64, recording.stats.dma_commits);
+    assert_eq!(
+        recording.logs().dma.len() as u64,
+        recording.stats.dma_commits
+    );
     // DMA entries appear in the PI log as the DMA pseudo-processor.
     let dma_pi = recording
-        .logs
+        .logs()
         .pi
         .iter()
         .filter(|c| *c == delorean_chunk::Committer::Dma)
@@ -74,9 +77,9 @@ fn picolog_records_dma_commit_slots() {
     let m = commercial_machine(Mode::PicoLog);
     let recording = m.record(workload::by_name("sjbb2k").unwrap(), 33);
     assert!(recording.stats.dma_commits > 0);
-    assert!(recording.logs.pi.is_empty(), "PicoLog has no PI log");
+    assert!(recording.logs().pi.is_empty(), "PicoLog has no PI log");
     assert!(
-        recording.logs.dma.slot(0).is_some(),
+        recording.logs().dma.slot(0).is_some(),
         "commit slots recorded instead"
     );
     let report = m.replay(&recording).unwrap();
@@ -101,7 +104,7 @@ fn uncached_accesses_truncate_deterministically_and_are_not_cs_logged() {
     // Uncached truncations never reach the CS log; only the
     // non-deterministic ones (genuine cache overflows can still occur
     // with zero noise) do.
-    let cs_entries: usize = recording.logs.cs.iter().map(|l| l.len()).sum();
+    let cs_entries: usize = recording.logs().cs.iter().map(|l| l.len()).sum();
     assert_eq!(
         cs_entries as u64,
         recording.stats.overflow_truncations + recording.stats.collision_truncations,
@@ -139,10 +142,10 @@ fn order_size_logs_every_chunk_size() {
     let recording = m.record(workload::by_name("fft").unwrap(), 6);
     // Every committed chunk has a CS entry in Order&Size.
     let total_chunks: u64 = recording.digest().committed_chunks.iter().sum();
-    let cs_entries: usize = recording.logs.cs.iter().map(|l| l.len()).sum();
+    let cs_entries: usize = recording.logs().cs.iter().map(|l| l.len()).sum();
     assert_eq!(cs_entries as u64, total_chunks);
     // And variable chunking truly produced sub-maximum chunks.
-    assert!(recording.stats.avg_chunk_size < recording.chunk_size as f64);
+    assert!(recording.stats.avg_chunk_size < recording.meta.chunk_size as f64);
 }
 
 #[test]

@@ -26,7 +26,7 @@ fn interval_recordings_replay_deterministically() {
         let mid = first.stats.total_commits / 2;
         let ck = machine_checkpoint(&machine, &first, mid);
         let interval = machine.record_interval(&ck, 8_000).expect("shape matches");
-        assert!(interval.interval.is_some());
+        assert!(interval.meta.interval.is_some());
         assert!(
             interval.total_instructions() > first.total_instructions(),
             "interval continues past the original budget"
@@ -38,8 +38,10 @@ fn interval_recordings_replay_deterministically() {
 
 /// An interval stream whose start-state memory image does not fit its
 /// machine fails to open with a typed error, whether the image is empty
-/// or half the machine's size; it never reaches a replayer. Recording
-/// from such a checkpoint is an error too, not a panic.
+/// or half the machine's size; it never reaches a replayer. Held in
+/// memory, the same recording is rejected alike by the inspector and
+/// the engine, as is one with a chunk counter too few or too many.
+/// Recording from such a checkpoint is an error too, not a panic.
 #[test]
 fn interval_streams_with_a_misfit_memory_image_do_not_open() {
     let machine = Machine::builder().procs(2).budget(4_000).build();
@@ -47,14 +49,33 @@ fn interval_streams_with_a_misfit_memory_image_do_not_open() {
     let ck = first.checkpoint_at(first.stats.total_commits / 2).unwrap();
     let interval = machine.record_interval(&ck, 2_000).unwrap();
     let words = ck.state.memory.len() as u64;
+    let misfit_in_memory = |forged: &delorean::Recording| {
+        let shape = "start state does not fit a 2-processor machine";
+        let inspected = ReplayInspector::new(forged).unwrap_err();
+        assert_eq!(inspected.detail, shape);
+        assert_eq!(
+            machine.replay(forged).unwrap_err(),
+            ReplayError::Source {
+                detail: shape.to_string()
+            }
+        );
+    };
+    for counters in [1, 3] {
+        let mut forged = interval.clone();
+        let start = forged.meta.interval.as_mut().unwrap();
+        start.chunks_done.resize(counters, 0);
+        misfit_in_memory(&forged);
+    }
     for keep in [0, words / 2] {
         let mut forged = interval.clone();
         forged
+            .meta
             .interval
             .as_mut()
             .unwrap()
             .memory
             .truncate(keep as usize);
+        misfit_in_memory(&forged);
         let bytes = serialize::to_bytes(&forged);
         let misfit = DecodeError::MemoryImage {
             n_procs: 2,
@@ -113,6 +134,7 @@ fn software_replayer_handles_interval_recordings() {
     let ck = first.checkpoint_at(first.stats.total_commits / 2).unwrap();
     let interval = machine.record_interval(&ck, 6_000).unwrap();
     let report = ReplayInspector::new(&interval)
+        .unwrap()
         .run_to_end()
         .expect("consistent logs");
     assert!(report.matches_recording, "{:?}", report.mismatch);
@@ -126,7 +148,7 @@ fn interval_recordings_serialize() {
     let interval = machine.record_interval(&ck, 4_000).unwrap();
     let bytes = serialize::to_bytes(&interval);
     let back = serialize::from_bytes(&bytes).expect("round trip");
-    assert_eq!(back.interval, interval.interval);
+    assert_eq!(back.meta.interval, interval.meta.interval);
     let report = machine.replay(&back).expect("shape");
     assert!(report.deterministic, "{:?}", report.divergence);
 }

@@ -149,7 +149,7 @@ proptest! {
         let mode = [Mode::OrderSize, Mode::OrderOnly, Mode::PicoLog][mode_sel as usize];
         let m = Machine::builder().mode(mode).procs(3).budget(3_000).build();
         let recording = m.record(&spec, seed);
-        let report = ReplayInspector::new(&recording).run_to_end().unwrap();
+        let report = ReplayInspector::new(&recording).unwrap().run_to_end().unwrap();
         prop_assert!(report.matches_recording, "{mode}: {:?}", report.mismatch);
     }
 
@@ -186,7 +186,7 @@ proptest! {
         let spec = WorkloadSpec::test_spec();
         let recording = m.record(&spec, seed);
         let strat = recording.stratified_pi(max);
-        prop_assert_eq!(strat.total_chunks(), recording.logs.pi.len() as u64);
+        prop_assert_eq!(strat.total_chunks(), recording.logs().pi.len() as u64);
         for s in strat.strata() {
             for &c in s {
                 prop_assert!(c <= max);

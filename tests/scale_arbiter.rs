@@ -29,7 +29,7 @@ fn sharded_recording_replays_deterministically() {
     for shards in [1u32, 2, 4] {
         let m = machine(8, ArbiterConfig::Sharded { shards }, 4_000);
         let rec = m.record(w, 7);
-        assert_eq!(rec.arbiter, ArbiterConfig::Sharded { shards });
+        assert_eq!(rec.meta.arbiter, ArbiterConfig::Sharded { shards });
         let report = m.replay(&rec).unwrap();
         assert!(
             report.deterministic,
@@ -61,7 +61,7 @@ fn the_machine_scales_to_256_cores_under_both_backends() {
     for arbiter in [ArbiterConfig::Global, ArbiterConfig::Sharded { shards: 8 }] {
         let m = machine(256, arbiter, 800);
         let rec = m.record(w, 11);
-        assert_eq!(rec.n_procs, 256);
+        assert_eq!(rec.meta.n_procs, 256);
         assert_eq!(rec.stats.digest.retired.len(), 256);
         assert!(
             rec.stats.digest.retired.iter().all(|&r| r == 800),
@@ -83,12 +83,9 @@ fn dlrn_header_carries_the_arbiter_topology() {
     // The streaming source and the whole-buffer decoder both surface
     // the recorded topology.
     let source = FileSource::open(&bytes[..]).unwrap();
-    assert_eq!(
-        source.meta().unwrap().arbiter,
-        ArbiterConfig::Sharded { shards: 2 }
-    );
+    assert_eq!(source.meta().arbiter, ArbiterConfig::Sharded { shards: 2 });
     let rec = serialize::from_bytes(&bytes).unwrap();
-    assert_eq!(rec.arbiter, ArbiterConfig::Sharded { shards: 2 });
+    assert_eq!(rec.meta.arbiter, ArbiterConfig::Sharded { shards: 2 });
 
     // And the stream replays through the standard digest check.
     let report = m
@@ -103,7 +100,7 @@ fn dlrn_header_carries_the_arbiter_topology() {
     mg.record_to(w, 9, &mut sink);
     let global_bytes = sink.into_inner().unwrap();
     let rec = serialize::from_bytes(&global_bytes).unwrap();
-    assert_eq!(rec.arbiter, ArbiterConfig::Global);
+    assert_eq!(rec.meta.arbiter, ArbiterConfig::Global);
 }
 
 #[test]

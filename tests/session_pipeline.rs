@@ -57,13 +57,20 @@ fn current_line(workload: &str, mode: Mode) -> String {
 }
 
 /// The golden-format line for one recording of `workload` on `m`, the
-/// recording's statistics and its streamed `.dlrn` bytes.
+/// recording's statistics and its streamed `.dlrn` bytes, which the
+/// in-memory recording of the same run must serialize to.
 fn recorded_line(m: &Machine, workload: &str, seed: u64) -> (String, RunStats, Vec<u8>) {
     let w = workload::by_name(workload).expect("catalog workload");
     let recording = m.record(w, seed);
     let mut sink = FileSink::new(Vec::new());
     m.record_to(w, seed, &mut sink);
     let bytes = sink.into_inner().expect("writing to a Vec cannot fail");
+    assert_eq!(
+        serialize::to_bytes(&recording),
+        bytes,
+        "{workload} {}: the in-memory recording serializes unlike the streamed log",
+        mode_tag(m.mode())
+    );
     let line = format!(
         "{workload} {} {:016x} {:016x} {}",
         mode_tag(m.mode()),

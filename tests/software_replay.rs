@@ -29,6 +29,7 @@ fn engine_and_software_replayers_agree_on_every_workload() {
         // Path 2: the serial software replayer (shares no code with
         // the engine).
         let software = ReplayInspector::new(&recording)
+            .expect("recording fits its machine")
             .run_to_end()
             .expect("consistent logs");
         assert!(
@@ -49,6 +50,7 @@ fn serialized_recordings_replay_on_both_paths() {
         let engine = machine.replay(&restored).expect("shape");
         assert!(engine.deterministic, "{mode}: {:?}", engine.divergence);
         let software = ReplayInspector::new(&restored)
+            .expect("recording fits its machine")
             .run_to_end()
             .expect("consistent");
         assert!(
@@ -67,12 +69,12 @@ fn inspector_commit_stream_matches_pi_log() {
         .budget(6_000)
         .build();
     let recording = machine.record(workload::by_name("cholesky").unwrap(), 9);
-    let mut inspector = ReplayInspector::new(&recording);
+    let mut inspector = ReplayInspector::new(&recording).expect("recording fits its machine");
     let mut committers = Vec::new();
     while let Some(ev) = inspector.step().expect("consistent") {
         committers.push(ev.committer);
     }
-    let logged: Vec<Committer> = recording.logs.pi.iter().collect();
+    let logged: Vec<Committer> = recording.logs().pi.iter().collect();
     assert_eq!(
         committers, logged,
         "inspector must follow the PI order exactly"
@@ -87,7 +89,7 @@ fn inspector_sizes_sum_to_the_budget() {
         .budget(6_000)
         .build();
     let recording = machine.record(workload::by_name("water-ns").unwrap(), 3);
-    let mut inspector = ReplayInspector::new(&recording);
+    let mut inspector = ReplayInspector::new(&recording).expect("recording fits its machine");
     let mut per_core = [0u64; 4];
     while let Some(ev) = inspector.step().expect("consistent") {
         if let Committer::Proc(p) = ev.committer {
@@ -112,7 +114,7 @@ fn watchpoints_see_dma_writes() {
     let recording = machine.record(workload::by_name("sjbb2k").unwrap(), 21);
     assert!(recording.stats.dma_commits > 0, "need DMA for this test");
     let map = delorean_isa::layout::AddressMap::new(2);
-    let mut inspector = ReplayInspector::new(&recording);
+    let mut inspector = ReplayInspector::new(&recording).expect("recording fits its machine");
     // Watch the whole DMA buffer start.
     for off in 0..8 {
         inspector.watch(map.dma_base() + off);

@@ -12,8 +12,8 @@ use delorean::inspect::ReplayInspector;
 use delorean::recover::{salvage, RecoveringSource};
 use delorean::stream::LogEvent;
 use delorean::{
-    serialize, FileSink, FileSource, LogSink, LogSource, Machine, Mode, SegmentWalker,
-    WalkedSegment,
+    serialize, ArbiterConfig, FileSink, FileSource, LogSink, LogSource, Machine, Mode,
+    SegmentWalker, WalkedSegment,
 };
 use delorean_chunk::{Committer, DeviceConfig};
 use delorean_isa::workload;
@@ -53,10 +53,7 @@ fn small_fft_bytes(mode: Mode, seed: u64) -> Vec<u8> {
 /// accepted the log: a deterministic replay, and a final state that
 /// matches the recording. Errors are values; a panic fails the test.
 fn verdicts<S: LogSource>(engine: S, inspector: S) -> (bool, bool) {
-    let meta = engine
-        .meta()
-        .expect("opened sources carry metadata")
-        .clone();
+    let meta = engine.meta().clone();
     let m = Machine::builder()
         .mode(meta.mode)
         .procs(meta.n_procs)
@@ -186,19 +183,26 @@ fn pristine_small_streams_pass_both_replayers() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Satellite: across random workloads, shapes and modes, the
-    /// MemorySink and FileSink paths produce byte-identical `.dlrn`
-    /// output and identical replay digests.
+    /// Across random workloads, shapes, modes and arbiter topologies,
+    /// the MemorySink and FileSink paths produce byte-identical `.dlrn`
+    /// output and identical replay digests. A sharded arbiter stamps
+    /// each event with its shard, and the in-memory path keeps them.
     #[test]
     fn sink_paths_agree(
         widx in 0usize..13,
         mode_sel in 0u8..3,
+        sharded in 0u8..2,
         procs in 2u32..6,
         budget in 6_000u64..16_000,
         seed in 0u64..1_000_000,
     ) {
         let w = workload::catalog()[widx];
-        let m = machine(MODES[mode_sel as usize], procs, budget);
+        let mut b = Machine::builder();
+        b.mode(MODES[mode_sel as usize]).procs(procs).budget(budget);
+        if sharded == 1 {
+            b.arbiter(ArbiterConfig::Sharded { shards: 4 });
+        }
+        let m = b.build();
         let (in_memory, streamed) = record_both(&m, w.name, seed);
         prop_assert_eq!(&in_memory, &streamed);
 
