@@ -8,7 +8,8 @@
 //! [`Diagnostic`] carrying the [`StreamPosition`] it was detected at;
 //! a malformed stream never panics the pass.
 //!
-//! The walk holds one segment in memory at a time, so the pass runs in
+//! The walk holds a few segments in memory at a time (the one checked
+//! and at most two its decoder reads ahead), so the pass runs in
 //! O(segment) space regardless of log length.
 
 use crate::report::{diagnostics_json, Diagnostic};

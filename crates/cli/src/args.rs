@@ -17,6 +17,21 @@ pub enum Failure {
     /// does not open, a damaged log, a replay that diverged. `main`
     /// prints the error alone.
     Run(String),
+    /// Standard output was closed before the report was written out,
+    /// as `| head` does: `main` ends quietly with success.
+    Closed,
+}
+
+/// A failed write of the report: a closed pipe is [`Failure::Closed`],
+/// anything else a [`Failure::Run`].
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Self::Closed
+        } else {
+            Self::Run(format!("writing to standard output: {e}"))
+        }
+    }
 }
 
 impl From<String> for Failure {

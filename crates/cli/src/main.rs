@@ -17,7 +17,7 @@ use delorean_bench as bench;
 use delorean_chunk::Committer;
 use delorean_isa::workload;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 mod args;
@@ -26,8 +26,16 @@ use args::{Args, Failure};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    let stdout = io::stdout();
+    let mut out = stdout.lock();
+    let outcome = run(&argv, &mut out).and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    });
+    match outcome {
         Ok(code) => code,
+        // A reader that stops early (`| head`) is not a failure.
+        Err(Failure::Closed) => ExitCode::SUCCESS,
         Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
@@ -63,32 +71,39 @@ usage:
   delorean crashtest [--seed N] [--workload NAME]... [--procs N]
                      [--budget N] [--chunk N]";
 
-/// A subcommand's entry point.
-type Handler = fn(&Args) -> Result<ExitCode, Failure>;
+/// A subcommand's entry point; it writes its report to `out`.
+type Handler = fn(&Args, &mut dyn Write) -> Result<ExitCode, Failure>;
 
 /// Every subcommand: its name, the flags its `cmd_*` reads as listed in
 /// `USAGE` — boolean switches, then flags that take a value — and its
 /// entry point. Switches are per-command: `analyze --json` is a toggle,
 /// `bench --json PATH` takes the output path as a value.
 const COMMANDS: &[(&str, &str, &str, Handler)] = &[
-    ("list", "", "", |_| cmd_list().map(|()| ExitCode::SUCCESS)),
+    ("list", "", "", |_, out| {
+        cmd_list(out).map(|()| ExitCode::SUCCESS)
+    }),
     (
         "record",
         "",
         "-o --out --mode --procs --budget --chunk --seed --timing-seed --arbiter --trace",
-        |a| cmd_record(a).map(|()| ExitCode::SUCCESS),
+        |a, out| cmd_record(a, out).map(|()| ExitCode::SUCCESS),
     ),
-    ("info", "", "", |a| cmd_info(a).map(|()| ExitCode::SUCCESS)),
+    ("info", "", "", |a, out| {
+        cmd_info(a, out).map(|()| ExitCode::SUCCESS)
+    }),
     (
         "replay",
         "",
         "--seed --stratified --from --to --index",
-        |a| cmd_replay(a).map(|()| ExitCode::SUCCESS),
+        |a, out| cmd_replay(a, out).map(|()| ExitCode::SUCCESS),
     ),
     ("checkpoint", "", "--every -o --out --check", cmd_checkpoint),
-    ("inspect", "--json", "--watch --limit --at --index", |a| {
-        cmd_inspect(a).map(|()| ExitCode::SUCCESS)
-    }),
+    (
+        "inspect",
+        "--json",
+        "--watch --limit --at --index",
+        |a, out| cmd_inspect(a, out).map(|()| ExitCode::SUCCESS),
+    ),
     (
         "analyze",
         "--json --deps",
@@ -109,7 +124,7 @@ const COMMANDS: &[(&str, &str, &str, Handler)] = &[
     ),
 ];
 
-fn run(argv: &[String]) -> Result<ExitCode, Failure> {
+fn run(argv: &[String], out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let Some(cmd) = argv.first() else {
         return Err(Failure::Usage("missing command".to_string()));
     };
@@ -117,16 +132,18 @@ fn run(argv: &[String]) -> Result<ExitCode, Failure> {
     else {
         return Err(Failure::Usage(format!("unknown command {cmd}")));
     };
-    handler(&Args::parse(&argv[1..], name, switches, valued)?)
+    handler(&Args::parse(&argv[1..], name, switches, valued)?, out)
 }
 
-fn cmd_list() -> Result<(), Failure> {
-    println!(
+fn cmd_list(out: &mut dyn Write) -> Result<(), Failure> {
+    writeln!(
+        out,
         "{:<11} {:>6} {:>6} {:>6} {:>7}  kind",
         "workload", "mem%", "shared%", "write%", "locks"
-    );
+    )?;
     for w in workload::catalog() {
-        println!(
+        writeln!(
+            out,
             "{:<11} {:>6.0} {:>7.0} {:>6.0} {:>7}  {:?}",
             w.name,
             w.mem_frac * 100.0,
@@ -138,7 +155,7 @@ fn cmd_list() -> Result<(), Failure> {
                 w.lock_count.to_string()
             },
             w.kind
-        );
+        )?;
     }
     Ok(())
 }
@@ -171,7 +188,7 @@ fn recording_path(args: &Args) -> Result<&String, Failure> {
 }
 
 /// Opens a `.dlrn` file as a streaming log source; only the header is
-/// read eagerly, segments are decoded on demand.
+/// read eagerly, segments are decoded as the replay reaches them.
 fn open_source(path: &str) -> Result<FileSource<BufReader<File>>, String> {
     let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     FileSource::open(BufReader::new(file)).map_err(|e| format!("decoding {path}: {e}"))
@@ -183,14 +200,14 @@ fn load(args: &Args) -> Result<Recording, Failure> {
     Ok(serialize::from_bytes(&bytes).map_err(|e| format!("decoding {path}: {e}"))?)
 }
 
-fn cmd_record(args: &Args) -> Result<(), Failure> {
+fn cmd_record(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let name = args
         .positional
         .first()
         .ok_or_else(|| Failure::Usage("missing workload name".to_string()))?;
     let w = workload::by_name(name)
         .ok_or_else(|| Failure::Usage(format!("unknown workload {name} (try `delorean list`)")))?;
-    let out = args
+    let dest = args
         .get("-o")
         .or_else(|| args.get("--out"))
         .ok_or_else(|| Failure::Usage("missing -o <file>".to_string()))?;
@@ -219,7 +236,7 @@ fn cmd_record(args: &Args) -> Result<(), Failure> {
     }
     let machine = b.build();
     let seed = args.num("--seed")?.unwrap_or(2026);
-    let file = File::create(&out).map_err(|e| format!("creating {out}: {e}"))?;
+    let file = File::create(&dest).map_err(|e| format!("creating {dest}: {e}"))?;
     let mut sink = FileSink::new(BufWriter::new(file));
     // `--trace` stacks a JSONL tracer stage on the session; without it
     // the stage list is empty and the pipeline runs the bare fast path.
@@ -237,7 +254,7 @@ fn cmd_record(args: &Args) -> Result<(), Failure> {
             if let Some(e) = err {
                 return Err(Failure::Run(format!("writing {tpath}: {e}")));
             }
-            println!("traced {lines} events -> {tpath}");
+            writeln!(out, "traced {lines} events -> {tpath}")?;
             stats
         }
     };
@@ -245,69 +262,75 @@ fn cmd_record(args: &Args) -> Result<(), Failure> {
     let written = sink.bytes_written();
     let writer = sink
         .into_inner()
-        .map_err(|e| format!("writing {out}: {e}"))?;
+        .map_err(|e| format!("writing {dest}: {e}"))?;
     writer
         .into_inner()
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "recorded {name} ({mode}, {} procs, {} insts/proc) -> {out} ({written} bytes, streamed)",
+        .map_err(|e| format!("writing {dest}: {e}"))?;
+    writeln!(
+        out,
+        "recorded {name} ({mode}, {} procs, {} insts/proc) -> {dest} ({written} bytes, streamed)",
         machine.procs(),
         machine.budget(),
-    );
+    )?;
     let kiloinsts = machine.procs() as f64 * machine.budget() as f64 / 1000.0;
-    println!(
+    writeln!(out,
         "log stream: {:.3} bits/proc/kilo-instruction on disk, {} commits, {} squashes, peak buffer {peak} bytes",
         written as f64 * 8.0 / kiloinsts,
         stats.total_commits,
         stats.squashes
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), Failure> {
+fn cmd_info(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let r = load(args)?;
     let meta = &r.meta;
-    println!("mode        : {}", meta.mode);
-    println!(
+    writeln!(out, "mode        : {}", meta.mode)?;
+    writeln!(
+        out,
         "workload    : {} (seed {})",
         meta.workload.name, meta.app_seed
-    );
-    println!("processors  : {}", meta.n_procs);
-    println!("chunk size  : {}", meta.chunk_size);
-    println!("budget      : {} instructions/processor", meta.budget);
-    println!("arbiter     : {}", meta.arbiter);
-    println!("checkpoint  : {:#018x}", r.checkpoint_id());
+    )?;
+    writeln!(out, "processors  : {}", meta.n_procs)?;
+    writeln!(out, "chunk size  : {}", meta.chunk_size)?;
+    writeln!(out, "budget      : {} instructions/processor", meta.budget)?;
+    writeln!(out, "arbiter     : {}", meta.arbiter)?;
+    writeln!(out, "checkpoint  : {:#018x}", r.checkpoint_id())?;
     let s = r.memory_ordering_sizes();
     let logs = r.logs();
-    println!(
+    writeln!(
+        out,
         "PI log      : {} entries, {} bits raw / {} compressed",
         logs.pi.len(),
         s.pi.raw_bits,
         s.pi.compressed_bits
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "CS logs     : {} entries, {} bits raw",
         logs.cs.iter().map(|l| l.len()).sum::<usize>(),
         s.cs.raw_bits
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "input logs  : {} interrupts, {} I/O values, {} DMA transfers",
         r.stats.interrupts,
         logs.io.iter().map(|l| l.len()).sum::<usize>(),
         logs.dma.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "rate        : {:.3} compressed bits/proc/kilo-instruction ({:.2} GB/day @ 8x5GHz IPC1)",
         r.compressed_bits_per_proc_per_kiloinst(),
         r.gigabytes_per_day(5.0, 1.0)
-    );
-    println!("digest      : memory {:#018x}", r.digest().mem_hash);
+    )?;
+    writeln!(out, "digest      : memory {:#018x}", r.digest().mem_hash)?;
     Ok(())
 }
 
-fn cmd_replay(args: &Args) -> Result<(), Failure> {
+fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     if args.get("--from").is_some() || args.get("--to").is_some() {
-        return cmd_replay_window(args);
+        return cmd_replay_window(args, out);
     }
     let seed = args.num("--seed")?.unwrap_or(0x5a5a);
     let report = if let Some(max) = args.num_in("--stratified", 0..=u32::MAX)? {
@@ -324,12 +347,13 @@ fn cmd_replay(args: &Args) -> Result<(), Failure> {
             .replay_from_with_seed(source, seed)
             .map_err(|e| e.to_string())?
     };
-    println!(
+    writeln!(
+        out,
         "replayed {} commits in {} cycles",
         report.stats.total_commits, report.stats.cycles
-    );
+    )?;
     if report.deterministic {
-        println!("deterministic: yes — execution reproduced bit-exactly");
+        writeln!(out, "deterministic: yes — execution reproduced bit-exactly")?;
         Ok(())
     } else {
         Err(Failure::Run(format!(
@@ -364,7 +388,7 @@ fn open_cursor(args: &Args, path: &str) -> Result<delorean::ReplayCursor<BufRead
 /// sidecar (one indexing replay, snapshots every `--every` commits),
 /// or with `--check PATH` validates an existing sidecar against the
 /// log's fingerprint.
-fn cmd_checkpoint(args: &Args) -> Result<ExitCode, Failure> {
+fn cmd_checkpoint(args: &Args, out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let path = recording_path(args)?.clone();
     let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
     if let Some(xpath) = args.get("--check") {
@@ -373,7 +397,8 @@ fn cmd_checkpoint(args: &Args) -> Result<ExitCode, Failure> {
             .and_then(|index| index.validate_against(&bytes).map(|()| index));
         return match index {
             Ok(x) => {
-                println!(
+                writeln!(
+                    out,
                     "checkpoint index OK: {} checkpoint(s) every {} commit(s) over {} commits, \
                      bound to {path} ({} bytes, fingerprint {:#018x})",
                     x.entries.len(),
@@ -381,29 +406,30 @@ fn cmd_checkpoint(args: &Args) -> Result<ExitCode, Failure> {
                     x.total_commits,
                     x.source_len,
                     x.source_fnv
-                );
+                )?;
                 Ok(ExitCode::SUCCESS)
             }
             Err(e) => {
-                println!("checkpoint index INVALID: {e}");
+                writeln!(out, "checkpoint index INVALID: {e}")?;
                 Ok(ExitCode::FAILURE)
             }
         };
     }
     let every = args.num("--every")?.unwrap_or(64);
     let index = delorean::index_stream(&bytes, every).map_err(|e| e.to_string())?;
-    let out = args
+    let dest = args
         .get("-o")
         .or_else(|| args.get("--out"))
         .unwrap_or_else(|| format!("{path}x"));
     let encoded = index.to_bytes();
-    std::fs::write(&out, &encoded).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "indexed {} commits -> {out}: {} checkpoint(s) every {every} commit(s) ({} bytes)",
+    std::fs::write(&dest, &encoded).map_err(|e| format!("writing {dest}: {e}"))?;
+    writeln!(
+        out,
+        "indexed {} commits -> {dest}: {} checkpoint(s) every {every} commit(s) ({} bytes)",
         index.total_commits,
         index.entries.len(),
         encoded.len()
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -411,7 +437,7 @@ fn cmd_checkpoint(args: &Args) -> Result<ExitCode, Failure> {
 /// before N via the `.dlrnx` sidecar, rolls forward, and replays only
 /// the window — to the end on the engine, or to commit M on the
 /// software inspector.
-fn cmd_replay_window(args: &Args) -> Result<(), Failure> {
+fn cmd_replay_window(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let path = recording_path(args)?.clone();
     let from = args.num("--from")?.unwrap_or(0);
     let to = args.num("--to")?;
@@ -429,16 +455,18 @@ fn cmd_replay_window(args: &Args) -> Result<(), Failure> {
         Some(t) => format!("{from}..{t}"),
         None => format!("{from}..end"),
     };
-    println!(
+    writeln!(
+        out,
         "replayed window {span}: {} commit(s)",
         report.stats.total_commits
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "digest fingerprint {:#018x}",
         report.stats.digest.fingerprint()
-    );
+    )?;
     if report.deterministic {
-        println!("deterministic: yes — window reproduced bit-exactly");
+        writeln!(out, "deterministic: yes — window reproduced bit-exactly")?;
         Ok(())
     } else {
         Err(Failure::Run(format!(
@@ -451,7 +479,13 @@ fn cmd_replay_window(args: &Args) -> Result<(), Failure> {
 /// `inspect --at N`: restores the architectural state at commit N via
 /// the checkpoint index (seek + bounded roll-forward, not a full
 /// replay) and prints its summary.
-fn cmd_inspect_at(args: &Args, path: &str, at: u64, json: bool) -> Result<(), Failure> {
+fn cmd_inspect_at(
+    args: &Args,
+    path: &str,
+    at: u64,
+    json: bool,
+    out: &mut dyn Write,
+) -> Result<(), Failure> {
     let machine = machine_from_meta(open_source(path)?.meta());
     let mut cursor = open_cursor(args, path)?;
     let ck = machine
@@ -459,33 +493,34 @@ fn cmd_inspect_at(args: &Args, path: &str, at: u64, json: bool) -> Result<(), Fa
         .map_err(|e| e.to_string())?;
     if json {
         let chunks: Vec<String> = ck.state.chunks_done.iter().map(u64::to_string).collect();
-        println!(
+        writeln!(out,
             "{{\"event\":\"state_at\",\"gcc\":{},\"checkpoint_id\":\"{:#018x}\",\"chunks_done\":[{}],\"max_retired\":{}}}",
             ck.gcc,
             ck.id(),
             chunks.join(","),
             ck.max_retired()
-        );
+        )?;
     } else {
-        println!("state at commit {}:", ck.gcc);
-        println!(
+        writeln!(out, "state at commit {}:", ck.gcc)?;
+        writeln!(
+            out,
             "  workload     : {} (seed {})",
             ck.workload.name, ck.app_seed
-        );
-        println!("  processors   : {}", ck.n_procs);
-        println!("  checkpoint id: {:#018x}", ck.id());
-        println!("  max retired  : {} instructions", ck.max_retired());
+        )?;
+        writeln!(out, "  processors   : {}", ck.n_procs)?;
+        writeln!(out, "  checkpoint id: {:#018x}", ck.id())?;
+        writeln!(out, "  max retired  : {} instructions", ck.max_retired())?;
         for (p, c) in ck.state.chunks_done.iter().enumerate() {
-            println!("  P{p:<2} committed : {c} chunk(s)");
+            writeln!(out, "  P{p:<2} committed : {c} chunk(s)")?;
         }
     }
     Ok(())
 }
 
-fn cmd_inspect(args: &Args) -> Result<(), Failure> {
+fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let path = recording_path(args)?.clone();
     if let Some(at) = args.num("--at")? {
-        return cmd_inspect_at(args, &path, at, args.has("--json"));
+        return cmd_inspect_at(args, &path, at, args.has("--json"), out);
     }
     let source = open_source(&path)?;
     let mode_tag = delorean_trace::mode_tag(source.mode());
@@ -508,32 +543,34 @@ fn cmd_inspect(args: &Args) -> Result<(), Failure> {
             // built from the same SubstrateEvent the pipeline emits.
             // The inspector has no cycle clock, so `t` is the global
             // commit slot.
-            println!(
+            writeln!(
+                out,
                 "{}",
                 delorean_trace::event_line(ev.gcc, mode_tag, &ev.to_substrate())
-            );
+            )?;
             for h in &ev.watch_hits {
-                println!(
+                writeln!(out,
                     "{{\"event\":\"watch\",\"t\":{},\"addr\":\"{:#x}\",\"old\":\"{:#x}\",\"new\":\"{:#x}\"}}",
                     ev.gcc, h.addr, h.old, h.new
-                );
+                )?;
             }
         } else {
             let who = match ev.committer {
                 Committer::Proc(p) => format!("P{p}"),
                 Committer::Dma => "DMA".to_string(),
             };
-            print!(
+            write!(
+                out,
                 "GCC {:>5}  {who:<4} chunk {:>4} size {:>5}",
                 ev.gcc, ev.chunk_index, ev.size
-            );
+            )?;
             if ev.interrupt {
-                print!("  [interrupt]");
+                write!(out, "  [interrupt]")?;
             }
             for h in &ev.watch_hits {
-                print!("  {:#x}: {:#x} -> {:#x}", h.addr, h.old, h.new);
+                write!(out, "  {:#x}: {:#x} -> {:#x}", h.addr, h.old, h.new)?;
             }
-            println!();
+            writeln!(out)?;
         }
         printed += 1;
     }
@@ -541,15 +578,17 @@ fn cmd_inspect(args: &Args) -> Result<(), Failure> {
     // its final state against the trailer digest.
     let report = inspector.run_to_end().map_err(|e| e.to_string())?;
     if json {
-        println!(
+        writeln!(
+            out,
             "{{\"event\":\"inspect_end\",\"commits\":{},\"matches_recording\":{}}}",
             report.commits, report.matches_recording
-        );
+        )?;
     } else {
-        println!(
+        writeln!(
+            out,
             "software replay of {} commits matches recording: {}",
             report.commits, report.matches_recording
-        );
+        )?;
     }
     Ok(())
 }
@@ -557,12 +596,12 @@ fn cmd_inspect(args: &Args) -> Result<(), Failure> {
 /// `delorean analyze --trace PATH` — validates a JSONL session trace
 /// against the `delorean-trace` schema and summarizes it. Exits
 /// non-zero on the first schema violation.
-fn cmd_analyze_trace(path: &str, json: bool) -> Result<ExitCode, Failure> {
+fn cmd_analyze_trace(path: &str, json: bool, out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     match delorean_trace::validate(BufReader::new(file)) {
         Ok(s) => {
             if json {
-                println!(
+                writeln!(out,
                     "{{\"trace\":\"valid\",\"lines\":{},\"mode\":\"{}\",\"workload\":\"{}\",\"procs\":{},\"commits\":{},\"chunk_starts\":{},\"squashes\":{},\"interrupts\":{},\"segment_flushes\":{},\"cycles\":{}}}",
                     s.lines,
                     s.mode,
@@ -574,9 +613,9 @@ fn cmd_analyze_trace(path: &str, json: bool) -> Result<ExitCode, Failure> {
                     s.interrupts,
                     s.segment_flushes,
                     s.cycles
-                );
+                )?;
             } else {
-                println!(
+                writeln!(out,
                     "trace OK: {} lines — {} on {} ({} procs), {} commits / {} chunk starts / {} squashes / {} flushes in {} cycles",
                     s.lines,
                     s.workload,
@@ -587,20 +626,20 @@ fn cmd_analyze_trace(path: &str, json: bool) -> Result<ExitCode, Failure> {
                     s.squashes,
                     s.segment_flushes,
                     s.cycles
-                );
+                )?;
             }
             Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
-            println!("trace INVALID: {e}");
+            writeln!(out, "trace INVALID: {e}")?;
             Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_analyze(args: &Args) -> Result<ExitCode, Failure> {
+fn cmd_analyze(args: &Args, out: &mut dyn Write) -> Result<ExitCode, Failure> {
     if let Some(tpath) = args.get("--trace") {
-        return cmd_analyze_trace(&tpath, args.has("--json"));
+        return cmd_analyze_trace(&tpath, args.has("--json"), out);
     }
     let path = recording_path(args)?.clone();
     let skip = args.get_all("--skip");
@@ -685,9 +724,9 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, Failure> {
         }
     };
     if args.has("--json") {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
     } else {
-        print!("{report}");
+        write!(out, "{report}")?;
     }
     if report.error_count() > 0 {
         Ok(ExitCode::FAILURE)
@@ -703,7 +742,7 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, Failure> {
 /// salvage report naming the lost range. The matrix runs twice to
 /// prove the fault schedules and reports are seed-deterministic.
 /// Exits non-zero iff any invariant is violated.
-fn cmd_crashtest(args: &Args) -> Result<ExitCode, Failure> {
+fn cmd_crashtest(args: &Args, out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let mut cfg = delorean_faults::CrashtestConfig::smoke(args.num("--seed")?.unwrap_or(42));
     if let Some(n) = args.num_in("--procs", 1..=MAX_PROCS)? {
         cfg.procs = n;
@@ -726,17 +765,20 @@ fn cmd_crashtest(args: &Args) -> Result<ExitCode, Failure> {
         cfg.workloads = workloads;
     }
     let report = delorean_faults::run_crashtest(&cfg)?;
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     let again = delorean_faults::run_crashtest(&cfg)?;
     if report.render() != again.render() {
-        println!("crashtest: FAIL (matrix is not deterministic across reruns)");
+        writeln!(
+            out,
+            "crashtest: FAIL (matrix is not deterministic across reruns)"
+        )?;
         return Ok(ExitCode::FAILURE);
     }
     if report.passed() {
-        println!("crashtest: PASS (matrix deterministic across reruns)");
+        writeln!(out, "crashtest: PASS (matrix deterministic across reruns)")?;
         Ok(ExitCode::SUCCESS)
     } else {
-        println!("crashtest: FAIL");
+        writeln!(out, "crashtest: FAIL")?;
         Ok(ExitCode::FAILURE)
     }
 }
@@ -749,7 +791,7 @@ fn cmd_crashtest(args: &Args) -> Result<ExitCode, Failure> {
 /// No partial output: any sweep error (zero budget, unknown workload
 /// or figure, a panicking job) surfaces *before* the JSON file is
 /// created.
-fn cmd_bench(args: &Args) -> Result<ExitCode, Failure> {
+fn cmd_bench(args: &Args, out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let mut figures = Vec::new();
     for name in args.get_all("--figure") {
         figures.push(bench::Figure::parse(&name).ok_or_else(|| {
@@ -769,16 +811,17 @@ fn cmd_bench(args: &Args) -> Result<ExitCode, Failure> {
     if let Some(path) = args.get("--json") {
         let text = results.to_json().pretty();
         std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "wrote {} records to {path} ({} workers, {:.0} ms)",
             results.records.len(),
             results.workers,
             results.total_wall_ms
-        );
+        )?;
     }
-    print_bench_summary(&results);
+    print_bench_summary(&results, out)?;
     if args.has("--verbose") {
-        print_stage_totals(&results);
+        print_stage_totals(&results, out)?;
     }
 
     let Some(baseline_path) = args.get("--baseline") else {
@@ -789,34 +832,36 @@ fn cmd_bench(args: &Args) -> Result<ExitCode, Failure> {
     let baseline = bench::parse_document(&text).map_err(|e| e.to_string())?;
     let tolerance = args.num("--tolerance")?.unwrap_or(25) as f64;
     let report = bench::diff_against(&results, &baseline, tolerance);
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if report.passed() {
-        println!("baseline gate: PASS");
+        writeln!(out, "baseline gate: PASS")?;
         Ok(ExitCode::SUCCESS)
     } else {
-        println!("baseline gate: FAIL");
+        writeln!(out, "baseline gate: FAIL")?;
         Ok(ExitCode::FAILURE)
     }
 }
 
-fn print_bench_summary(results: &bench::SweepResults) {
+fn print_bench_summary(results: &bench::SweepResults, out: &mut dyn Write) -> io::Result<()> {
     for s in &results.summaries {
-        println!();
-        println!("== {} ==", s.figure);
+        writeln!(out)?;
+        writeln!(out, "== {} ==", s.figure)?;
         for m in &s.metrics {
             match m.paper {
-                Some(p) => println!(
+                Some(p) => writeln!(
+                    out,
                     "  {:<32} measured {:>10.3}   paper {:>8.3}",
                     m.name, m.measured, p
-                ),
-                None => println!("  {:<32} measured {:>10.3}", m.name, m.measured),
+                )?,
+                None => writeln!(out, "  {:<32} measured {:>10.3}", m.name, m.measured)?,
             }
         }
     }
+    Ok(())
 }
 
 /// Per-stage wall-clock totals across the sweep (`--verbose`).
-fn print_stage_totals(results: &bench::SweepResults) {
+fn print_stage_totals(results: &bench::SweepResults, out: &mut dyn Write) -> io::Result<()> {
     let mut record = 0.0;
     let mut replay = 0.0;
     let mut compress = 0.0;
@@ -827,16 +872,17 @@ fn print_stage_totals(results: &bench::SweepResults) {
         compress += r.timings.compress_ms;
         arb += r.timings.arb_cycles;
     }
-    println!();
-    println!("stage totals across {} jobs:", results.records.len());
-    println!("  record    {record:>10.0} ms");
-    println!("  replay    {replay:>10.0} ms");
-    println!("  compress  {compress:>10.0} ms");
-    println!("  commit arbitration {arb} simulated cycles");
+    writeln!(out)?;
+    writeln!(out, "stage totals across {} jobs:", results.records.len())?;
+    writeln!(out, "  record    {record:>10.0} ms")?;
+    writeln!(out, "  replay    {replay:>10.0} ms")?;
+    writeln!(out, "  compress  {compress:>10.0} ms")?;
+    writeln!(out, "  commit arbitration {arb} simulated cycles")?;
     let peak = results.records.iter().map(|r| r.peak_rss_kb).max();
     if let Some(kb) = peak {
-        println!("  peak RSS  {kb} KiB");
+        writeln!(out, "  peak RSS  {kb} KiB")?;
     }
+    Ok(())
 }
 
 fn parse_addr(s: &str) -> Result<u64, Failure> {
@@ -871,13 +917,13 @@ mod tests {
         ] {
             let cmd = line.split_whitespace().next().unwrap();
             assert_eq!(
-                run(&argv(line)).unwrap_err(),
+                run(&argv(line), &mut io::sink()).unwrap_err(),
                 Failure::Usage(format!("unknown flag {flag} for `{cmd}`")),
                 "{line}"
             );
         }
         assert_eq!(
-            run(&argv("frobnicate x.dlrn")).unwrap_err(),
+            run(&argv("frobnicate x.dlrn"), &mut io::sink()).unwrap_err(),
             Failure::Usage("unknown command frobnicate".to_string())
         );
     }
@@ -896,7 +942,7 @@ mod tests {
             ("crashtest --chunk 0", "--chunk"),
             ("crashtest --budget 0", "--budget"),
         ] {
-            let err = run(&argv(line)).unwrap_err();
+            let err = run(&argv(line), &mut io::sink()).unwrap_err();
             assert!(
                 matches!(&err, Failure::Usage(msg) if msg.starts_with(&format!("flag {flag} expects"))),
                 "{line}: {err:?}"

@@ -80,3 +80,40 @@ fn runtime_failures_print_the_error_without_the_usage_text() {
     );
     assert!(stderr.contains("usage:"), "{stderr}");
 }
+
+/// A reader that stops early, as `inspect --json | head -1` does, ends
+/// the run quietly: the binary exits with success when its output pipe
+/// closes, without a panic or an error line.
+#[test]
+fn a_closed_output_pipe_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = scratch("closed_pipe");
+    let log = dir.join("fft.dlrn");
+    let log_arg = log.to_str().unwrap();
+    // ~1,600 commit lines: far more than a pipe buffer holds, so the
+    // binary is still writing when the pipe closes.
+    let out = run(&[
+        "record", "fft", "-o", log_arg, "--procs", "4", "--budget", "40000", "--chunk", "100",
+    ]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+
+    let mut child = Command::new(BIN)
+        .args(["inspect", log_arg, "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("{\"event\":\"commit\""), "{first}");
+    // The reader above was dropped: the pipe is closed.
+    let out = child.wait_with_output().unwrap();
+    let stderr = text(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}

@@ -13,7 +13,7 @@
 //! [`CheckpointIndex`] let a [`ReplayCursor`] seek inside a recording.
 
 use crate::error::ReplayError;
-use crate::inspect::ReplayInspector;
+use crate::inspect::{fitting, ReplayInspector};
 use crate::mode::Mode;
 use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource, SegmentMark};
 use crate::wire::{mode_from, mode_tag, Fnv, Reader, Writer, FILE_HEAD};
@@ -535,14 +535,17 @@ impl<R: Read + Seek> ReplayCursor<R> {
                 detail: format!("checkpoint index holds no checkpoint at or before commit {gcc}"),
             });
         };
+        // The one copy of the memory image: into the inspector, after
+        // its shape is checked. The rolled-forward state moves out.
+        let start = fitting(&entry.state, self.source.n_procs())?.clone();
         self.source
-            .seek_to(entry)
+            .reposition(entry)
             .map_err(|e| ReplayError::Source {
                 detail: e.to_string(),
             })?;
-        let mut ins = ReplayInspector::from_source(&mut self.source)?;
+        let mut ins = ReplayInspector::with_start(&mut self.source, Some(start));
         while ins.step_to(entry.gcc, gcc)?.is_some() {}
-        let (rr_cursor, state) = (ins.rr_phase(), ins.capture());
+        let (rr_cursor, state) = ins.into_state();
         // A restore that stepped no commit may have decoded no segment.
         let segment = self
             .source

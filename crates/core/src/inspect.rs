@@ -43,7 +43,7 @@ use crate::machine::Recording;
 use crate::mode::Mode;
 use crate::recover::RecoveringSource;
 use crate::stream::LogSource;
-use delorean_chunk::{Committer, EngineError, SubstrateEvent, TruncationReason};
+use delorean_chunk::{Committer, EngineError, StartState, SubstrateEvent, TruncationReason};
 use delorean_isa::layout::AddressMap;
 use delorean_isa::{Addr, DataMemory, IoBus, Program, Vm, Word};
 use delorean_mem::Memory;
@@ -170,6 +170,19 @@ impl From<InspectError> for ReplayError {
     }
 }
 
+/// `start`, when it fits an `n_procs` machine: the check the engine
+/// makes before a replay, made before the state is copied.
+pub(crate) fn fitting(start: &StartState, n_procs: u32) -> Result<&StartState, InspectError> {
+    if start.fits(n_procs) {
+        Ok(start)
+    } else {
+        Err(InspectError {
+            detail: EngineError::StartShape { n_procs }.to_string(),
+            commit: None,
+        })
+    }
+}
+
 /// Result of replaying a recording to completion in software.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InspectReport {
@@ -283,6 +296,18 @@ impl<S: LogSource> ReplayInspector<S> {
     /// fit its machine — the check the engine makes before a replay.
     pub fn from_source(source: S) -> Result<Self, InspectError> {
         let meta = source.meta();
+        let start = match &meta.interval {
+            Some(start) => Some(fitting(start, meta.n_procs)?.clone()),
+            None => None,
+        };
+        Ok(Self::with_start(source, start))
+    }
+
+    /// An inspector over `source` that starts from `start`, moved in, or
+    /// from the program entry points when `None`. Callers check the
+    /// state's shape with [`fitting`] before they copy it.
+    pub(crate) fn with_start(source: S, start: Option<StartState>) -> Self {
+        let meta = source.meta();
         let mode = meta.mode;
         let n_procs = meta.n_procs;
         let budget = meta.budget;
@@ -296,21 +321,15 @@ impl<S: LogSource> ReplayInspector<S> {
                 vm
             })
             .collect();
-        let mut memory = Memory::new(map.total_words());
-        let mut chunks_done = vec![0; n_procs as usize];
-        if let Some(start) = &meta.interval {
-            if !start.fits(n_procs) {
-                return Err(InspectError {
-                    detail: EngineError::StartShape { n_procs }.to_string(),
-                    commit: None,
-                });
+        let (memory, chunks_done) = match start {
+            Some(start) => {
+                for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
+                    vm.restore(st);
+                }
+                (Memory::from_image(start.memory), start.chunks_done)
             }
-            memory = Memory::from_image(start.memory.clone());
-            for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
-                vm.restore(st);
-            }
-            chunks_done.copy_from_slice(&start.chunks_done);
-        }
+            None => (Memory::new(map.total_words()), vec![0; n_procs as usize]),
+        };
         // PicoLog's predefined commit order is strict round-robin from
         // processor 0, so under it the per-processor chunk counters
         // differ by at most one and the next committer is the first
@@ -328,7 +347,7 @@ impl<S: LogSource> ReplayInspector<S> {
                 .and_then(|lo| chunks_done.iter().position(|&c| c == lo))
                 .map_or(0, |p| p as u32)
         });
-        Ok(Self {
+        Self {
             source,
             mode,
             n_procs,
@@ -343,7 +362,7 @@ impl<S: LogSource> ReplayInspector<S> {
             watches: HashSet::new(),
             collect_footprints: false,
             done: false,
-        })
+        }
     }
 
     /// Enables (or disables) per-commit read/write line footprint
@@ -356,12 +375,28 @@ impl<S: LogSource> ReplayInspector<S> {
 
     /// Captures the full architectural state at the current replay
     /// point as an engine-consumable start state.
-    pub fn capture(&self) -> delorean_chunk::StartState {
-        delorean_chunk::StartState {
+    pub fn capture(&self) -> StartState {
+        StartState {
             memory: self.memory.image(),
             vm_states: self.vms.iter().map(|v| v.snapshot()).collect(),
             chunks_done: self.chunks_done.clone(),
         }
+    }
+
+    /// The PicoLog phase and the full architectural state at the
+    /// current replay point, moved out of the inspector: what
+    /// [`capture`](Self::capture) returns, without copying the memory
+    /// image.
+    pub(crate) fn into_state(self) -> (u32, StartState) {
+        let vm_states = self.vms.iter().map(|v| v.snapshot()).collect();
+        (
+            self.rr_cursor,
+            StartState {
+                memory: self.memory.into_image(),
+                vm_states,
+                chunks_done: self.chunks_done,
+            },
+        )
     }
 
     /// Watches a word address; subsequent commits report value changes

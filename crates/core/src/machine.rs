@@ -7,7 +7,7 @@ use crate::log::MemoryOrderingSizes;
 use crate::mode::Mode;
 use crate::recorder::LogSet;
 use crate::recover::RecoveringSource;
-use crate::session::{checked_meta, Session};
+use crate::session::{check_shape, Session};
 use crate::stratify::{StratifiedPiLog, Stratifier};
 use crate::stream::{LogEvent, LogSink, LogSource, MemorySink, StreamMeta, StreamTrailer};
 use crate::wire::Fnv;
@@ -458,12 +458,14 @@ impl Machine {
         cursor: &mut ReplayCursor<R>,
         gcc: u64,
     ) -> Result<IntervalCheckpoint, ReplayError> {
-        let meta = checked_meta(self, &cursor.source)?;
+        let meta = cursor.source.meta();
+        check_shape(self, meta)?;
+        let (workload, app_seed, n_procs) = (meta.workload, meta.app_seed, meta.n_procs);
         let entry = cursor.seek(gcc)?;
         Ok(IntervalCheckpoint {
-            workload: meta.workload,
-            app_seed: meta.app_seed,
-            n_procs: meta.n_procs,
+            workload,
+            app_seed,
+            n_procs,
             gcc,
             state: entry.state,
         })

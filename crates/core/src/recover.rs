@@ -34,8 +34,8 @@
 use crate::checkpoint::{CheckpointIndex, IntervalCheckpoint};
 use crate::serialize::DecodeError;
 use crate::stream::{
-    decode_events, decode_trailer, LogEvent, LogSource, ReplayQueues, SegmentDecoder, StreamMeta,
-    StreamTrailer,
+    decode_events, decode_trailer, EventShape, LogEvent, LogSource, ReplayQueues, SegmentDecoder,
+    StreamMeta, StreamTrailer,
 };
 use crate::wire::{segment_checksum, SEGMENT_HEAD, SEG_EVENTS, SEG_TRAILER};
 use delorean_chunk::Committer;
@@ -440,10 +440,11 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
         // Segments decode with a fresh LZ77 decoder: the window barrier.
         let Ok(seg) = decode_events(
             body,
-            &meta,
+            EventShape::of(&meta),
             &mut lz77::Decoder::new(),
             &mut counters,
             &mut end,
+            Vec::new(),
         ) else {
             // The frame checksum passed but the body is not a
             // well-formed events segment: quarantine it and drop the

@@ -45,7 +45,8 @@ impl StratCursor {
 /// The replayer is generic over its [`LogSource`]:
 /// [`RecoveringSource`](crate::RecoveringSource) replays events already
 /// in memory, [`FileSource`](crate::FileSource) decodes a `.dlrn`
-/// stream on demand, so replay never needs the whole log resident.
+/// stream a few segments ahead of the replay, so replay never needs
+/// the whole log resident.
 ///
 /// For Order&Size and OrderOnly the arbiter follows the PI log
 /// entry-by-entry; with [`Replayer::stratified`] it instead enforces

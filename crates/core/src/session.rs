@@ -356,7 +356,7 @@ impl<'m, 's> Session<'m, 's> {
         let start = cursor.seek(from)?;
         cursor
             .source
-            .seek_to(&start)
+            .seek_to(start)
             .map_err(|e| ReplayError::Source {
                 detail: e.to_string(),
             })?;
@@ -493,7 +493,13 @@ pub(crate) fn checked_meta<S: LogSource>(
     m: &Machine,
     source: &S,
 ) -> Result<StreamMeta, ReplayError> {
-    let meta = source.meta();
+    check_shape(m, source.meta())?;
+    Ok(source.meta().clone())
+}
+
+/// Checks that `meta`'s stream was recorded on a machine of `m`'s
+/// shape and mode.
+pub(crate) fn check_shape(m: &Machine, meta: &StreamMeta) -> Result<(), ReplayError> {
     if meta.n_procs != m.procs() {
         return Err(ReplayError::MachineMismatch {
             recorded: meta.n_procs,
@@ -506,7 +512,7 @@ pub(crate) fn checked_meta<S: LogSource>(
             replaying: m.mode(),
         });
     }
-    Ok(meta.clone())
+    Ok(())
 }
 
 /// The one digest-verification body every replay path funnels through:

@@ -13,12 +13,23 @@
 //!   format *incrementally*, compressing and flushing a segment every N
 //!   commits so peak buffering is O(segment), not O(run).
 //! * Replay-side, the replayer and the software inspector consume a
-//!   [`LogSource`]. [`FileSource`] decodes `.dlrn` segments on demand
-//!   from any [`std::io::Read`], so replaying never loads the whole
-//!   file; [`RecoveringSource`](crate::RecoveringSource) answers from
-//!   events already in memory, a [`Recording`]'s or a salvaged
-//!   region's. Both answer from one queue of the log entries a replay
-//!   has not consumed yet.
+//!   [`LogSource`]. [`FileSource`] decodes `.dlrn` segments from any
+//!   [`std::io::Read`] as the replay reaches them, so replaying never
+//!   loads the whole file; [`RecoveringSource`](crate::RecoveringSource)
+//!   answers from events already in memory, a [`Recording`]'s or a
+//!   salvaged region's. Both answer from one queue of the log entries a
+//!   replay has not consumed yet.
+//!
+//! Both directions keep the codec work beside the caller, as
+//! DeLorean's compressors sit beside the log buffers: [`FileSink`]
+//! compresses and checksums segments on one worker thread, and the one
+//! `.dlrn` decoder (under [`FileSource`], [`SegmentWalker`] and
+//! [`serialize::from_bytes`](crate::serialize::from_bytes)) reads each
+//! frame on the caller's thread and verifies, decompresses and parses
+//! its body on another, at most two segments ahead of the one the
+//! caller consumes. Errors, positions, segment marks and checksum
+//! counts settle when a segment is consumed, exactly as if it had been
+//! decoded in place.
 //!
 //! The wire format (version 2) is:
 //!
@@ -53,7 +64,8 @@ use delorean_isa::workload::{self, WorkloadSpec};
 use delorean_isa::{Addr, Word};
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read, Seek, SeekFrom};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 /// Default number of commit events buffered before [`FileSink`] flushes
@@ -641,33 +653,42 @@ fn encode_event(ev: &LogEvent, has_pi: bool, w: &mut Writer) {
     }
 }
 
+/// One footprint: its length, then its lines. Without `keep` the lines
+/// are only checked to lie inside the block, with the error reading
+/// them would have raised.
+fn decode_footprint(
+    r: &mut Reader<'_>,
+    keep: bool,
+    len: &'static str,
+    line: &'static str,
+) -> Result<Vec<u64>, DecodeError> {
+    let n = r.u32(len)? as usize;
+    if keep {
+        r.words(n, line)
+    } else {
+        r.take(n.checked_mul(8).ok_or(DecodeError::Truncated(line))?, line)?;
+        Ok(Vec::new())
+    }
+}
+
 fn decode_footprints(
     r: &mut Reader<'_>,
-    has_pi: bool,
+    shape: EventShape,
 ) -> Result<(Vec<u64>, Vec<u64>), DecodeError> {
-    if !has_pi {
+    if !shape.mode.has_pi_log() {
         return Ok((Vec::new(), Vec::new()));
     }
-    let n = r.u32("footprint len")? as usize;
-    let mut access = Vec::new();
-    for _ in 0..n {
-        access.push(r.u64("footprint line")?);
-    }
-    let n = r.u32("write footprint len")? as usize;
-    let mut writes = Vec::new();
-    for _ in 0..n {
-        writes.push(r.u64("write footprint line")?);
-    }
+    let keep = shape.footprints;
+    let access = decode_footprint(r, keep, "footprint len", "footprint line")?;
+    let writes = decode_footprint(r, keep, "write footprint len", "write footprint line")?;
     Ok((access, writes))
 }
 
 pub(crate) fn decode_event(
     r: &mut Reader<'_>,
-    mode: Mode,
-    n_procs: u32,
+    shape: EventShape,
     counters: &mut [u64],
 ) -> Result<LogEvent, DecodeError> {
-    let has_pi = mode.has_pi_log();
     let tag = r.u8("event tag")?;
     if tag & TAG_DMA != 0 {
         if tag & !(TAG_DMA | TAG_SHARD) != 0 {
@@ -679,11 +700,12 @@ pub(crate) fn decode_event(
             None
         };
         let n = r.u32("dma words")? as usize;
-        let mut data = Vec::new();
+        // Sized once, bounded by the 16-byte pairs the block still holds.
+        let mut data = Vec::with_capacity(n.min(r.remaining() / 16));
         for _ in 0..n {
             data.push((r.u64("dma addr")?, r.u64("dma value")?));
         }
-        let (access_lines, write_lines) = decode_footprints(r, has_pi)?;
+        let (access_lines, write_lines) = decode_footprints(r, shape)?;
         return Ok(LogEvent {
             committer: Committer::Dma,
             chunk_index: 0,
@@ -700,7 +722,7 @@ pub(crate) fn decode_event(
         return Err(DecodeError::Truncated("event tag"));
     }
     let core = u32::from(r.u16("event core")?);
-    if core >= n_procs {
+    if core >= shape.n_procs {
         return Err(DecodeError::Truncated("event core"));
     }
     let shard = if tag & TAG_SHARD != 0 {
@@ -713,7 +735,7 @@ pub(crate) fn decode_event(
     } else {
         None
     };
-    if mode == Mode::OrderSize && cs_size.is_none() {
+    if shape.mode == Mode::OrderSize && cs_size.is_none() {
         // The Order&Size CS log must receive every chunk.
         return Err(DecodeError::Truncated("cs size"));
     }
@@ -724,7 +746,8 @@ pub(crate) fn decode_event(
     };
     let io_values = if tag & TAG_IO != 0 {
         let n = r.u16("io count")? as usize;
-        let mut values = Vec::new();
+        // Sized once, bounded by the 10-byte entries the block still holds.
+        let mut values = Vec::with_capacity(n.min(r.remaining() / 10));
         for _ in 0..n {
             values.push((r.u16("io port")?, r.u64("io value")?));
         }
@@ -732,7 +755,7 @@ pub(crate) fn decode_event(
     } else {
         Vec::new()
     };
-    let (access_lines, write_lines) = decode_footprints(r, has_pi)?;
+    let (access_lines, write_lines) = decode_footprints(r, shape)?;
     counters[core as usize] += 1;
     Ok(LogEvent {
         committer: Committer::Proc(core),
@@ -826,7 +849,8 @@ pub(crate) fn decode_trailer(bytes: &[u8], n_procs: u32) -> Result<StreamTrailer
 // ---------------------------------------------------------------------------
 
 /// Most event segments a [`FileSink`] hands to its compressor thread
-/// before it waits for the oldest and writes it out.
+/// before it waits for the oldest and writes it out, and most segments
+/// a [`SegmentDecoder`] reads ahead of the one its caller consumes.
 const MAX_IN_FLIGHT: usize = 2;
 
 /// One event segment on its way to the compressor thread.
@@ -1551,8 +1575,17 @@ fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, DecodeError> 
     Ok(got)
 }
 
-fn read_body<R: Read>(r: &mut R, len: u64, what: &'static str) -> Result<Vec<u8>, DecodeError> {
-    let mut body = Vec::new();
+/// Reads a `len`-byte frame body into `body`, reusing its allocation.
+/// `len` is untrusted: the up-front reservation is capped at 1 MiB, and
+/// a longer body grows only as far as the reader actually delivers.
+fn read_body<R: Read>(
+    r: &mut R,
+    len: u64,
+    what: &'static str,
+    mut body: Vec<u8>,
+) -> Result<Vec<u8>, DecodeError> {
+    body.clear();
+    body.reserve(len.min(1 << 20) as usize);
     r.take(len)
         .read_to_end(&mut body)
         .map_err(|e| DecodeError::Io(e.to_string()))?;
@@ -1562,17 +1595,253 @@ fn read_body<R: Read>(r: &mut R, len: u64, what: &'static str) -> Result<Vec<u8>
     Ok(body)
 }
 
+/// What decoding an event segment needs to know about its stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventShape {
+    pub(crate) mode: Mode,
+    pub(crate) n_procs: u32,
+    /// Build each event's footprint vectors. Without it the decoder
+    /// still checks their lengths against the block, with the same
+    /// errors, and leaves the vectors empty: a [`FileSource`]'s replay
+    /// queues never read them.
+    pub(crate) footprints: bool,
+}
+
+impl EventShape {
+    pub(crate) fn of(meta: &StreamMeta) -> Self {
+        Self {
+            mode: meta.mode,
+            n_procs: meta.n_procs,
+            footprints: true,
+        }
+    }
+}
+
+/// The decode counters a segment starts from: the global commit count
+/// and the per-processor chunk counters.
+type Counters = (u64, Vec<u64>);
+
+/// One segment frame, read on the caller's thread, on its way to the
+/// decoder thread.
+struct DecodeJob {
+    /// The [`DecodeWorker::generation`] the job was read in; a seek or a
+    /// drop moves on to the next, and the worker skips older jobs.
+    generation: u64,
+    /// Counters to decode from instead of the previous segment's end:
+    /// set on the first job after the stream opens or seeks. The LZ77
+    /// history restarts with them.
+    restart: Option<Counters>,
+    kind: u8,
+    /// The checksum the body must match, unless the segment at this
+    /// offset verified before.
+    checksum: Option<u64>,
+    seg_start: u64,
+    body: Vec<u8>,
+    /// Segments the caller is done with: they go back to the thread
+    /// that allocated them, to be freed or refilled there.
+    spent: Vec<EventSegment>,
+}
+
+/// What the decoder thread made of one [`DecodeJob`]: every change the
+/// serial decoder would have made, for the caller to apply when it
+/// consumes the segment.
+struct Decoded {
+    /// The checksum was computed and matched.
+    verified: bool,
+    /// The segment's mark, for an events segment whose checksum held.
+    mark: Option<SegmentMark>,
+    /// A trailer frame whose checksum held.
+    trailer: bool,
+    /// Commits decoded after this job, including those of a segment
+    /// that failed part-way.
+    gcc: u64,
+    outcome: Result<Segment, DecodeError>,
+    /// The body buffer, handed back for the next read.
+    body: Vec<u8>,
+}
+
+/// The decoder thread's state: the counters and LZ77 history carried
+/// from one segment to the next, and event vectors to refill.
+struct DecodeState {
+    shape: EventShape,
+    lz: delorean_compress::lz77::Decoder,
+    chunks: Vec<u64>,
+    gcc: u64,
+    spare: Vec<Vec<LogEvent>>,
+}
+
+impl DecodeState {
+    /// Checks and decodes one frame body, exactly as the serial decoder
+    /// did once the body was read.
+    fn decode(&mut self, job: DecodeJob) -> Decoded {
+        for mut seg in job.spent {
+            if self.spare.len() < MAX_IN_FLIGHT {
+                seg.events.clear();
+                self.spare.push(seg.events);
+            }
+        }
+        if let Some((gcc, chunks)) = job.restart {
+            self.gcc = gcc;
+            self.chunks = chunks;
+            self.lz = delorean_compress::lz77::Decoder::new();
+        }
+        let mut d = Decoded {
+            verified: false,
+            mark: None,
+            trailer: false,
+            gcc: self.gcc,
+            outcome: Err(DecodeError::BadChecksum),
+            body: Vec::new(),
+        };
+        if let Some(sum) = job.checksum {
+            if segment_checksum(job.kind, &job.body) != sum {
+                d.body = job.body;
+                return d;
+            }
+            d.verified = true;
+        }
+        d.outcome = match job.kind {
+            SEG_EVENTS => {
+                d.mark = Some(SegmentMark {
+                    byte_offset: job.seg_start,
+                    start_gcc: self.gcc,
+                    start_chunks: self.chunks.clone(),
+                });
+                let events = self.spare.pop().unwrap_or_default();
+                decode_events(
+                    &job.body,
+                    self.shape,
+                    &mut self.lz,
+                    &mut self.chunks,
+                    &mut self.gcc,
+                    events,
+                )
+                .and_then(|seg| {
+                    if self.gcc != seg.commit_watermark || self.chunks != seg.chunk_watermarks {
+                        return Err(DecodeError::Truncated("segment watermark"));
+                    }
+                    Ok(Segment::Events(seg))
+                })
+            }
+            SEG_TRAILER => {
+                d.trailer = true;
+                decode_trailer(&job.body, self.shape.n_procs).map(|t| Segment::Trailer(Box::new(t)))
+            }
+            _ => Err(DecodeError::Truncated("segment kind")),
+        };
+        d.gcc = self.gcc;
+        d.body = job.body;
+        d
+    }
+}
+
+fn decoder_stopped() -> DecodeError {
+    DecodeError::Io("segment decoder thread stopped".to_string())
+}
+
+/// The thread that checks and decodes a [`SegmentDecoder`]'s segment
+/// bodies in the order they were read, carrying the decode counters
+/// from each segment to the next. Joined on drop.
+struct DecodeWorker {
+    jobs: Option<mpsc::Sender<DecodeJob>>,
+    done: mpsc::Receiver<Decoded>,
+    thread: Option<thread::JoinHandle<()>>,
+    /// Jobs of an older generation were abandoned (by a seek or the
+    /// drop) and are skipped unread. `Relaxed` suffices: the counter
+    /// publishes no data, the channel orders each job after the bump
+    /// before it, and an abandoned job that is decoded anyway only
+    /// wastes the work: its result is dropped by count, and the next
+    /// live job restarts the counters.
+    generation: Arc<AtomicU64>,
+}
+
+impl DecodeWorker {
+    fn spawn(shape: EventShape) -> Result<Self, DecodeError> {
+        let (jobs, queued) = mpsc::channel::<DecodeJob>();
+        let (decoded, done) = mpsc::channel();
+        let generation = Arc::new(AtomicU64::new(0));
+        let current = Arc::clone(&generation);
+        let thread = thread::Builder::new()
+            .name("dlrn-decode".to_string())
+            .spawn(move || {
+                let mut state = DecodeState {
+                    shape,
+                    lz: delorean_compress::lz77::Decoder::new(),
+                    chunks: Vec::new(),
+                    gcc: 0,
+                    spare: Vec::new(),
+                };
+                for job in queued {
+                    let d = if job.generation == current.load(Ordering::Relaxed) {
+                        state.decode(job)
+                    } else {
+                        Decoded {
+                            verified: false,
+                            mark: None,
+                            trailer: false,
+                            gcc: 0,
+                            outcome: Ok(Segment::End),
+                            body: job.body,
+                        }
+                    };
+                    if decoded.send(d).is_err() {
+                        return;
+                    }
+                }
+            })
+            .map_err(|e| DecodeError::Io(format!("starting the segment decoder thread: {e}")))?;
+        Ok(Self {
+            jobs: Some(jobs),
+            done,
+            thread: Some(thread),
+            generation,
+        })
+    }
+}
+
+impl Drop for DecodeWorker {
+    fn drop(&mut self) {
+        self.generation.fetch_add(1, Ordering::Relaxed);
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            // A worker that panicked has already surfaced as a closed
+            // channel; there is nothing left to report here.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A segment read ahead of the replay, in stream order.
+enum Pending {
+    /// A frame of `kind` with the decoder thread; `end` is the offset
+    /// past its body.
+    Sent { kind: u8, seg_start: u64, end: u64 },
+    /// The reader ended at a frame boundary: a clean end, a header-only
+    /// stream or a missing trailer, decided when it is consumed.
+    Eof,
+    /// Reading the frame failed, `end` bytes into the stream.
+    Failed { error: DecodeError, end: u64 },
+}
+
 /// Incremental decoder for the v2 `.dlrn` segment stream.
+///
+/// Frames (kind byte, head, body) are read on the caller's thread; one
+/// worker thread, started with the first segment read, checks and
+/// decodes their bodies, at most [`MAX_IN_FLIGHT`] ahead of the
+/// caller. Everything the caller can observe — the segment, the error
+/// and its [`StreamPosition`], the marks, the checksum memo — changes
+/// only when a segment is consumed, exactly as it did when each
+/// segment was decoded in place.
 pub(crate) struct SegmentDecoder<R: Read> {
     reader: R,
     pub(crate) meta: StreamMeta,
-    counters: Vec<u64>,
-    gcc: u64,
-    lz: delorean_compress::lz77::Decoder,
+    shape: EventShape,
+    /// Bytes read from the reader, read-ahead included.
+    read_offset: u64,
+    /// The position after the last segment consumed.
+    consumed: StreamPosition,
     seen_trailer: bool,
     done: bool,
-    byte_offset: u64,
-    segments: u64,
     /// Random-access hook, set only by seek-capable constructors.
     /// Stored as a plain fn pointer so the decoder stays generic over
     /// any `Read` without a `Seek` bound on the type itself.
@@ -1587,6 +1856,17 @@ pub(crate) struct SegmentDecoder<R: Read> {
     /// Byte offset of the first segment frame (end of the header) —
     /// the rewind target, known even before any segment is visited.
     pub(crate) first_offset: u64,
+    /// Segments read ahead and not yet consumed, oldest first.
+    pending: VecDeque<Pending>,
+    /// Counters the next job decodes from (see [`DecodeJob::restart`]).
+    restart: Option<Counters>,
+    worker: Option<DecodeWorker>,
+    /// Results of abandoned jobs still to be received and dropped.
+    stale: usize,
+    /// Body buffers handed back by the worker.
+    bodies: Vec<Vec<u8>>,
+    /// Consumed segments to hand back to the worker with the next job.
+    spent: Vec<EventSegment>,
 }
 
 /// Decodes a little-endian integer from the first `N` bytes of `b`.
@@ -1598,14 +1878,16 @@ fn le_bytes<const N: usize>(b: &[u8]) -> [u8; N] {
 }
 
 impl<R: Read> SegmentDecoder<R> {
-    /// Reads and checks the stream header and metadata.
+    /// Reads and checks the stream header and metadata. Starts no
+    /// thread: the decoder thread starts with the first segment read.
     pub(crate) fn open(reader: R) -> Result<Self, DecodeError> {
-        Self::open_with(reader, None)
+        Self::open_with(reader, None, true)
     }
 
     fn open_with(
         mut reader: R,
         seek: Option<fn(&mut R, u64) -> io::Result<u64>>,
+        footprints: bool,
     ) -> Result<Self, DecodeError> {
         let mut head = [0u8; FILE_HEAD];
         let got = read_up_to(&mut reader, &mut head)?;
@@ -1630,33 +1912,45 @@ impl<R: Read> SegmentDecoder<R> {
         let mut len_bytes = [0u8; 8];
         read_exact_or(&mut reader, &mut len_bytes, "metadata length")?;
         let meta_len = u64::from_le_bytes(len_bytes);
-        let meta_bytes = read_body(&mut reader, meta_len, "metadata")?;
+        let meta_bytes = read_body(&mut reader, meta_len, "metadata", Vec::new())?;
         if frame_checksum(&meta_bytes) != checksum {
             return Err(DecodeError::BadChecksum);
         }
         let meta = decode_meta(&meta_bytes)?;
-        let counters = meta.start_chunks();
+        let first_offset = FILE_HEAD as u64 + 8 + meta_len;
         Ok(Self {
             reader,
+            shape: EventShape {
+                footprints,
+                ..EventShape::of(&meta)
+            },
+            restart: Some((0, meta.start_chunks())),
             meta,
-            counters,
-            gcc: 0,
-            lz: delorean_compress::lz77::Decoder::new(),
+            read_offset: first_offset,
+            consumed: StreamPosition {
+                byte_offset: first_offset,
+                segment: 0,
+                commit: 0,
+            },
             seen_trailer: false,
             done: false,
-            byte_offset: FILE_HEAD as u64 + 8 + meta_len,
-            segments: 0,
             seek,
             verified: HashSet::new(),
             verifications: 0,
             marks: Vec::new(),
-            first_offset: FILE_HEAD as u64 + 8 + meta_len,
+            first_offset,
+            pending: VecDeque::new(),
+            worker: None,
+            stale: 0,
+            bodies: Vec::new(),
+            spent: Vec::new(),
         })
     }
 
     /// Repositions the reader at the kind byte of the segment `mark`
-    /// describes and restores the decode counters that segment starts
-    /// with. The LZ77 decoder is reset — sound because the sink drops
+    /// describes and restarts decoding from the counters that segment
+    /// starts with. Work read ahead is abandoned without waiting for
+    /// it. The LZ77 history restarts too — sound because the sink drops
     /// its match window at every segment boundary.
     fn seek_to(&mut self, mark: &SegmentMark) -> Result<(), DecodeError> {
         let Some(seek) = self.seek else {
@@ -1665,137 +1959,240 @@ impl<R: Read> SegmentDecoder<R> {
             ));
         };
         seek(&mut self.reader, mark.byte_offset).map_err(|e| DecodeError::Io(e.to_string()))?;
-        self.byte_offset = mark.byte_offset;
-        self.gcc = mark.start_gcc;
-        self.counters = mark.start_chunks.clone();
-        self.lz = delorean_compress::lz77::Decoder::new();
+        let abandoned = self
+            .pending
+            .drain(..)
+            .filter(|p| matches!(p, Pending::Sent { .. }))
+            .count();
+        if abandoned > 0 {
+            if let Some(w) = &self.worker {
+                w.generation.fetch_add(1, Ordering::Relaxed);
+            }
+            self.stale += abandoned;
+        }
+        self.read_offset = mark.byte_offset;
+        self.consumed.byte_offset = mark.byte_offset;
+        self.consumed.commit = mark.start_gcc;
+        self.restart = Some((mark.start_gcc, mark.start_chunks.clone()));
         self.seen_trailer = false;
         self.done = false;
         Ok(())
     }
 
     fn position(&self) -> StreamPosition {
-        StreamPosition {
-            byte_offset: self.byte_offset,
-            segment: self.segments,
-            commit: self.gcc,
-        }
+        self.consumed
     }
 
     fn positioned(&self, error: DecodeError) -> PositionedDecodeError {
         PositionedDecodeError {
             error,
-            position: self.position(),
+            position: self.consumed,
         }
     }
 
-    fn next(&mut self) -> Result<Segment, PositionedDecodeError> {
-        self.next_inner().map_err(|e| self.positioned(e))
+    /// Hands back a consumed segment, to be freed or refilled on the
+    /// thread that allocated it.
+    pub(crate) fn recycle(&mut self, seg: EventSegment) {
+        self.spent.push(seg);
     }
 
-    fn next_inner(&mut self) -> Result<Segment, DecodeError> {
+    /// The next segment, its error, or the end of the stream.
+    fn next(&mut self) -> Result<Segment, PositionedDecodeError> {
         if self.done {
             return Ok(Segment::End);
         }
-        let seg_start = self.byte_offset;
+        // Keep the worker one segment ahead of the one consumed now.
+        while self.pending.len() < MAX_IN_FLIGHT && self.may_read_ahead() {
+            let read = self.read_frame();
+            self.pending.push_back(read);
+        }
+        match self.pending.pop_front() {
+            Some(Pending::Sent { seg_start, end, .. }) => {
+                self.consumed.byte_offset = end;
+                match self.receive() {
+                    Ok(d) => self.settle(seg_start, d),
+                    Err(e) => Err(self.positioned(e)),
+                }
+            }
+            Some(Pending::Failed { error, end }) => {
+                self.consumed.byte_offset = end;
+                Err(self.positioned(error))
+            }
+            Some(Pending::Eof) | None => {
+                self.done = true;
+                if self.seen_trailer {
+                    Ok(Segment::End)
+                } else if self.consumed.segment == 0 && self.consumed.commit == 0 {
+                    // Valid header, then nothing: a header-only stream,
+                    // not a mid-log truncation.
+                    Err(self.positioned(DecodeError::HeaderOnly))
+                } else {
+                    Err(self.positioned(DecodeError::Truncated("missing trailer segment")))
+                }
+            }
+        }
+    }
+
+    /// Whether the next frame can be read before the ones pending are
+    /// consumed: only behind an event segment, which leaves the trailer
+    /// flag as it is, and never past an end or a failed read.
+    fn may_read_ahead(&self) -> bool {
+        match self.pending.back() {
+            None => true,
+            Some(Pending::Sent { kind, .. }) => *kind == SEG_EVENTS,
+            Some(Pending::Eof | Pending::Failed { .. }) => false,
+        }
+    }
+
+    /// Reads one frame and hands its body to the decoder thread, or
+    /// notes where and why reading it failed. The byte offsets follow
+    /// the serial decoder's: a cut head or body leaves the offset where
+    /// that field started.
+    fn read_frame(&mut self) -> Pending {
+        let seg_start = self.read_offset;
         let mut kind = [0u8; 1];
         match self.reader.read_exact(&mut kind) {
             Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                self.done = true;
-                if self.seen_trailer {
-                    return Ok(Segment::End);
-                }
-                if self.segments == 0 && self.gcc == 0 {
-                    // Valid header, then nothing: a header-only stream,
-                    // not a mid-log truncation.
-                    return Err(DecodeError::HeaderOnly);
-                }
-                return Err(DecodeError::Truncated("missing trailer segment"));
-            }
-            Err(e) => return Err(DecodeError::Io(e.to_string())),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Pending::Eof,
+            Err(e) => return self.failed(DecodeError::Io(e.to_string())),
         }
-        self.byte_offset += 1;
+        self.read_offset += 1;
         if self.seen_trailer {
-            return Err(DecodeError::Truncated("data after trailer segment"));
+            return self.failed(DecodeError::Truncated("data after trailer segment"));
         }
         let mut head = [0u8; SEGMENT_HEAD - 1];
-        read_exact_or(&mut self.reader, &mut head, "segment header")?;
-        self.byte_offset += head.len() as u64;
+        if let Err(e) = read_exact_or(&mut self.reader, &mut head, "segment header") {
+            return self.failed(e);
+        }
+        self.read_offset += head.len() as u64;
         let body_len = u64::from_le_bytes(le_bytes(&head[0..8]));
         let checksum = u64::from_le_bytes(le_bytes(&head[8..16]));
-        let body = read_body(&mut self.reader, body_len, "segment body")?;
-        self.byte_offset += body.len() as u64;
-        if !self.verified.contains(&seg_start) {
-            if segment_checksum(kind[0], &body) != checksum {
-                return Err(DecodeError::BadChecksum);
+        let spare = self.bodies.pop().unwrap_or_default();
+        let body = match read_body(&mut self.reader, body_len, "segment body", spare) {
+            Ok(body) => body,
+            Err(e) => return self.failed(e),
+        };
+        self.read_offset += body.len() as u64;
+        let job = DecodeJob {
+            generation: 0,
+            restart: None,
+            kind: kind[0],
+            checksum: (!self.verified.contains(&seg_start)).then_some(checksum),
+            seg_start,
+            body,
+            spent: std::mem::take(&mut self.spent),
+        };
+        match self.submit(job) {
+            Ok(()) => Pending::Sent {
+                kind: kind[0],
+                seg_start,
+                end: self.read_offset,
+            },
+            Err(e) => self.failed(e),
+        }
+    }
+
+    fn failed(&self, error: DecodeError) -> Pending {
+        Pending::Failed {
+            error,
+            end: self.read_offset,
+        }
+    }
+
+    /// Sends `job` to the decoder thread, starting it first if this is
+    /// the first segment read.
+    fn submit(&mut self, mut job: DecodeJob) -> Result<(), DecodeError> {
+        let worker = match &mut self.worker {
+            Some(w) => w,
+            None => self.worker.insert(DecodeWorker::spawn(self.shape)?),
+        };
+        let jobs = worker.jobs.as_ref().ok_or_else(decoder_stopped)?;
+        job.generation = worker.generation.load(Ordering::Relaxed);
+        job.restart = self.restart.take();
+        jobs.send(job).map_err(|mpsc::SendError(job)| {
+            self.restart = job.restart;
+            decoder_stopped()
+        })
+    }
+
+    /// The decoder thread's result for the oldest job pending, after
+    /// dropping those of abandoned jobs.
+    fn receive(&mut self) -> Result<Decoded, DecodeError> {
+        let Some(worker) = &self.worker else {
+            return Err(decoder_stopped());
+        };
+        loop {
+            let d = worker.done.recv().map_err(|_| decoder_stopped())?;
+            if self.stale == 0 {
+                return Ok(d);
             }
+            self.stale -= 1;
+            if self.bodies.len() < MAX_IN_FLIGHT {
+                self.bodies.push(d.body);
+            }
+        }
+    }
+
+    /// Applies what the decoder thread found in the segment at
+    /// `seg_start`, in the order the serial decoder made the changes.
+    fn settle(&mut self, seg_start: u64, d: Decoded) -> Result<Segment, PositionedDecodeError> {
+        if self.bodies.len() < MAX_IN_FLIGHT {
+            self.bodies.push(d.body);
+        }
+        if d.verified {
             self.verifications += 1;
             self.verified.insert(seg_start);
         }
-        match kind[0] {
-            SEG_EVENTS => {
-                let mark = SegmentMark {
-                    byte_offset: seg_start,
-                    start_gcc: self.gcc,
-                    start_chunks: self.counters.clone(),
-                };
-                match self
-                    .marks
-                    .binary_search_by_key(&seg_start, |m| m.byte_offset)
-                {
-                    Ok(_) => {}
-                    Err(at) => self.marks.insert(at, mark),
-                }
-                let seg = decode_events(
-                    &body,
-                    &self.meta,
-                    &mut self.lz,
-                    &mut self.counters,
-                    &mut self.gcc,
-                )?;
-                if self.gcc != seg.commit_watermark || self.counters != seg.chunk_watermarks {
-                    return Err(DecodeError::Truncated("segment watermark"));
-                }
-                self.segments += 1;
-                Ok(Segment::Events(seg))
+        if let Some(mark) = d.mark {
+            if let Err(at) = self
+                .marks
+                .binary_search_by_key(&seg_start, |m| m.byte_offset)
+            {
+                self.marks.insert(at, mark);
             }
-            SEG_TRAILER => {
-                self.seen_trailer = true;
-                decode_trailer(&body, self.meta.n_procs).map(|t| Segment::Trailer(Box::new(t)))
+        }
+        self.seen_trailer |= d.trailer;
+        self.consumed.commit = d.gcc;
+        match d.outcome {
+            Ok(seg) => {
+                if matches!(seg, Segment::Events(_)) {
+                    self.consumed.segment += 1;
+                }
+                Ok(seg)
             }
-            _ => Err(DecodeError::Truncated("segment kind")),
+            Err(e) => Err(self.positioned(e)),
         }
     }
 }
 
 /// Decodes one events-segment body: the declared commit and chunk
 /// watermarks, then the events of its LZ77 block, decompressed through
-/// `lz`. `counters` (per-processor chunk counters) and `gcc` advance past
+/// `lz`, into `events` (cleared first, its allocation reused).
+/// `counters` (per-processor chunk counters) and `gcc` advance past
 /// every event decoded; checking them against the declared watermarks
-/// is the caller's job. [`FileSource`] passes the one decoder it keeps
-/// for the whole stream, salvage a fresh one per segment.
+/// is the caller's job. The decoder thread passes the one LZ77 decoder
+/// it keeps for the whole stream, salvage a fresh one per segment.
 pub(crate) fn decode_events(
     body: &[u8],
-    meta: &StreamMeta,
+    shape: EventShape,
     lz: &mut delorean_compress::lz77::Decoder,
     counters: &mut [u64],
     gcc: &mut u64,
+    mut events: Vec<LogEvent>,
 ) -> Result<EventSegment, DecodeError> {
     let mut r = Reader::new(body);
     let commits_end = r.u64("segment commit watermark")?;
-    let mut marks = Vec::with_capacity(meta.n_procs as usize);
-    for _ in 0..meta.n_procs {
-        marks.push(r.u64("segment chunk watermark")?);
-    }
+    let marks = r.words(shape.n_procs as usize, "segment chunk watermark")?;
     let count = r.u32("segment event count")?;
     let raw = lz
         .decode_block(&body[r.pos..])
         .map_err(|_| DecodeError::Truncated("event block"))?;
     let mut er = Reader::new(&raw);
-    let mut events = Vec::new();
+    events.clear();
+    // Every event takes at least one byte of the block.
+    events.reserve((count as usize).min(raw.len()));
     for _ in 0..count {
-        events.push(decode_event(&mut er, meta.mode, meta.n_procs, counters)?);
+        events.push(decode_event(&mut er, shape, counters)?);
         *gcc += 1;
     }
     if !er.done() {
@@ -1823,7 +2220,9 @@ pub enum WalkedSegment {
 /// structure: every frame is checksum-verified and decoded, and all
 /// failures carry the [`StreamPosition`] they were detected at. This
 /// is the substrate the `delorean-analyze` log lint is built on; it
-/// holds only one segment in memory at a time.
+/// holds a few segments in memory at a time: the one returned and at
+/// most two read ahead, decoding on a worker thread while the caller
+/// checks the last.
 pub struct SegmentWalker<R: Read> {
     dec: SegmentDecoder<R>,
 }
@@ -1883,7 +2282,10 @@ pub(crate) fn read_recording(bytes: &[u8]) -> Result<Recording, DecodeError> {
     let mut stats = None;
     loop {
         match dec.next().map_err(|e| e.error)? {
-            Segment::Events(seg) => events.extend(seg.events),
+            Segment::Events(mut seg) => {
+                events.append(&mut seg.events);
+                dec.recycle(seg);
+            }
             Segment::Trailer(trailer) => stats = Some(trailer.stats),
             Segment::End => break,
         }
@@ -1895,9 +2297,12 @@ pub(crate) fn read_recording(bytes: &[u8]) -> Result<Recording, DecodeError> {
     })
 }
 
-/// A [`LogSource`] that decodes `.dlrn` segments on demand from any
-/// reader, holding only the not-yet-consumed slice of the log in
-/// memory (consumed entries are evicted as commits are noted).
+/// A [`LogSource`] that decodes `.dlrn` segments from any reader as
+/// the replay reaches them, on a worker thread at most two segments
+/// ahead, holding only the not-yet-consumed slice of the log in memory
+/// (consumed entries are evicted as commits are noted). Event
+/// footprints are checked and skipped: the replay queues never read
+/// them.
 pub struct FileSource<R: Read> {
     dec: SegmentDecoder<R>,
     queues: ReplayQueues,
@@ -1936,7 +2341,7 @@ impl<R: Read> FileSource<R> {
     /// Returns a [`DecodeError`] when the header is corrupt, from an
     /// incompatible version, or references an unknown workload.
     pub fn open(reader: R) -> Result<Self, DecodeError> {
-        Self::from_decoder(SegmentDecoder::open(reader)?)
+        Self::from_decoder(SegmentDecoder::open_with(reader, None, false)?)
     }
 
     fn from_decoder(dec: SegmentDecoder<R>) -> Result<Self, DecodeError> {
@@ -1968,17 +2373,28 @@ impl<R: Read> FileSource<R> {
     }
 
     /// Repositions this source at a checkpoint: the decoder seeks to
-    /// the checkpoint's segment, the restore state is installed as the
-    /// stream's interval start, and events before the checkpoint commit
-    /// are skipped (their counters still advance so watermark
-    /// validation stays intact). Commit slots count from the
-    /// checkpoint, where a replay restarted from it begins.
+    /// the checkpoint's segment, dropping what it read ahead, the
+    /// restore state moves in as the stream's interval start, and events
+    /// before the checkpoint commit are skipped (their counters still
+    /// advance so watermark validation stays intact). Commit slots count
+    /// from the checkpoint, where a replay restarted from it begins.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the underlying reader cannot
     /// seek or the repositioning I/O fails.
     pub fn seek_to(
+        &mut self,
+        entry: crate::checkpoint::CheckpointEntry,
+    ) -> Result<(), DecodeError> {
+        self.reposition(&entry)?;
+        self.dec.meta.interval = Some(entry.state);
+        Ok(())
+    }
+
+    /// [`FileSource::seek_to`] without installing the restore state: for
+    /// a caller that hands the state to its replayer itself.
+    pub(crate) fn reposition(
         &mut self,
         entry: &crate::checkpoint::CheckpointEntry,
     ) -> Result<(), DecodeError> {
@@ -1991,7 +2407,6 @@ impl<R: Read> FileSource<R> {
         self.trailer = None;
         self.eof = false;
         self.error = None;
-        self.dec.meta.interval = Some(entry.state.clone());
         self.phase = Some(entry.rr_cursor);
         Ok(())
     }
@@ -2018,6 +2433,7 @@ impl<R: Read> FileSource<R> {
                     }
                     self.commits_seen += 1;
                 }
+                self.dec.recycle(seg);
             }
             Ok(Segment::Trailer(trailer)) => self.trailer = Some(*trailer),
             Ok(Segment::End) => self.eof = true,
@@ -2117,6 +2533,7 @@ impl<R: Read + Seek> FileSource<R> {
         Self::from_decoder(SegmentDecoder::open_with(
             reader,
             Some(|r: &mut R, pos| r.seek(SeekFrom::Start(pos))),
+            false,
         )?)
     }
 }
@@ -2128,6 +2545,14 @@ mod tests {
 
     use super::*;
     use delorean_chunk::TruncationReason;
+
+    fn shape(mode: Mode, n_procs: u32) -> EventShape {
+        EventShape {
+            mode,
+            n_procs,
+            footprints: true,
+        }
+    }
 
     fn proc_record(p: u32, index: u64) -> CommitRecord {
         CommitRecord {
@@ -2186,8 +2611,8 @@ mod tests {
         }
         let mut counters = vec![0u64; 4];
         let mut r = Reader::new(&w.buf);
-        let a = decode_event(&mut r, Mode::OrderOnly, 4, &mut counters).unwrap();
-        let b = decode_event(&mut r, Mode::OrderOnly, 4, &mut counters).unwrap();
+        let a = decode_event(&mut r, shape(Mode::OrderOnly, 4), &mut counters).unwrap();
+        let b = decode_event(&mut r, shape(Mode::OrderOnly, 4), &mut counters).unwrap();
         assert!(r.done());
         assert_eq!(a, events[0]);
         assert_eq!(b, events[1]);
@@ -2281,8 +2706,8 @@ mod tests {
         encode_event(&dma, true, &mut w);
         let mut counters = vec![0u64; 4];
         let mut r = Reader::new(&w.buf);
-        let a = decode_event(&mut r, Mode::OrderOnly, 4, &mut counters).unwrap();
-        let b = decode_event(&mut r, Mode::OrderOnly, 4, &mut counters).unwrap();
+        let a = decode_event(&mut r, shape(Mode::OrderOnly, 4), &mut counters).unwrap();
+        let b = decode_event(&mut r, shape(Mode::OrderOnly, 4), &mut counters).unwrap();
         assert!(r.done());
         assert_eq!(a, ev);
         assert_eq!(b, dma);
@@ -2509,6 +2934,178 @@ mod tests {
         assert!(err.contains("header"), "{err}");
     }
 
+    /// Events of `n` commits alternating between two processors,
+    /// streamed with a segment every `every` commits and no trailer.
+    fn unfinished_stream(n: u32, every: usize) -> Vec<u8> {
+        let mut sink = FileSink::with_flush_every(Vec::new(), every);
+        sink.begin(&test_meta(Mode::OrderOnly, 2));
+        let mut bridge = CommitBridge::new(Mode::OrderOnly, 2);
+        for k in 0..n {
+            sink.on_event(&bridge.convert(&proc_record(k % 2, u64::from(k / 2 + 1))));
+        }
+        sink.abandon().unwrap()
+    }
+
+    #[test]
+    fn file_source_is_send() {
+        fn send<T: Send>() {}
+        send::<FileSource<&[u8]>>();
+        send::<FileSource<io::Cursor<Vec<u8>>>>();
+    }
+
+    /// The decoder thread starts with the first segment read: opening a
+    /// stream reads its header alone and starts none.
+    #[test]
+    fn opening_a_stream_starts_no_thread() {
+        let bytes = unfinished_stream(6, 2);
+        let mut src = FileSource::open(&bytes[..]).unwrap();
+        assert!(src.dec.worker.is_none());
+        assert_eq!(src.pi_peek(), Some(Committer::Proc(0)));
+        assert!(src.dec.worker.is_some());
+        assert!(SegmentDecoder::open(&bytes[..]).unwrap().worker.is_none());
+    }
+
+    /// A source dropped with segments in flight joins its decoder thread
+    /// without decoding the rest of the stream.
+    #[test]
+    fn a_source_dropped_mid_stream_ends_promptly() {
+        let bytes = unfinished_stream(4_000, 4);
+        let mut src = FileSource::open(&bytes[..]).unwrap();
+        assert_eq!(src.pi_peek(), Some(Committer::Proc(0)));
+        let t = std::time::Instant::now();
+        drop(src);
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(2),
+            "drop took {:?}",
+            t.elapsed()
+        );
+    }
+
+    /// A reader that fails inside a segment body: the error surfaces,
+    /// typed and positioned, when that segment is consumed, after every
+    /// segment before it.
+    #[test]
+    fn a_reader_failing_mid_body_is_a_positioned_error() {
+        struct Failing<'a> {
+            bytes: &'a [u8],
+            at: usize,
+        }
+        impl Read for Failing<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.at == 0 {
+                    return Err(io::Error::other("disk gone"));
+                }
+                let n = buf.len().min(self.at).min(self.bytes.len());
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes = &self.bytes[n..];
+                self.at -= n;
+                Ok(n)
+            }
+        }
+        let bytes = unfinished_stream(8, 2);
+        let frames = crate::recover::layout(&bytes).unwrap().segments;
+        let body = frames[2].start + SEGMENT_HEAD;
+        let failing = || Failing {
+            bytes: &bytes,
+            at: body + 3,
+        };
+        let want = PositionedDecodeError {
+            error: DecodeError::Io("disk gone".to_string()),
+            position: StreamPosition {
+                byte_offset: body as u64,
+                segment: 2,
+                commit: 4,
+            },
+        };
+
+        let mut walker = SegmentWalker::open(failing()).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                walker.next_segment(),
+                Ok(WalkedSegment::Events(_))
+            ));
+        }
+        let err = walker.next_segment().unwrap_err();
+        assert_eq!(
+            (err.error, err.position),
+            (want.error.clone(), want.position)
+        );
+        assert_eq!(walker.position(), want.position);
+
+        let mut src = FileSource::open(failing()).unwrap();
+        assert_eq!(src.finish().unwrap_err(), want.to_string());
+        assert_eq!(src.error(), Some(want.to_string().as_str()));
+        assert_eq!(src.checksums_verified(), 2);
+    }
+
+    /// Seeks forward, back and forward again while the decoder holds
+    /// segments read ahead: to a commit inside a segment, to one whose
+    /// roll-forward crosses segments, to one on a segment boundary and
+    /// to a checkpoint on a boundary. Each result equals a fresh walk's
+    /// state and a fresh cursor's entry and mark, and re-reading
+    /// segments verifies no checksum twice.
+    #[test]
+    fn seeks_back_and_forth_match_fresh_walks() {
+        use crate::checkpoint::{index_stream, ReplayCursor};
+        let m = crate::Machine::builder()
+            .procs(4)
+            .budget(8_000)
+            .chunk_size(200)
+            .build();
+        let rec = m.record(workload::by_name("lu").unwrap(), 17);
+        // Segments start at every multiple of 8 commits, checkpoints
+        // at every multiple of 20: 22 rolls forward inside [16, 24), 37
+        // crosses into [32, 40), 48 ends on a boundary and 40 restores
+        // a checkpoint that starts a segment.
+        let mut sink = FileSink::with_flush_every(Vec::new(), 8);
+        copy_recording(&rec, &mut sink);
+        let bytes = sink.into_inner().unwrap();
+        let index = index_stream(&bytes, 20).unwrap();
+        assert!(index.total_commits > 64, "{}", index.total_commits);
+        let open = || ReplayCursor::open(io::Cursor::new(bytes.clone()), index.clone()).unwrap();
+        // Every segment's true mark, from one walk over the stream.
+        let mut walk = FileSource::open(&bytes[..]).unwrap();
+        walk.finish().unwrap();
+        let is_mark_of =
+            |m: &SegmentMark, gcc: u64| m.start_gcc <= gcc && walk.dec.marks.contains(m);
+
+        let mut cursor = open();
+        let mut verified = None;
+        for order in [[22, 37, 48, 40], [48, 40, 37, 22], [22, 37, 48, 40]] {
+            for gcc in order {
+                let entry = cursor.seek(gcc).unwrap();
+                // A restore that rolls forward leaves a segment read
+                // ahead, for the next seek to abandon.
+                assert_eq!(cursor.source.dec.pending.is_empty(), gcc == 40, "at {gcc}");
+                assert_eq!(
+                    entry.state,
+                    rec.checkpoint_at(gcc).unwrap().state,
+                    "state at {gcc}"
+                );
+                let fresh = open().seek(gcc).unwrap();
+                assert_eq!(
+                    (entry.gcc, entry.rr_cursor, &entry.state),
+                    (fresh.gcc, fresh.rr_cursor, &fresh.state),
+                    "entry at {gcc}"
+                );
+                assert!(is_mark_of(&entry.segment, gcc), "entry mark at {gcc}");
+                let mark = cursor.source.segment_at(gcc);
+                assert!(
+                    mark.is_some_and(|m| is_mark_of(m, gcc)),
+                    "mark at {gcc}: {mark:?}"
+                );
+            }
+            let n = cursor.source.checksums_verified();
+            assert_eq!(
+                *verified.get_or_insert(n),
+                n,
+                "a re-read segment verified again"
+            );
+        }
+        let frames = crate::recover::layout(&bytes).unwrap().segments.len() as u64;
+        assert!(verified.is_some_and(|n| n > 0 && n <= frames));
+    }
+
     #[test]
     fn segments_decode_with_a_fresh_decoder() {
         // Compressing each block alone keeps every segment
@@ -2529,10 +3126,11 @@ mod tests {
         let mut counters = vec![1u64, 0];
         let seg = decode_events(
             body,
-            &test_meta(Mode::OrderOnly, 2),
+            shape(Mode::OrderOnly, 2),
             &mut delorean_compress::lz77::Decoder::new(),
             &mut counters,
             &mut 1,
+            Vec::new(),
         )
         .expect("second segment must decode with empty history");
         assert_eq!(seg.events.len(), 1);

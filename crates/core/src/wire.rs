@@ -124,6 +124,10 @@ impl<'a> Reader<'a> {
     pub(crate) fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
+    /// Bytes not read yet.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -397,3 +397,137 @@ proptest! {
         }
     }
 }
+
+/// One step of splitmix64: the damage positions of
+/// [`damaged_decode_outcomes_are_pinned`] come from it, so the set of
+/// damaged streams is the same on every run and every build.
+fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d4_9bb1_3311_14eb);
+    z ^ (z >> 31)
+}
+
+/// Flips bit `bit` of byte `at` of an event segment's body and seals the
+/// frame with a valid checksum again, so the damage reaches the event
+/// decoder instead of stopping at the checksum.
+fn resealed(bytes: &[u8], pick: u64, at: u64, bit: u64) -> Vec<u8> {
+    let frames = delorean::recover::layout(bytes).expect("a fresh recording maps");
+    let events: Vec<_> = frames.segments.iter().filter(|s| s.kind == 1).collect();
+    let span = events[(pick % events.len() as u64) as usize];
+    let body = span.start + 17;
+    let mut out = bytes.to_vec();
+    out[body + (at % (span.end - body) as u64) as usize] ^= 1 << (bit % 8);
+    let mut f = delorean::Fnv::default();
+    f.update(&out[span.start..span.start + 9]);
+    f.update(&out[body..span.end]);
+    out[span.start + 9..body].copy_from_slice(&f.value().to_le_bytes());
+    out
+}
+
+/// What the two `.dlrn` readers make of one damaged stream: what a
+/// `SegmentWalker` yields up to its first error and where it stops, and
+/// how a `FileSource` drained with `finish` ends.
+fn decode_outcome(bytes: &[u8]) -> String {
+    let walk = match SegmentWalker::open(bytes) {
+        Err(e) => format!("open failed: {e}"),
+        Ok(mut walker) => {
+            let (mut segments, mut events, mut trailer) = (0, 0, None);
+            let error = loop {
+                match walker.next_segment() {
+                    Ok(WalkedSegment::Events(seg)) => {
+                        segments += 1;
+                        events += seg.events.len();
+                    }
+                    Ok(WalkedSegment::Trailer(t)) => trailer = Some(t.stats.total_commits),
+                    Ok(WalkedSegment::End) => break None,
+                    Err(e) => break Some(e),
+                }
+            };
+            format!(
+                "segments {segments}, events {events}, trailer commits {}, error {}, stopped at {}",
+                trailer.map_or("-".to_string(), |c| c.to_string()),
+                error.map_or("-".to_string(), |e| e.to_string()),
+                walker.position()
+            )
+        }
+    };
+    let source = match FileSource::open(bytes) {
+        Err(e) => format!("open failed: {e}"),
+        Ok(mut src) => {
+            let finished = src.finish();
+            format!(
+                "finish {}, error {}, checksums verified {}",
+                finished.map_or_else(|e| e, |t| format!("ok, {} commits", t.stats.total_commits)),
+                src.error().unwrap_or("-"),
+                src.checksums_verified()
+            )
+        }
+    };
+    format!("walker: {walk} | source: {source}")
+}
+
+/// Every error a damaged stream decodes to, with its position, and what
+/// each reader had yielded before it, in all three modes: bit flips,
+/// truncations, garbage bursts, bit flips behind a valid checksum (they
+/// reach the event decoder and fail mid-segment) and bytes after the
+/// trailer. Regenerate (only when the decoder's observable behavior
+/// intentionally changes) with
+/// `DELOREAN_REGEN_GOLDEN=1 cargo test -q --test streaming damaged_decode`.
+#[test]
+fn damaged_decode_outcomes_are_pinned() {
+    let mut lines = Vec::new();
+    let mut rng = 0x646c_726e_u64;
+    for mode in MODES {
+        for (base, bytes) in [
+            ("fft", small_fft_bytes(mode, 7)),
+            ("sweb2005", device_bytes(mode, 5)),
+        ] {
+            let len = bytes.len() as u64;
+            let header_end = delorean::recover::layout(&bytes).unwrap().header_end;
+            let mut streams = vec![
+                ("header-only".to_string(), bytes[..header_end].to_vec()),
+                ("appended".to_string(), [&bytes[..], &[1, 0, 0]].concat()),
+            ];
+            for k in 0..8 {
+                let (a, b) = (splitmix64(&mut rng), splitmix64(&mut rng));
+                let mut flipped = bytes.clone();
+                flipped[(a % len) as usize] ^= 1 << (b % 8);
+                streams.push((format!("flip {}.{}", a % len, b % 8), flipped));
+                streams.push((
+                    format!("cut {}", a % len),
+                    bytes[..(a % len) as usize].to_vec(),
+                ));
+                let (off, n) = ((a % len) as usize, 1 + (b % 64) as usize);
+                let mut burst = bytes.clone();
+                for (i, byte) in burst[off..(off + n).min(bytes.len())]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    *byte = (a ^ b).wrapping_mul(i as u64 + 1) as u8;
+                }
+                streams.push((format!("garbage {off}+{n}"), burst));
+                streams.push((format!("resealed {k}"), resealed(&bytes, a, b, a >> 32)));
+            }
+            for (damage, stream) in streams {
+                lines.push(format!(
+                    "{mode} {base} {damage}: {}",
+                    decode_outcome(&stream)
+                ));
+            }
+        }
+    }
+    let fresh = lines.join("\n") + "\n";
+    // Tests run with the package root (crates/core) as cwd.
+    let path = "../../tests/golden/damaged_decode.txt";
+    if std::env::var("DELOREAN_REGEN_GOLDEN").is_ok() {
+        std::fs::write(path, &fresh).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("read golden");
+    for (k, (want, got)) in golden.lines().zip(fresh.lines()).enumerate() {
+        assert_eq!(want, got, "line {} of {path} differs", k + 1);
+    }
+    assert_eq!(golden, fresh, "{path} drifted");
+}
