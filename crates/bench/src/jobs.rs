@@ -599,11 +599,17 @@ pub fn run_job(spec: &JobSpec) -> BenchRecord {
             let t = Instant::now();
             measure_logs(&mut record, &rec);
             let plain = rec.logs().pi.measure().compressed_bits.max(1);
-            let strat = rec.stratified_pi(capacity).measure().compressed_bits.max(1);
+            // An OrderOnly log stratifies at any positive capacity; a
+            // zero capacity records no ratio.
+            let strat = rec
+                .stratified_pi(capacity)
+                .map(|s| s.measure().compressed_bits.max(1));
             record.timings.compress_ms += ms(t);
-            record
-                .extra
-                .push(("strat_pi_ratio".into(), strat as f64 / plain as f64));
+            if let Ok(strat) = strat {
+                record
+                    .extra
+                    .push(("strat_pi_ratio".into(), strat as f64 / plain as f64));
+            }
         }
         JobKind::Fdr | JobKind::Rtr | JobKind::Strata => {
             let t = Instant::now();

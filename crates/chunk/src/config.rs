@@ -3,8 +3,10 @@
 use delorean_sim::{MachineConfig, SpecError};
 
 /// Commit-arbiter topology: one global arbiter (the paper's machine) or
-/// `K` shards, each with its own commit sequence, merged into the single
-/// recorded total order via the shard vector clock.
+/// `K` shards, each arbitrating only its own requesters. The engine takes
+/// one grant at a time, from the first shard in cursor order whose
+/// requesters the policy grants, so the grants form the single recorded
+/// total order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArbiterConfig {
     /// One global arbiter serializes every commit (the paper's design).

@@ -11,9 +11,8 @@
 //! order, which is exactly the property DeLorean's determinism proof
 //! (Appendix B) relies on.
 
-use crate::arbiter::{ArbiterBackend, GlobalArbiter, ShardedArbiter};
-use crate::components::{machine_components, EngineCtx};
-use crate::config::{ArbiterConfig, EngineConfig};
+use crate::arbiter::Arbiter;
+use crate::config::EngineConfig;
 use crate::devices::DeviceBank;
 use crate::footprint::intersects_sorted;
 use crate::hooks::{
@@ -27,16 +26,15 @@ use delorean_isa::inst::effective_addr;
 use delorean_isa::layout::{AddressMap, DMA_WORDS};
 use delorean_isa::{Addr, Inst, IoBus, Program, StepKind, Vm, Word};
 use delorean_mem::{line_of, Memory};
-use delorean_sim::component::{Component, ComponentId, NEVER};
 use delorean_sim::scheduler::Scheduler;
 use delorean_sim::{AccessClass, MemorySystem, RunSpec, TimingParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// The event vocabulary the machine's components exchange through the
-/// scheduler.
+/// The events the engine posts to its queue. `Engine::run` hands each
+/// to its `handle_*` method; `Poll` needs none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ev {
+enum Ev {
     /// A chunk execution attempt finished.
     Complete { core: u32, attempt: u64 },
     /// A commit request reached the arbiter.
@@ -183,7 +181,7 @@ pub fn run_from(
     spec: &RunSpec,
     cfg: &EngineConfig,
     hooks: &mut dyn ExecutionHooks,
-    start: &StartState,
+    start: StartState,
 ) -> Result<RunStats, EngineError> {
     if !start.fits(spec.n_procs) {
         return Err(EngineError::StartShape {
@@ -193,7 +191,7 @@ pub fn run_from(
     Engine::new(spec, cfg, hooks, Some(start)).run()
 }
 
-pub(crate) struct Engine<'h> {
+struct Engine<'h> {
     cfg: EngineConfig,
     hooks: &'h mut dyn ExecutionHooks,
     budget: u64,
@@ -201,10 +199,7 @@ pub(crate) struct Engine<'h> {
     attempt_ctr: u64,
     commit_token_ctr: u64,
     sched: Scheduler<Ev>,
-    arbiter: Box<dyn ArbiterBackend>,
-    /// Shard of the grant currently being applied, consumed into its
-    /// [`CommitRecord`].
-    grant_shard: Option<u32>,
+    arbiter: Arbiter,
     cores: Vec<CoreState>,
     memory: Memory,
     memsys: MemorySystem,
@@ -241,7 +236,7 @@ impl<'h> Engine<'h> {
         spec: &RunSpec,
         cfg: &EngineConfig,
         hooks: &'h mut dyn ExecutionHooks,
-        start: Option<&StartState>,
+        mut start: Option<StartState>,
     ) -> Self {
         let mut cfg = cfg.clone();
         cfg.machine.n_procs = spec.n_procs;
@@ -264,8 +259,8 @@ impl<'h> Engine<'h> {
         }
         let map = AddressMap::new(spec.n_procs);
         // `run_from` checked the start state's shape.
-        let memory = match start {
-            Some(st) => Memory::from_image(st.memory.clone()),
+        let memory = match &mut start {
+            Some(st) => Memory::from_image(std::mem::take(&mut st.memory)),
             None => Memory::new(map.total_words()),
         };
         let memsys = MemorySystem::new(&cfg.machine);
@@ -276,10 +271,10 @@ impl<'h> Engine<'h> {
             .map(|(t, program)| {
                 let mut vm = Vm::new(t as u32, &map);
                 vm.set_pc(program.entry());
-                if let Some(st) = start {
+                if let Some(st) = &start {
                     vm.restore(&st.vm_states[t]);
                 }
-                let done = start.map_or(0, |st| st.chunks_done[t]);
+                let done = start.as_ref().map_or(0, |st| st.chunks_done[t]);
                 CoreState {
                     vm,
                     program,
@@ -300,13 +295,6 @@ impl<'h> Engine<'h> {
         let devices = DeviceBank::new(spec.seed, cfg.devices, map.dma_base(), DMA_WORDS);
         let trng = SmallRng::seed_from_u64(cfg.timing_seed ^ 0x7141_e57a);
         let frng = SmallRng::seed_from_u64(cfg.faults.map_or(0, |f| f.seed) ^ 0xfa17_5eed);
-        // Replay re-serializes the recorded total order, so it always
-        // runs the global arbiter mechanics regardless of the topology
-        // that produced the recording.
-        let arbiter: Box<dyn ArbiterBackend> = match (cfg.replay, cfg.arbiter) {
-            (false, ArbiterConfig::Sharded { shards }) => Box::new(ShardedArbiter::new(shards)),
-            _ => Box::new(GlobalArbiter),
-        };
         Self {
             budget: spec.budget,
             hooks,
@@ -314,8 +302,7 @@ impl<'h> Engine<'h> {
             attempt_ctr: 0,
             commit_token_ctr: 0,
             sched: Scheduler::new(),
-            arbiter,
-            grant_shard: None,
+            arbiter: Arbiter::new(&cfg),
             cores,
             memory,
             memsys,
@@ -346,71 +333,45 @@ impl<'h> Engine<'h> {
         }
     }
 
-    /// Routes an event to the component that consumes it: executors
-    /// `0..n`, then arbiter, interrupt controller, DMA, storm.
-    fn component_of(&self, ev: Ev) -> ComponentId {
-        let n = self.cores.len() as u32;
-        ComponentId::new(match ev {
-            Ev::Complete { core, .. } => core,
-            Ev::Request { .. } | Ev::CommitDone { .. } | Ev::Poll => n,
-            Ev::Irq { .. } => n + 1,
-            Ev::Dma => n + 2,
-            Ev::Storm => n + 3,
-        })
-    }
-
-    fn schedule(&mut self, time: u64, ev: Ev) {
-        let id = self.component_of(ev);
-        self.sched.post(time, id, ev);
-    }
-
     fn all_done(&self) -> bool {
         self.cores.iter().all(|c| c.done)
     }
 
     fn run(mut self) -> Result<RunStats, EngineError> {
         let n = self.cores.len() as u32;
-        let mut components = machine_components(n);
         for c in 0..n {
             self.try_start_chunk(c);
         }
         if !self.cfg.replay {
             for c in 0..n {
                 if let Some(d) = self.devices.next_irq_delay() {
-                    self.schedule(d, Ev::Irq { core: c });
+                    self.sched.post(d, Ev::Irq { core: c });
                 }
             }
             if let Some(d) = self.devices.next_dma_delay() {
-                self.schedule(d, Ev::Dma);
+                self.sched.post(d, Ev::Dma);
             }
             if let Some(f) = self.cfg.faults {
                 if f.storm_period > 0 {
-                    self.schedule(f.storm_period, Ev::Storm);
+                    self.sched.post(f.storm_period, Ev::Storm);
                 }
             }
         }
         self.poll_arbiter();
-        while let Some(item) = self.sched.pop() {
+        while let Some((tick, ev)) = self.sched.pop() {
             if self.all_done() {
                 break;
             }
-            self.now = item.tick;
-            let (wake, rearm) = {
-                let comp = &mut components[item.id.index()];
-                let mut ctx = EngineCtx {
-                    st: &mut self,
-                    ev: item.payload,
-                };
-                let wake = comp.tick(&mut ctx);
-                (wake, comp.rearm())
-            };
-            // Proactive components (DMA, storm) are re-armed by the
-            // driver with their payload-free event; reactive ones
-            // return NEVER and post follow-on work internally.
-            if wake != NEVER {
-                if let Some(ev) = rearm {
-                    self.sched.post(wake, item.id, ev);
-                }
+            self.now = tick;
+            match ev {
+                Ev::Complete { core, attempt } => self.handle_complete(core, attempt),
+                Ev::Request { core, attempt } => self.handle_request(core, attempt),
+                Ev::CommitDone { token } => self.handle_commit_done(token),
+                Ev::Irq { core } => self.handle_irq(core),
+                Ev::Dma => self.handle_dma(),
+                Ev::Storm => self.handle_storm(),
+                // A grant-gap pause ended: only the poll below runs.
+                Ev::Poll => {}
             }
             self.poll_arbiter();
         }
@@ -466,7 +427,7 @@ impl<'h> Engine<'h> {
 
     // ----- event handlers -------------------------------------------------
 
-    pub(crate) fn handle_complete(&mut self, core: u32, attempt: u64) {
+    fn handle_complete(&mut self, core: u32, attempt: u64) {
         let c = &mut self.cores[core as usize];
         let Some(chunk) = c.chunks.iter_mut().find(|ch| ch.incarnation == attempt) else {
             return; // stale: chunk was squashed
@@ -481,11 +442,12 @@ impl<'h> Engine<'h> {
                 delay += self.trng.gen_range(p.delay_min..=p.delay_max);
             }
         }
-        self.schedule(self.now + delay, Ev::Request { core, attempt });
+        self.sched
+            .post(self.now + delay, Ev::Request { core, attempt });
         self.try_start_chunk(core);
     }
 
-    pub(crate) fn handle_request(&mut self, core: u32, attempt: u64) {
+    fn handle_request(&mut self, core: u32, attempt: u64) {
         let c = &self.cores[core as usize];
         let Some(chunk) = c.chunks.iter().find(|ch| ch.incarnation == attempt) else {
             return; // stale
@@ -501,7 +463,7 @@ impl<'h> Engine<'h> {
         });
     }
 
-    pub(crate) fn handle_commit_done(&mut self, token: u64) {
+    fn handle_commit_done(&mut self, token: u64) {
         let Some(pos) = self.committing.iter().position(|a| a.token == token) else {
             return;
         };
@@ -520,7 +482,7 @@ impl<'h> Engine<'h> {
         }
     }
 
-    pub(crate) fn handle_irq(&mut self, core: u32) {
+    fn handle_irq(&mut self, core: u32) {
         if self.cores[core as usize].done {
             return;
         }
@@ -544,16 +506,13 @@ impl<'h> Engine<'h> {
             self.squash_from(core, pos);
         }
         if let Some(d) = self.devices.next_irq_delay() {
-            self.schedule(self.now + d, Ev::Irq { core });
+            self.sched.post(self.now + d, Ev::Irq { core });
         }
     }
 
-    /// Ticks the DMA device; returns its next firing cycle ([`NEVER`]
-    /// once the run has drained or the device bank stops).
-    pub(crate) fn handle_dma(&mut self) -> u64 {
-        if self.all_done() {
-            return NEVER;
-        }
+    /// A DMA transfer request: queues a transfer unless one is still
+    /// pending, then re-arms the device unless the bank stops.
+    fn handle_dma(&mut self) {
         if self.dma_pending.is_none() {
             let data = self.devices.dma_transfer();
             self.hooks.on_event(
@@ -570,9 +529,8 @@ impl<'h> Engine<'h> {
                 arrival: self.arrival_ctr,
             });
         }
-        match self.devices.next_dma_delay() {
-            Some(d) => self.now + d,
-            None => NEVER,
+        if let Some(d) = self.devices.next_dma_delay() {
+            self.sched.post(self.now + d, Ev::Dma);
         }
     }
 
@@ -580,14 +538,12 @@ impl<'h> Engine<'h> {
     /// oldest not-yet-committing chunk is squashed, re-exercising the
     /// squash/re-execute path under load. Determinism is preserved
     /// because squashed work is simply re-executed — only the commit
-    /// order (which the log records) can shift.
-    pub(crate) fn handle_storm(&mut self) -> u64 {
+    /// order (which the log records) can shift. Only a recording with
+    /// a storm period posts storms.
+    fn handle_storm(&mut self) {
         let Some(f) = self.cfg.faults else {
-            return NEVER;
+            return;
         };
-        if f.storm_period == 0 || self.cfg.replay {
-            return NEVER;
-        }
         let n = self.cores.len() as u32;
         for q in 0..n {
             let pos = self.cores[q as usize]
@@ -598,10 +554,8 @@ impl<'h> Engine<'h> {
                 self.squash_from(q, pos);
             }
         }
-        if self.all_done() {
-            NEVER
-        } else {
-            self.now + f.storm_period
+        if !self.all_done() {
+            self.sched.post(self.now + f.storm_period, Ev::Storm);
         }
     }
 
@@ -651,7 +605,7 @@ impl<'h> Engine<'h> {
             if self.cfg.grant_gap > 0 && self.gcc > 0 {
                 let next_ok = self.last_grant_time_global + self.cfg.grant_gap;
                 if self.now < next_ok {
-                    self.schedule(next_ok, Ev::Poll);
+                    self.sched.post(next_ok, Ev::Poll);
                     return;
                 }
             }
@@ -666,15 +620,13 @@ impl<'h> Engine<'h> {
                 total_commits: self.gcc,
                 finished: &finished,
             };
-            // The backend decides which requests the mode's policy
+            // The arbiter decides which requests the mode's policy
             // sees (all of them for the global arbiter, one shard's
-            // worth for the sharded one) and stamps the grant's
-            // provenance.
-            let Some(grant) = self.arbiter.next_grant(&mut *self.hooks, &ctx) else {
+            // worth for the sharded one) and names the granting shard.
+            let Some((committer, shard)) = self.arbiter.next_grant(&mut *self.hooks, &ctx) else {
                 return;
             };
-            self.grant_shard = grant.shard;
-            match grant.committer {
+            match committer {
                 Committer::Dma => {
                     let (data, device_generated) = match self.dma_pending.take() {
                         Some(d) => (d, true),
@@ -702,11 +654,11 @@ impl<'h> Engine<'h> {
                     if device_generated {
                         self.pending.retain(|r| r.committer != Committer::Dma);
                     }
-                    self.grant_dma(data, lines);
+                    self.grant_dma(data, lines, shard);
                 }
                 Committer::Proc(p) => {
                     assert!(
-                        ctx.has_pending(grant.committer),
+                        ctx.has_pending(committer),
                         "policy granted processor {p} with no eligible request"
                     );
                     let footprint = self.cores[p as usize].chunks[0].footprint();
@@ -717,7 +669,7 @@ impl<'h> Engine<'h> {
                     {
                         return; // wait for disjointness
                     }
-                    self.grant_proc(p, footprint);
+                    self.grant_proc(p, footprint, shard);
                 }
             }
         }
@@ -725,8 +677,13 @@ impl<'h> Engine<'h> {
 
     /// Grants processor `p`'s oldest chunk, whose sorted footprint
     /// (all lines accessed, lines written) is `(access_lines,
-    /// write_lines)`.
-    fn grant_proc(&mut self, p: u32, (access_lines, write_lines): (Vec<u64>, Vec<u64>)) {
+    /// write_lines)`, on arbiter shard `shard`.
+    fn grant_proc(
+        &mut self,
+        p: u32,
+        (access_lines, write_lines): (Vec<u64>, Vec<u64>),
+        shard: Option<u32>,
+    ) {
         // Sample Table-6 parallel stats before mutating state.
         let ready_procs = self
             .cores
@@ -809,7 +766,7 @@ impl<'h> Engine<'h> {
             dma_data: Vec::new(),
             access_lines,
             write_lines,
-            shard: self.grant_shard.take(),
+            shard,
         };
         self.hooks.on_commit(&rec);
         self.hooks
@@ -821,7 +778,8 @@ impl<'h> Engine<'h> {
             token,
             lines: rec.access_lines,
         });
-        self.schedule(self.now + commit_latency, Ev::CommitDone { token });
+        self.sched
+            .post(self.now + commit_latency, Ev::CommitDone { token });
         let written = screened(&rec.write_lines);
         let n = self.cores.len() as u32;
         for q in 0..n {
@@ -832,8 +790,8 @@ impl<'h> Engine<'h> {
     }
 
     /// Grants a DMA transfer of `data`, whose sorted, deduplicated lines
-    /// are `lines`.
-    fn grant_dma(&mut self, data: Vec<(Addr, Word)>, lines: Vec<u64>) {
+    /// are `lines`, on arbiter shard `shard`.
+    fn grant_dma(&mut self, data: Vec<(Addr, Word)>, lines: Vec<u64>, shard: Option<u32>) {
         self.gcc += 1;
         self.dma_commits += 1;
         self.traffic += 8 * data.len() as u64 + 64;
@@ -854,7 +812,7 @@ impl<'h> Engine<'h> {
             access_lines: lines.clone(),
             write_lines: lines,
             dma_data: data,
-            shard: self.grant_shard.take(),
+            shard,
         };
         self.hooks.on_commit(&rec);
         self.hooks
@@ -866,7 +824,7 @@ impl<'h> Engine<'h> {
             token,
             lines: rec.access_lines,
         });
-        self.schedule(
+        self.sched.post(
             self.now + self.cfg.arbitration_latency,
             Ev::CommitDone { token },
         );
@@ -1010,7 +968,7 @@ impl<'h> Engine<'h> {
             }
         }
         for (time, attempt) in scheduled {
-            self.schedule(time, Ev::Complete { core: q, attempt });
+            self.sched.post(time, Ev::Complete { core: q, attempt });
         }
     }
 
@@ -1138,7 +1096,7 @@ impl<'h> Engine<'h> {
             Some(key)
         };
         if let Some((time, attempt)) = scheduled {
-            self.schedule(time, Ev::Complete { core: p, attempt });
+            self.sched.post(time, Ev::Complete { core: p, attempt });
         }
     }
 }

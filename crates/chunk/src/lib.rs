@@ -32,6 +32,12 @@
 //! processor stall accounting, and the commit-token statistics of
 //! Table 6.
 //!
+//! The engine is one event loop: it pops `(cycle, event)` pairs from a
+//! queue ordered by cycle, then by post order, and hands each event to
+//! its handler. One arbiter, global or split into shards
+//! ([`ArbiterConfig`]), grants commits one at a time, so the order of
+//! its grants is the total order the logs record.
+//!
 //! # Examples
 //!
 //! ```
@@ -48,8 +54,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod arbiter;
-mod components;
+mod arbiter;
 pub mod config;
 pub mod devices;
 mod engine;
@@ -59,7 +64,6 @@ pub mod policy;
 mod spec;
 pub mod stats;
 
-pub use arbiter::{ArbiterBackend, GlobalArbiter, Grant, ShardedArbiter};
 pub use config::{ArbiterConfig, DeviceConfig, EngineConfig, PerturbConfig, SubstrateFaultConfig};
 pub use engine::{run, run_from, EngineError, StartState};
 pub use footprint::ChunkFootprint;

@@ -59,15 +59,15 @@ fn start_states_that_do_not_fit_the_machine_are_errors() {
         chunks_done: vec![0; 2],
     };
     let cfg = EngineConfig::recording(500);
-    let from = |start: &StartState| delorean_chunk::run_from(&r, &cfg, &mut BulkScHooks, start);
-    assert!(from(&fits).is_ok());
+    let from = |start: StartState| delorean_chunk::run_from(&r, &cfg, &mut BulkScHooks, start);
     let mut short = fits.clone();
     short.chunks_done.pop();
     let mut half = fits.clone();
     half.memory.truncate(half.memory.len() / 2);
+    assert!(from(fits).is_ok());
     for misfit in [short, half] {
         assert_eq!(
-            from(&misfit).unwrap_err(),
+            from(misfit).unwrap_err(),
             EngineError::StartShape { n_procs: 2 }
         );
     }

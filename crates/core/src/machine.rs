@@ -116,15 +116,18 @@ impl Recording {
     /// chunks-per-processor-per-stratum capacity (Section 4.3 /
     /// Figure 9).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for PicoLog recordings, which have no PI log.
-    pub fn stratified_pi(&self, max_per_stratum: u32) -> StratifiedPiLog {
-        let n_procs = self.meta.n_procs;
-        assert!(
-            self.meta.mode.has_pi_log(),
-            "PicoLog has no PI log to stratify"
-        );
+    /// Returns [`ReplayError::Unstratifiable`] for PicoLog recordings,
+    /// which have no PI log, and for a capacity of zero.
+    pub fn stratified_pi(&self, max_per_stratum: u32) -> Result<StratifiedPiLog, ReplayError> {
+        let (mode, n_procs) = (self.meta.mode, self.meta.n_procs);
+        if !mode.has_pi_log() || max_per_stratum == 0 {
+            return Err(ReplayError::Unstratifiable {
+                mode,
+                max_per_stratum,
+            });
+        }
         let mut s = Stratifier::new(n_procs + 1, max_per_stratum);
         for ev in &self.events {
             let col = match ev.committer {
@@ -133,7 +136,7 @@ impl Recording {
             };
             s.observe(col, &ev.access_lines, &ev.write_lines);
         }
-        s.finish()
+        Ok(s.finish())
     }
 
     /// Replays the recording in software up to Global Commit Count
@@ -219,7 +222,7 @@ impl Machine {
         self.budget
     }
 
-    /// The commit-arbitration backend recordings run under.
+    /// The commit-arbiter topology recordings run under.
     pub fn arbiter(&self) -> ArbiterConfig {
         self.arbiter
     }
@@ -591,7 +594,7 @@ impl MachineBuilder {
         self
     }
 
-    /// Selects the commit-arbitration backend used while recording
+    /// Selects the commit-arbiter topology used while recording
     /// (default: the single global arbiter). Replay ignores this and
     /// always re-serializes through the global arbiter, consuming the
     /// recorded total order.
@@ -673,13 +676,12 @@ mod tests {
         let mut b = Machine::builder();
         let pico = b.mode(Mode::PicoLog).procs(2).budget(2_000).build();
         let rec = pico.record(lu, 1);
-        assert_eq!(
-            pico.replay_stratified(&rec, 1, 7).unwrap_err(),
-            ReplayError::Unstratifiable {
-                mode: Mode::PicoLog,
-                max_per_stratum: 1
-            }
-        );
+        let no_pi_log = ReplayError::Unstratifiable {
+            mode: Mode::PicoLog,
+            max_per_stratum: 1,
+        };
+        assert_eq!(rec.stratified_pi(1).unwrap_err(), no_pi_log);
+        assert_eq!(pico.replay_stratified(&rec, 1, 7).unwrap_err(), no_pi_log);
         let m = Machine::builder().procs(2).budget(2_000).build();
         let rec = m.record(lu, 1);
         let err = m.replay_stratified(&rec, 0, 7).unwrap_err();
@@ -690,6 +692,7 @@ mod tests {
                 max_per_stratum: 0
             }
         );
+        assert_eq!(rec.stratified_pi(0).unwrap_err(), err);
         assert!(err.to_string().contains("got 0"), "{err}");
         assert!(m.replay_stratified(&rec, 1, 7).unwrap().deterministic);
     }

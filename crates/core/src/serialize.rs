@@ -187,8 +187,8 @@ mod tests {
         let (_, rec) = sample(Mode::OrderOnly);
         let back = from_bytes(&to_bytes(&rec)).unwrap();
         assert_eq!(
-            rec.stratified_pi(3).strata(),
-            back.stratified_pi(3).strata(),
+            rec.stratified_pi(3).unwrap().strata(),
+            back.stratified_pi(3).unwrap().strata(),
             "footprints must survive so post-hoc stratification matches"
         );
     }

@@ -299,7 +299,7 @@ impl<'m, 's> Session<'m, 's> {
             .expect("machine builder validated the shape");
         sink.begin(&meta);
         let recorder = StreamRecorder::new(meta.mode, meta.n_procs, sink);
-        let (_, outcome) = self.drive(&meta, &cfg, &spec, recorder, StreamRecorder::flush_stats);
+        let (_, outcome) = self.drive(meta, &cfg, &spec, recorder, StreamRecorder::flush_stats);
         outcome
     }
 
@@ -318,7 +318,7 @@ impl<'m, 's> Session<'m, 's> {
     ) -> Result<ReplayReport, ReplayError> {
         let meta = checked_meta(self.machine, &source)?;
         let replayer = Replayer::from_source(source);
-        let (mut source, stats, divergence) = self.run_replay(&meta, timing_seed, replayer)?;
+        let (mut source, stats, divergence) = self.run_replay(meta, timing_seed, replayer)?;
         if let Some(e) = source.error() {
             return Err(ReplayError::Source {
                 detail: e.to_string(),
@@ -364,9 +364,9 @@ impl<'m, 's> Session<'m, 's> {
             let seed = self.machine.replay_seed();
             return self.replay_from(&mut cursor.source, seed);
         };
-        let meta = checked_meta(self.machine, &cursor.source)?;
+        check_shape(self.machine, cursor.source.meta())?;
         for stage in &mut self.stages {
-            stage.on_begin(&meta);
+            stage.on_begin(cursor.source.meta());
         }
         let mut ins = ReplayInspector::from_source(&mut cursor.source)?;
         while let Some(ev) = ins.step_to(from, t)? {
@@ -412,15 +412,9 @@ impl<'m, 's> Session<'m, 's> {
     ) -> Result<ReplayReport, ReplayError> {
         let source = recording.source();
         let meta = checked_meta(self.machine, &source)?;
-        if !meta.mode.has_pi_log() || max_per_stratum == 0 {
-            return Err(ReplayError::Unstratifiable {
-                mode: meta.mode,
-                max_per_stratum,
-            });
-        }
-        let replayer =
-            Replayer::from_source(source).stratified(&recording.stratified_pi(max_per_stratum));
-        let (_, stats, divergence) = self.run_replay(&meta, timing_seed, replayer)?;
+        let strata = recording.stratified_pi(max_per_stratum)?;
+        let replayer = Replayer::from_source(source).stratified(&strata);
+        let (_, stats, divergence) = self.run_replay(meta, timing_seed, replayer)?;
         Ok(verified_report(&recording.stats.digest, stats, divergence))
     }
 
@@ -432,7 +426,7 @@ impl<'m, 's> Session<'m, 's> {
     /// first, else the latched divergence, else the engine's.
     fn run_replay<S: LogSource>(
         self,
-        meta: &StreamMeta,
+        meta: StreamMeta,
         timing_seed: u64,
         replayer: Replayer<S>,
     ) -> Result<(S, RunStats, Option<String>), ReplayError> {
@@ -458,19 +452,19 @@ impl<'m, 's> Session<'m, 's> {
     }
 
     /// Announces `meta` to the stages, then runs the engine through a
-    /// [`Pipeline`] over `driver`, from `meta.interval` when the stream
-    /// starts mid-execution. Returns the driver with the engine's
-    /// outcome.
+    /// [`Pipeline`] over `driver`, from `meta.interval` (moved into the
+    /// engine) when the stream starts mid-execution. Returns the driver
+    /// with the engine's outcome.
     fn drive<D: ExecutionHooks>(
         mut self,
-        meta: &StreamMeta,
+        meta: StreamMeta,
         cfg: &EngineConfig,
         spec: &RunSpec,
         driver: D,
         flushes: fn(&mut D) -> (u64, u64),
     ) -> (D, Result<RunStats, EngineError>) {
         for stage in &mut self.stages {
-            stage.on_begin(meta);
+            stage.on_begin(&meta);
         }
         let mut pipeline = Pipeline {
             driver,
@@ -479,7 +473,7 @@ impl<'m, 's> Session<'m, 's> {
             segments_seen: 0,
             commits_seen: 0,
         };
-        let outcome = match &meta.interval {
+        let outcome = match meta.interval {
             Some(start) => run_from(spec, cfg, &mut pipeline, start),
             None => run(spec, cfg, &mut pipeline),
         };

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod component;
 pub mod config;
 mod devices;
 mod executor;
@@ -34,7 +33,6 @@ mod memsys;
 pub mod scheduler;
 mod timing;
 
-pub use component::{Component, ComponentId, NEVER};
 pub use config::{validate_procs, MachineConfig, SpecError, MAX_PROCS};
 pub use devices::SeededDevices;
 pub use executor::{

@@ -1,11 +1,9 @@
-//! Deterministic min-heap event scheduler for
-//! [`Component`](crate::Component)s.
+//! Deterministic min-heap event queue.
 //!
-//! Entries are ordered by `(tick, seq, id)`: earliest simulated cycle
-//! first, then **post order** (`seq` is a global monotone stamp assigned
-//! when the event is posted), then [`ComponentId`] as a final total-order
-//! guarantee. Because `seq` is unique per entry the order is a strict
-//! total order with no reliance on heap internals, so a run is
+//! Entries are ordered by `(tick, seq)`: earliest simulated cycle first,
+//! then **post order** (`seq` is a global monotone stamp assigned when
+//! the event is posted). Because `seq` is unique per entry the order is
+//! a strict total order with no reliance on heap internals, so a run is
 //! bit-reproducible across processes, platforms and `BinaryHeap`
 //! implementations — the determinism the whole record/replay substrate
 //! rests on.
@@ -16,26 +14,14 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::component::ComponentId;
-
-/// One event popped from the [`Scheduler`]: which component runs, at
-/// which tick, with which payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scheduled<P> {
-    /// Simulated cycle the event fires at.
-    pub tick: u64,
-    /// Post-order stamp (unique, monotone in posting order).
-    pub seq: u64,
-    /// The component the event is addressed to.
-    pub id: ComponentId,
-    /// Engine-defined payload.
-    pub payload: P,
-}
-
-/// Heap entry: the ordering key is `(tick, seq, id)`; the payload is
+/// Heap entry: the ordering key is `(tick, seq)`; the payload is
 /// deliberately excluded so `P` needs no `Ord`.
 #[derive(Debug)]
-struct Entry<P>(Scheduled<P>);
+struct Entry<P> {
+    tick: u64,
+    seq: u64,
+    payload: P,
+}
 
 impl<P> PartialEq for Entry<P> {
     fn eq(&self, other: &Self) -> bool {
@@ -50,16 +36,15 @@ impl<P> PartialOrd for Entry<P> {
 }
 impl<P> Ord for Entry<P> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.tick, self.0.seq, self.0.id).cmp(&(other.0.tick, other.0.seq, other.0.id))
+        (self.tick, self.seq).cmp(&(other.tick, other.seq))
     }
 }
 
-/// Deterministic discrete-event queue driving a set of components.
+/// Deterministic discrete-event queue.
 #[derive(Debug)]
 pub struct Scheduler<P> {
     heap: BinaryHeap<Reverse<Entry<P>>>,
     seq: u64,
-    now: u64,
 }
 
 impl<P> Default for Scheduler<P> {
@@ -69,53 +54,30 @@ impl<P> Default for Scheduler<P> {
 }
 
 impl<P> Scheduler<P> {
-    /// An empty scheduler at tick 0.
+    /// An empty scheduler.
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
             seq: 0,
-            now: 0,
         }
     }
 
-    /// The tick of the most recently popped event (0 before any pop).
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Posts `payload` for component `id` at absolute cycle `tick`,
-    /// stamping it with the next post-order sequence number.
-    pub fn post(&mut self, tick: u64, id: ComponentId, payload: P) {
+    /// Posts `payload` at absolute cycle `tick`, stamping it with the
+    /// next post-order sequence number.
+    pub fn post(&mut self, tick: u64, payload: P) {
         self.seq += 1;
-        self.heap.push(Reverse(Entry(Scheduled {
+        self.heap.push(Reverse(Entry {
             tick,
             seq: self.seq,
-            id,
             payload,
-        })));
+        }));
     }
 
-    /// Pops the earliest event — ties broken by post order, then
-    /// component id — and advances [`Scheduler::now`] to its tick.
-    pub fn pop(&mut self) -> Option<Scheduled<P>> {
-        let Reverse(Entry(ev)) = self.heap.pop()?;
-        self.now = ev.tick;
-        Some(ev)
-    }
-
-    /// The tick of the earliest pending event, if any.
-    pub fn peek_tick(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(Entry(ev))| ev.tick)
-    }
-
-    /// Pending event count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    /// Pops the earliest event, ties broken by post order, as its
+    /// `(tick, payload)`.
+    pub fn pop(&mut self) -> Option<(u64, P)> {
+        let Reverse(e) = self.heap.pop()?;
+        Some((e.tick, e.payload))
     }
 }
 
@@ -125,32 +87,22 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::component::ComponentId;
 
-    fn drain(s: &mut Scheduler<&'static str>) -> Vec<(u64, u32, &'static str)> {
-        let mut out = Vec::new();
-        while let Some(ev) = s.pop() {
-            out.push((ev.tick, ev.id.raw(), ev.payload));
-        }
-        out
+    fn drain<P>(s: &mut Scheduler<P>) -> Vec<(u64, P)> {
+        std::iter::from_fn(|| s.pop()).collect()
     }
 
     #[test]
     fn orders_by_tick_then_post_order() {
         let mut s = Scheduler::new();
-        s.post(20, ComponentId::new(0), "late");
-        s.post(10, ComponentId::new(2), "first-posted");
-        s.post(10, ComponentId::new(1), "second-posted");
+        s.post(20, "late");
+        s.post(10, "first-posted");
+        s.post(10, "second-posted");
         assert_eq!(
             drain(&mut s),
-            vec![
-                (10, 2, "first-posted"),
-                (10, 1, "second-posted"),
-                (20, 0, "late"),
-            ],
-            "same-tick events must fire in post order, not id order"
+            vec![(10, "first-posted"), (10, "second-posted"), (20, "late")],
+            "same-tick events must fire in post order"
         );
-        assert_eq!(s.now(), 20);
     }
 
     #[test]
@@ -160,40 +112,23 @@ mod tests {
         // nondeterminism).
         let build = || {
             let mut s = Scheduler::new();
-            for i in 0..100u32 {
-                // Many colliding ticks, ids deliberately out of order.
-                s.post(u64::from(i % 7), ComponentId::new(97 - i % 13), "x");
-                s.post(u64::from(i % 5), ComponentId::new(i % 11), "y");
+            let mut posted = 0u32;
+            for i in 0..100u64 {
+                // Many colliding ticks; the payload is the post order.
+                for tick in [i % 7, i % 5] {
+                    s.post(tick, posted);
+                    posted += 1;
+                }
             }
-            let mut order = Vec::new();
-            while let Some(ev) = s.pop() {
-                order.push((ev.tick, ev.seq, ev.id));
-            }
-            order
+            drain(&mut s)
         };
         let first = build();
         for _ in 0..10 {
             assert_eq!(build(), first, "drain order drifted between runs");
         }
-        // And the order really is sorted by (tick, seq).
+        // And the order really is sorted by (tick, post order).
         let mut sorted = first.clone();
         sorted.sort();
         assert_eq!(first, sorted);
-    }
-
-    #[test]
-    fn peek_len_and_now_track_the_queue() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        assert!(s.is_empty());
-        assert_eq!(s.peek_tick(), None);
-        s.post(5, ComponentId::new(0), ());
-        s.post(3, ComponentId::new(1), ());
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.peek_tick(), Some(3));
-        assert_eq!(s.now(), 0);
-        let ev = s.pop().unwrap();
-        assert_eq!((ev.tick, ev.id.raw()), (3, 1));
-        assert_eq!(s.now(), 3);
-        assert_eq!(s.peek_tick(), Some(5));
     }
 }

@@ -66,7 +66,9 @@ fn main() {
     let plain = recording.logs().pi.measure().raw_bits;
     println!("\nstratifying the OrderOnly PI log ({} plain bits):", plain);
     for max in [1u32, 3, 7] {
-        let strat = recording.stratified_pi(max);
+        let strat = recording
+            .stratified_pi(max)
+            .expect("OrderOnly has a PI log");
         let report = machine
             .replay_stratified(&recording, max, 4242)
             .expect("shape");

@@ -67,13 +67,13 @@ fn stratification_shrinks_the_pi_log() {
     let (_, r) = record(Mode::OrderOnly, "ocean", 20_000);
     let pi = r.logs().pi;
     let plain = pi.measure().raw_bits;
-    let strat1 = r.stratified_pi(1).measure().raw_bits;
+    let strat1 = r.stratified_pi(1).unwrap().measure().raw_bits;
     assert!(
         strat1 < plain,
         "stratified(1) = {strat1} bits should be below plain = {plain} bits"
     );
     // Stratified log covers every commit exactly once.
-    assert_eq!(r.stratified_pi(3).total_chunks(), pi.len() as u64);
+    assert_eq!(r.stratified_pi(3).unwrap().total_chunks(), pi.len() as u64);
 }
 
 #[test]

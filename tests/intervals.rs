@@ -7,7 +7,8 @@
 
 use delorean::inspect::ReplayInspector;
 use delorean::serialize::DecodeError;
-use delorean::{serialize, FileSource, Machine, Mode, ReplayError};
+use delorean::stream::StreamMeta;
+use delorean::{serialize, FileSource, HookStage, Machine, MemorySink, Mode, ReplayError};
 use delorean_isa::workload;
 
 fn base_machine(mode: Mode) -> Machine {
@@ -34,6 +35,37 @@ fn interval_recordings_replay_deterministically() {
         let report = machine.replay(&interval).expect("shape matches");
         assert!(report.deterministic, "{mode}: {:?}", report.divergence);
     }
+}
+
+/// Stages are told a run starts from an interval, recording and
+/// replaying alike, although the engine takes the start state over.
+#[test]
+fn stages_see_the_interval_start_state() {
+    #[derive(Default)]
+    struct BeginProbe(Vec<bool>);
+    impl HookStage for BeginProbe {
+        fn on_begin(&mut self, meta: &StreamMeta) {
+            self.0.push(meta.interval.is_some());
+        }
+    }
+    let machine = base_machine(Mode::OrderOnly);
+    let first = machine.record(workload::by_name("fft").unwrap(), 3);
+    let ck = first.checkpoint_at(first.stats.total_commits / 2).unwrap();
+    let mut probe = BeginProbe::default();
+    let mut sink = MemorySink::new();
+    machine
+        .session()
+        .with_stage(&mut probe)
+        .record_interval_to(&ck, 2_000, &mut sink)
+        .unwrap();
+    let interval = sink.into_recording().unwrap();
+    let report = machine
+        .session()
+        .with_stage(&mut probe)
+        .replay_from(interval.source(), 7)
+        .unwrap();
+    assert!(report.deterministic, "{:?}", report.divergence);
+    assert_eq!(probe.0, [true, true]);
 }
 
 /// An interval stream whose start-state memory image does not fit its

@@ -185,7 +185,7 @@ proptest! {
         let m = Machine::builder().mode(Mode::OrderOnly).procs(4).budget(4_000).build();
         let spec = WorkloadSpec::test_spec();
         let recording = m.record(&spec, seed);
-        let strat = recording.stratified_pi(max);
+        let strat = recording.stratified_pi(max).unwrap();
         prop_assert_eq!(strat.total_chunks(), recording.logs().pi.len() as u64);
         for s in strat.strata() {
             for &c in s {

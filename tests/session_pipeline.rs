@@ -10,7 +10,7 @@ use delorean::{
     index_stream, serialize, ArbiterConfig, FileSink, FileSource, Fnv, HookStage, Machine, Mode,
     NoopStage, ReplayError, RunStats, StateDigest, SubstrateEvent,
 };
-use delorean_chunk::DeviceConfig;
+use delorean_chunk::{DeviceConfig, SubstrateFaultConfig};
 use delorean_isa::workload;
 use proptest::prelude::*;
 
@@ -111,12 +111,18 @@ fn golden_catalog_digests_and_bytes_are_stable() {
 /// Lines for recordings the golden catalog never makes: at its budget
 /// no workload records a DMA transfer, and it runs only the global
 /// arbiter on four processors. The first three are `sjbb2k` with DMA in
-/// every mode, the last a 16-processor `radix` on a 4-shard arbiter.
-const PINNED: [&str; 4] = [
+/// every mode, the fourth a 16-processor `radix` on a 4-shard arbiter,
+/// and the last three an 8-processor `sjbb2k` on a 4-shard arbiter with
+/// devices and squash storms in every mode, which fires every engine
+/// event kind.
+const PINNED: [&str; 7] = [
     "sjbb2k ordersize c25e3a0aff471238 13568010142194e4 30148",
     "sjbb2k orderonly 534d9d430a0b0d77 8d6d8f2573948e51 28929",
     "sjbb2k picolog 6b43810ca579d676 31af7156ee880b27 2668",
     "radix orderonly ef6af8f6d09cea71 48365ad63b6ab73f 35377",
+    "sjbb2k ordersize e882ba174ba09907 bb2b777b434f10d8 107122",
+    "sjbb2k orderonly 57737804632186e2 20abbbd03edae3cb 106924",
+    "sjbb2k picolog fc65096a1c94999b 32782f041ac417cf 82611",
 ];
 
 /// The machines, workloads and seeds behind [`PINNED`], in order.
@@ -145,20 +151,39 @@ fn pinned_runs() -> Vec<(Machine, &'static str, u64)> {
         .arbiter(ArbiterConfig::Sharded { shards: 4 })
         .build();
     runs.push((m, "radix", SEED));
+    let faults = SubstrateFaultConfig {
+        seed: 7,
+        storm_period: 400,
+        force_truncate_prob: 0.05,
+        device_burst: 2,
+        overflow_boost: 0.2,
+    };
+    runs.extend(MODES.iter().map(|&mode| {
+        let m = Machine::builder()
+            .mode(mode)
+            .procs(8)
+            .budget(12_000)
+            .arbiter(ArbiterConfig::Sharded { shards: 4 })
+            .devices(devices)
+            .substrate_faults(faults)
+            .build();
+        (m, "sjbb2k", 17)
+    }));
     runs
 }
 
-/// The engine's DMA commit path and its sharded grant and squash paths
-/// leave every digest and `.dlrn` byte as pinned.
+/// The engine's DMA commit path, its sharded grant and squash paths and
+/// its interrupt and storm paths leave every digest and `.dlrn` byte as
+/// pinned.
 #[test]
 fn dma_and_sharded_recordings_are_pinned() {
     let mut fresh = Vec::new();
     for (m, workload, seed) in pinned_runs() {
         let (line, stats, _) = recorded_line(&m, workload, seed);
-        if workload == "radix" {
-            assert!(stats.squashes > 0, "{line}: no squash recorded");
-        } else {
+        assert!(stats.squashes > 0, "{line}: no squash recorded");
+        if workload == "sjbb2k" {
             assert!(stats.dma_commits > 0, "{line}: no DMA transfer recorded");
+            assert!(stats.interrupts > 0, "{line}: no interrupt recorded");
         }
         fresh.push(line);
     }
@@ -167,11 +192,14 @@ fn dma_and_sharded_recordings_are_pinned() {
 
 /// `.dlrnx` indexes with a checkpoint every 64 commits over the
 /// [`PINNED`] recordings: workload, mode, FNV-1a and length of each.
-const DLRNX_PINNED: [&str; 4] = [
+const DLRNX_PINNED: [&str; 7] = [
     "sjbb2k ordersize 3327658e102f34af 1066339",
     "sjbb2k orderonly 0eaca3f665d6e70d 1066339",
     "sjbb2k picolog 13efbf59491e15f0 2132747",
     "radix orderonly fb854c534e7f64d8 5285707",
+    "sjbb2k ordersize 16a1c2a400db14b9 47754251",
+    "sjbb2k orderonly 602b6c1722711bf8 47754931",
+    "sjbb2k picolog 43c2a6a92cf65eda 90762447",
 ];
 
 /// The `.dlrnx` encoder writes every index byte as pinned.
@@ -287,11 +315,11 @@ fn replay_with_stages(mode: Mode, stack: &[u8], bytes: &[u8]) -> (bool, StateDig
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Satellite: the component scheduler behind the engine produces
-    /// byte-identical digests and `.dlrn` bytes to the pre-refactor
-    /// golden baseline, and its heap tie-breaks are stable across
-    /// runs — two recordings of the same point must fingerprint
-    /// identically.
+    /// The engine's event loop produces byte-identical digests and
+    /// `.dlrn` bytes to the golden baseline, and its queue's `(tick,
+    /// seq)` tie-breaks are stable across runs — two recordings of the
+    /// same point must fingerprint identically. (The name predates the
+    /// loop, which replaced a component scheduler.)
     #[test]
     fn component_scheduler_matches_golden_baseline(
         widx in 0usize..13,
@@ -307,7 +335,7 @@ proptest! {
         );
         prop_assert_eq!(
             once.as_str(), golden_line(w.name, mode),
-            "the component scheduler perturbed the recording"
+            "the event loop perturbed the recording"
         );
     }
 
