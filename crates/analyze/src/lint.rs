@@ -540,6 +540,7 @@ mod tests {
     use super::*;
     use crate::report::Severity;
     use delorean::stratify::Stratifier;
+    use std::num::NonZeroU32;
 
     #[test]
     fn garbage_header_is_flagged_not_panicked() {
@@ -724,7 +725,7 @@ mod tests {
 
     #[test]
     fn strata_totals_cross_check() {
-        let mut s = Stratifier::new(3, 4);
+        let mut s = Stratifier::new(NonZeroU32::new(3).unwrap(), NonZeroU32::new(4).unwrap());
         s.observe(0, &[1, 2], &[1]);
         s.observe(1, &[3], &[]);
         s.observe(0, &[1], &[1]);

@@ -25,7 +25,7 @@ use crate::CoreId;
 use delorean_isa::inst::effective_addr;
 use delorean_isa::layout::{AddressMap, DMA_WORDS};
 use delorean_isa::{Addr, Inst, IoBus, Program, StepKind, Vm, Word};
-use delorean_mem::{line_of, Memory};
+use delorean_mem::{line_of, Memory, MemoryImage};
 use delorean_sim::scheduler::Scheduler;
 use delorean_sim::{AccessClass, MemorySystem, RunSpec, TimingParams};
 use rand::rngs::SmallRng;
@@ -92,8 +92,8 @@ struct CoreState {
 /// checkpoint).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StartState {
-    /// Full committed-memory image.
-    pub memory: Vec<Word>,
+    /// Committed-memory image.
+    pub memory: MemoryImage,
     /// Per-processor architected state (registers, PC, retired counts,
     /// stream hashes, handler state).
     pub vm_states: Vec<delorean_isa::vm::VmState>,
@@ -109,7 +109,7 @@ impl StartState {
         let n = n_procs as usize;
         self.vm_states.len() == n
             && self.chunks_done.len() == n
-            && self.memory.len() as u64 == AddressMap::new(n_procs).total_words()
+            && self.memory.len() == AddressMap::new(n_procs).total_words()
     }
 }
 
@@ -236,7 +236,7 @@ impl<'h> Engine<'h> {
         spec: &RunSpec,
         cfg: &EngineConfig,
         hooks: &'h mut dyn ExecutionHooks,
-        mut start: Option<StartState>,
+        start: Option<StartState>,
     ) -> Self {
         let mut cfg = cfg.clone();
         cfg.machine.n_procs = spec.n_procs;
@@ -259,8 +259,8 @@ impl<'h> Engine<'h> {
         }
         let map = AddressMap::new(spec.n_procs);
         // `run_from` checked the start state's shape.
-        let memory = match &mut start {
-            Some(st) => Memory::from_image(std::mem::take(&mut st.memory)),
+        let memory = match &start {
+            Some(st) => Memory::from_image(&st.memory),
             None => Memory::new(map.total_words()),
         };
         let memsys = MemorySystem::new(&cfg.machine);

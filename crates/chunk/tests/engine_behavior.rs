@@ -11,6 +11,7 @@ use delorean_chunk::{
 use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::{self, WorkloadSpec};
 use delorean_isa::{AluOp, Inst, Program, ProgramBuilder, Reg, Vm};
+use delorean_mem::Memory;
 use delorean_sim::RunSpec;
 
 fn spec(name: &str, procs: u32, seed: u64, budget: u64) -> RunSpec {
@@ -54,7 +55,7 @@ fn start_states_that_do_not_fit_the_machine_are_errors() {
     let r = spec("fft", 2, 3, 2_000);
     let map = AddressMap::new(2);
     let fits = StartState {
-        memory: vec![0; map.total_words() as usize],
+        memory: Memory::new(map.total_words()).image(),
         vm_states: (0..2).map(|t| Vm::new(t, &map).snapshot()).collect(),
         chunks_done: vec![0; 2],
     };
@@ -63,7 +64,7 @@ fn start_states_that_do_not_fit_the_machine_are_errors() {
     let mut short = fits.clone();
     short.chunks_done.pop();
     let mut half = fits.clone();
-    half.memory.truncate(half.memory.len() / 2);
+    half.memory = Memory::new(map.total_words() / 2).image();
     assert!(from(fits).is_ok());
     for misfit in [short, half] {
         assert_eq!(

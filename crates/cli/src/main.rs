@@ -352,8 +352,23 @@ fn cmd_replay(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         "replayed {} commits in {} cycles",
         report.stats.total_commits, report.stats.cycles
     )?;
+    write_verdict(out, report, "execution")
+}
+
+/// The lines that end every replay: the replayed digest's fingerprint,
+/// then the verdict on `what` was replayed.
+fn write_verdict(
+    out: &mut dyn Write,
+    report: delorean::ReplayReport,
+    what: &str,
+) -> Result<(), Failure> {
+    writeln!(
+        out,
+        "digest fingerprint {:#018x}",
+        report.stats.digest.fingerprint()
+    )?;
     if report.deterministic {
-        writeln!(out, "deterministic: yes — execution reproduced bit-exactly")?;
+        writeln!(out, "deterministic: yes — {what} reproduced bit-exactly")?;
         Ok(())
     } else {
         Err(Failure::Run(format!(
@@ -460,20 +475,7 @@ fn cmd_replay_window(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         "replayed window {span}: {} commit(s)",
         report.stats.total_commits
     )?;
-    writeln!(
-        out,
-        "digest fingerprint {:#018x}",
-        report.stats.digest.fingerprint()
-    )?;
-    if report.deterministic {
-        writeln!(out, "deterministic: yes — window reproduced bit-exactly")?;
-        Ok(())
-    } else {
-        Err(Failure::Run(format!(
-            "replay diverged: {}",
-            report.divergence.unwrap_or_default()
-        )))
-    }
+    write_verdict(out, report, "window")
 }
 
 /// `inspect --at N`: restores the architectural state at commit N via

@@ -1,5 +1,5 @@
 //! What the `delorean-rr` binary prints: the pinned `crashtest` report,
-//! and when a failure earns the usage text.
+//! the replayed digest, and when a failure earns the usage text.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -116,4 +116,34 @@ fn a_closed_output_pipe_ends_the_run_quietly() {
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
+}
+
+/// A plain replay prints the replayed digest's fingerprint, the same
+/// line as a windowed replay of the whole log, so comparing two logs'
+/// replays needs no checkpoint index.
+#[test]
+fn a_plain_replay_prints_the_digest_of_a_window_from_commit_0() {
+    let dir = scratch("plain_replay_digest");
+    let log = dir.join("fft.dlrn");
+    let log_arg = log.to_str().unwrap();
+    let out = run(&[
+        "record", "fft", "-o", log_arg, "--procs", "4", "--budget", "20000",
+    ]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let fingerprint = |args: &[&str]| {
+        let out = run(args);
+        assert!(out.status.success(), "{}", text(&out.stderr));
+        let stdout = text(&out.stdout);
+        let lines: Vec<_> = stdout
+            .lines()
+            .filter(|l| l.starts_with("digest fingerprint 0x"))
+            .map(str::to_string)
+            .collect();
+        assert_eq!(lines.len(), 1, "{stdout}");
+        lines[0].clone()
+    };
+    let plain = fingerprint(&["replay", log_arg]);
+    let out = run(&["checkpoint", log_arg, "--every", "1000000"]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert_eq!(plain, fingerprint(&["replay", log_arg, "--from", "0"]));
 }

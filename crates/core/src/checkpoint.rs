@@ -19,6 +19,7 @@ use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSourc
 use crate::wire::{mode_from, mode_tag, Fnv, Reader, Writer, FILE_HEAD};
 use delorean_chunk::StartState;
 use delorean_isa::workload::WorkloadSpec;
+use delorean_mem::Block;
 use std::io::{Read, Seek, SeekFrom};
 
 /// A *mid-execution* system checkpoint: the full architectural state at
@@ -62,8 +63,11 @@ impl IntervalCheckpoint {
         h.word(self.gcc);
         h.word(self.app_seed);
         h.word(u64::from(self.n_procs));
-        for &w in &self.state.memory {
-            h.word(w);
+        for block in self.state.memory.blocks() {
+            match block {
+                Block::Words(words) => words.iter().for_each(|&w| h.word(w)),
+                Block::Zero(n) => h.zero_words(n),
+            }
         }
         for &c in &self.state.chunks_done {
             h.word(c);
@@ -232,7 +236,7 @@ impl CheckpointIndex {
         let cap: usize = self
             .entries
             .iter()
-            .map(|e| 64 + 8 * e.state.memory.len() + 400 * e.state.vm_states.len())
+            .map(|e| 64 + 8 * e.state.memory.len() as usize + 400 * e.state.vm_states.len())
             .sum();
         let mut w = Writer {
             buf: Vec::with_capacity(FILE_HEAD + 8 + 64 + cap),
@@ -535,9 +539,9 @@ impl<R: Read + Seek> ReplayCursor<R> {
                 detail: format!("checkpoint index holds no checkpoint at or before commit {gcc}"),
             });
         };
-        // The one copy of the memory image: into the inspector, after
-        // its shape is checked. The rolled-forward state moves out.
-        let start = fitting(&entry.state, self.source.n_procs())?.clone();
+        // The entry's image is copied once, into the inspector's memory,
+        // after its shape is checked.
+        let start = fitting(&entry.state, self.source.n_procs())?;
         self.source
             .reposition(entry)
             .map_err(|e| ReplayError::Source {
@@ -545,7 +549,7 @@ impl<R: Read + Seek> ReplayCursor<R> {
             })?;
         let mut ins = ReplayInspector::with_start(&mut self.source, Some(start));
         while ins.step_to(entry.gcc, gcc)?.is_some() {}
-        let (rr_cursor, state) = ins.into_state();
+        let (rr_cursor, state) = (ins.rr_phase(), ins.capture());
         // A restore that stepped no commit may have decoded no segment.
         let segment = self
             .source
@@ -569,6 +573,7 @@ mod tests {
     use super::*;
     use crate::{Machine, Mode};
     use delorean_isa::workload;
+    use delorean_mem::{MemoryImage, BLOCK_WORDS};
     use std::io::Cursor;
 
     #[test]
@@ -583,6 +588,55 @@ mod tests {
         assert_ne!(a, id("lu", 4, 7));
         assert_ne!(a, id("fft", 8, 7));
         assert_ne!(a, id("fft", 4, 8));
+    }
+
+    /// A checkpoint's id is FNV-1a over its words one by one: commit,
+    /// seed, processor count, every memory word, every chunk counter.
+    /// At commit 0 every block is zero, the machine's 4-word last block
+    /// included; mid-run some are not.
+    #[test]
+    fn ids_fold_every_memory_word() {
+        let m = machine(Mode::OrderOnly, 8);
+        let rec = m.record(workload::by_name("fft").unwrap(), 17);
+        for gcc in [0, rec.stats.total_commits / 2] {
+            let ck = rec.checkpoint_at(gcc).unwrap();
+            let words = ck.state.memory.to_words();
+            assert_eq!(words.len() % BLOCK_WORDS, 4);
+            let want = [ck.gcc, ck.app_seed, u64::from(ck.n_procs)]
+                .into_iter()
+                .chain(words)
+                .chain(ck.state.chunks_done.iter().copied())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                    (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(ck.id(), want, "checkpoint at {gcc}");
+        }
+    }
+
+    /// A decoded 8-processor fft `.dlrnx` stores only the blocks of its
+    /// images that hold a non-zero word, and each decoded image equals
+    /// the one captured during indexing and the one built from its words.
+    #[test]
+    fn decoded_images_store_only_their_non_zero_blocks() {
+        let bytes = stream_bytes(&machine(Mode::OrderOnly, 8), "fft");
+        let captured = index_stream(&bytes, 8).unwrap();
+        let decoded = CheckpointIndex::from_bytes(&captured.to_bytes()).unwrap();
+        let (mut stored, mut blocks) = (0, 0);
+        for (d, c) in decoded.entries.iter().zip(&captured.entries) {
+            let image = &d.state.memory;
+            let words = image.to_words();
+            let non_zero = words
+                .chunks(BLOCK_WORDS)
+                .filter(|b| b.iter().any(|&w| w != 0))
+                .count();
+            assert_eq!(image.stored_blocks(), non_zero, "checkpoint at {}", d.gcc);
+            assert_eq!(*image, c.state.memory);
+            assert_eq!(*image, MemoryImage::from_words(&words));
+            stored += non_zero;
+            blocks += words.len().div_ceil(BLOCK_WORDS);
+        }
+        assert!(decoded.entries.len() > 2);
+        assert!(stored * 2 < blocks, "{stored} of {blocks} blocks stored");
     }
 
     fn machine(mode: Mode, procs: u32) -> Machine {
@@ -785,7 +839,7 @@ mod tests {
         let bytes = stream_bytes(&machine(Mode::OrderOnly, 4), "lu");
         let mut index = index_stream(&bytes, 16).unwrap();
         for e in &mut index.entries {
-            e.state.memory.truncate(10);
+            e.state.memory = MemoryImage::from_words(&e.state.memory.to_words()[..10]);
         }
         assert!(matches!(
             CheckpointIndex::from_bytes(&index.to_bytes()),

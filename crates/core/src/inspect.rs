@@ -300,13 +300,13 @@ impl<S: LogSource> ReplayInspector<S> {
             Some(start) => Some(fitting(start, meta.n_procs)?.clone()),
             None => None,
         };
-        Ok(Self::with_start(source, start))
+        Ok(Self::with_start(source, start.as_ref()))
     }
 
-    /// An inspector over `source` that starts from `start`, moved in, or
-    /// from the program entry points when `None`. Callers check the
-    /// state's shape with [`fitting`] before they copy it.
-    pub(crate) fn with_start(source: S, start: Option<StartState>) -> Self {
+    /// An inspector over `source` that starts from `start`, or from the
+    /// program entry points when `None`. Callers check the state's shape
+    /// with [`fitting`] first.
+    pub(crate) fn with_start(source: S, start: Option<&StartState>) -> Self {
         let meta = source.meta();
         let mode = meta.mode;
         let n_procs = meta.n_procs;
@@ -326,7 +326,7 @@ impl<S: LogSource> ReplayInspector<S> {
                 for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
                     vm.restore(st);
                 }
-                (Memory::from_image(start.memory), start.chunks_done)
+                (Memory::from_image(&start.memory), start.chunks_done.clone())
             }
             None => (Memory::new(map.total_words()), vec![0; n_procs as usize]),
         };
@@ -381,22 +381,6 @@ impl<S: LogSource> ReplayInspector<S> {
             vm_states: self.vms.iter().map(|v| v.snapshot()).collect(),
             chunks_done: self.chunks_done.clone(),
         }
-    }
-
-    /// The PicoLog phase and the full architectural state at the
-    /// current replay point, moved out of the inspector: what
-    /// [`capture`](Self::capture) returns, without copying the memory
-    /// image.
-    pub(crate) fn into_state(self) -> (u32, StartState) {
-        let vm_states = self.vms.iter().map(|v| v.snapshot()).collect();
-        (
-            self.rr_cursor,
-            StartState {
-                memory: self.memory.into_image(),
-                vm_states,
-                chunks_done: self.chunks_done,
-            },
-        )
     }
 
     /// Watches a word address; subsequent commits report value changes

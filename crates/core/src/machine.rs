@@ -16,6 +16,7 @@ use delorean_chunk::{
     SubstrateFaultConfig,
 };
 use delorean_isa::workload::{WorkloadKind, WorkloadSpec};
+use std::num::NonZeroU32;
 
 /// A complete DeLorean recording, held as exactly what its `.dlrn`
 /// stream carries: the metadata (machine shape, workload, start state),
@@ -122,13 +123,17 @@ impl Recording {
     /// which have no PI log, and for a capacity of zero.
     pub fn stratified_pi(&self, max_per_stratum: u32) -> Result<StratifiedPiLog, ReplayError> {
         let (mode, n_procs) = (self.meta.mode, self.meta.n_procs);
-        if !mode.has_pi_log() || max_per_stratum == 0 {
-            return Err(ReplayError::Unstratifiable {
-                mode,
-                max_per_stratum,
-            });
-        }
-        let mut s = Stratifier::new(n_procs + 1, max_per_stratum);
+        let capacity = match NonZeroU32::new(max_per_stratum) {
+            Some(capacity) if mode.has_pi_log() => capacity,
+            _ => {
+                return Err(ReplayError::Unstratifiable {
+                    mode,
+                    max_per_stratum,
+                })
+            }
+        };
+        // One column per processor plus one for DMA.
+        let mut s = Stratifier::new(NonZeroU32::MIN.saturating_add(n_procs), capacity);
         for ev in &self.events {
             let col = match ev.committer {
                 Committer::Proc(p) => p as usize,

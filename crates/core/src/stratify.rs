@@ -16,6 +16,7 @@
 
 use delorean_compress::{BitWriter, LogSize};
 use std::collections::HashSet;
+use std::num::NonZeroU32;
 
 /// The stratified form of a PI log.
 ///
@@ -84,18 +85,13 @@ impl Stratifier {
     /// Creates a stratifier for `n_cols` committers (processors plus
     /// DMA) allowing at most `max_per_stratum` chunks per committer per
     /// stratum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_per_stratum` is zero or `n_cols` is zero.
-    pub fn new(n_cols: u32, max_per_stratum: u32) -> Self {
-        assert!(n_cols > 0, "need at least one committer column");
-        assert!(max_per_stratum > 0, "stratum capacity must be positive");
+    pub fn new(n_cols: NonZeroU32, max_per_stratum: NonZeroU32) -> Self {
+        let n = n_cols.get() as usize;
         Self {
-            max_per_stratum,
-            counters: vec![0; n_cols as usize],
-            footprints: vec![HashSet::new(); n_cols as usize],
-            write_footprints: vec![HashSet::new(); n_cols as usize],
+            max_per_stratum: max_per_stratum.get(),
+            counters: vec![0; n],
+            footprints: vec![HashSet::new(); n],
+            write_footprints: vec![HashSet::new(); n],
             strata: Vec::new(),
         }
     }
@@ -160,10 +156,14 @@ mod tests {
 
     use super::*;
 
+    fn nz(n: u32) -> NonZeroU32 {
+        NonZeroU32::new(n).unwrap()
+    }
+
     #[test]
     fn conflict_cuts_stratum() {
         // Mirrors Figure 5(a): processors 3 and 0 conflict.
-        let mut s = Stratifier::new(4, 2);
+        let mut s = Stratifier::new(nz(4), nz(2));
         s.observe(1, &[10], &[10]);
         s.observe(3, &[20], &[20]); // will conflict with proc 0's chunk below
         s.observe(2, &[30], &[30]);
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn same_processor_conflicts_do_not_cut() {
-        let mut s = Stratifier::new(2, 4);
+        let mut s = Stratifier::new(nz(2), nz(4));
         s.observe(0, &[1], &[1]);
         s.observe(0, &[1], &[1]); // within-processor cross-chunk conflict: fine
         s.observe(0, &[1], &[1]);
@@ -191,9 +191,9 @@ mod tests {
 
     #[test]
     fn counter_width_matches_capacity() {
-        assert_eq!(Stratifier::new(2, 1).finish().counter_bits(), 1);
-        assert_eq!(Stratifier::new(2, 3).finish().counter_bits(), 2);
-        assert_eq!(Stratifier::new(2, 7).finish().counter_bits(), 3);
+        assert_eq!(Stratifier::new(nz(2), nz(1)).finish().counter_bits(), 1);
+        assert_eq!(Stratifier::new(nz(2), nz(3)).finish().counter_bits(), 2);
+        assert_eq!(Stratifier::new(nz(2), nz(7)).finish().counter_bits(), 3);
     }
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         // With 1 chunk/proc/stratum and no conflicts, 8 processors'
         // chunks share a stratum: 8 counters of 1 bit = 8 bits per 8
         // chunks, versus 32 bits of plain 4-bit PI entries.
-        let mut s = Stratifier::new(8, 1);
+        let mut s = Stratifier::new(nz(8), nz(1));
         for round in 0..10u64 {
             for p in 0..8usize {
                 let line = [round * 100 + p as u64];
@@ -220,7 +220,7 @@ mod tests {
         // only waste bits (the paper sees this for 7 chunks/stratum on
         // SPECweb2005).
         let make = |cap: u32| {
-            let mut s = Stratifier::new(2, cap);
+            let mut s = Stratifier::new(nz(2), nz(cap));
             for i in 0..20usize {
                 s.observe(i % 2, &[7], &[7]); // same written line every time
             }
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn read_read_sharing_never_cuts() {
-        let mut s = Stratifier::new(4, 8);
+        let mut s = Stratifier::new(nz(4), nz(8));
         for i in 0..16usize {
             s.observe(i % 4, &[42], &[]); // everyone reads line 42
         }
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn empty_stratifier_measures_zero() {
-        let log = Stratifier::new(8, 3).finish();
+        let log = Stratifier::new(nz(8), nz(3)).finish();
         assert!(log.is_empty());
         assert_eq!(log.measure().raw_bits, 0);
         assert_eq!(log.total_chunks(), 0);

@@ -62,6 +62,7 @@ use delorean_chunk::{
 use delorean_isa::layout::AddressMap;
 use delorean_isa::workload::{self, WorkloadSpec};
 use delorean_isa::{Addr, Word};
+use delorean_mem::{Block, MemoryImage};
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -455,8 +456,13 @@ impl LogSink for MemorySink {
 /// block and the `.dlrnx` checkpoint-index entries, so the two formats
 /// can never drift apart.
 pub(crate) fn encode_start_state(w: &mut Writer, start: &StartState) {
-    w.u64(start.memory.len() as u64);
-    w.words(&start.memory);
+    w.u64(start.memory.len());
+    for block in start.memory.blocks() {
+        match block {
+            Block::Words(words) => w.words(words),
+            Block::Zero(n) => w.zero_words(n),
+        }
+    }
     for st in &start.vm_states {
         w.bytes(&st.to_bytes());
     }
@@ -481,7 +487,10 @@ pub(crate) fn decode_start_state(
             expected,
         });
     }
-    let memory = r.words(n, "interval memory word")?;
+    let len = n
+        .checked_mul(8)
+        .ok_or(DecodeError::Truncated("interval memory word"))?;
+    let memory = MemoryImage::from_le_bytes(r.take(len, "interval memory word")?.as_chunks().0);
     let mut vm_states = Vec::with_capacity(n_procs as usize);
     for _ in 0..n_procs {
         let b = r.bytes("interval vm state")?;

@@ -6,6 +6,7 @@
 
 use crate::mode::Mode;
 use crate::serialize::DecodeError;
+use delorean_mem::BLOCK_WORDS;
 
 /// Format magic: "DLRN".
 pub(crate) const MAGIC: u32 = 0x444c_524e;
@@ -46,6 +47,10 @@ impl Writer {
     }
     pub(crate) fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+    /// Appends `n` zero words.
+    pub(crate) fn zero_words(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + 8 * n, 0);
     }
     /// Appends `v` as little-endian words, in one pass over one span.
     pub(crate) fn words(&mut self, v: &[u64]) {
@@ -131,6 +136,27 @@ impl<'a> Reader<'a> {
 }
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The prime to the eighth power.
+const FNV_PRIME_8: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// One FNV-1a step.
+#[inline]
+fn fold(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds eight bytes one at a time, or, when all eight are zero, as one
+/// multiplication by the prime's eighth power: a zero byte xors nothing
+/// into the hash, so folding it only multiplies by the prime. The
+/// result is the same either way.
+#[inline]
+fn fold8(h: u64, bytes: &[u8; 8]) -> u64 {
+    if u64::from_ne_bytes(*bytes) == 0 {
+        h.wrapping_mul(FNV_PRIME_8)
+    } else {
+        bytes.iter().fold(h, |h, &b| fold(h, u64::from(b)))
+    }
+}
 
 /// Incremental 64-bit FNV-1a: the checksum of every `.dlrn` and
 /// `.dlrnx` frame, the fingerprint that binds sidecars to their source
@@ -146,29 +172,47 @@ impl Fnv {
         f.value()
     }
 
-    /// Folds in `bytes`, one byte per step.
+    /// Folds in `bytes`, one byte per step, except that eight zero bytes
+    /// in a row fold as one multiplication by the prime's eighth power,
+    /// with the same result.
     #[inline]
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.word(u64::from(b));
-        }
+        let (chunks, rest) = bytes.as_chunks();
+        let h = chunks.iter().fold(self.0, fold8);
+        self.0 = rest.iter().fold(h, |h, &b| fold(h, u64::from(b)));
     }
 
     /// Folds in a whole 64-bit word in one step, as checkpoint ids do.
     #[inline]
     pub fn word(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(FNV_PRIME);
+        self.0 = fold(self.0, x);
+    }
+
+    /// Folds in `n` zero words, as `n` calls of [`word`](Self::word)
+    /// with `0` would: each multiplies the hash by the prime, so a block
+    /// of them multiplies it once by the prime's power.
+    pub(crate) fn zero_words(&mut self, n: usize) {
+        const P_BLOCK: u64 = FNV_PRIME.wrapping_pow(BLOCK_WORDS as u32);
+        let power = if n == BLOCK_WORDS {
+            P_BLOCK
+        } else {
+            FNV_PRIME.wrapping_pow(n as u32)
+        };
+        self.0 = self.0.wrapping_mul(power);
     }
 
     /// Folds `bytes` into `self` and `other_bytes` into `other` in one
     /// loop. The two multiply chains do not depend on each other, so the
     /// CPU runs them side by side: both cost about what one costs alone.
+    /// Each chain folds its own zero runs as [`update`](Self::update) does.
     pub(crate) fn update_pair(&mut self, bytes: &[u8], other: &mut Fnv, other_bytes: &[u8]) {
-        let n = bytes.len().min(other_bytes.len());
+        let n = bytes.len().min(other_bytes.len()) / 8 * 8;
+        let (chunks, _) = bytes[..n].as_chunks();
+        let (other_chunks, _) = other_bytes[..n].as_chunks();
         let (mut x, mut y) = (self.0, other.0);
-        for (&a, &b) in bytes[..n].iter().zip(&other_bytes[..n]) {
-            x = (x ^ u64::from(a)).wrapping_mul(FNV_PRIME);
-            y = (y ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        for (a, b) in chunks.iter().zip(other_chunks) {
+            x = fold8(x, a);
+            y = fold8(y, b);
         }
         (self.0, other.0) = (x, y);
         self.update(&bytes[n..]);
@@ -246,6 +290,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn incremental_fnv_matches_oneshot() {
@@ -274,6 +319,96 @@ mod tests {
                 (x.value(), y.value()),
                 (want.value(), Fnv::of(&data[27 - b..]))
             );
+        }
+    }
+
+    /// FNV-1a one byte at a time, from `h`: the definition every fold
+    /// must match.
+    fn reference(h: u64, bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    }
+
+    /// `offset` non-zero bytes, then `run` zero bytes, then one non-zero
+    /// byte and `tail`.
+    fn zero_run_at(offset: usize, run: usize, fill: u8, tail: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![fill | 1; offset];
+        bytes.resize(offset + run, 0);
+        bytes.push(fill | 0x80);
+        bytes.extend_from_slice(tail);
+        bytes
+    }
+
+    /// Bytes that are zero about half the time, so that they hold zero
+    /// runs of every length.
+    fn sparse_bytes() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..48)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// `update` equals the byte-at-a-time reference for a zero run
+        /// of every length 0–24 at every offset 0–7 from where the
+        /// update starts, from any hash state, whether the bytes come in
+        /// one call or two.
+        #[test]
+        fn update_folds_zero_runs_like_the_reference(
+            fill in any::<u8>(),
+            tail in sparse_bytes(),
+            start in any::<u64>(),
+            cut in any::<usize>(),
+        ) {
+            for offset in 0..8 {
+                for run in 0..=24 {
+                    let bytes = zero_run_at(offset, run, fill, &tail);
+                    let want = reference(start, &bytes);
+                    let mut one = Fnv(start);
+                    one.update(&bytes);
+                    prop_assert_eq!(one.value(), want, "offset {offset}, run {run}");
+                    let at = cut % (bytes.len() + 1);
+                    let mut two = Fnv(start);
+                    two.update(&bytes[..at]);
+                    two.update(&bytes[at..]);
+                    prop_assert_eq!(two.value(), want, "offset {offset}, run {run}, cut {at}");
+                }
+            }
+        }
+
+        /// `update_pair` folds each of two spans of unequal length like
+        /// the reference, each span with its own zero runs.
+        #[test]
+        fn update_pair_folds_each_span_like_the_reference(
+            fills in (any::<u8>(), any::<u8>()),
+            tails in (sparse_bytes(), sparse_bytes()),
+            starts in (any::<u64>(), any::<u64>()),
+        ) {
+            for offset in 0..8 {
+                for run in 0..=24 {
+                    let a = zero_run_at(offset, run, fills.0, &tails.0);
+                    let b = zero_run_at(7 - offset, 24 - run, fills.1, &tails.1);
+                    let (mut x, mut y) = (Fnv(starts.0), Fnv(starts.1));
+                    x.update_pair(&a, &mut y, &b);
+                    prop_assert_eq!(
+                        (x.value(), y.value()),
+                        (reference(starts.0, &a), reference(starts.1, &b)),
+                        "spans of {} and {} bytes", a.len(), b.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_words_fold_like_words_of_zero() {
+        for n in [0, 1, 4, 63, 64, 65] {
+            let (mut folded, mut stepped) = (Fnv(7), Fnv(7));
+            folded.zero_words(n);
+            for _ in 0..n {
+                stepped.word(0);
+            }
+            assert_eq!(folded.value(), stepped.value(), "{n} words");
         }
     }
 

@@ -4,8 +4,9 @@
 //! execution substrate is built from:
 //!
 //! * [`Memory`] — the committed architectural memory (word granular),
-//!   with cheap whole-state snapshots used for system checkpointing and
-//!   a content hash used by the determinism checker.
+//!   with a content hash used by the determinism checker, and its
+//!   [`MemoryImage`]s: the sparse copies that system checkpoints keep,
+//!   which store only the blocks holding a non-zero word.
 //! * [`Cache`] — a set-associative LRU cache model used both for timing
 //!   (hit/miss classification against the Table-5 hierarchy) and for
 //!   detecting speculative-overflow chunk truncation.
@@ -29,10 +30,12 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod image;
 mod memory;
 mod signature;
 
 pub use cache::{Cache, CacheConfig};
+pub use image::{Block, MemoryImage, BLOCK_WORDS};
 pub use memory::Memory;
 pub use signature::{bit_indices, Signature, SIG_BITS};
 

@@ -10,6 +10,7 @@ use delorean::serialize::DecodeError;
 use delorean::stream::StreamMeta;
 use delorean::{serialize, FileSource, HookStage, Machine, MemorySink, Mode, ReplayError};
 use delorean_isa::workload;
+use delorean_mem::MemoryImage;
 
 fn base_machine(mode: Mode) -> Machine {
     Machine::builder()
@@ -80,7 +81,7 @@ fn interval_streams_with_a_misfit_memory_image_do_not_open() {
     let first = machine.record(workload::by_name("fft").unwrap(), 3);
     let ck = first.checkpoint_at(first.stats.total_commits / 2).unwrap();
     let interval = machine.record_interval(&ck, 2_000).unwrap();
-    let words = ck.state.memory.len() as u64;
+    let words = ck.state.memory.len();
     let misfit_in_memory = |forged: &delorean::Recording| {
         let shape = "start state does not fit a 2-processor machine";
         let inspected = ReplayInspector::new(forged).unwrap_err();
@@ -98,15 +99,11 @@ fn interval_streams_with_a_misfit_memory_image_do_not_open() {
         start.chunks_done.resize(counters, 0);
         misfit_in_memory(&forged);
     }
+    let cut_image =
+        |keep: u64| MemoryImage::from_words(&ck.state.memory.to_words()[..keep as usize]);
     for keep in [0, words / 2] {
         let mut forged = interval.clone();
-        forged
-            .meta
-            .interval
-            .as_mut()
-            .unwrap()
-            .memory
-            .truncate(keep as usize);
+        forged.meta.interval.as_mut().unwrap().memory = cut_image(keep);
         misfit_in_memory(&forged);
         let bytes = serialize::to_bytes(&forged);
         let misfit = DecodeError::MemoryImage {
@@ -117,7 +114,7 @@ fn interval_streams_with_a_misfit_memory_image_do_not_open() {
         assert_eq!(FileSource::open(&bytes[..]).unwrap_err(), misfit);
         assert_eq!(serialize::from_bytes(&bytes).unwrap_err(), misfit);
         let mut cut = ck.clone();
-        cut.state.memory.truncate(keep as usize);
+        cut.state.memory = cut_image(keep);
         assert!(matches!(
             machine.record_interval(&cut, 2_000),
             Err(ReplayError::Source { .. })
