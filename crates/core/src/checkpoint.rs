@@ -13,14 +13,16 @@
 //! [`CheckpointIndex`] let a [`ReplayCursor`] seek inside a recording.
 
 use crate::error::ReplayError;
-use crate::inspect::{fitting, ReplayInspector};
+use crate::inspect::{fitting, programs, ReplayInspector};
 use crate::mode::Mode;
 use crate::stream::{decode_start_state, encode_start_state, FileSource, LogSource, SegmentMark};
 use crate::wire::{mode_from, mode_tag, Fnv, Reader, Writer, FILE_HEAD};
 use delorean_chunk::StartState;
 use delorean_isa::workload::WorkloadSpec;
+use delorean_isa::Program;
 use delorean_mem::Block;
 use std::io::{Read, Seek, SeekFrom};
+use std::sync::Arc;
 
 /// A *mid-execution* system checkpoint: the full architectural state at
 /// a Global Commit Count, from which a new recording interval can start
@@ -492,6 +494,9 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
 pub struct ReplayCursor<R: Read + Seek> {
     pub(crate) source: FileSource<R>,
     pub(crate) index: CheckpointIndex,
+    /// The recorded workload's programs, generated once at open and
+    /// shared by every seek's inspector.
+    pub(crate) programs: Arc<[Program]>,
 }
 
 impl<R: Read + Seek> std::fmt::Debug for ReplayCursor<R> {
@@ -515,7 +520,12 @@ impl<R: Read + Seek> ReplayCursor<R> {
     /// failures as their typed variants.
     pub fn open(reader: R, index: CheckpointIndex) -> Result<Self, CheckpointError> {
         let source = index.bind(reader)?;
-        Ok(Self { source, index })
+        let programs = programs(source.meta());
+        Ok(Self {
+            source,
+            index,
+            programs,
+        })
     }
 
     /// The checkpoint index backing this cursor.
@@ -547,7 +557,8 @@ impl<R: Read + Seek> ReplayCursor<R> {
             .map_err(|e| ReplayError::Source {
                 detail: e.to_string(),
             })?;
-        let mut ins = ReplayInspector::with_start(&mut self.source, Some(start));
+        let programs = Arc::clone(&self.programs);
+        let mut ins = ReplayInspector::with_start(&mut self.source, start, programs);
         while ins.step_to(entry.gcc, gcc)?.is_some() {}
         let (rr_cursor, state) = (ins.rr_phase(), ins.capture());
         // A restore that stepped no commit may have decoded no segment.

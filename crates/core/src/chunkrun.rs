@@ -14,7 +14,7 @@
 //! which treats log gaps as hard errors.
 
 use delorean_chunk::TruncationReason;
-use delorean_isa::{DataMemory, IoBus, Program, StepKind, Vm};
+use delorean_isa::{DataMemory, IoBus, Program, Stop, Vm};
 
 /// Outcome of executing one chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,10 +26,11 @@ pub(crate) struct ChunkRun {
 }
 
 /// Executes one chunk of `vm` against `mem`/`io`, following the
-/// engine's chunking rules exactly. `target` is the chunk's size limit
-/// (the CS-forced size or `chunk_size`), and a target below the
-/// standard `chunk_size` re-derives as a logged non-deterministic
-/// truncation ([`TruncationReason::Overflow`]).
+/// engine's chunking rules exactly ([`Vm::run`] applies them).
+/// `target` is the chunk's size limit (the CS-forced size or
+/// `chunk_size`), and a target below the standard `chunk_size`
+/// re-derives as a logged non-deterministic truncation
+/// ([`TruncationReason::Overflow`]).
 pub(crate) fn run_chunk<M: DataMemory + ?Sized, I: IoBus + ?Sized>(
     vm: &mut Vm,
     program: &Program,
@@ -39,37 +40,15 @@ pub(crate) fn run_chunk<M: DataMemory + ?Sized, I: IoBus + ?Sized>(
     chunk_size: u32,
     budget: u64,
 ) -> ChunkRun {
-    let mut size = 0u32;
-    // A chunk cut short of the standard size by its (logged) target
-    // was non-deterministically truncated when recorded; uncached
-    // stops re-derive themselves below before the target is hit.
-    let mut truncation = if target < chunk_size {
-        TruncationReason::Overflow
-    } else {
-        TruncationReason::StandardSize
+    let (size, stop) = vm.run(program, mem, io, target, budget);
+    let truncation = match stop {
+        // A chunk cut short of the standard size by its (logged) target
+        // was non-deterministically truncated when recorded; uncached
+        // stops re-derive themselves before the target is hit.
+        Stop::Limit if target < chunk_size => TruncationReason::Overflow,
+        Stop::Limit => TruncationReason::StandardSize,
+        Stop::Finished => TruncationReason::BudgetEnd,
+        Stop::Uncached => TruncationReason::Uncached,
     };
-    loop {
-        if size >= target {
-            break;
-        }
-        if vm.retired() >= budget || vm.halted() {
-            truncation = TruncationReason::BudgetEnd;
-            break;
-        }
-        let Some(&inst) = vm.peek(program) else {
-            truncation = TruncationReason::BudgetEnd;
-            break;
-        };
-        if inst.is_uncached() && size > 0 {
-            truncation = TruncationReason::Uncached;
-            break;
-        }
-        let info = vm.step(program, mem, io);
-        size += 1;
-        if info.kind == StepKind::Uncached {
-            truncation = TruncationReason::Uncached;
-            break; // solo uncached chunk
-        }
-    }
     ChunkRun { size, truncation }
 }

@@ -38,16 +38,18 @@
 //! assert!(report.matches_recording);
 //! ```
 
+use crate::chunkrun::run_chunk;
 use crate::error::ReplayError;
 use crate::machine::Recording;
 use crate::mode::Mode;
 use crate::recover::RecoveringSource;
-use crate::stream::LogSource;
+use crate::stream::{LogSource, StreamMeta};
 use delorean_chunk::{Committer, EngineError, StartState, SubstrateEvent, TruncationReason};
 use delorean_isa::layout::AddressMap;
 use delorean_isa::{Addr, DataMemory, IoBus, Program, Vm, Word};
 use delorean_mem::Memory;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A write to a watched address, observed at commit granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,6 +255,53 @@ impl<S: LogSource> IoBus for LogIo<'_, S> {
     fn io_store(&mut self, _port: u16, _value: Word) {}
 }
 
+/// The programs of the stream's workload, one per processor.
+pub(crate) fn programs(meta: &StreamMeta) -> Arc<[Program]> {
+    let map = AddressMap::new(meta.n_procs);
+    meta.workload
+        .programs(meta.n_procs, &map, meta.app_seed)
+        .into()
+}
+
+/// The architectural state an inspector starts from, built from a
+/// borrowed start state (or the program entry points when there is
+/// none) with one copy of its memory image.
+struct Restored {
+    memory: Memory,
+    vms: Vec<Vm>,
+    chunks_done: Vec<u64>,
+}
+
+impl Restored {
+    fn new(meta: &StreamMeta, start: Option<&StartState>, programs: &[Program]) -> Self {
+        let map = AddressMap::new(meta.n_procs);
+        let mut vms: Vec<Vm> = (0..meta.n_procs)
+            .map(|t| {
+                let mut vm = Vm::new(t, &map);
+                vm.set_pc(programs[t as usize].entry());
+                vm
+            })
+            .collect();
+        match start {
+            Some(start) => {
+                for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
+                    vm.restore(st);
+                }
+                Self {
+                    memory: Memory::from_image(&start.memory),
+                    vms,
+                    chunks_done: start.chunks_done.clone(),
+                }
+            }
+            None => Self {
+                memory: Memory::new(map.total_words()),
+                vms,
+                chunks_done: vec![0; meta.n_procs as usize],
+            },
+        }
+    }
+}
+
 /// Serial, software-only replayer over a recorded log stream.
 #[derive(Debug)]
 pub struct ReplayInspector<S: LogSource> {
@@ -263,7 +312,7 @@ pub struct ReplayInspector<S: LogSource> {
     chunk_size: u32,
     memory: Memory,
     vms: Vec<Vm>,
-    programs: Vec<Program>,
+    programs: Arc<[Program]>,
     chunks_done: Vec<u64>,
     rr_cursor: u32,
     gcc: u64,
@@ -295,41 +344,37 @@ impl<S: LogSource> ReplayInspector<S> {
     /// Returns [`InspectError`] when the stream's start state does not
     /// fit its machine — the check the engine makes before a replay.
     pub fn from_source(source: S) -> Result<Self, InspectError> {
-        let meta = source.meta();
-        let start = match &meta.interval {
-            Some(start) => Some(fitting(start, meta.n_procs)?.clone()),
-            None => None,
-        };
-        Ok(Self::with_start(source, start.as_ref()))
+        let programs = programs(source.meta());
+        Self::with_programs(source, programs)
     }
 
-    /// An inspector over `source` that starts from `start`, or from the
-    /// program entry points when `None`. Callers check the state's shape
-    /// with [`fitting`] first.
-    pub(crate) fn with_start(source: S, start: Option<&StartState>) -> Self {
+    /// [`ReplayInspector::from_source`] running the stream's `programs`,
+    /// generated once by the caller.
+    pub(crate) fn with_programs(source: S, programs: Arc<[Program]>) -> Result<Self, InspectError> {
         let meta = source.meta();
-        let mode = meta.mode;
-        let n_procs = meta.n_procs;
-        let budget = meta.budget;
-        let chunk_size = meta.chunk_size;
-        let map = AddressMap::new(n_procs);
-        let programs = meta.workload.programs(n_procs, &map, meta.app_seed);
-        let mut vms: Vec<Vm> = (0..n_procs)
-            .map(|t| {
-                let mut vm = Vm::new(t, &map);
-                vm.set_pc(programs[t as usize].entry());
-                vm
-            })
-            .collect();
-        let (memory, chunks_done) = match start {
-            Some(start) => {
-                for (vm, st) in vms.iter_mut().zip(&start.vm_states) {
-                    vm.restore(st);
-                }
-                (Memory::from_image(&start.memory), start.chunks_done.clone())
-            }
-            None => (Memory::new(map.total_words()), vec![0; n_procs as usize]),
+        let start = match &meta.interval {
+            Some(start) => Some(fitting(start, meta.n_procs)?),
+            None => None,
         };
+        let state = Restored::new(meta, start, &programs);
+        Ok(Self::assemble(source, programs, state))
+    }
+
+    /// An inspector over `source` that starts from `start` and runs the
+    /// stream's `programs`, generated once by the caller. Callers check
+    /// the state's shape with [`fitting`] first.
+    pub(crate) fn with_start(source: S, start: &StartState, programs: Arc<[Program]>) -> Self {
+        let state = Restored::new(source.meta(), Some(start), &programs);
+        Self::assemble(source, programs, state)
+    }
+
+    fn assemble(source: S, programs: Arc<[Program]>, state: Restored) -> Self {
+        let meta = source.meta();
+        let Restored {
+            memory,
+            vms,
+            chunks_done,
+        } = state;
         // PicoLog's predefined commit order is strict round-robin from
         // processor 0, so under it the per-processor chunk counters
         // differ by at most one and the next committer is the first
@@ -348,11 +393,11 @@ impl<S: LogSource> ReplayInspector<S> {
                 .map_or(0, |p| p as u32)
         });
         Self {
+            mode: meta.mode,
+            n_procs: meta.n_procs,
+            budget: meta.budget,
+            chunk_size: meta.chunk_size,
             source,
-            mode,
-            n_procs,
-            budget,
-            chunk_size,
             memory,
             vms,
             programs,
@@ -564,9 +609,9 @@ impl<S: LogSource> ReplayInspector<S> {
             ));
         }
         let index = self.chunks_done[pi] + 1;
-        let budget = self.budget;
+        let (budget, chunk_size) = (self.budget, self.chunk_size);
         let forced = self.source.forced_size(p, index);
-        let target = forced.unwrap_or(self.chunk_size);
+        let target = forced.unwrap_or(chunk_size);
         let interrupt = self.source.interrupt_at(p, index);
         let vm = &mut self.vms[pi];
         let program = &self.programs[pi];
@@ -586,25 +631,32 @@ impl<S: LogSource> ReplayInspector<S> {
             seq: 0,
             missing: false,
         };
-        let mut footprints = self
-            .collect_footprints
-            .then(HashSet::new)
-            .map(|r| (r, HashSet::new()));
-        let mut mem = WatchMem {
-            mem: &mut self.memory,
-            watches: &self.watches,
-            hits: Vec::new(),
-            footprints: footprints.as_mut(),
+        let observed = self.collect_footprints || !self.watches.is_empty();
+        let (run, hits, footprints) = if observed {
+            let mut footprints = self
+                .collect_footprints
+                .then(|| (HashSet::new(), HashSet::new()));
+            let mut mem = WatchMem {
+                mem: &mut self.memory,
+                watches: &self.watches,
+                hits: Vec::new(),
+                footprints: footprints.as_mut(),
+            };
+            let run = run_chunk(vm, program, &mut mem, &mut io, target, chunk_size, budget);
+            (run, mem.hits, footprints)
+        } else {
+            // Nothing observes the chunk: it runs straight on memory.
+            let run = run_chunk(
+                vm,
+                program,
+                &mut self.memory,
+                &mut io,
+                target,
+                chunk_size,
+                budget,
+            );
+            (run, Vec::new(), None)
         };
-        let run = crate::chunkrun::run_chunk(
-            vm,
-            program,
-            &mut mem,
-            &mut io,
-            target,
-            self.chunk_size,
-            budget,
-        );
         let (size, truncation) = (run.size, run.truncation);
         let io_loads = io.seq;
         if io.missing {
@@ -613,8 +665,6 @@ impl<S: LogSource> ReplayInspector<S> {
                 format!("I/O log has no value for processor {p}, chunk {index}"),
             ));
         }
-        let hits = std::mem::take(&mut mem.hits);
-        drop(mem);
         let watch_hits = hits
             .into_iter()
             .map(|(addr, old)| WatchHit {

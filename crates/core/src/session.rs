@@ -48,6 +48,7 @@ use delorean_isa::{Addr, Word};
 use delorean_mem::Memory;
 use delorean_sim::RunSpec;
 use std::io::{Read, Seek};
+use std::sync::Arc;
 
 /// A passive pipeline stage stacked on a [`Session`].
 ///
@@ -368,7 +369,8 @@ impl<'m, 's> Session<'m, 's> {
         for stage in &mut self.stages {
             stage.on_begin(cursor.source.meta());
         }
-        let mut ins = ReplayInspector::from_source(&mut cursor.source)?;
+        let programs = Arc::clone(&cursor.programs);
+        let mut ins = ReplayInspector::with_programs(&mut cursor.source, programs)?;
         while let Some(ev) = ins.step_to(from, t)? {
             let sub = ev.to_substrate();
             for stage in &mut self.stages {

@@ -28,9 +28,11 @@ impl Reg {
         Reg(index)
     }
 
-    /// The register number.
+    /// The register number. [`Reg::new`] keeps it below
+    /// [`Reg::COUNT`], so the mask changes nothing; it lets the compiler
+    /// drop the bounds check when the number indexes a register file.
     pub const fn index(self) -> usize {
-        self.0 as usize
+        self.0 as usize & (Self::COUNT - 1)
     }
 }
 

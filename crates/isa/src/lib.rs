@@ -42,7 +42,7 @@ pub mod workload;
 
 pub use inst::{AluOp, Inst, Reg};
 pub use program::{Program, ProgramBuilder};
-pub use vm::{DataMemory, FlatMemory, IoBus, MemOp, NullIo, StepInfo, StepKind, Vm};
+pub use vm::{DataMemory, FlatMemory, IoBus, MemOp, NullIo, StepInfo, StepKind, Stop, Vm};
 
 /// Machine word: every memory cell and register holds one.
 pub type Word = u64;

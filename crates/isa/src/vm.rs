@@ -130,6 +130,19 @@ impl StepInfo {
     }
 }
 
+/// Why [`Vm::run`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The run retired its `limit` of instructions.
+    Limit,
+    /// The thread retired its budget, halted, or its pc ran past the
+    /// end of the program.
+    Finished,
+    /// An uncached instruction ended the run: it comes next and the run
+    /// already holds instructions, or it ran first, on its own.
+    Uncached,
+}
+
 /// Architected state snapshot used for chunk checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmState {
@@ -380,7 +393,8 @@ impl Vm {
     /// Executes one instruction.
     ///
     /// Returns what happened; when the thread is halted this is a no-op
-    /// reporting [`StepKind::Halted`].
+    /// reporting [`StepKind::Halted`]. A pc past the end of the program
+    /// halts the thread without retiring anything.
     pub fn step<M: DataMemory + ?Sized, I: IoBus + ?Sized>(
         &mut self,
         prog: &Program,
@@ -394,6 +408,66 @@ impl Vm {
             self.halted = true;
             return StepInfo::none(StepKind::Halted);
         };
+        self.execute(inst, mem, io)
+    }
+
+    /// Runs up to `limit` instructions under the chunking rules, and
+    /// returns how many retired and why the run stopped. The checks come
+    /// in this order before each instruction:
+    ///
+    /// 1. `limit` instructions ran: [`Stop::Limit`];
+    /// 2. the thread retired `budget` instructions or halted:
+    ///    [`Stop::Finished`];
+    /// 3. the pc is past the end of the program: [`Stop::Finished`],
+    ///    leaving `halted` unset (unlike [`Vm::step`]);
+    /// 4. the instruction is uncached and the run already holds
+    ///    instructions: [`Stop::Uncached`], before executing it.
+    ///
+    /// An uncached instruction that runs first runs on its own: the run
+    /// stops right after it with [`Stop::Uncached`].
+    pub fn run<M: DataMemory + ?Sized, I: IoBus + ?Sized>(
+        &mut self,
+        prog: &Program,
+        mem: &mut M,
+        io: &mut I,
+        limit: u32,
+        budget: u64,
+    ) -> (u32, Stop) {
+        let mut n = 0u32;
+        // Each instruction retires one, so the budget allows `room` more.
+        let room = budget.saturating_sub(self.retired);
+        loop {
+            if n >= limit {
+                return (n, Stop::Limit);
+            }
+            if u64::from(n) >= room || self.halted {
+                return (n, Stop::Finished);
+            }
+            let Some(&inst) = prog.inst_at(self.pc) else {
+                return (n, Stop::Finished);
+            };
+            let uncached = inst.is_uncached();
+            if uncached && n > 0 {
+                return (n, Stop::Uncached);
+            }
+            self.execute(inst, mem, io);
+            n += 1;
+            if uncached {
+                return (n, Stop::Uncached);
+            }
+        }
+    }
+
+    /// Executes `inst`, the instruction at the pc, and retires it: the
+    /// one per-instruction executor behind [`Vm::step`] and [`Vm::run`].
+    /// It is inlined into both, so `run` drops the `StepInfo` unbuilt.
+    #[inline(always)]
+    fn execute<M: DataMemory + ?Sized, I: IoBus + ?Sized>(
+        &mut self,
+        inst: Inst,
+        mem: &mut M,
+        io: &mut I,
+    ) -> StepInfo {
         let mut info = StepInfo::none(StepKind::Normal);
         let mut next_pc = self.pc + 1;
         fold(&mut self.hash, self.pc as u64);
@@ -505,8 +579,9 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Reg;
+    use crate::inst::{AluOp, Reg};
     use crate::program::ProgramBuilder;
+    use proptest::prelude::*;
 
     fn map() -> AddressMap {
         AddressMap::new(2)
@@ -525,6 +600,289 @@ mod tests {
             vm.step(prog, &mut mem, &mut io);
         }
         (vm, mem)
+    }
+
+    // Outcomes a generated case reached, one bit each.
+    const CAS_OK: u32 = 1;
+    const CAS_FAILED: u32 = 1 << 1;
+    const IRET: u32 = 1 << 2;
+    const HALT: u32 = 1 << 3;
+    const PAST_END: u32 = 1 << 4;
+    const UNCACHED_SOLO: u32 = 1 << 5;
+    const UNCACHED_NEXT: u32 = 1 << 6;
+    const LIMIT: u32 = 1 << 7;
+    const BUDGET: u32 = 1 << 8;
+    const EVERY_OUTCOME: u32 = (1 << 9) - 1;
+
+    /// The per-instruction chunk loop that [`Vm::run`] replaced: peek,
+    /// check, step. It sets in `seen` the outcomes it executed.
+    fn reference<M: DataMemory, I: IoBus>(
+        vm: &mut Vm,
+        prog: &Program,
+        mem: &mut M,
+        io: &mut I,
+        limit: u32,
+        budget: u64,
+        seen: &mut u32,
+    ) -> (u32, Stop) {
+        let mut n = 0u32;
+        loop {
+            if n >= limit {
+                return (n, Stop::Limit);
+            }
+            if vm.retired() >= budget || vm.halted() {
+                return (n, Stop::Finished);
+            }
+            let Some(&inst) = vm.peek(prog) else {
+                return (n, Stop::Finished);
+            };
+            if inst.is_uncached() && n > 0 {
+                return (n, Stop::Uncached);
+            }
+            let info = vm.step(prog, mem, io);
+            n += 1;
+            *seen |= match inst {
+                Inst::Cas { .. } if info.mem_ops[1].is_some() => CAS_OK,
+                Inst::Cas { .. } => CAS_FAILED,
+                Inst::Iret => IRET,
+                Inst::Halt => HALT,
+                _ => 0,
+            };
+            if info.kind == StepKind::Uncached {
+                return (n, Stop::Uncached);
+            }
+        }
+    }
+
+    /// An I/O bus that logs every call; a load returns a value that
+    /// depends on how many calls came before it.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct IoLog {
+        calls: Vec<(u16, Option<Word>)>,
+    }
+
+    impl IoBus for IoLog {
+        fn io_load(&mut self, port: u16) -> Word {
+            self.calls.push((port, None));
+            self.calls.len() as Word * 3
+        }
+        fn io_store(&mut self, port: u16, value: Word) {
+            self.calls.push((port, Some(value)));
+        }
+    }
+
+    /// A generated instruction before its branch target is placed:
+    /// kind, four register numbers, a small immediate and a target seed.
+    type Proto = (u8, u8, u8, u8, u8, u8, u8);
+
+    const ALU_OPS: [AluOp; 7] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Xor,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Mul,
+        AluOp::Mix,
+    ];
+
+    /// Kinds 0..7 are the ALU operations, then every other instruction
+    /// but `Iret`, which ends the handler.
+    const KINDS: u8 = 21;
+
+    fn proto() -> impl Strategy<Value = Proto> {
+        (
+            0..KINDS,
+            0u8..16,
+            0u8..16,
+            0u8..16,
+            0u8..16,
+            0u8..8,
+            any::<u8>(),
+        )
+    }
+
+    /// The instruction `p` names. A branch lands in `region` or, one
+    /// time in four, up to two past the end of a `len`-instruction
+    /// program.
+    fn place(p: Proto, region: core::ops::Range<usize>, len: usize) -> Inst {
+        let (kind, a, b, c, d, imm, seed) = p;
+        let (a, b, c, d) = (Reg::new(a), Reg::new(b), Reg::new(c), Reg::new(d));
+        let seed = usize::from(seed);
+        let target = if seed % 4 == 0 {
+            len + seed / 4 % 3
+        } else {
+            region.start + seed / 4 % region.len()
+        };
+        let value = u64::from(imm);
+        let offset = i64::from(imm) - 4;
+        match kind {
+            0..=6 => Inst::Alu {
+                rd: a,
+                ra: b,
+                rb: c,
+                op: ALU_OPS[usize::from(kind)],
+            },
+            7 => Inst::Imm { rd: a, value },
+            8 => Inst::AddImm {
+                rd: a,
+                ra: b,
+                imm: offset,
+            },
+            9 => Inst::Load {
+                rd: a,
+                base: b,
+                offset,
+            },
+            10 => Inst::Store {
+                rs: a,
+                base: b,
+                offset,
+            },
+            11 => Inst::Cas {
+                rd: a,
+                base: b,
+                offset,
+                expected: c,
+                desired: d,
+            },
+            12 => Inst::Jump { target },
+            13 => Inst::BranchEq {
+                ra: a,
+                rb: b,
+                target,
+            },
+            14 => Inst::BranchLt {
+                ra: a,
+                rb: b,
+                target,
+            },
+            15 => Inst::Fence,
+            16 => Inst::IoLoad {
+                rd: a,
+                port: u16::from(imm),
+            },
+            17 => Inst::IoStore {
+                rs: a,
+                port: u16::from(imm),
+            },
+            18 => Inst::System {
+                code: u16::from(imm),
+            },
+            19 => Inst::Nop,
+            _ => Inst::Halt,
+        }
+    }
+
+    /// A program of `main` then `Halt`, and an interrupt handler of
+    /// `handler` then `Iret`. Branches stay in their own part (or leave
+    /// the program), so `Iret` runs only inside a delivered handler.
+    fn program(main: &[Proto], handler: &[Proto]) -> Program {
+        let h = main.len() + 1;
+        let len = h + handler.len() + 1;
+        let mut code: Vec<Inst> = main.iter().map(|&p| place(p, 0..h, len)).collect();
+        code.push(Inst::Halt);
+        code.extend(handler.iter().map(|&p| place(p, h..len, len)));
+        code.push(Inst::Iret);
+        Program::new(code, 0, Some(h))
+    }
+
+    /// One generated case: runs the chunks (`limit`, `budget`) on two
+    /// VMs, one by stepping and one by [`Vm::run`], delivering an
+    /// interrupt before chunk `irq.1` when `irq.0` is set, requires them
+    /// to agree after every chunk, and returns the outcomes reached.
+    fn check(
+        main: &[Proto],
+        handler: &[Proto],
+        chunks: &[(u32, u64)],
+        irq: (bool, usize, Word),
+    ) -> u32 {
+        let prog = program(main, handler);
+        let map = AddressMap::new(1);
+        let (mut stepped, mut ran) = (Vm::new(0, &map), Vm::new(0, &map));
+        let (mut stepped_mem, mut ran_mem) = (FlatMemory::new(64), FlatMemory::new(64));
+        let (mut stepped_io, mut ran_io) = (IoLog::default(), IoLog::default());
+        let mut seen = 0;
+        for (i, &(limit, budget)) in chunks.iter().enumerate() {
+            if irq.0 && irq.1 == i && !stepped.in_handler() {
+                stepped.deliver_interrupt(&prog, irq.2);
+                ran.deliver_interrupt(&prog, irq.2);
+            }
+            let want = reference(
+                &mut stepped,
+                &prog,
+                &mut stepped_mem,
+                &mut stepped_io,
+                limit,
+                budget,
+                &mut seen,
+            );
+            let got = ran.run(&prog, &mut ran_mem, &mut ran_io, limit, budget);
+            assert_eq!(got, want, "chunk {i} of {prog:?}");
+            assert_eq!(ran.snapshot(), stepped.snapshot(), "chunk {i} of {prog:?}");
+            assert_eq!(ran_mem, stepped_mem, "chunk {i} of {prog:?}");
+            assert_eq!(ran_io, stepped_io, "chunk {i} of {prog:?}");
+            seen |= match want.1 {
+                Stop::Limit => LIMIT,
+                Stop::Finished if stepped.retired() >= budget => BUDGET,
+                Stop::Finished if !stepped.halted() => PAST_END,
+                Stop::Finished => 0,
+                Stop::Uncached if want.0 == 1 => UNCACHED_SOLO,
+                Stop::Uncached => UNCACHED_NEXT,
+            };
+        }
+        seen
+    }
+
+    fn chunks() -> impl Strategy<Value = Vec<(u32, u64)>> {
+        proptest::collection::vec((0u32..24, 0u64..80), 1..6)
+    }
+
+    fn irq() -> impl Strategy<Value = (bool, usize, Word)> {
+        (proptest::bool::ANY, 0usize..4, any::<u64>())
+    }
+
+    const CASES: u32 = 512;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
+
+        /// `Vm::run` retires the same instructions as the stepping loop
+        /// and stops for the same reason, leaving the same VM state
+        /// (registers, pc, `halted`, handler state, retired count and
+        /// stream hash), the same memory and the same I/O calls, over
+        /// random programs, limits, budgets and interrupts.
+        #[test]
+        fn run_equals_stepping(
+            main in proptest::collection::vec(proto(), 0..24),
+            handler in proptest::collection::vec(proto(), 0..8),
+            chunks in chunks(),
+            irq in irq(),
+        ) {
+            check(&main, &handler, &chunks, irq);
+        }
+    }
+
+    /// The cases [`run_equals_stepping`] runs, drawn again from the same
+    /// case stream, reach everything it means to cover: both CAS
+    /// outcomes, `Iret` in a delivered handler, `Halt`, a pc run past the
+    /// end, and every stop reason, an uncached instruction run on its
+    /// own and one stopped before included.
+    #[test]
+    fn generated_cases_cover_every_outcome() {
+        let strategy = (
+            proptest::collection::vec(proto(), 0..24),
+            proptest::collection::vec(proto(), 0..8),
+            chunks(),
+            irq(),
+        );
+        let mut seen = 0;
+        for case in 0..u64::from(CASES) {
+            let mut rng =
+                proptest::test_runner::TestRng::for_case_named("run_equals_stepping", case);
+            let (main, handler, chunks, irq) = strategy.generate(&mut rng);
+            seen |= check(&main, &handler, &chunks, irq);
+        }
+        assert_eq!(seen, EVERY_OUTCOME, "outcomes reached: {seen:#011b}");
     }
 
     #[test]

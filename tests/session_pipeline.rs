@@ -6,11 +6,13 @@
 // Test code may panic freely.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use delorean::inspect::{CommitEvent, ReplayInspector};
 use delorean::{
     index_stream, serialize, ArbiterConfig, FileSink, FileSource, Fnv, HookStage, Machine, Mode,
     NoopStage, ReplayError, RunStats, StateDigest, SubstrateEvent,
 };
 use delorean_chunk::{DeviceConfig, SubstrateFaultConfig};
+use delorean_isa::layout::{AddressMap, BARRIER_WORDS};
 use delorean_isa::workload;
 use proptest::prelude::*;
 
@@ -188,6 +190,58 @@ fn dma_and_sharded_recordings_are_pinned() {
         fresh.push(line);
     }
     assert_eq!(fresh, PINNED);
+}
+
+/// An inspector that observes nothing runs each chunk straight on
+/// memory; one that collects footprints and watches a word runs it
+/// through its observer. Over the [`PINNED`] recordings both replay the
+/// same commits and reach the same state after every one. The watched
+/// word is the last barrier word, which no commit writes.
+#[test]
+fn observed_and_plain_inspectors_agree_at_every_commit() {
+    for (m, workload, seed) in pinned_runs() {
+        let rec = m.record(workload::by_name(workload).expect("catalog workload"), seed);
+        let unwritten = AddressMap::new(m.procs()).barrier_base() + BARRIER_WORDS - 1;
+        let mut plain = ReplayInspector::new(&rec).expect("a pinned recording opens");
+        let mut observed = ReplayInspector::new(&rec).expect("a pinned recording opens");
+        observed.collect_footprints(true);
+        observed.watch(unwritten);
+        let tag = format!("{workload} {}", mode_tag(m.mode()));
+        let mut commits = 0u64;
+        while let Some(p) = plain.step().expect("a pinned recording replays") {
+            let o = observed
+                .step()
+                .expect("a pinned recording replays")
+                .unwrap_or_else(|| panic!("{tag}: observed replay ends before commit {}", p.gcc));
+            let fields = |e: &CommitEvent| {
+                (
+                    e.gcc,
+                    e.committer,
+                    e.chunk_index,
+                    e.size,
+                    e.truncation,
+                    e.interrupt,
+                    e.io_loads,
+                )
+            };
+            assert_eq!(fields(&o), fields(&p), "{tag}");
+            assert_eq!(observed.digest(), plain.digest(), "{tag}: commit {}", p.gcc);
+            assert!(
+                o.watch_hits.is_empty(),
+                "{tag}: commit {} wrote the watched word",
+                p.gcc
+            );
+            commits = p.gcc;
+        }
+        assert!(
+            observed
+                .step()
+                .expect("a pinned recording replays")
+                .is_none(),
+            "{tag}"
+        );
+        assert_eq!(commits, rec.stats.total_commits, "{tag}");
+    }
 }
 
 /// `.dlrnx` indexes with a checkpoint every 64 commits over the
