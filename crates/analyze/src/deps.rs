@@ -4,13 +4,14 @@
 //! constraint on replay is only a *partial* order: chunks whose
 //! footprints do not conflict could have committed — and can replay —
 //! in either relative order. This pass replays a recording through
-//! [`ReplayInspector`] with footprint collection enabled and builds the
-//! chunk dependence DAG twice:
+//! [`ReplayInspector`](delorean::inspect::ReplayInspector) with
+//! footprint collection enabled and builds the chunk dependence DAG
+//! twice, from the crate's conflict tracker:
 //!
 //! * **exact** — conflict edges from the reconstructed line-granular
 //!   footprints (last writer plus readers-since-write per line, the
-//!   same per-line state the race pass keeps), unioned with program
-//!   order;
+//!   same line edges the race pass folds into its clocks), unioned with
+//!   program order;
 //! * **approximate** — the same construction in the *signature domain*:
 //!   every cache line is hashed to its two 2-Kbit signature bits
 //!   ([`delorean_mem::bit_indices`]) and conflicts are detected on bit
@@ -29,18 +30,21 @@
 //! match the trailer, which fails exactly when conflicting chunks were
 //! reordered (commuting independent chunks is legal and passes).
 //!
-//! The report's JSON rendering (the `deps` object of `analyze --deps
-//! --json`) is byte-deterministic across runs. It measures how much
-//! replay parallelism a recording holds; no replayer consumes it.
+//! [`races_and_deps`] runs the race pass from the same replay, so
+//! `analyze --deps` walks the log once. The report's JSON rendering
+//! (the `deps` object of `analyze --deps --json`) is byte-deterministic
+//! across runs. It measures how much replay parallelism a recording
+//! holds; no replayer consumes it.
 
+use crate::conflicts::{column, walk, who_label, Tracker};
+use crate::races::{Detector, RaceOptions, RaceReport};
 use crate::report::{diagnostics_json, Diagnostic};
-use delorean::inspect::{CommitEvent, InspectError, ReplayInspector};
+use delorean::inspect::{CommitEvent, InspectError};
 use delorean::json;
 use delorean::recover::RecoveringSource;
 use delorean::{FileSource, LogSource};
-use delorean_chunk::{ChunkFootprint, Committer};
-use delorean_mem::{bit_indices, SIG_BITS};
-use std::collections::HashMap;
+use delorean_chunk::footprint::footprints_conflict;
+use delorean_mem::bit_indices;
 
 /// Core counts the available-parallelism profile is evaluated at.
 pub const PROFILE_CORES: [u32; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
@@ -75,7 +79,7 @@ pub struct DepNode {
 }
 
 /// Output of the dependence pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DepsReport {
     /// Workload name from the stream metadata.
     pub workload: String,
@@ -122,23 +126,8 @@ impl DepsReport {
     /// A report for a replay that failed before completing.
     pub fn failed(err: &InspectError) -> Self {
         Self {
-            workload: String::new(),
-            mode: String::new(),
-            n_procs: 0,
-            arbiter: String::new(),
-            nodes: Vec::new(),
-            reduced_edges: Vec::new(),
-            exact_edges: 0,
-            approx_edges: 0,
-            aliased_edges: 0,
-            aliasing_rate: 0.0,
-            critical_path: 0,
-            total_work: 0,
-            parallelism: Vec::new(),
-            partial: false,
-            lost_ranges: Vec::new(),
-            replay_complete: false,
             diagnostics: vec![Diagnostic::error("replay-failed", err.to_string())],
+            ..Self::default()
         }
     }
 
@@ -238,31 +227,45 @@ fn fmt6(x: f64) -> String {
     format!("{x:.6}")
 }
 
-fn who_label(col: usize, n_procs: u32) -> String {
-    if col == n_procs as usize {
-        "DMA".to_string()
-    } else {
-        format!("P{col}")
-    }
+/// The signature bits a sorted line set hashes to, sorted and
+/// deduplicated.
+fn signature_bits(lines: &[u64]) -> Vec<u64> {
+    let mut bits: Vec<u64> = lines
+        .iter()
+        .flat_map(|&l| bit_indices(l))
+        .map(|b| b as u64)
+        .collect();
+    bits.sort_unstable();
+    bits.dedup();
+    bits
 }
 
-/// Per-line (or per-signature-bit) conflict state: the last writer and
-/// the readers since that write, as node indices.
-#[derive(Debug, Clone, Default)]
-struct SlotState {
-    last_writer: Option<u32>,
-    readers: Vec<u32>,
+/// A commit's direct predecessors in one domain: its program-order
+/// predecessor plus every earlier commit `tracker` reports a conflict
+/// with, sorted and deduplicated.
+fn direct_preds(
+    tracker: &Tracker<u32>,
+    program_order: Option<u32>,
+    col: u32,
+    reads: &[u64],
+    writes: &[u64],
+) -> Vec<u32> {
+    let mut preds: Vec<u32> = program_order.into_iter().collect();
+    tracker.conflicts(col, reads.iter().copied(), writes, |&p, _, _| preds.push(p));
+    preds.sort_unstable();
+    preds.dedup();
+    preds
 }
 
 /// Builds both dependence graphs online, one commit at a time.
 struct GraphBuilder {
     n_procs: u32,
     nodes: Vec<DepNode>,
-    cols: Vec<u32>,
-    fps: Vec<ChunkFootprint>,
+    /// Each commit's exact footprint: the sorted lines it read and wrote.
+    footprints: Vec<(Vec<u64>, Vec<u64>)>,
     last_of_col: Vec<Option<u32>>,
-    lines: HashMap<u64, SlotState>,
-    bits: Vec<SlotState>,
+    lines: Tracker<u32>,
+    bits: Tracker<u32>,
     exact_preds: Vec<Vec<u32>>,
     approx_preds: Vec<Vec<u32>>,
 }
@@ -272,21 +275,17 @@ impl GraphBuilder {
         Self {
             n_procs,
             nodes: Vec::new(),
-            cols: Vec::new(),
-            fps: Vec::new(),
+            footprints: Vec::new(),
             last_of_col: vec![None; n_procs as usize + 1],
-            lines: HashMap::new(),
-            bits: vec![SlotState::default(); SIG_BITS],
+            lines: Tracker::lines(),
+            bits: Tracker::bits(),
             exact_preds: Vec::new(),
             approx_preds: Vec::new(),
         }
     }
 
     fn observe(&mut self, ev: &CommitEvent) {
-        let col = match ev.committer {
-            Committer::Proc(p) => p as usize,
-            Committer::Dma => self.n_procs as usize,
-        };
+        let col = column(ev.committer, self.n_procs);
         let idx = self.nodes.len() as u32;
         let weight = if ev.size > 0 {
             u64::from(ev.size)
@@ -299,117 +298,28 @@ impl GraphBuilder {
             chunk: ev.chunk_index,
             weight,
         });
-        self.cols.push(col as u32);
-        let fp = ev.footprint();
 
-        // Exact direct predecessors: program order plus per-line
-        // conflicts against the current last-writer/readers state.
-        // Same-column conflicts are subsumed by the program-order
-        // chain, so only cross-column state contributes edges.
-        let mut exact: Vec<u32> = Vec::new();
-        if let Some(po) = self.last_of_col[col] {
-            exact.push(po);
-        }
-        for &line in &fp.read_lines {
-            if let Some(w) = self.lines.get(&line).and_then(|s| s.last_writer) {
-                if self.cols[w as usize] as usize != col {
-                    exact.push(w);
-                }
-            }
-        }
-        for &line in &fp.write_lines {
-            if let Some(state) = self.lines.get(&line) {
-                if let Some(w) = state.last_writer {
-                    if self.cols[w as usize] as usize != col {
-                        exact.push(w);
-                    }
-                }
-                for &r in &state.readers {
-                    if self.cols[r as usize] as usize != col {
-                        exact.push(r);
-                    }
-                }
-            }
-        }
-        exact.sort_unstable();
-        exact.dedup();
-
-        // Approximate predecessors: the identical construction in the
-        // signature domain — each line contributes its two hashed bits,
-        // and any shared bit is a conflict (how a hardware signature
+        // Exact predecessors come from the line tracker; approximate
+        // ones from the identical construction over signature bits,
+        // where any shared bit is a conflict (how a hardware signature
         // intersection behaves). Aliasing can only add edges.
-        let mut read_bits: Vec<usize> =
-            fp.read_lines.iter().flat_map(|&l| bit_indices(l)).collect();
-        read_bits.sort_unstable();
-        read_bits.dedup();
-        let mut write_bits: Vec<usize> = fp
-            .write_lines
-            .iter()
-            .flat_map(|&l| bit_indices(l))
-            .collect();
-        write_bits.sort_unstable();
-        write_bits.dedup();
-        let mut approx: Vec<u32> = Vec::new();
-        if let Some(po) = self.last_of_col[col] {
-            approx.push(po);
-        }
-        for &b in &read_bits {
-            if let Some(w) = self.bits[b].last_writer {
-                if self.cols[w as usize] as usize != col {
-                    approx.push(w);
-                }
-            }
-        }
-        for &b in &write_bits {
-            let state = &self.bits[b];
-            if let Some(w) = state.last_writer {
-                if self.cols[w as usize] as usize != col {
-                    approx.push(w);
-                }
-            }
-            for &r in &state.readers {
-                if self.cols[r as usize] as usize != col {
-                    approx.push(r);
-                }
-            }
-        }
-        approx.sort_unstable();
-        approx.dedup();
+        let (reads, writes) = (&ev.read_lines, &ev.write_lines);
+        let (read_bits, write_bits) = (signature_bits(reads), signature_bits(writes));
+        let program_order = self.last_of_col[col as usize];
+        let exact = direct_preds(&self.lines, program_order, col, reads, writes);
+        let approx = direct_preds(&self.bits, program_order, col, &read_bits, &write_bits);
+        self.lines.record(col, &idx, reads, writes);
+        self.bits.record(col, &idx, &read_bits, &write_bits);
 
-        // Update per-line state.
-        for &line in &fp.write_lines {
-            let state = self.lines.entry(line).or_default();
-            state.last_writer = Some(idx);
-            state.readers.clear();
-        }
-        for &line in &fp.read_lines {
-            let state = self.lines.entry(line).or_default();
-            let cols = &self.cols;
-            state.readers.retain(|&r| cols[r as usize] as usize != col);
-            state.readers.push(idx);
-        }
-        // And per-bit state.
-        for &b in &write_bits {
-            let state = &mut self.bits[b];
-            state.last_writer = Some(idx);
-            state.readers.clear();
-        }
-        for &b in &read_bits {
-            let state = &mut self.bits[b];
-            let cols = &self.cols;
-            state.readers.retain(|&r| cols[r as usize] as usize != col);
-            state.readers.push(idx);
-        }
-
-        self.last_of_col[col] = Some(idx);
-        self.fps.push(fp);
+        self.last_of_col[col as usize] = Some(idx);
+        self.footprints.push((reads.clone(), writes.clone()));
         self.exact_preds.push(exact);
         self.approx_preds.push(approx);
     }
 
-    /// Finalizes the graphs into a report (without stream-level fields,
-    /// which the callers fill in).
-    fn finish(self, opts: &DepsOptions) -> GraphSummary {
+    /// Finalizes the graphs into a report over a completed replay, with
+    /// the stream's labels and findings left for the caller to fill in.
+    fn finish(self, opts: &DepsOptions) -> DepsReport {
         let n = self.nodes.len();
         let exact_edges: u64 = self.exact_preds.iter().map(|p| p.len() as u64).sum();
         let approx_edges: u64 = self.approx_preds.iter().map(|p| p.len() as u64).sum();
@@ -420,11 +330,15 @@ impl GraphBuilder {
         // approximate-only edge between exactly-conflicting chunks is
         // merely a transitive dependence surfacing early, not a false
         // positive.)
+        let footprint = |i: usize| {
+            let (reads, writes) = &self.footprints[i];
+            (&reads[..], &writes[..])
+        };
         let mut aliased_edges = 0u64;
         for (v, approx) in self.approx_preds.iter().enumerate() {
             for &u in approx {
                 if self.exact_preds[v].binary_search(&u).is_err()
-                    && !self.fps[u as usize].conflicts_exact(&self.fps[v])
+                    && !footprints_conflict(footprint(u as usize), footprint(v))
                 {
                     aliased_edges += 1;
                 }
@@ -492,7 +406,8 @@ impl GraphBuilder {
             })
             .collect();
 
-        GraphSummary {
+        DepsReport {
+            n_procs: self.n_procs,
             nodes: self.nodes,
             reduced_edges: reduced,
             exact_edges,
@@ -506,21 +421,10 @@ impl GraphBuilder {
             critical_path,
             total_work,
             parallelism,
+            replay_complete: true,
+            ..DepsReport::default()
         }
     }
-}
-
-/// The graph-derived half of a [`DepsReport`].
-struct GraphSummary {
-    nodes: Vec<DepNode>,
-    reduced_edges: Vec<(u64, u64)>,
-    exact_edges: u64,
-    approx_edges: u64,
-    aliased_edges: u64,
-    aliasing_rate: f64,
-    critical_path: u64,
-    total_work: u64,
-    parallelism: Vec<(u32, f64)>,
 }
 
 /// Deterministic list-scheduling makespan with `k` workers: among
@@ -570,94 +474,6 @@ fn list_schedule(nodes: &[DepNode], preds: &[Vec<u32>], k: u32) -> u64 {
     makespan
 }
 
-/// Replays `source` to the end, building the dependence DAG, and
-/// verifies the linear-extension invariant against the trailer digest.
-///
-/// # Errors
-///
-/// Returns the [`InspectError`] if the stream is malformed or the
-/// replay fails mid-way (the graceful salvage path lives in
-/// [`deps_from_bytes`]).
-pub fn analyze_deps<S: LogSource>(
-    source: S,
-    opts: &DepsOptions,
-) -> Result<DepsReport, InspectError> {
-    let meta = source.meta();
-    let (workload, mode, n_procs, arbiter) = (
-        meta.workload.name.to_string(),
-        meta.mode.to_string(),
-        meta.n_procs,
-        meta.arbiter.to_string(),
-    );
-    let mut inspector = ReplayInspector::from_source(source)?;
-    inspector.collect_footprints(true);
-    let mut gb = GraphBuilder::new(n_procs);
-    while let Some(ev) = inspector.step()? {
-        gb.observe(&ev);
-    }
-    let verdict = inspector.run_to_end()?;
-    let mut diagnostics = Vec::new();
-    if verdict.matches_recording {
-        diagnostics.push(Diagnostic::info(
-            "linear-extension",
-            format!(
-                "recorded commit order verified as a linear extension of the exact dependence DAG over {} commit(s) (replay digest matches the trailer)",
-                verdict.commits
-            ),
-        ));
-    } else {
-        diagnostics.push(Diagnostic::error(
-            "linear-extension",
-            format!(
-                "recorded commit order is NOT a linear extension of the exact dependence DAG: conflicting chunks were reordered and the replay digest diverges ({})",
-                verdict.mismatch.unwrap_or_default()
-            ),
-        ));
-    }
-    Ok(assemble(
-        gb.finish(opts),
-        workload,
-        mode,
-        n_procs,
-        arbiter,
-        false,
-        Vec::new(),
-        diagnostics,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    g: GraphSummary,
-    workload: String,
-    mode: String,
-    n_procs: u32,
-    arbiter: String,
-    partial: bool,
-    lost_ranges: Vec<String>,
-    diagnostics: Vec<Diagnostic>,
-) -> DepsReport {
-    DepsReport {
-        workload,
-        mode,
-        n_procs,
-        arbiter,
-        nodes: g.nodes,
-        reduced_edges: g.reduced_edges,
-        exact_edges: g.exact_edges,
-        approx_edges: g.approx_edges,
-        aliased_edges: g.aliased_edges,
-        aliasing_rate: g.aliasing_rate,
-        critical_path: g.critical_path,
-        total_work: g.total_work,
-        parallelism: g.parallelism,
-        partial,
-        lost_ranges,
-        replay_complete: true,
-        diagnostics,
-    }
-}
-
 /// Runs the dependence pass over a full `.dlrn` byte image, degrading
 /// gracefully on damaged streams: when the intact-path replay fails,
 /// the salvage pass of [`delorean::recover`] recovers what it can and
@@ -666,23 +482,87 @@ fn assemble(
 /// panics; an unusable stream yields a report whose single finding is
 /// the decode error.
 pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
-    // The intact path; falls through with the failure when the stream
-    // is damaged.
-    let err = match FileSource::open(bytes) {
-        Ok(source) => match analyze_deps(source, opts) {
-            Ok(r) => return r,
-            Err(e) => e,
-        },
-        Err(e) => InspectError {
-            detail: format!("stream header rejected: {e}"),
-            commit: None,
-        },
+    races_and_deps(bytes, None, opts).1
+}
+
+/// [`deps_from_bytes`] with the race pass too, when `races` is given:
+/// one replay of an intact stream feeds both. The race report is `None`
+/// when the stream header is rejected, so no replay starts, and a
+/// [`RaceReport::failed`] when the replay fails; the dependence report
+/// then covers the salvaged prefix as [`deps_from_bytes`] describes.
+pub fn races_and_deps(
+    bytes: &[u8],
+    races: Option<&RaceOptions>,
+    opts: &DepsOptions,
+) -> (Option<RaceReport>, DepsReport) {
+    let source = match FileSource::open(bytes) {
+        Ok(source) => source,
+        Err(e) => {
+            let err = InspectError {
+                detail: format!("stream header rejected: {e}"),
+                commit: None,
+            };
+            return (None, salvaged(bytes, &err, opts));
+        }
     };
+    let meta = source.meta();
+    let (workload, mode, arbiter) = (
+        meta.workload.name.to_string(),
+        meta.mode.to_string(),
+        meta.arbiter.to_string(),
+    );
+    let mut detector = races.map(|o| Detector::new(meta.mode, meta.n_procs, o));
+    let mut graph = GraphBuilder::new(meta.n_procs);
+    let walked = walk(source, |ev| {
+        if let Some(d) = &mut detector {
+            d.observe(ev);
+        }
+        graph.observe(ev);
+    });
+    let races = detector.map(|d| match &walked {
+        Ok(_) => d.finish(),
+        Err(e) => RaceReport::failed(e),
+    });
+    let verdict = match walked.and_then(|mut inspector| inspector.run_to_end()) {
+        Ok(verdict) => verdict,
+        Err(err) => return (races, salvaged(bytes, &err, opts)),
+    };
+    let diagnostic = if verdict.matches_recording {
+        Diagnostic::info(
+            "linear-extension",
+            format!(
+                "recorded commit order verified as a linear extension of the exact dependence DAG over {} commit(s) (replay digest matches the trailer)",
+                verdict.commits
+            ),
+        )
+    } else {
+        Diagnostic::error(
+            "linear-extension",
+            format!(
+                "recorded commit order is NOT a linear extension of the exact dependence DAG: conflicting chunks were reordered and the replay digest diverges ({})",
+                verdict.mismatch.unwrap_or_default()
+            ),
+        )
+    };
+    let deps = DepsReport {
+        workload,
+        mode,
+        arbiter,
+        diagnostics: vec![diagnostic],
+        ..graph.finish(opts)
+    };
+    (races, deps)
+}
+
+/// The dependence report of a stream whose intact replay failed with
+/// `err`: the graph over the prefix [`delorean::recover::salvage`]
+/// recovers from `bytes`.
+fn salvaged(bytes: &[u8], err: &InspectError, opts: &DepsOptions) -> DepsReport {
     let Ok(s) = delorean::recover::salvage(bytes) else {
-        return DepsReport::failed(&err);
+        return DepsReport::failed(err);
     };
     let Some(source) = RecoveringSource::prefix(&s) else {
-        let mut r = DepsReport::failed(&err);
+        let mut r = DepsReport::failed(err);
         r.diagnostics.push(Diagnostic::warning(
             "deps-partial",
             "salvage recovered no prefix region starting at commit 1; no dependence graph can be built",
@@ -690,18 +570,9 @@ pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
         return r;
     };
     let covered = source.commits();
-    let partial_graph =
-        (|| -> Result<(GraphBuilder, ReplayInspector<RecoveringSource>), InspectError> {
-            let mut inspector = ReplayInspector::from_source(source)?;
-            inspector.collect_footprints(true);
-            let mut gb = GraphBuilder::new(s.meta.n_procs);
-            while let Some(ev) = inspector.step()? {
-                gb.observe(&ev);
-            }
-            Ok((gb, inspector))
-        })();
-    let (gb, mut inspector) = match partial_graph {
-        Ok(pair) => pair,
+    let mut graph = GraphBuilder::new(s.meta.n_procs);
+    let mut inspector = match walk(source, |ev| graph.observe(ev)) {
+        Ok(inspector) => inspector,
         Err(e) => return DepsReport::failed(&e),
     };
     let mut diagnostics = vec![Diagnostic::warning(
@@ -735,16 +606,15 @@ pub fn deps_from_bytes(bytes: &[u8], opts: &DepsOptions) -> DepsReport {
             "trailer digest unavailable on the salvaged prefix; linear extension verified only by replay consistency".to_string(),
         )),
     }
-    assemble(
-        gb.finish(opts),
-        s.meta.workload.name.to_string(),
-        s.meta.mode.to_string(),
-        s.meta.n_procs,
-        s.meta.arbiter.to_string(),
-        true,
+    DepsReport {
+        workload: s.meta.workload.name.to_string(),
+        mode: s.meta.mode.to_string(),
+        arbiter: s.meta.arbiter.to_string(),
+        partial: true,
         lost_ranges,
         diagnostics,
-    )
+        ..graph.finish(opts)
+    }
 }
 
 #[cfg(test)]
@@ -753,32 +623,10 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use delorean_chunk::TruncationReason;
+    use crate::conflicts::commit as ev;
+    use delorean_chunk::Committer;
 
-    fn ev(
-        gcc: u64,
-        committer: Committer,
-        chunk_index: u64,
-        size: u32,
-        read_lines: Vec<u64>,
-        write_lines: Vec<u64>,
-    ) -> CommitEvent {
-        CommitEvent {
-            gcc,
-            committer,
-            chunk_index,
-            size,
-            interrupt: false,
-            truncation: TruncationReason::StandardSize,
-            io_loads: 0,
-            dma_words: 0,
-            watch_hits: Vec::new(),
-            read_lines,
-            write_lines,
-        }
-    }
-
-    fn summary(events: &[CommitEvent], n_procs: u32) -> GraphSummary {
+    fn summary(events: &[CommitEvent], n_procs: u32) -> DepsReport {
         let mut gb = GraphBuilder::new(n_procs);
         for e in events {
             gb.observe(e);

@@ -33,13 +33,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod conflicts;
 pub mod deps;
 pub mod footprint;
 pub mod lint;
 pub mod races;
 pub mod report;
 
-pub use deps::{analyze_deps, deps_from_bytes, DepNode, DepsOptions, DepsReport, PROFILE_CORES};
+pub use deps::{deps_from_bytes, races_and_deps, DepNode, DepsOptions, DepsReport, PROFILE_CORES};
 pub use footprint::{
     analyze_workload, find_static_races, AbsVal, AccessSite, FootprintReport, StaticOptions,
 };

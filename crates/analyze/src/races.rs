@@ -18,19 +18,19 @@
 //! classified by what the recorded mode pins down (the PI log for
 //! OrderSize/OrderOnly; the predefined round-robin order for PicoLog).
 //!
-//! Per-line state is held only for lines actually touched, and each
-//! line keeps one last-writer plus the readers since that write, so
-//! memory stays proportional to the working set, not the log length.
-//! A cumulative write [`Signature`] screens chunks that cannot
-//! possibly conflict before any per-line work happens.
+//! The conflict edges come from the crate's line tracker, which holds
+//! only lines actually touched, each with one last writer plus the
+//! readers since that write, so memory stays proportional to the
+//! working set, not the log length. A cumulative write [`Signature`]
+//! screens chunks that cannot possibly conflict before any per-line
+//! work happens.
 
+use crate::conflicts::{column, walk, who_label, Tracker};
 use crate::report::{diagnostics_json, Diagnostic};
-use delorean::inspect::{CommitEvent, InspectError, ReplayInspector};
+use delorean::inspect::{CommitEvent, InspectError};
 use delorean::json;
 use delorean::{LogSource, Mode};
-use delorean_chunk::Committer;
 use delorean_mem::Signature;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A committed chunk that per-line state points back at.
@@ -39,22 +39,16 @@ struct CommitInfo {
     /// Global chunk commit count at which this chunk committed.
     gcc: u64,
     /// Clock column (processor ID, or `n_procs` for DMA).
-    col: usize,
+    col: u32,
     /// Per-committer chunk index.
     chunk: u64,
     /// The chunk's vector clock at commit time.
     vc: Vec<u64>,
 }
 
-#[derive(Debug, Default)]
-struct LineState {
-    last_writer: Option<Rc<CommitInfo>>,
-    /// Readers since the last write; at most one entry per column.
-    readers: Vec<Rc<CommitInfo>>,
-}
-
-/// Access pattern of a racing chunk pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Access pattern of a racing chunk pair, ordered as the report sorts
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ConflictKind {
     /// Earlier chunk wrote, later chunk wrote.
     WriteWrite,
@@ -86,6 +80,12 @@ pub struct RaceEndpoint {
     pub chunk: u64,
 }
 
+impl core::fmt::Display for RaceEndpoint {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "{} chunk {} (commit {})", self.who, self.chunk, self.gcc)
+    }
+}
+
 /// Two conflicting chunks whose order only the commit log fixes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkRace {
@@ -113,7 +113,7 @@ impl Default for RaceOptions {
 }
 
 /// Output of the chunk race pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RaceReport {
     /// Chunks replayed.
     pub chunks: u64,
@@ -137,13 +137,8 @@ impl RaceReport {
     /// bad at) becomes the pass's single error finding.
     pub fn failed(err: &InspectError) -> Self {
         Self {
-            chunks: 0,
-            conflicts: 0,
-            races_total: 0,
-            screened: 0,
-            examples: Vec::new(),
-            ordered_by: String::new(),
             diagnostics: vec![Diagnostic::error("replay-failed", err.to_string())],
+            ..Self::default()
         }
     }
 
@@ -190,17 +185,11 @@ impl core::fmt::Display for RaceReport {
             )?;
         }
         for r in &self.examples {
+            let (kind, line) = (r.kind.label(), r.line);
             writeln!(
                 f,
-                "  race ({}) on line {}: {} chunk {} (commit {}) vs {} chunk {} (commit {})",
-                r.kind.label(),
-                r.line,
-                r.earlier.who,
-                r.earlier.chunk,
-                r.earlier.gcc,
-                r.later.who,
-                r.later.chunk,
-                r.later.gcc
+                "  race ({kind}) on line {line}: {} vs {}",
+                r.earlier, r.later
             )?;
         }
         // Non-race findings (replay failures, summaries) are not in
@@ -222,14 +211,6 @@ fn vc_join(into: &mut [u64], from: &[u64]) {
     }
 }
 
-fn who_label(col: usize, n_procs: u32) -> String {
-    if col == n_procs as usize {
-        "DMA".to_string()
-    } else {
-        format!("P{col}")
-    }
-}
-
 /// Online chunk-granularity race detector.
 ///
 /// Feed it [`CommitEvent`]s (with footprints collected) in commit
@@ -238,15 +219,11 @@ fn who_label(col: usize, n_procs: u32) -> String {
 pub struct Detector {
     n_procs: u32,
     clocks: Vec<Vec<u64>>,
-    lines: HashMap<u64, LineState>,
+    lines: Tracker<Rc<CommitInfo>>,
     cum_writes: Signature,
-    chunks: u64,
-    conflicts: u64,
-    races_total: u64,
-    screened: u64,
-    examples: Vec<ChunkRace>,
-    ordered_by: String,
     max_examples: usize,
+    /// The counts and examples so far; the findings come at the end.
+    report: RaceReport,
 }
 
 impl Detector {
@@ -261,26 +238,22 @@ impl Detector {
         Self {
             n_procs,
             clocks: vec![vec![0; n_cols]; n_cols],
-            lines: HashMap::new(),
+            lines: Tracker::lines(),
             cum_writes: Signature::new(),
-            chunks: 0,
-            conflicts: 0,
-            races_total: 0,
-            screened: 0,
-            examples: Vec::new(),
-            ordered_by,
             max_examples: opts.max_examples,
+            report: RaceReport {
+                ordered_by,
+                ..RaceReport::default()
+            },
         }
     }
 
     /// Observes one committed chunk.
     pub fn observe(&mut self, ev: &CommitEvent) {
-        let col = match ev.committer {
-            Committer::Proc(p) => p as usize,
-            Committer::Dma => self.n_procs as usize,
-        };
-        self.chunks += 1;
-        self.clocks[col][col] += 1;
+        let col = column(ev.committer, self.n_procs);
+        let c = col as usize;
+        self.report.chunks += 1;
+        self.clocks[c][c] += 1;
 
         // Conflict edges against current per-line state. The committer
         // clock already carries program order and previously absorbed
@@ -296,42 +269,46 @@ impl Detector {
             .iter()
             .any(|&l| self.cum_writes.may_contain(l));
         if ev.write_lines.is_empty() && !any_read_hit {
-            self.screened += 1;
+            self.report.screened += 1;
         } else {
             let mut edges: Vec<(Rc<CommitInfo>, u64, ConflictKind)> = Vec::new();
-            for &line in &ev.read_lines {
-                if !self.cum_writes.may_contain(line) {
-                    continue;
-                }
-                if let Some(w) = self.lines.get(&line).and_then(|s| s.last_writer.as_ref()) {
-                    if w.col != col {
-                        edges.push((Rc::clone(w), line, ConflictKind::WriteRead));
-                    }
-                }
-            }
-            for &line in &ev.write_lines {
-                if let Some(state) = self.lines.get(&line) {
-                    if let Some(w) = &state.last_writer {
-                        if w.col != col {
-                            edges.push((Rc::clone(w), line, ConflictKind::WriteWrite));
-                        }
-                    }
-                    for r in &state.readers {
-                        if r.col != col {
-                            edges.push((Rc::clone(r), line, ConflictKind::ReadWrite));
-                        }
-                    }
-                }
-            }
+            let cum_writes = &self.cum_writes;
+            let reads = ev.read_lines.iter().copied();
+            self.lines.conflicts(
+                col,
+                reads.filter(|&l| cum_writes.may_contain(l)),
+                &ev.write_lines,
+                |prev, line, kind| edges.push((Rc::clone(prev), line, kind)),
+            );
             // Process newest predecessor first, absorbing each edge
             // into the clock before checking the next: a predecessor
             // that happens-before another predecessor of this same
             // chunk is then seen as transitively ordered rather than
             // flagged as a second race.
             edges.sort_by_key(|e| std::cmp::Reverse(e.0.gcc));
-            for (prev, line, kind) in &edges {
-                self.edge(prev, col, *line, *kind, ev);
-                vc_join(&mut self.clocks[col], &prev.vc);
+            for (prev, line, kind) in edges {
+                let report = &mut self.report;
+                report.conflicts += 1;
+                if !vc_le(&prev.vc, &self.clocks[c]) {
+                    report.races_total += 1;
+                    if report.examples.len() < self.max_examples {
+                        report.examples.push(ChunkRace {
+                            earlier: RaceEndpoint {
+                                who: who_label(prev.col, self.n_procs),
+                                gcc: prev.gcc,
+                                chunk: prev.chunk,
+                            },
+                            later: RaceEndpoint {
+                                who: who_label(col, self.n_procs),
+                                gcc: ev.gcc,
+                                chunk: ev.chunk_index,
+                            },
+                            line,
+                            kind,
+                        });
+                    }
+                }
+                vc_join(&mut self.clocks[c], &prev.vc);
             }
         }
 
@@ -340,50 +317,12 @@ impl Detector {
             gcc: ev.gcc,
             col,
             chunk: ev.chunk_index,
-            vc: self.clocks[col].clone(),
+            vc: self.clocks[c].clone(),
         });
+        self.lines
+            .record(col, &info, &ev.read_lines, &ev.write_lines);
         for &line in &ev.write_lines {
-            let state = self.lines.entry(line).or_default();
-            state.last_writer = Some(Rc::clone(&info));
-            state.readers.clear();
             self.cum_writes.insert(line);
-        }
-        for &line in &ev.read_lines {
-            // A later remote write to this line is an R-W conflict, so
-            // readers are recorded for every touched line.
-            let state = self.lines.entry(line).or_default();
-            state.readers.retain(|r| r.col != col);
-            state.readers.push(Rc::clone(&info));
-        }
-    }
-
-    fn edge(
-        &mut self,
-        prev: &Rc<CommitInfo>,
-        col: usize,
-        line: u64,
-        kind: ConflictKind,
-        ev: &CommitEvent,
-    ) {
-        self.conflicts += 1;
-        if !vc_le(&prev.vc, &self.clocks[col]) {
-            self.races_total += 1;
-            if self.examples.len() < self.max_examples {
-                self.examples.push(ChunkRace {
-                    earlier: RaceEndpoint {
-                        who: who_label(prev.col, self.n_procs),
-                        gcc: prev.gcc,
-                        chunk: prev.chunk,
-                    },
-                    later: RaceEndpoint {
-                        who: who_label(col, self.n_procs),
-                        gcc: ev.gcc,
-                        chunk: ev.chunk_index,
-                    },
-                    line,
-                    kind,
-                });
-            }
         }
     }
 
@@ -393,55 +332,32 @@ impl Detector {
     /// (later commit slot, earlier commit slot, line, kind) so the
     /// report — and the CLI's `--json` rendering of it — is
     /// byte-stable regardless of per-line discovery order.
-    pub fn finish(mut self) -> RaceReport {
-        self.examples.sort_by_key(|r| {
-            (
-                r.later.gcc,
-                r.earlier.gcc,
-                r.line,
-                match r.kind {
-                    ConflictKind::WriteWrite => 0u8,
-                    ConflictKind::WriteRead => 1,
-                    ConflictKind::ReadWrite => 2,
-                },
-            )
-        });
-        let mut diagnostics = Vec::new();
-        for r in &self.examples {
-            diagnostics.push(Diagnostic::warning(
+    pub fn finish(self) -> RaceReport {
+        let mut report = self.report;
+        report
+            .examples
+            .sort_by_key(|r| (r.later.gcc, r.earlier.gcc, r.line, r.kind));
+        for r in &report.examples {
+            report.diagnostics.push(Diagnostic::warning(
                 "chunk-race",
                 format!(
-                    "{} race on line {}: {} chunk {} (commit {}) and {} chunk {} (commit {}) are ordered only by {}",
+                    "{} race on line {}: {} and {} are ordered only by {}",
                     r.kind.label(),
                     r.line,
-                    r.earlier.who,
-                    r.earlier.chunk,
-                    r.earlier.gcc,
-                    r.later.who,
-                    r.later.chunk,
-                    r.later.gcc,
-                    self.ordered_by
+                    r.earlier,
+                    r.later,
+                    report.ordered_by
                 ),
             ));
         }
-        if self.races_total > self.examples.len() as u64 {
-            diagnostics.push(Diagnostic::info(
+        let unlisted = report.races_total - report.examples.len() as u64;
+        if unlisted > 0 {
+            report.diagnostics.push(Diagnostic::info(
                 "chunk-race-summary",
-                format!(
-                    "{} further chunk race(s) not listed",
-                    self.races_total - self.examples.len() as u64
-                ),
+                format!("{unlisted} further chunk race(s) not listed"),
             ));
         }
-        RaceReport {
-            chunks: self.chunks,
-            conflicts: self.conflicts,
-            races_total: self.races_total,
-            screened: self.screened,
-            examples: self.examples,
-            ordered_by: self.ordered_by,
-            diagnostics,
-        }
+        report
     }
 }
 
@@ -455,13 +371,8 @@ pub fn detect_races<S: LogSource>(
     source: S,
     opts: &RaceOptions,
 ) -> Result<RaceReport, InspectError> {
-    let (mode, n_procs) = (source.mode(), source.n_procs());
-    let mut inspector = ReplayInspector::from_source(source)?;
-    inspector.collect_footprints(true);
-    let mut detector = Detector::new(mode, n_procs, opts);
-    while let Some(ev) = inspector.step()? {
-        detector.observe(&ev);
-    }
+    let mut detector = Detector::new(source.mode(), source.n_procs(), opts);
+    walk(source, |ev| detector.observe(ev))?;
     Ok(detector.finish())
 }
 
@@ -471,27 +382,10 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+    use delorean_chunk::Committer;
 
-    fn ev(
-        gcc: u64,
-        committer: Committer,
-        chunk_index: u64,
-        read_lines: Vec<u64>,
-        write_lines: Vec<u64>,
-    ) -> CommitEvent {
-        CommitEvent {
-            gcc,
-            committer,
-            chunk_index,
-            size: 1,
-            interrupt: false,
-            truncation: delorean_chunk::TruncationReason::StandardSize,
-            io_loads: 0,
-            dma_words: 0,
-            watch_hits: Vec::new(),
-            read_lines,
-            write_lines,
-        }
+    fn ev(gcc: u64, who: Committer, chunk: u64, reads: Vec<u64>, writes: Vec<u64>) -> CommitEvent {
+        crate::conflicts::commit(gcc, who, chunk, 1, reads, writes)
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! extension of the exact chunk dependence DAG, and its `analyze --deps
 //! --json` document must be byte-deterministic; a synthetically
 //! reordered log must be rejected with an error finding; a truncated
-//! stream must degrade to a `partial` graph naming the lost ranges.
+//! stream must degrade to a `partial` graph naming the lost ranges; and
+//! the race pass must agree with the reduced DAG.
 
 // Test code may panic freely.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use delorean::json::Json;
 use delorean::{serialize, ArbiterConfig, FileSink, Machine, Mode, Recording};
-use delorean_analyze::{deps_from_bytes, AnalysisReport, DepsOptions, DepsReport, Severity};
+use delorean_analyze::{
+    deps_from_bytes, races_and_deps, AnalysisReport, DepsOptions, DepsReport, RaceOptions, Severity,
+};
 use delorean_chunk::Committer;
 use delorean_isa::workload::{self, WorkloadSpec};
 use proptest::prelude::*;
@@ -51,40 +54,50 @@ fn deps_json(report: DepsReport) -> String {
     .to_json()
 }
 
-/// Every catalog workload, in every mode: the recorded commit order is
-/// a linear extension of the exact dependence DAG (no error findings,
-/// info verdict present) over a complete, non-partial graph.
+/// Every catalog workload, in every mode, on 4 and 8 processors under
+/// the global arbiter and on 16 under a 4-shard one: the recorded commit
+/// order is a linear extension of the exact dependence DAG (no error
+/// findings, info verdict present) over a complete, non-partial graph.
+/// The race pass, fed from the same replay, computes the same relation:
+/// a chunk race is a conflict edge that nothing but the commit log
+/// orders, which is exactly an edge of the DAG's transitive reduction
+/// between different committers.
 #[test]
 fn catalog_commit_orders_are_linear_extensions() {
+    let topologies = [
+        (4, ArbiterConfig::Global),
+        (8, ArbiterConfig::Global),
+        (16, ArbiterConfig::Sharded { shards: 4 }),
+    ];
+    let (mut recordings, mut racy) = (0, 0);
     for spec in workload::catalog() {
         for mode in Mode::all() {
-            let rec = record(spec, mode, 4, 11, 2_000, ArbiterConfig::Global);
-            let bytes = serialize::to_bytes(&rec);
-            let report = deps_from_bytes(&bytes, &DepsOptions::default());
-            assert!(
-                report.replay_complete,
-                "{}/{mode}: replay failed",
-                spec.name
-            );
-            assert_eq!(
-                error_count(&report),
-                0,
-                "{}/{mode}: {:?}",
-                spec.name,
-                report.diagnostics
-            );
-            assert!(
-                report
-                    .diagnostics
-                    .iter()
-                    .any(|d| d.code == "linear-extension" && d.severity == Severity::Info),
-                "{}/{mode}: missing linear-extension verdict",
-                spec.name
-            );
-            assert!(!report.partial, "{}/{mode}", spec.name);
-            assert!(!report.nodes.is_empty(), "{}/{mode}", spec.name);
+            for (procs, arbiter) in topologies {
+                let bytes = serialize::to_bytes(&record(spec, mode, procs, 11, 2_000, arbiter));
+                let opts = RaceOptions::default();
+                let (races, report) = races_and_deps(&bytes, Some(&opts), &DepsOptions::default());
+                let tag = format!("{}/{mode}/{procs} procs", spec.name);
+                assert!(report.replay_complete, "{tag}: replay failed");
+                assert_eq!(error_count(&report), 0, "{tag}: {:?}", report.diagnostics);
+                assert!(
+                    report
+                        .diagnostics
+                        .iter()
+                        .any(|d| d.code == "linear-extension" && d.severity == Severity::Info),
+                    "{tag}: missing linear-extension verdict"
+                );
+                assert!(!report.partial, "{tag}");
+                assert!(!report.nodes.is_empty(), "{tag}");
+                let who = |slot: u64| &report.nodes[slot as usize - 1].who;
+                let reduced = report.reduced_edges.iter();
+                let cross = reduced.filter(|&&(a, b)| who(a) != who(b)).count();
+                assert_eq!(races.map(|r| r.races_total), Some(cross as u64), "{tag}");
+                recordings += 1;
+                racy += usize::from(cross > 0);
+            }
         }
     }
+    assert!(racy > recordings / 2, "{racy} of {recordings} race");
 }
 
 /// Swapping two adjacent, exactly-conflicting commit events of different

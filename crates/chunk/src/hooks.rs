@@ -89,17 +89,6 @@ pub struct CommitRecord {
     pub shard: Option<u32>,
 }
 
-impl CommitRecord {
-    /// The commit's exact footprint, with its signature-domain views —
-    /// what the dependence analyses consume. The engine logs
-    /// `access_lines` as *all* touched lines; the footprint's read set
-    /// is that full access set, matching what a hardware read
-    /// signature would accumulate.
-    pub fn footprint(&self) -> crate::ChunkFootprint {
-        crate::ChunkFootprint::new(self.access_lines.clone(), self.write_lines.clone())
-    }
-}
-
 /// One eligible pending commit request, as the arbiter policy sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingView {

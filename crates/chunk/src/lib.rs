@@ -6,7 +6,7 @@
 //! in isolation, an arbiter orders chunk commits over a generic network,
 //! and chunks whose exact read/write line sets meet a commit's writes
 //! are squashed and re-executed (the hardware's 2-Kbit signatures are
-//! modelled by exact sets; see [`ChunkFootprint`]). The paper's
+//! modelled by exact sets; see [`footprint`]). The paper's
 //! three DeLorean execution modes are built *on top of* this engine (in
 //! the `delorean` crate) through the [`ExecutionHooks`] trait, which
 //! exposes exactly the decision points the modes differ in:
@@ -66,7 +66,6 @@ pub mod stats;
 
 pub use config::{ArbiterConfig, DeviceConfig, EngineConfig, PerturbConfig, SubstrateFaultConfig};
 pub use engine::{run, run_from, EngineError, StartState};
-pub use footprint::ChunkFootprint;
 pub use hooks::{
     ArbiterContext, BulkScHooks, CommitRecord, Committer, ExecutionHooks, PendingView,
     SubstrateEvent, TruncationReason,

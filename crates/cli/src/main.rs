@@ -640,90 +640,84 @@ fn cmd_analyze_trace(path: &str, json: bool, out: &mut dyn Write) -> Result<Exit
 }
 
 fn cmd_analyze(args: &Args, out: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let skip = args.get_all("--skip");
+    if let Some(pass) = skip
+        .iter()
+        .find(|s| !matches!(s.as_str(), "static" | "races" | "lint"))
+    {
+        return Err(Failure::Usage(format!(
+            "unknown pass {pass} for --skip (expected static, races or lint)"
+        )));
+    }
+    let skip = |pass: &str| skip.iter().any(|s| s == pass);
     if let Some(tpath) = args.get("--trace") {
         return cmd_analyze_trace(&tpath, args.has("--json"), out);
     }
     let path = recording_path(args)?.clone();
-    let skip = args.get_all("--skip");
-    let skip = |pass: &str| skip.iter().any(|s| s == pass);
     let max_examples = args.num("--max-examples")?.map(|n| n as usize);
-    let deps_requested = args.has("--deps");
+    let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
 
     // Pass 3 first: the lint works on the raw byte stream and cannot
     // itself fail, so a corrupt file still yields a report. Linting
     // the full byte image lets a damaged stream also carry the salvage
-    // account of what a recovery would preserve. The deps pass shares
-    // the byte image (it salvages a damaged stream from it).
-    let bytes = if !skip("lint") || deps_requested {
-        Some(std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?)
-    } else {
-        None
-    };
-    let lint = match &bytes {
-        Some(b) if !skip("lint") => Some(delorean_analyze::lint_bytes(b)),
-        _ => None,
-    };
-    // Pass 4: the dependence DAG. Works from the byte image so damaged
-    // streams degrade to a partial graph over the salvaged prefix
-    // instead of erroring.
-    let deps = match &bytes {
-        Some(b) if deps_requested => Some(delorean_analyze::deps_from_bytes(
-            b,
-            &delorean_analyze::DepsOptions::default(),
-        )),
-        _ => None,
-    };
-
-    // The replay-based passes need decodable metadata; without it they
-    // are skipped (the lint above already carries the decode error).
-    let report = match open_source(&path) {
-        Err(_) => delorean_analyze::AnalysisReport {
-            workload: "unknown".to_string(),
-            mode: "unknown".to_string(),
-            n_procs: 0,
-            static_pass: None,
-            races: None,
-            lint,
-            deps,
-        },
-        Ok(source) => {
-            let meta = source.meta().clone();
-            let static_pass = if skip("static") {
-                None
-            } else {
+    // account of what a recovery would preserve.
+    let lint = (!skip("lint")).then(|| delorean_analyze::lint_bytes(&bytes));
+    // The static and replay passes need decodable metadata; without it
+    // they are skipped (the lint above already carries the decode
+    // error), and the dependence pass salvages what it can.
+    let source = FileSource::open(&bytes[..]).ok();
+    let (workload, mode, n_procs, static_pass) = match &source {
+        None => ("unknown".to_string(), "unknown".to_string(), 0, None),
+        Some(source) => {
+            let meta = source.meta();
+            let static_pass = (!skip("static")).then(|| {
                 let mut opts = delorean_analyze::StaticOptions::default();
                 if let Some(n) = max_examples {
                     opts.max_examples = n;
                 }
-                Some(delorean_analyze::analyze_workload(
+                delorean_analyze::analyze_workload(
                     &meta.workload,
                     meta.n_procs,
                     meta.app_seed,
                     &opts,
-                ))
-            };
-            let races = if skip("races") {
-                None
-            } else {
-                let mut opts = delorean_analyze::RaceOptions::default();
-                if let Some(n) = max_examples {
-                    opts.max_examples = n;
-                }
-                Some(match delorean_analyze::detect_races(source, &opts) {
-                    Ok(r) => r,
-                    Err(e) => delorean_analyze::RaceReport::failed(&e),
-                })
-            };
-            delorean_analyze::AnalysisReport {
-                workload: meta.workload.name.to_string(),
-                mode: meta.mode.to_string(),
-                n_procs: meta.n_procs,
-                static_pass,
-                races,
-                lint,
-                deps,
-            }
+                )
+            });
+            let (workload, mode) = (meta.workload.name.to_string(), meta.mode.to_string());
+            (workload, mode, meta.n_procs, static_pass)
         }
+    };
+    // Passes 2 and 4 replay the log. With `--deps` one replay feeds
+    // both, and a damaged stream degrades to a partial graph over the
+    // salvaged prefix instead of erroring.
+    let race_opts = (!skip("races")).then(|| {
+        let mut opts = delorean_analyze::RaceOptions::default();
+        if let Some(n) = max_examples {
+            opts.max_examples = n;
+        }
+        opts
+    });
+    let (races, deps) = if args.has("--deps") {
+        let (races, deps) = delorean_analyze::races_and_deps(
+            &bytes,
+            race_opts.as_ref(),
+            &delorean_analyze::DepsOptions::default(),
+        );
+        (races, Some(deps))
+    } else {
+        let races = race_opts.zip(source).map(|(opts, source)| {
+            delorean_analyze::detect_races(source, &opts)
+                .unwrap_or_else(|e| delorean_analyze::RaceReport::failed(&e))
+        });
+        (races, None)
+    };
+    let report = delorean_analyze::AnalysisReport {
+        workload,
+        mode,
+        n_procs,
+        static_pass,
+        races,
+        lint,
+        deps,
     };
     if args.has("--json") {
         writeln!(out, "{}", report.to_json())?;
@@ -928,6 +922,37 @@ mod tests {
             run(&argv("frobnicate x.dlrn"), &mut io::sink()).unwrap_err(),
             Failure::Usage("unknown command frobnicate".to_string())
         );
+        // `--skip` names a pass; a value that names none is a usage
+        // error, not a silent no-op (`deps` runs only on `--deps`).
+        for (line, pass) in [
+            ("analyze x.dlrn --skip racse", "racse"),
+            ("analyze x.dlrn --skip deps --deps", "deps"),
+            ("analyze x.dlrn --skip static --skip Lint", "Lint"),
+            ("analyze --trace t.jsonl --skip trace", "trace"),
+        ] {
+            assert_eq!(
+                run(&argv(line), &mut io::sink()).unwrap_err(),
+                Failure::Usage(format!(
+                    "unknown pass {pass} for --skip (expected static, races or lint)"
+                )),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn analyze_fails_on_a_file_it_cannot_read_whatever_it_skips() {
+        for line in [
+            "analyze x.dlrn --json",
+            "analyze x.dlrn --skip lint",
+            "analyze x.dlrn --skip lint --skip races --deps",
+        ] {
+            let err = run(&argv(line), &mut io::sink()).unwrap_err();
+            assert!(
+                matches!(&err, Failure::Run(msg) if msg.starts_with("reading x.dlrn: ")),
+                "{line}: {err:?}"
+            );
+        }
     }
 
     #[test]

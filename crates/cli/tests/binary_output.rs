@@ -47,6 +47,73 @@ fn crashtest_seed_42_matches_the_golden_report() {
     );
 }
 
+/// The `analyze --json` documents with and without the race and
+/// dependence passes, over four logs: radix under OrderOnly, sweb2005
+/// under PicoLog (interrupts, I/O and a DMA transfer), fft on 16
+/// processors behind a 4-shard arbiter, and a multi-segment fft log cut
+/// to three quarters of its length, whose deps graph covers the
+/// salvaged prefix. Regenerate (only when the output intentionally
+/// changes) with
+/// `DELOREAN_REGEN_GOLDEN=1 cargo test -q -p delorean-cli --test binary_output`.
+#[test]
+fn analyze_reports_match_the_golden_file() {
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/analyze_reports.txt");
+    let dir = scratch("analyze_golden");
+    let logs = [
+        (
+            "radix-orderonly-4",
+            "radix --mode orderonly --procs 4 --budget 20000",
+        ),
+        (
+            "sweb2005-picolog-4",
+            "sweb2005 --mode picolog --procs 4 --budget 300000",
+        ),
+        (
+            "fft-sharded4-16",
+            "fft --procs 16 --budget 20000 --arbiter sharded:4",
+        ),
+        (
+            "fft-truncated-4",
+            "fft --procs 4 --budget 40000 --chunk 100",
+        ),
+    ];
+    let mut fresh = String::new();
+    for (name, record) in logs {
+        let log = dir.join(format!("{name}.dlrn"));
+        let log_arg = log.to_str().unwrap();
+        let mut words = record.split_whitespace();
+        let mut args = vec!["record", words.next().unwrap(), "-o", log_arg];
+        args.extend(words);
+        let out = run(&args);
+        assert!(out.status.success(), "{}", text(&out.stderr));
+        if name.ends_with("truncated-4") {
+            let bytes = std::fs::read(&log).unwrap();
+            std::fs::write(&log, &bytes[..bytes.len() * 3 / 4]).unwrap();
+        }
+        for flags in ["--json", "--deps --json", "--skip races --deps --json"] {
+            let mut args = vec!["analyze", log_arg];
+            args.extend(flags.split_whitespace());
+            let out = run(&args);
+            assert!(!text(&out.stderr).contains("panicked"), "{name}");
+            fresh.push_str(&format!(
+                "== {name}: analyze {flags} (exit {:?})\n{}",
+                out.status.code(),
+                text(&out.stdout)
+            ));
+        }
+    }
+    if std::env::var("DELOREAN_REGEN_GOLDEN").is_ok() {
+        std::fs::write(&golden, &fresh).unwrap();
+        return;
+    }
+    assert_eq!(
+        std::fs::read_to_string(&golden).unwrap(),
+        fresh,
+        "analyze output drifted from tests/golden/analyze_reports.txt"
+    );
+}
+
 #[test]
 fn runtime_failures_print_the_error_without_the_usage_text() {
     let dir = scratch("runtime_failures");

@@ -96,25 +96,6 @@ pub struct CommitEvent {
 }
 
 impl CommitEvent {
-    /// The commit's exact footprint (sorted line sets) as the typed
-    /// [`ChunkFootprint`](delorean_chunk::ChunkFootprint) the
-    /// dependence analyses consume — carrying both the exact line sets
-    /// and their hardware signature views. Meaningful only when
-    /// [`ReplayInspector::collect_footprints`] was enabled; otherwise
-    /// the footprint is empty.
-    pub fn footprint(&self) -> delorean_chunk::ChunkFootprint {
-        delorean_chunk::ChunkFootprint::new(self.read_lines.clone(), self.write_lines.clone())
-    }
-
-    /// The (read, write) signatures hardware would have built for this
-    /// commit — the approximate, aliasing-prone view of the footprint.
-    pub fn signatures(&self) -> (delorean_mem::Signature, delorean_mem::Signature) {
-        (
-            delorean_mem::Signature::from_lines(self.read_lines.iter().copied()),
-            delorean_mem::Signature::from_lines(self.write_lines.iter().copied()),
-        )
-    }
-
     /// This commit as the substrate's typed commit event — the same
     /// schema the `Session` pipeline emits, so inspection output and
     /// session traces serialize through one code path.
@@ -822,13 +803,13 @@ mod tests {
         ins.collect_footprints(true);
         let mut saw_lines = false;
         while let Some(ev) = ins.step().unwrap() {
-            let fp = ev.footprint();
-            assert_eq!(fp.read_lines, ev.read_lines);
-            assert_eq!(fp.write_lines, ev.write_lines);
-            let (r, w) = ev.signatures();
-            assert_eq!(fp.read_signature(), r);
-            assert_eq!(fp.write_signature(), w);
-            // No false negatives: every exact line is a signature member.
+            // The exact view: sorted, deduplicated line sets.
+            for lines in [&ev.read_lines, &ev.write_lines] {
+                assert!(lines.windows(2).all(|w| w[0] < w[1]), "{lines:?}");
+            }
+            // No false negatives: every exact line is a member of the
+            // signature hardware would build from the set.
+            let w = delorean_mem::Signature::from_lines(ev.write_lines.iter().copied());
             for &l in &ev.write_lines {
                 assert!(w.may_contain(l));
             }

@@ -87,21 +87,6 @@ impl Signature {
         bit < SIG_BITS && self.bits[bit / 64] & (1u64 << (bit % 64)) != 0
     }
 
-    /// The set bit positions, ascending — the signature's exact
-    /// contents, for introspection and aliasing analysis.
-    pub fn set_bits(&self) -> Vec<u16> {
-        let mut out = Vec::with_capacity(self.popcount() as usize);
-        for (w, &word) in self.bits.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let b = rest.trailing_zeros() as usize;
-                out.push((w * 64 + b) as u16);
-                rest &= rest - 1;
-            }
-        }
-        out
-    }
-
     /// Whether a positive [`Signature::may_contain`] answer for `line`
     /// is a *false positive* given the exact (sorted) line set the
     /// signature was built from: the signature says yes but no inserted
@@ -134,13 +119,6 @@ impl Signature {
             .iter()
             .zip(other.bits.iter())
             .any(|(a, b)| a & b != 0)
-    }
-
-    /// In-place union (stratifier Signature Registers OR chunks in).
-    pub fn union_with(&mut self, other: &Signature) {
-        for (a, b) in self.bits.iter_mut().zip(other.bits.iter()) {
-            *a |= b;
-        }
     }
 
     /// Clears all bits.
@@ -199,16 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn union_superset() {
-        let mut a = Signature::new();
-        a.insert(1);
-        let mut b = Signature::new();
-        b.insert(2);
-        a.union_with(&b);
-        assert!(a.may_contain(1) && a.may_contain(2));
-    }
-
-    #[test]
     fn clear_empties() {
         let mut a = Signature::new();
         a.insert(77);
@@ -225,22 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn set_bits_enumerates_exactly_the_hashed_positions() {
+    fn bit_reports_exactly_the_hashed_positions() {
         let lines = [3u64, 977, 40_000];
         let sig = Signature::from_lines(lines);
-        let bits = sig.set_bits();
-        assert!(bits.windows(2).all(|w| w[0] < w[1]), "ascending: {bits:?}");
-        let mut expected: Vec<u16> = lines
-            .iter()
-            .flat_map(|&l| bit_indices(l))
-            .map(|b| b as u16)
-            .collect();
+        let bits: Vec<usize> = (0..SIG_BITS).filter(|&b| sig.bit(b)).collect();
+        let mut expected: Vec<usize> = lines.iter().flat_map(|&l| bit_indices(l)).collect();
         expected.sort_unstable();
         expected.dedup();
         assert_eq!(bits, expected);
-        for &b in &bits {
-            assert!(sig.bit(b as usize));
-        }
         assert!(!sig.bit(SIG_BITS), "out-of-range bits are never set");
         assert_eq!(bits.len() as u32, sig.popcount());
     }
