@@ -592,7 +592,12 @@ fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
             report.commits, report.matches_recording
         )?;
     }
-    Ok(())
+    match report.mismatch {
+        Some(mismatch) => Err(Failure::Run(format!(
+            "software replay diverged: {mismatch}"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// `delorean analyze --trace PATH` — validates a JSONL session trace
@@ -664,8 +669,15 @@ fn cmd_analyze(args: &Args, out: &mut dyn Write) -> Result<ExitCode, Failure> {
     let lint = (!skip("lint")).then(|| delorean_analyze::lint_bytes(&bytes));
     // The static and replay passes need decodable metadata; without it
     // they are skipped (the lint above already carries the decode
-    // error), and the dependence pass salvages what it can.
-    let source = FileSource::open(&bytes[..]).ok();
+    // error), and the dependence pass salvages what it can. When
+    // neither reports the header, its decode error ends the run.
+    let source = match FileSource::open(&bytes[..]) {
+        Ok(source) => Some(source),
+        Err(e) if lint.is_none() && !args.has("--deps") => {
+            return Err(format!("decoding {path}: {e}").into());
+        }
+        Err(_) => None,
+    };
     let (workload, mode, n_procs, static_pass) = match &source {
         None => ("unknown".to_string(), "unknown".to_string(), 0, None),
         Some(source) => {

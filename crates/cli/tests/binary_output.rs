@@ -148,6 +148,80 @@ fn runtime_failures_print_the_error_without_the_usage_text() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// `analyze` of a log whose header does not decode fails as `replay`
+/// and `inspect` do when no pass of the run would report the header:
+/// only the lint and `--deps` report a damaged stream.
+#[test]
+fn analyze_fails_on_a_header_no_pass_reports() {
+    let dir = scratch("analyze_header");
+    let log = dir.join("fft.dlrn");
+    let log_arg = log.to_str().unwrap();
+    let out = run(&[
+        "record", "fft", "-o", log_arg, "--procs", "4", "--budget", "20000",
+    ]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let cut = dir.join("cut10.dlrn");
+    let cut_arg = cut.to_str().unwrap();
+    std::fs::write(&cut, &std::fs::read(&log).unwrap()[..10]).unwrap();
+
+    let out = run(&["analyze", cut_arg, "--skip", "lint", "--json"]);
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        format!("error: decoding {cut_arg}: truncated or malformed field: file header\n")
+    );
+    assert!(out.stdout.is_empty(), "{}", text(&out.stdout));
+
+    // The lint reports the header in the document.
+    let out = run(&["analyze", cut_arg, "--json"]);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out.stderr));
+    assert!(text(&out.stdout).contains("\"severity\":\"error\""));
+
+    let out = run(&["analyze", log_arg, "--skip", "lint", "--json"]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+}
+
+/// `inspect` checks the software replay's final state against the
+/// trailer digest: it prints the verdict, then fails on a mismatch as
+/// `replay` of the same log does.
+#[test]
+fn inspect_fails_when_the_replay_does_not_match_the_recording() {
+    let dir = scratch("inspect_mismatch");
+    let m = delorean::Machine::builder().procs(4).budget(20_000).build();
+    let mut recording = m.record(delorean_isa::workload::by_name("fft").unwrap(), 1);
+    let intact = dir.join("intact.dlrn");
+    std::fs::write(&intact, delorean::serialize::to_bytes(&recording)).unwrap();
+    recording.stats.digest.mem_hash ^= 1;
+    let tampered = dir.join("tampered.dlrn");
+    let tampered_arg = tampered.to_str().unwrap();
+    std::fs::write(&tampered, delorean::serialize::to_bytes(&recording)).unwrap();
+
+    let out = run(&["inspect", tampered_arg, "--limit", "0"]);
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        text(&out.stdout).ends_with("matches recording: false\n"),
+        "{}",
+        text(&out.stdout)
+    );
+    assert_eq!(
+        stderr,
+        "error: software replay diverged: final memory differs\n"
+    );
+
+    let out = run(&["inspect", tampered_arg, "--limit", "0", "--json"]);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out.stderr));
+    assert!(text(&out.stdout).ends_with("\"matches_recording\":false}\n"));
+
+    let out = run(&["replay", tampered_arg]);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out.stderr));
+
+    let out = run(&["inspect", intact.to_str().unwrap(), "--limit", "0"]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert!(text(&out.stdout).ends_with("matches recording: true\n"));
+}
+
 /// A reader that stops early, as `inspect --json | head -1` does, ends
 /// the run quietly: the binary exits with success when its output pipe
 /// closes, without a panic or an error line.

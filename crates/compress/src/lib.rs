@@ -2,14 +2,16 @@
 //!
 //! The DeLorean paper (ISCA 2008) states that *"all log buffers are
 //! enhanced with compression hardware that uses the LZ77 algorithm"*.
-//! This crate provides the two building blocks every log in the system is
+//! This crate provides the building blocks every log in the system is
 //! made of:
 //!
 //! * [`BitWriter`] / [`BitReader`] — logs such as the Processor
 //!   Interleaving (PI) log use sub-byte entries (a 4-bit processor ID per
 //!   chunk commit), so all log encoders work at bit granularity.
-//! * [`lz77`] — a from-scratch sliding-window LZ77 codec used to report
-//!   *compressed* log sizes, mirroring the paper's log-size methodology.
+//! * [`lz77`] — a from-scratch sliding-window LZ77 codec for one
+//!   self-contained block at a time: it compresses every `.dlrn`
+//!   segment and reports *compressed* log sizes, mirroring the paper's
+//!   log-size methodology.
 //! * [`LogSize`] — a small accounting type carrying both raw and
 //!   compressed sizes in bits, with the paper's reporting unit
 //!   (bits per processor per kilo-instruction) derivable from it.
@@ -36,4 +38,4 @@ pub mod lz77;
 mod size;
 
 pub use bits::{BitReader, BitWriter};
-pub use size::{LogSize, SEGMENTED_MEASURE_THRESHOLD};
+pub use size::LogSize;

@@ -24,33 +24,13 @@ pub struct LogSize {
     pub compressed_bits: u64,
 }
 
-/// Logs at least this large are measured with segmented compression
-/// ([`lz77::compressed_bits_segmented`], one block per 256 KiB) instead
-/// of a one-shot pass. The threshold and segment size are fixed, so the
-/// measured value depends only on the bytes.
-pub const SEGMENTED_MEASURE_THRESHOLD: usize = 1 << 20;
-
-/// Block size of the segmented measurement.
-const SEGMENT: usize = 256 * 1024;
-
-fn measured_bits(bytes: &[u8]) -> u64 {
-    if bytes.len() >= SEGMENTED_MEASURE_THRESHOLD {
-        lz77::compressed_bits_segmented(bytes, SEGMENT)
-    } else {
-        lz77::compressed_bits(bytes)
-    }
-}
-
 impl LogSize {
-    /// Measures a byte buffer, compressing it with [`lz77`].
-    ///
-    /// Buffers of [`SEGMENTED_MEASURE_THRESHOLD`] bytes or more are
-    /// compressed per segment, as a streaming encoder flushing every
-    /// 256 KiB would compress them.
+    /// Measures a byte buffer, compressing it with [`lz77`] as one
+    /// block.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         Self {
             raw_bits: bytes.len() as u64 * 8,
-            compressed_bits: measured_bits(bytes),
+            compressed_bits: lz77::compressed_bits(bytes),
         }
     }
 
@@ -58,12 +38,11 @@ impl LogSize {
     ///
     /// Used when the logical log is not byte-aligned (e.g. 4-bit PI
     /// entries): `raw_bits` counts the logical bits while compression
-    /// operates on the packed representation. Large buffers take the
-    /// same segmented path as [`LogSize::from_bytes`].
+    /// operates on the packed representation.
     pub fn from_bits(bytes: &[u8], raw_bits: u64) -> Self {
         Self {
             raw_bits,
-            compressed_bits: measured_bits(bytes).min(raw_bits),
+            compressed_bits: lz77::compressed_bits(bytes).min(raw_bits),
         }
     }
 
@@ -163,17 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn large_buffers_measure_via_segmented_parallel_path() {
-        // Above the threshold the measured size must equal the
-        // fixed-segmentation measurement, not the one-shot size.
-        let data: Vec<u8> = (0..SEGMENTED_MEASURE_THRESHOLD as u32 + 17)
+    fn large_buffers_measure_in_one_pass() {
+        // However large the log, its size is one block's.
+        let data: Vec<u8> = (0..(1u32 << 20) + 17)
             .map(|i| ((i % 9) | ((i % 7) << 4)) as u8)
             .collect();
         let s = LogSize::from_bytes(&data);
-        assert_eq!(
-            s.compressed_bits,
-            lz77::compressed_bits_segmented(&data, SEGMENT)
-        );
+        assert_eq!(s.compressed_bits, lz77::compressed_bits(&data));
         assert_eq!(s.raw_bits, data.len() as u64 * 8);
     }
 

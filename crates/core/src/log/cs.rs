@@ -122,14 +122,6 @@ impl CsLog {
         }
     }
 
-    /// Iterates over sparse entries (empty iterator for `Full`).
-    pub fn sparse_entries(&self) -> &[CsEntry] {
-        match self {
-            CsLog::Full { .. } => &[],
-            CsLog::Sparse { entries, .. } => entries,
-        }
-    }
-
     /// Bit-packs the log in its Table-3 format and measures it.
     pub fn measure(&self) -> LogSize {
         let mut w = BitWriter::new();
@@ -223,7 +215,7 @@ mod tests {
         assert_eq!(log.measure().raw_bits, 64);
         assert_eq!(log.forced_size(12), Some(700));
         assert_eq!(log.forced_size(13), None);
-        assert_eq!(log.sparse_entries().len(), 2);
+        assert_eq!(log.len(), 2);
 
         let mut pl = CsLog::picolog();
         pl.push(CsEntry {

@@ -1,7 +1,7 @@
 //! The Processor Interleaving (PI) log.
 
 use delorean_chunk::Committer;
-use delorean_compress::{BitReader, BitWriter, LogSize};
+use delorean_compress::LogSize;
 
 /// The arbiter's record of the total chunk-commit order.
 ///
@@ -81,38 +81,6 @@ impl PiLog {
         }
     }
 
-    /// Bit-packs the log (LSB-first entries).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        let bits = self.entry_bits();
-        for &e in &self.entries {
-            w.write_bits(self.encode_symbol(e), bits);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a log of `len` entries packed by [`PiLog::encode`].
-    ///
-    /// Returns `None` if the buffer is too short or contains an invalid
-    /// symbol.
-    pub fn decode(bytes: &[u8], n_procs: u32, len: usize) -> Option<Self> {
-        let mut log = PiLog::new(n_procs);
-        let bits = log.entry_bits();
-        let mut r = BitReader::new(bytes);
-        for _ in 0..len {
-            let sym = r.read_bits(bits)?;
-            let c = if sym == u64::from(n_procs) {
-                Committer::Dma
-            } else if sym < u64::from(n_procs) {
-                Committer::Proc(sym as u32)
-            } else {
-                return None;
-            };
-            log.entries.push(c);
-        }
-        Some(log)
-    }
-
     /// Raw and LZ77-compressed size.
     ///
     /// The raw size is the bit-packed form (`entry_bits` per commit);
@@ -127,8 +95,6 @@ impl PiLog {
             .map(|&e| self.encode_symbol(e) as u8)
             .collect();
         let raw = self.entries.len() as u64 * u64::from(self.entry_bits());
-        // `from_bits` compresses per-segment on all cores once the
-        // symbol stream crosses the parallel-measure threshold.
         LogSize::from_bits(&symbols, raw)
     }
 }
@@ -151,21 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let mut pi = PiLog::new(8);
-        for i in 0..100u32 {
-            pi.push(if i % 9 == 8 {
-                Committer::Dma
-            } else {
-                Committer::Proc(i % 8)
-            });
-        }
-        let bytes = pi.encode();
-        let back = PiLog::decode(&bytes, 8, pi.len()).unwrap();
-        assert_eq!(back, pi);
-    }
-
-    #[test]
     fn measure_counts_logical_bits() {
         let mut pi = PiLog::new(8);
         for i in 0..1000u32 {
@@ -182,15 +133,5 @@ mod tests {
     fn rejects_foreign_processor() {
         let mut pi = PiLog::new(2);
         pi.push(Committer::Proc(2));
-    }
-
-    #[test]
-    fn truncated_decode_fails() {
-        let mut pi = PiLog::new(8);
-        for _ in 0..10 {
-            pi.push(Committer::Proc(0));
-        }
-        let bytes = pi.encode();
-        assert!(PiLog::decode(&bytes[..1], 8, 10).is_none());
     }
 }

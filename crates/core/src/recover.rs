@@ -39,7 +39,6 @@ use crate::stream::{
 };
 use crate::wire::{segment_checksum, SEGMENT_HEAD, SEG_EVENTS, SEG_TRAILER};
 use delorean_chunk::Committer;
-use delorean_compress::lz77;
 use delorean_isa::{Addr, Word};
 
 // ---------------------------------------------------------------------------
@@ -437,11 +436,9 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
             Some((gcc, counters)) => (counters.clone(), *gcc),
             None => (vec![0u64; n], 0),
         };
-        // Segments decode with a fresh LZ77 decoder: the window barrier.
         let Ok(seg) = decode_events(
             body,
             EventShape::of(&meta),
-            &mut lz77::Decoder::new(),
             &mut counters,
             &mut end,
             Vec::new(),

@@ -41,12 +41,14 @@
 //!
 //! Event segments carry a commit watermark plus one LZ77 block of
 //! encoded commit events. The sink compresses every segment's block
-//! alone, with no match history from earlier segments, so each segment
-//! is independently decompressible — the property the salvage pass in
-//! [`recover`](crate::recover) relies on to resume decoding after a
-//! corrupt region. The final segment is a trailer holding the
-//! determinism digest and run statistics. Every byte after the 14-byte
-//! frame header is covered by a checksum.
+//! alone, with no match history from earlier segments, and every
+//! reader decodes each block alone: the decoder thread behind
+//! [`FileSource`] and [`SegmentWalker`] as well as the salvage pass in
+//! [`recover`](crate::recover), which relies on it to resume decoding
+//! after a corrupt region. A block whose match reaches into an earlier
+//! segment fails in all of them at that segment. The final segment is
+//! a trailer holding the determinism digest and run statistics. Every
+//! byte after the 14-byte frame header is covered by a checksum.
 
 use crate::machine::Recording;
 use crate::mode::Mode;
@@ -898,9 +900,9 @@ impl FramedSegment {
 impl SegmentJob {
     /// Compresses the events into one LZ77 block after the prefix and
     /// frames the body. The block is compressed alone, with no match
-    /// history, so every segment decodes with a fresh decoder: the
-    /// property the salvage pass relies on to re-enter a stream at any
-    /// segment boundary after a corrupt region.
+    /// history, so every segment decodes alone: the property the salvage
+    /// pass relies on to re-enter a stream at any segment boundary after
+    /// a corrupt region.
     fn frame(self) -> FramedSegment {
         let mut body = self.prefix;
         body.extend_from_slice(&delorean_compress::lz77::compress(&self.events));
@@ -1637,8 +1639,7 @@ struct DecodeJob {
     /// drop moves on to the next, and the worker skips older jobs.
     generation: u64,
     /// Counters to decode from instead of the previous segment's end:
-    /// set on the first job after the stream opens or seeks. The LZ77
-    /// history restarts with them.
+    /// set on the first job after the stream opens or seeks.
     restart: Option<Counters>,
     kind: u8,
     /// The checksum the body must match, unless the segment at this
@@ -1669,11 +1670,10 @@ struct Decoded {
     body: Vec<u8>,
 }
 
-/// The decoder thread's state: the counters and LZ77 history carried
-/// from one segment to the next, and event vectors to refill.
+/// The decoder thread's state: the counters carried from one segment
+/// to the next, and event vectors to refill.
 struct DecodeState {
     shape: EventShape,
-    lz: delorean_compress::lz77::Decoder,
     chunks: Vec<u64>,
     gcc: u64,
     spare: Vec<Vec<LogEvent>>,
@@ -1692,7 +1692,6 @@ impl DecodeState {
         if let Some((gcc, chunks)) = job.restart {
             self.gcc = gcc;
             self.chunks = chunks;
-            self.lz = delorean_compress::lz77::Decoder::new();
         }
         let mut d = Decoded {
             verified: false,
@@ -1720,7 +1719,6 @@ impl DecodeState {
                 decode_events(
                     &job.body,
                     self.shape,
-                    &mut self.lz,
                     &mut self.chunks,
                     &mut self.gcc,
                     events,
@@ -1775,7 +1773,6 @@ impl DecodeWorker {
             .spawn(move || {
                 let mut state = DecodeState {
                     shape,
-                    lz: delorean_compress::lz77::Decoder::new(),
                     chunks: Vec::new(),
                     gcc: 0,
                     spare: Vec::new(),
@@ -1959,8 +1956,7 @@ impl<R: Read> SegmentDecoder<R> {
     /// Repositions the reader at the kind byte of the segment `mark`
     /// describes and restarts decoding from the counters that segment
     /// starts with. Work read ahead is abandoned without waiting for
-    /// it. The LZ77 history restarts too — sound because the sink drops
-    /// its match window at every segment boundary.
+    /// it.
     fn seek_to(&mut self, mark: &SegmentMark) -> Result<(), DecodeError> {
         let Some(seek) = self.seek else {
             return Err(DecodeError::Io(
@@ -2175,16 +2171,14 @@ impl<R: Read> SegmentDecoder<R> {
 }
 
 /// Decodes one events-segment body: the declared commit and chunk
-/// watermarks, then the events of its LZ77 block, decompressed through
-/// `lz`, into `events` (cleared first, its allocation reused).
+/// watermarks, then the events of its LZ77 block, which decompresses
+/// alone, into `events` (cleared first, its allocation reused).
 /// `counters` (per-processor chunk counters) and `gcc` advance past
 /// every event decoded; checking them against the declared watermarks
-/// is the caller's job. The decoder thread passes the one LZ77 decoder
-/// it keeps for the whole stream, salvage a fresh one per segment.
+/// is the caller's job.
 pub(crate) fn decode_events(
     body: &[u8],
     shape: EventShape,
-    lz: &mut delorean_compress::lz77::Decoder,
     counters: &mut [u64],
     gcc: &mut u64,
     mut events: Vec<LogEvent>,
@@ -2193,8 +2187,7 @@ pub(crate) fn decode_events(
     let commits_end = r.u64("segment commit watermark")?;
     let marks = r.words(shape.n_procs as usize, "segment chunk watermark")?;
     let count = r.u32("segment event count")?;
-    let raw = lz
-        .decode_block(&body[r.pos..])
+    let raw = delorean_compress::lz77::decompress(&body[r.pos..])
         .map_err(|_| DecodeError::Truncated("event block"))?;
     let mut er = Reader::new(&raw);
     events.clear();
@@ -3119,7 +3112,7 @@ mod tests {
     fn segments_decode_with_a_fresh_decoder() {
         // Compressing each block alone keeps every segment
         // independently decompressible: decode the *second* segment's
-        // events with a decoder that never saw the first.
+        // events without the first.
         let mut sink = FileSink::with_flush_every(Vec::new(), 1);
         sink.begin(&test_meta(Mode::OrderOnly, 2));
         let mut bridge = CommitBridge::new(Mode::OrderOnly, 2);
@@ -3136,12 +3129,11 @@ mod tests {
         let seg = decode_events(
             body,
             shape(Mode::OrderOnly, 2),
-            &mut delorean_compress::lz77::Decoder::new(),
             &mut counters,
             &mut 1,
             Vec::new(),
         )
-        .expect("second segment must decode with empty history");
+        .expect("second segment must decode alone");
         assert_eq!(seg.events.len(), 1);
         assert_eq!(seg.events[0].committer, Committer::Proc(0));
         assert_eq!(seg.events[0].chunk_index, 2);

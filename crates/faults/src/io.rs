@@ -1,13 +1,12 @@
-//! Fault-injecting I/O wrappers and byte-image corruption.
+//! Fault-injecting writer and byte-image corruption.
 //!
-//! [`FaultySink`] and [`FaultySource`] interpose on the writer/reader
-//! a [`FileSink`](delorean::FileSink)/[`FileSource`](delorean::FileSource)
-//! runs over, injecting the I/O-layer faults a [`FaultPlan`]
-//! schedules: short/torn writes, transient `io::Error`s, bit flips,
-//! truncated tails. [`apply_to_bytes`] applies the byte-image ops of a
-//! plan to a finished stream (flips, truncation, duplicated segments,
-//! garbage bursts) — the crash left on disk rather than the crash in
-//! flight.
+//! [`FaultySink`] interposes on the writer a
+//! [`FileSink`](delorean::FileSink) runs over, injecting the
+//! write-layer faults a [`FaultPlan`] schedules: torn writes and
+//! transient `io::Error`s. [`apply_to_bytes`] applies the byte-image
+//! ops of a plan to a finished stream (flips, truncation, duplicated
+//! segments, garbage bursts) — the crash left on disk rather than the
+//! crash in flight.
 
 use crate::plan::{FaultOp, FaultPlan};
 use rand::rngs::SmallRng;
@@ -84,73 +83,6 @@ impl<W: io::Write> io::Write for FaultySink<W> {
     }
 }
 
-/// A reader that injects the read-layer faults of a [`FaultPlan`]:
-/// transient errors at scheduled read calls, bit flips at scheduled
-/// byte offsets, and an early end-of-file at a truncation offset.
-#[derive(Debug)]
-pub struct FaultySource<R> {
-    inner: R,
-    ops: Vec<FaultOp>,
-    reads: u64,
-    offset: u64,
-}
-
-impl<R: io::Read> FaultySource<R> {
-    /// Wraps `inner`, injecting the read-layer ops of `plan`.
-    pub fn new(inner: R, plan: &FaultPlan) -> Self {
-        Self {
-            inner,
-            ops: plan
-                .ops
-                .iter()
-                .filter(|op| {
-                    matches!(
-                        op,
-                        FaultOp::TransientRead { .. }
-                            | FaultOp::FlipBit { .. }
-                            | FaultOp::TruncateAt { .. }
-                    )
-                })
-                .copied()
-                .collect(),
-            reads: 0,
-            offset: 0,
-        }
-    }
-}
-
-impl<R: io::Read> io::Read for FaultySource<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let at = self.reads;
-        self.reads += 1;
-        let mut limit = buf.len() as u64;
-        for op in &self.ops {
-            match *op {
-                FaultOp::TransientRead { at: when } if when == at => {
-                    return Err(io::Error::new(TRANSIENT, "injected transient read error"));
-                }
-                FaultOp::TruncateAt { offset } => {
-                    limit = limit.min(offset.saturating_sub(self.offset));
-                }
-                _ => {}
-            }
-        }
-        if limit == 0 {
-            return Ok(0);
-        }
-        let got = self.inner.read(&mut buf[..limit as usize])?;
-        for op in &self.ops {
-            if let FaultOp::FlipBit { offset, bit } = *op {
-                if offset >= self.offset && offset < self.offset + got as u64 {
-                    buf[(offset - self.offset) as usize] ^= 1 << (bit & 7);
-                }
-            }
-        }
-        self.offset += got as u64;
-        Ok(got)
-    }
-}
-
 /// Applies the byte-image ops of `plan` to a finished stream.
 pub fn apply_to_bytes(plan: &FaultPlan, bytes: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
@@ -186,9 +118,7 @@ pub fn apply_to_bytes(plan: &FaultPlan, bytes: &[u8]) -> Vec<u8> {
                     *b = rng.gen::<u8>();
                 }
             }
-            FaultOp::Torn { .. }
-            | FaultOp::TransientWrite { .. }
-            | FaultOp::TransientRead { .. } => {}
+            FaultOp::Torn { .. } | FaultOp::TransientWrite { .. } => {}
         }
     }
     out
@@ -200,7 +130,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     #[test]
     fn torn_write_persists_prefix_then_fails() {
@@ -225,10 +155,7 @@ mod tests {
                 FaultOp::TruncateAt { offset: 4 },
             ],
         };
-        let mut src = FaultySource::new(&b"\x00\x00\x00\x00\x00\x00"[..], &plan);
-        let mut got = Vec::new();
-        src.read_to_end(&mut got).unwrap();
-        assert_eq!(got, vec![0, 1, 0, 0]);
+        assert_eq!(apply_to_bytes(&plan, &[0; 6]), [0, 1, 0, 0]);
     }
 
     #[test]
@@ -261,7 +188,6 @@ mod tests {
             ops: vec![
                 FaultOp::Torn { at: 3, keep: 17 },
                 FaultOp::TransientWrite { at: 5 },
-                FaultOp::TransientRead { at: 2 },
                 FaultOp::FlipBit {
                     offset: 1234,
                     bit: 3,

@@ -7,9 +7,9 @@
 //! scheduled, reproducible — at the two layers where real systems
 //! break:
 //!
-//! * **I/O layer** ([`FaultySink`] / [`FaultySource`]): short and torn
-//!   writes, transient `io::Error`s, bit flips, truncated tails,
-//!   duplicated segments against the byte image
+//! * **I/O layer** ([`FaultySink`]): torn writes and transient
+//!   `io::Error`s while recording; bit flips, truncated tails,
+//!   duplicated segments and garbage bursts against the byte image
 //!   ([`apply_to_bytes`]).
 //! * **Substrate layer** (via
 //!   [`SubstrateFaultConfig`](delorean_chunk::SubstrateFaultConfig)):
@@ -36,5 +36,5 @@ pub mod io;
 pub mod plan;
 
 pub use crashtest::{run_crashtest, CrashtestConfig, CrashtestReport, ScenarioOutcome};
-pub use io::{apply_to_bytes, FaultySink, FaultySource};
+pub use io::{apply_to_bytes, FaultySink};
 pub use plan::{FaultClass, FaultOp, FaultPlan};

@@ -28,11 +28,6 @@ pub enum FaultOp {
         /// Write call index that fails.
         at: u64,
     },
-    /// At read call `at`: fail with a transient error.
-    TransientRead {
-        /// Read call index that fails.
-        at: u64,
-    },
     /// Flip bit `bit` of the byte at `offset`.
     FlipBit {
         /// Byte offset of the victim.
@@ -69,7 +64,6 @@ impl core::fmt::Display for FaultOp {
         match *self {
             FaultOp::Torn { at, keep } => write!(f, "torn at={at} keep={keep}"),
             FaultOp::TransientWrite { at } => write!(f, "transient-write at={at}"),
-            FaultOp::TransientRead { at } => write!(f, "transient-read at={at}"),
             FaultOp::FlipBit { offset, bit } => write!(f, "flip offset={offset} bit={bit}"),
             FaultOp::TruncateAt { offset } => write!(f, "truncate offset={offset}"),
             FaultOp::Duplicate { start, end } => write!(f, "duplicate start={start} end={end}"),
@@ -151,9 +145,6 @@ fn parse_op(line: &str) -> Result<FaultOp, String> {
             keep: field(toks.next(), "keep")? as usize,
         }),
         "transient-write" => Ok(FaultOp::TransientWrite {
-            at: field(toks.next(), "at")?,
-        }),
-        "transient-read" => Ok(FaultOp::TransientRead {
             at: field(toks.next(), "at")?,
         }),
         "flip" => Ok(FaultOp::FlipBit {

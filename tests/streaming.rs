@@ -531,3 +531,122 @@ fn damaged_decode_outcomes_are_pinned() {
     }
     assert_eq!(golden, fresh, "{path} drifted");
 }
+
+/// Every reader decodes each segment's LZ77 block alone. A segment
+/// forged so that its block opens with a match into the segment before
+/// it, sealed with a valid checksum, decodes to the recorded bytes only
+/// for a decoder that carries its match window across segments. The
+/// engine's `FileSource`, the `SegmentWalker` and `salvage` must all
+/// reject that segment at its start.
+#[test]
+fn a_block_that_reaches_into_the_previous_segment_is_rejected_by_every_reader() {
+    use delorean::serialize::DecodeError;
+    use delorean_compress::{lz77, BitWriter};
+
+    let procs = 4;
+    let m = machine(Mode::OrderOnly, procs, 20_000);
+    let mut sink = FileSink::with_flush_every(Vec::new(), 8);
+    m.record_to(
+        workload::by_name("fft").expect("catalog workload"),
+        1,
+        &mut sink,
+    );
+    let bytes = sink.into_inner().expect("writing to a Vec cannot fail");
+
+    // The first events segment k >= 1 whose block opens with three
+    // bytes found in the last `WINDOW` bytes decoded before it.
+    let frames = delorean::recover::layout(&bytes).expect("a fresh recording maps");
+    let events: Vec<_> = frames.segments.iter().filter(|s| s.kind == 1).collect();
+    // Commit watermark, chunk watermarks, event count.
+    let prefix = 8 + 8 * procs as usize + 4;
+    let (mut history, mut commits) = (Vec::new(), 0u64);
+    let mut found = None;
+    for (k, span) in events.iter().enumerate() {
+        let body = &bytes[span.start + 17..span.end];
+        let count = u32::from_le_bytes(body[prefix - 4..prefix].try_into().unwrap());
+        let raw = lz77::decompress(&body[prefix..]).expect("a recorded block decodes");
+        let window = &history[history.len().saturating_sub(lz77::WINDOW)..];
+        let dist = (k > 0 && raw.len() >= lz77::MIN_MATCH)
+            .then(|| {
+                (lz77::MIN_MATCH..=window.len()).find(|&d| {
+                    let at = window.len() - d;
+                    window[at..at + lz77::MIN_MATCH] == raw[..lz77::MIN_MATCH]
+                })
+            })
+            .flatten();
+        if let Some(dist) = dist {
+            found = Some((k, *span, commits, count, dist, raw));
+            break;
+        }
+        history.extend_from_slice(&raw);
+        commits += u64::from(count);
+    }
+    let (k, span, start_commit, count, dist, raw) = found.expect("a segment opens with a repeat");
+
+    // One match token into that history, then literals.
+    let mut w = BitWriter::new();
+    w.write_bits(raw.len() as u64, 32);
+    w.write_bit(true);
+    w.write_bits(dist as u64 - 1, lz77::DIST_BITS);
+    w.write_bits(0, lz77::LEN_BITS);
+    for &b in &raw[lz77::MIN_MATCH..] {
+        w.write_bit(false);
+        w.write_bits(u64::from(b), 8);
+    }
+    let mut body = bytes[span.start + 17..span.start + 17 + prefix].to_vec();
+    body.extend_from_slice(&w.into_bytes());
+    let mut frame = vec![1u8];
+    frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    let mut f = delorean::Fnv::default();
+    f.update(&frame);
+    f.update(&body);
+    frame.extend_from_slice(&f.value().to_le_bytes());
+    frame.extend_from_slice(&body);
+    let forged = [&bytes[..span.start], &frame[..], &bytes[span.end..]].concat();
+    let frame_end = (span.start + frame.len()) as u64;
+
+    let mut walker = SegmentWalker::open(&forged[..]).expect("the header is intact");
+    let walked = loop {
+        match walker.next_segment() {
+            Ok(WalkedSegment::Events(_) | WalkedSegment::Trailer(_)) => {}
+            Ok(WalkedSegment::End) => panic!("the walker accepted the forged segment {k}"),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(walked.error, DecodeError::Truncated("event block"));
+    assert_eq!(
+        (
+            walked.position.segment,
+            walked.position.commit,
+            walked.position.byte_offset
+        ),
+        (k as u64, start_commit, frame_end),
+        "{walked}"
+    );
+
+    let source = FileSource::open(&forged[..]).expect("the header is intact");
+    let Err(replayed) = m.replay_from(source) else {
+        panic!("the replay accepted the forged segment {k}");
+    };
+    assert!(
+        replayed.to_string().contains(&walked.to_string()),
+        "{replayed}"
+    );
+
+    let report = salvage(&forged).expect("the header is intact").report;
+    assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
+    let q = &report.quarantined[0];
+    assert_eq!(
+        (q.byte_start, q.byte_end, q.reason),
+        (
+            span.start as u64,
+            frame_end,
+            "event segment body undecodable"
+        )
+    );
+    assert_eq!(report.lost.len(), 1, "{:?}", report.lost);
+    assert_eq!(
+        (report.lost[0].first, report.lost[0].last),
+        (start_commit + 1, Some(start_commit + u64::from(count)))
+    );
+}
