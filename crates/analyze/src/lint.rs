@@ -456,8 +456,8 @@ pub fn lint_bytes(bytes: &[u8]) -> LintReport {
                 )
                 .at(StreamPosition {
                     byte_offset: q.byte_start,
-                    segment: 0,
-                    commit: 0,
+                    segment: q.segment,
+                    commit: q.commit,
                 }),
             );
         }
@@ -604,6 +604,63 @@ mod tests {
         let mut json = String::new();
         report.write_json(&mut json);
         assert!(json.contains("\"salvage\":{\"total_bytes\":"));
+    }
+
+    /// A middle segment with a flipped byte, the same segment forged
+    /// with a valid checksum over a body that does not decode, and the
+    /// stream cut inside it: each `salvage-quarantine` warning starts at
+    /// that frame and names the segment and commit the `stream-decode`
+    /// error names.
+    #[test]
+    fn quarantine_warnings_name_the_segment_and_commit_of_their_frame() {
+        let machine = delorean::Machine::builder()
+            .mode(delorean::Mode::OrderOnly)
+            .procs(4)
+            .budget(4_000)
+            .chunk_size(100)
+            .build();
+        let w = delorean_isa::workload::by_name("fft").unwrap();
+        let mut sink = delorean::FileSink::with_flush_every(Vec::new(), 8);
+        machine.record_to(w, 7, &mut sink);
+        let pristine = sink.into_inner().unwrap();
+        let layout = delorean::recover::layout(&pristine).unwrap();
+        let events: Vec<_> = layout.segments.iter().filter(|s| s.kind == 1).collect();
+        assert!(events.len() > 4, "{} event segments", events.len());
+        let k = events.len() / 2;
+        let (start, end) = (events[k].start, events[k].end);
+
+        let mut flipped = pristine.clone();
+        flipped[end - 1] ^= 1;
+        let mut forged = pristine.clone();
+        let body = start + 17;
+        forged[body..end].fill(0xff);
+        let mut f = delorean::Fnv::default();
+        f.update(&forged[start..start + 9]);
+        f.update(&forged[body..end]);
+        forged[start + 9..body].copy_from_slice(&f.value().to_le_bytes());
+        let cut = &pristine[..(start + end) / 2];
+
+        for (name, bytes) in [
+            ("flipped", &flipped[..]),
+            ("forged", &forged[..]),
+            ("cut", cut),
+        ] {
+            let report = lint_bytes(bytes);
+            let at = |code: &str| {
+                let d = report.diagnostics.iter().find(|d| d.code == code);
+                d.and_then(|d| d.position)
+                    .unwrap_or_else(|| panic!("{name}: no positioned {code}"))
+            };
+            let (quarantine, decode) = (at("salvage-quarantine"), at("stream-decode"));
+            assert_eq!(quarantine.byte_offset, start as u64, "{name}");
+            assert_eq!(quarantine.segment, k as u64, "{name}");
+            assert_eq!(
+                (quarantine.segment, quarantine.commit),
+                (decode.segment, decode.commit),
+                "{name}"
+            );
+            assert!(quarantine.commit > 0, "{name}");
+        }
     }
 
     fn stamped_stream(arbiter: ArbiterConfig, stamp: Option<u32>) -> Vec<u8> {

@@ -182,6 +182,35 @@ fn analyze_fails_on_a_header_no_pass_reports() {
     assert!(out.status.success(), "{}", text(&out.stderr));
 }
 
+/// `checkpoint` over a log cut mid-segment fails naming the log and
+/// where it broke, not a malformed index: no index exists yet, and none
+/// is written.
+#[test]
+fn indexing_a_damaged_log_names_the_log() {
+    let dir = scratch("checkpoint_damaged");
+    let log = dir.join("fft.dlrn");
+    let log_arg = log.to_str().unwrap();
+    let out = run(&[
+        "record", "fft", "-o", log_arg, "--procs", "4", "--budget", "200000",
+    ]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let bytes = std::fs::read(&log).unwrap();
+    let cut = dir.join("cut.dlrn");
+    let cut_arg = cut.to_str().unwrap();
+    std::fs::write(&cut, &bytes[..bytes.len() * 3 / 4]).unwrap();
+
+    let out = run(&["checkpoint", cut_arg, "--every", "16"]);
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: log cannot be indexed: log stream failed: truncated or malformed field: \
+         segment body (at segment 5, commit 320, byte offset 285772)\n"
+    );
+    assert!(out.stdout.is_empty(), "{}", text(&out.stdout));
+    assert!(!dir.join("cut.dlrnx").exists());
+}
+
 /// `inspect` checks the software replay's final state against the
 /// trailer digest: it prints the verdict, then fails on a mismatch as
 /// `replay` of the same log does.

@@ -120,6 +120,9 @@ pub enum CheckpointError {
     SourceMismatch(String),
     /// The index is structurally invalid.
     Malformed(String),
+    /// The `.dlrn` log failed to decode or replay while an index was
+    /// built over it or bound to it; the payload says where.
+    Log(String),
     /// An I/O error from the underlying reader.
     Io(String),
 }
@@ -138,6 +141,7 @@ impl std::fmt::Display for CheckpointError {
                 )
             }
             Self::Malformed(detail) => write!(f, "malformed checkpoint index: {detail}"),
+            Self::Log(detail) => write!(f, "log cannot be indexed: {detail}"),
             Self::Io(detail) => write!(f, "checkpoint index i/o error: {detail}"),
         }
     }
@@ -216,8 +220,8 @@ impl CheckpointIndex {
             ));
         }
         reader.seek(SeekFrom::Start(0)).map_err(io)?;
-        let source = FileSource::open_seekable(reader)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        let source =
+            FileSource::open_seekable(reader).map_err(|e| CheckpointError::Log(e.to_string()))?;
         if source.mode() != self.mode || source.n_procs() != self.n_procs {
             return Err(CheckpointError::SourceMismatch(format!(
                 "stream was recorded in {} mode on {} processors, index describes {} mode on {}",
@@ -436,33 +440,31 @@ impl CheckpointIndex {
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError::Malformed`] when the stream itself is
-/// corrupt or its replay fails — an index is only ever built over a
-/// stream that replays cleanly end to end.
+/// Returns [`CheckpointError::Log`] when the stream itself is corrupt
+/// or its replay fails — an index is only ever built over a stream that
+/// replays cleanly end to end — and [`CheckpointError::Malformed`] when
+/// `interval_k` is 0.
 pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, CheckpointError> {
     if interval_k == 0 {
         return Err(CheckpointError::Malformed(
             "checkpoint interval must be at least 1 commit".to_string(),
         ));
     }
-    let mut src = FileSource::open(bytes).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+    let mut src = FileSource::open(bytes).map_err(|e| CheckpointError::Log(e.to_string()))?;
     let (mode, n_procs) = (src.mode(), src.n_procs());
     // (commit, PicoLog phase, state) at each checkpoint.
     let mut snaps = Vec::new();
     {
-        let mut ins = ReplayInspector::from_source(&mut src)
-            .map_err(|e| CheckpointError::Malformed(e.detail))?;
+        let mut ins =
+            ReplayInspector::from_source(&mut src).map_err(|e| CheckpointError::Log(e.detail))?;
         snaps.push((0, ins.rr_phase(), ins.capture()));
-        while let Some(ev) = ins
-            .step()
-            .map_err(|e| CheckpointError::Malformed(e.detail))?
-        {
+        while let Some(ev) = ins.step().map_err(|e| CheckpointError::Log(e.detail))? {
             if ev.gcc % interval_k == 0 {
                 snaps.push((ev.gcc, ins.rr_phase(), ins.capture()));
             }
         }
     }
-    let trailer = src.finish().map_err(CheckpointError::Malformed)?;
+    let trailer = src.finish().map_err(CheckpointError::Log)?;
     // Segments are looked up only once the whole stream is decoded, so
     // a checkpoint at a segment boundary names the segment starting there.
     let entries = snaps
@@ -490,13 +492,18 @@ pub fn index_stream(bytes: &[u8], interval_k: u64) -> Result<CheckpointIndex, Ch
 /// A seekable position in a `.dlrn` stream, backed by a
 /// [`CheckpointIndex`]: the cursor owns one long-lived seek-capable
 /// [`FileSource`] so segment checksums verified once are never
-/// re-verified when later windows re-read them.
+/// re-verified when later windows re-read them, and it keeps the
+/// checkpoint its last seek reached, so a later seek forward starts
+/// there rather than at an earlier indexed checkpoint.
 pub struct ReplayCursor<R: Read + Seek> {
     pub(crate) source: FileSource<R>,
     pub(crate) index: CheckpointIndex,
     /// The recorded workload's programs, generated once at open and
     /// shared by every seek's inspector.
     pub(crate) programs: Arc<[Program]>,
+    /// The entry the last successful seek returned. Its image shares
+    /// its blocks with the returned entry's.
+    last: Option<CheckpointEntry>,
 }
 
 impl<R: Read + Seek> std::fmt::Debug for ReplayCursor<R> {
@@ -525,6 +532,7 @@ impl<R: Read + Seek> ReplayCursor<R> {
             source,
             index,
             programs,
+            last: None,
         })
     }
 
@@ -533,9 +541,12 @@ impl<R: Read + Seek> ReplayCursor<R> {
         &self.index
     }
 
-    /// The checkpoint at commit `gcc`: restores the nearest indexed
-    /// checkpoint at or before it and rolls the stream forward to `gcc`
-    /// on the software inspector.
+    /// The checkpoint at commit `gcc`: restores the later of the
+    /// nearest indexed checkpoint at or before it and the entry the
+    /// cursor's last seek returned, when that lies at or before `gcc`
+    /// too (on a tie the index's), and rolls the stream forward to
+    /// `gcc` on the software inspector. A failed seek leaves the kept
+    /// entry as it was.
     ///
     /// # Errors
     ///
@@ -544,10 +555,12 @@ impl<R: Read + Seek> ReplayCursor<R> {
     /// when the index holds no checkpoint at or before `gcc` or the
     /// stream cannot be repositioned.
     pub fn seek(&mut self, gcc: u64) -> Result<CheckpointEntry, ReplayError> {
-        let Some(entry) = self.index.nearest_at_or_before(gcc) else {
-            return Err(ReplayError::Source {
+        let indexed = self.index.nearest_at_or_before(gcc);
+        let entry = match &self.last {
+            Some(last) if last.gcc <= gcc && indexed.is_none_or(|e| e.gcc < last.gcc) => last,
+            _ => indexed.ok_or_else(|| ReplayError::Source {
                 detail: format!("checkpoint index holds no checkpoint at or before commit {gcc}"),
-            });
+            })?,
         };
         // The entry's image is copied once, into the inspector's memory,
         // after its shape is checked.
@@ -557,22 +570,24 @@ impl<R: Read + Seek> ReplayCursor<R> {
             .map_err(|e| ReplayError::Source {
                 detail: e.to_string(),
             })?;
+        let (from, mark) = (entry.gcc, entry.segment.clone());
         let programs = Arc::clone(&self.programs);
         let mut ins = ReplayInspector::with_start(&mut self.source, start, programs);
-        while ins.step_to(entry.gcc, gcc)?.is_some() {}
+        while ins.step_to(from, gcc)?.is_some() {}
+        // The roll-forward held: the kept entry goes before the new
+        // image is captured, so the cursor never holds both.
+        self.last = None;
         let (rr_cursor, state) = (ins.rr_phase(), ins.capture());
         // A restore that stepped no commit may have decoded no segment.
-        let segment = self
-            .source
-            .segment_at(gcc)
-            .unwrap_or(&entry.segment)
-            .clone();
-        Ok(CheckpointEntry {
+        let segment = self.source.segment_at(gcc).cloned().unwrap_or(mark);
+        let entry = CheckpointEntry {
             gcc,
             rr_cursor,
             segment,
             state,
-        })
+        };
+        self.last = Some(entry.clone());
+        Ok(entry)
     }
 }
 
@@ -803,6 +818,112 @@ mod tests {
             after_first, after_rereads,
             "re-reading seeked windows must not re-verify checksums"
         );
+    }
+
+    /// Sessions of seeks ascending, descending and repeated, then
+    /// interleaved with bounded and run-to-end windows, over logs of
+    /// eight-segment frames: OrderOnly on a 4-shard arbiter, OrderSize,
+    /// and PicoLog with interrupts and DMA, where the resume phase and
+    /// the DMA slots counted from a window start matter. Every entry
+    /// equals a fresh cursor's and a roll-forward from commit 0, every
+    /// window a fresh cursor's, and no segment checksum is verified
+    /// twice. A failed seek keeps the entry the last one reached.
+    #[test]
+    fn seek_sessions_match_fresh_cursors() {
+        let devices = delorean_chunk::DeviceConfig {
+            irq_period: 6_000,
+            dma_period: 9_000,
+            dma_words: 16,
+        };
+        let sharded = crate::ArbiterConfig::Sharded { shards: 4 };
+        for (mode, app, procs) in [
+            (Mode::OrderOnly, "fft", 8),
+            (Mode::OrderSize, "radix", 4),
+            (Mode::PicoLog, "sweb2005", 4),
+        ] {
+            let mut b = Machine::builder();
+            b.mode(mode).procs(procs).budget(12_000).chunk_size(200);
+            if mode == Mode::OrderOnly {
+                b.arbiter(sharded);
+            } else {
+                b.devices(devices);
+            }
+            let m = b.build();
+            let rec = m.record(workload::by_name(app).unwrap(), 17);
+            if mode == Mode::PicoLog {
+                assert!(rec.stats.interrupts > 0 && rec.stats.dma_commits > 0);
+            }
+            let mut sink = crate::FileSink::with_flush_every(Vec::new(), 8);
+            crate::stream::copy_recording(&rec, &mut sink);
+            let bytes = sink.into_inner().unwrap();
+            let index = index_stream(&bytes, 25).unwrap();
+            let total = index.total_commits;
+            let open = || ReplayCursor::open(Cursor::new(bytes.clone()), index.clone()).unwrap();
+            let full = m
+                .replay_from(crate::FileSource::open(&bytes[..]).unwrap())
+                .unwrap();
+            assert!(full.deterministic, "{mode}: {:?}", full.divergence);
+
+            // Between and on checkpoints, on segment boundaries and at
+            // both ends.
+            let mut points = vec![0, 3, 24, 25, 26, 40, total / 2, total - 1, total];
+            points.sort_unstable();
+            points.dedup();
+            let descending: Vec<u64> = points.iter().rev().copied().collect();
+            let repeated: Vec<u64> = points.iter().flat_map(|&g| [g, g]).collect();
+            let mut cursor = open();
+            let check = |cursor: &mut ReplayCursor<Cursor<Vec<u8>>>, gcc: u64| {
+                let entry = cursor.seek(gcc).unwrap();
+                let fresh = open().seek(gcc).unwrap();
+                assert_eq!(
+                    (entry.gcc, entry.rr_cursor, &entry.state),
+                    (fresh.gcc, fresh.rr_cursor, &fresh.state),
+                    "{mode}: entry at {gcc}"
+                );
+                assert_eq!(
+                    entry.state,
+                    rec.checkpoint_at(gcc).unwrap().state,
+                    "{mode}: state at {gcc}"
+                );
+                assert!(entry.segment.start_gcc <= gcc, "{mode}: mark at {gcc}");
+                assert_eq!(cursor.last.as_ref(), Some(&entry), "{mode}: kept at {gcc}");
+            };
+            for &gcc in points.iter().chain(&descending).chain(&repeated) {
+                check(&mut cursor, gcc);
+            }
+            for &from in &points {
+                check(&mut cursor, from);
+                let to = (from + 7).min(total);
+                let win = m.replay_window(&mut cursor, from, Some(to)).unwrap();
+                let fresh = m.replay_window(&mut open(), from, Some(to)).unwrap();
+                assert_eq!(
+                    (win.stats.total_commits, &win.stats.digest, &win.divergence),
+                    (
+                        fresh.stats.total_commits,
+                        &fresh.stats.digest,
+                        &fresh.divergence
+                    ),
+                    "{mode}: window [{from}, {to})"
+                );
+                assert!(win.deterministic, "{mode}: window [{from}, {to})");
+                check(&mut cursor, to);
+                let win = m.replay_window(&mut cursor, from, None).unwrap();
+                assert_eq!(win.stats.digest, full.stats.digest, "{mode}: from {from}");
+                assert!(win.deterministic, "{mode}: from {from}");
+            }
+            check(&mut cursor, total / 2);
+            assert!(cursor.seek(total + 1).is_err());
+            assert_eq!(cursor.last.as_ref().map(|e| e.gcc), Some(total / 2));
+            check(&mut cursor, total / 2 + 1);
+
+            let frames = crate::recover::layout(&bytes).unwrap().segments.len() as u64;
+            let verified = cursor.source.checksums_verified();
+            assert!(frames > 8, "{mode}: {frames} frames");
+            assert!(
+                verified > 0 && verified <= frames,
+                "{mode}: {verified} of {frames}"
+            );
+        }
     }
 
     // The `.dlrnx` checksums catch accidents, not forgery: the three

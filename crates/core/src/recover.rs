@@ -198,6 +198,12 @@ pub struct QuarantinedRange {
     /// Why the range was quarantined (static description — identical
     /// inputs produce identical reports).
     pub reason: &'static str,
+    /// Event segments whose frames salvage read before the range.
+    pub segment: u64,
+    /// Commits salvage had recovered before the range: the count its
+    /// segments in sync had reached, or after a gap the last commit of
+    /// the last recovered region.
+    pub commit: u64,
 }
 
 /// The typed account of a salvage pass: what survived, what did not.
@@ -389,12 +395,21 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
         }
     };
 
+    // Event frames read so far.
+    let mut frames = 0u64;
     while pos < bytes.len() {
+        let (segment, commit) = (
+            frames,
+            sync.as_ref()
+                .map_or_else(|| regions.last().map_or(0, |r| r.range.last), |s| s.0),
+        );
         if trailer.is_some() {
             quarantined.push(QuarantinedRange {
                 byte_start: pos as u64,
                 byte_end: bytes.len() as u64,
                 reason: "data after trailer segment",
+                segment,
+                commit,
             });
             break;
         }
@@ -412,6 +427,8 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
                 byte_start: gap_start as u64,
                 byte_end: p as u64,
                 reason: "unreadable bytes: segment framing lost",
+                segment,
+                commit,
             });
             pos = p;
             continue;
@@ -426,10 +443,13 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
                     byte_start: span.0,
                     byte_end: span.1,
                     reason: "trailer body undecodable",
+                    segment,
+                    commit,
                 }),
             }
             continue;
         }
+        frames += 1;
         // In sync, decode with the carried counters; after a gap, from
         // zero, which yields per-processor event counts instead.
         let (mut counters, mut end) = match &sync {
@@ -452,6 +472,8 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
                 byte_start: span.0,
                 byte_end: span.1,
                 reason: "event segment body undecodable",
+                segment,
+                commit,
             });
             continue;
         };
@@ -466,6 +488,8 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
                         byte_start: span.0,
                         byte_end: span.1,
                         reason: "stale segment: commit watermark does not advance",
+                        segment,
+                        commit,
                     });
                     sync = Some((gcc, start_counters));
                 } else if end == watermark && counters == marks {
@@ -484,6 +508,8 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
                         byte_start: span.0,
                         byte_end: span.1,
                         reason: "event segment inconsistent with declared watermarks",
+                        segment,
+                        commit,
                     });
                 }
             }
@@ -503,6 +529,8 @@ pub fn salvage(bytes: &[u8]) -> Result<Salvage, DecodeError> {
                         byte_start: span.0,
                         byte_end: span.1,
                         reason: "post-gap segment cannot anchor commit counters",
+                        segment,
+                        commit,
                     });
                     continue;
                 }

@@ -1,6 +1,7 @@
 //! Sparse copies of committed memory for system checkpoints.
 
 use delorean_isa::Word;
+use std::sync::Arc;
 
 /// Words per [`MemoryImage`] block.
 pub const BLOCK_WORDS: usize = 64;
@@ -10,9 +11,10 @@ pub const BLOCK_WORDS: usize = 64;
 /// The image holds its words as blocks of [`BLOCK_WORDS`]. A block whose
 /// words are all zero is not stored, so an image costs memory only for
 /// the blocks a run has written non-zero values to. The stored blocks
-/// sit in one allocation, in address order. Every stored block holds a
-/// non-zero word, and the last block is zero past the image's length,
-/// so two images are equal exactly when their words are.
+/// sit in one allocation, in address order, which clones of the image
+/// share: cloning copies no block. Every stored block holds a non-zero
+/// word, and the last block is zero past the image's length, so two
+/// images are equal exactly when their words are.
 ///
 /// # Examples
 ///
@@ -31,8 +33,8 @@ pub struct MemoryImage {
     len: usize,
     /// Whether each block is stored, in address order.
     stored: Vec<bool>,
-    /// The stored blocks, in address order.
-    blocks: Vec<[Word; BLOCK_WORDS]>,
+    /// The stored blocks, in address order, shared by clones.
+    blocks: Arc<Vec<[Word; BLOCK_WORDS]>>,
 }
 
 /// One block of a [`MemoryImage`], as [`MemoryImage::blocks`] yields it.
@@ -75,7 +77,9 @@ impl MemoryImage {
         Self {
             len: items.len(),
             stored,
-            blocks,
+            // Moves the vector behind the `Arc`; `Arc::from` would copy
+            // its blocks into a new allocation.
+            blocks: Arc::new(blocks),
         }
     }
 
@@ -202,5 +206,22 @@ mod tests {
             MemoryImage::from_words(&[0; 64]),
             MemoryImage::from_words(&[0; 65])
         );
+    }
+
+    /// A clone reads its stored blocks from the original's allocation.
+    #[test]
+    fn clones_share_their_blocks() {
+        let image = MemoryImage::from_words(&pattern(1000));
+        let clone = image.clone();
+        assert_eq!(clone, image);
+        let mut shared = 0;
+        for (a, b) in image.blocks().zip(clone.blocks()) {
+            if let (Block::Words(a), Block::Words(b)) = (a, b) {
+                assert_eq!(a.as_ptr(), b.as_ptr());
+                shared += 1;
+            }
+        }
+        assert_eq!(shared, image.stored_blocks());
+        assert!(shared > 0);
     }
 }
